@@ -356,7 +356,7 @@ def table1(ctx, run_mc, steps, ensembles, seed, fmt, output):
         used_seed = seed
         payload["mc_estimate"] = {
             "mean": est.mean, "std_error": est.std_error, "n_samples": est.n_samples,
-            "n_steps": int(steps),
+            "n_steps": int(steps), "n_apps": est.n_apps,
         }
     record = _record("table", payload, cfg, seed=used_seed)
 
@@ -377,7 +377,7 @@ def table1(ctx, run_mc, steps, ensembles, seed, fmt, output):
             m = p["mc_estimate"]
             lines.append(
                 f"  recomputed estimate: {m['mean']:.5f} +- {m['std_error']:.1e}"
-                f" ({m['n_steps']:.0e} applications)"
+                f" ({m['n_apps']:.0e} applications)"
             )
         return "\n".join(lines)
 
@@ -557,10 +557,13 @@ def sweep(ctx, mode, alpha, beta, q_range, family, include_mc, steps, ensembles,
 @click.option("--q", type=float, default=None,
               help="estimate the q-th moment exponent instead of the Lyapunov exponent")
 @click.option("--steps", type=float, default=1e6, show_default=True,
-              help="total matrix applications across the ensemble")
+              help="total matrix applications requested across the ensemble "
+                   "(n_apps reports those run)")
 @click.option("--ensembles", type=int, default=32, show_default=True)
 @click.option("--seed", type=int, default=0, show_default=True)
-@click.option("--renorm-every", type=int, default=1, show_default=True)
+@click.option("--renorm-every", type=int, default=1, show_default=True,
+              help="accepted for compatibility; no numerical effect (products are "
+                   "rescaled by magnitude)")
 @_format_option
 @_output_option
 @click.pass_context
@@ -578,7 +581,8 @@ def mc(ctx, alpha, beta, q, steps, ensembles, seed, renorm_every, fmt, output):
         "alpha": alpha, "beta": beta, "q": q,
         "estimator": "lyapunov" if q is None else "gle",
         "mean": est.mean, "std_error": est.std_error, "n_samples": est.n_samples,
-        "n_steps": int(steps), "n_ensembles": ensembles, "renorm_every": renorm_every,
+        "n_steps": int(steps), "n_apps": est.n_apps, "n_ensembles": ensembles,
+        "renorm_every": renorm_every,
         "rng": "philox4x64 keyed by (seed, ensemble index)",
     }
     record = _record("mc_estimate", payload, cfg, seed=seed)
@@ -589,13 +593,13 @@ def mc(ctx, alpha, beta, q, steps, ensembles, seed, renorm_every, fmt, output):
             f"{what} estimate  alpha={p['alpha']:g} beta={p['beta']:g}\n"
             f"  mean      {p['mean']:.6f}\n"
             f"  std error {p['std_error']:.2e}\n"
-            f"  ensembles {p['n_samples']}, total applications {p['n_steps']:.3g}, "
-            f"seed {seed}"
+            f"  ensembles {p['n_samples']}, applications run {p['n_apps']:.3g} "
+            f"of {p['n_steps']:.3g} requested, seed {seed}"
         )
 
     def csv_fn(p):
         header = ["alpha", "beta", "q", "estimator", "mean", "std_error",
-                  "n_samples", "n_steps"]
+                  "n_samples", "n_steps", "n_apps"]
         return header, [{k: p.get(k) for k in header}]
 
     _emit(record, fmt, output, text_fn, csv_fn)

@@ -56,6 +56,11 @@ class NormKind(enum.Enum):
     LINF = "linf"
 
 
+def _require_finite(alpha: float, beta: float) -> None:
+    if not (math.isfinite(alpha) and math.isfinite(beta)):
+        raise DomainError(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
+
+
 @dataclass(frozen=True)
 class ShearParams:
     """Shear strengths (alpha, beta) plus their sign regime.
@@ -71,6 +76,7 @@ class ShearParams:
 
     def __post_init__(self):
         a, b = self.alpha, self.beta
+        _require_finite(a, b)
         if self.regime is Regime.POSITIVE_PAIR:
             if not (a >= 1.0 and b >= 1.0):
                 raise DomainError(
@@ -87,6 +93,7 @@ class ShearParams:
     @classmethod
     def infer(cls, alpha: float, beta: float) -> "ShearParams":
         """Build params with the regime inferred from the signs."""
+        _require_finite(alpha, beta)
         if alpha >= 1.0 and beta >= 1.0:
             return cls(alpha, beta, Regime.POSITIVE_PAIR)
         if alpha < -2.0 and beta > 2.0:

@@ -5,14 +5,15 @@ stream for ensemble member e is keyed by (seed, e), so results are
 bit-for-bit reproducible for a fixed config and identical whether the
 ensembles run serially or in parallel.
 
-The Lyapunov estimator is the textbook one-vector method: apply one of
-the two shears per step (fair coin), renormalize periodically, accumulate
-log norms.  The moment estimator for l(q) is honest about its known
-weakness; the q-th moment is dominated by exponentially rare
-trajectories, so the estimate is biased low once q * (spread of log
-growth) becomes large compared to log(ensemble size).  Keep trajectories
-short (the default caps them at 200 applications) and treat the reported
-effective sample size warning seriously.
+Every random product goes through one kernel, ``_pairwise_product``: the
+textbook one-vector Lyapunov estimator (a fair coin picks the shear of each
+step), the block oracle and sampled E_k all multiply their step matrices
+pairwise in about log2(length) vectorized levels.  The moment estimator
+for l(q) is honest about its known weakness; the q-th moment is dominated
+by exponentially rare trajectories, so the estimate is biased low once
+q * (spread of log growth) becomes large compared to log(ensemble size).
+Keep trajectories short (the default caps them at 200 applications) and
+treat the reported effective sample size warning seriously.
 """
 
 from __future__ import annotations
@@ -23,24 +24,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import DomainError, Regime, ShearParams, spectral_norm_batch
+from .linalg import DomainError, ShearParams, spectral_norm_batch
 
-__all__ = [
-    "McConfig",
-    "McEstimate",
-    "BlockStats",
-    "RNG_ALGORITHM",
-    "lyapunov_mc",
-    "gle_mc",
-    "standard_bound",
-    "block_oracle",
-]
+__all__ = ["McConfig", "McEstimate", "BlockStats", "RNG_ALGORITHM", "lyapunov_mc", "gle_mc",
+           "standard_bound", "block_oracle"]
 
 RNG_ALGORITHM = "philox4x64 (numpy), stream keyed by (seed, ensemble index)"
 
 _COIN_CHUNK = 1 << 16
 _EXHAUSTIVE_MAX_K = 22
 _GLE_TRAJ_CAP = 200
+_PAIRWISE_BUDGET = 1 << 16  # step-matrix elements per sub-chunk of _pairwise_product
+_UNSCALED_MAX = 1e150  # 2 * _UNSCALED_MAX**2 does not overflow
 
 
 @dataclass(frozen=True)
@@ -50,6 +45,7 @@ class McConfig:
     n_steps counts matrix applications in total, split evenly across the
     n_ensembles independent trajectories (remainder dropped).  The
     standard error is estimated from the spread across ensembles.
+    renorm_every has no numerical effect (products are rescaled by magnitude).
     """
 
     n_steps: int
@@ -71,6 +67,7 @@ class McEstimate:
     mean: float
     std_error: float
     n_samples: int
+    n_apps: int | None = None  # matrix applications run, over all trajectories
 
 
 @dataclass(frozen=True)
@@ -95,57 +92,99 @@ def _ensemble_rngs(cfg: McConfig) -> list[np.random.Generator]:
     return [_rng(cfg.seed, e) for e in range(cfg.n_ensembles)]
 
 
-def _iterate_log_growth(params: ShearParams, cfg: McConfig, traj_len: int) -> np.ndarray:
-    """Per-ensemble accumulated log |X_N| / |X_0| after traj_len coin steps.
+def _pairwise_product(steps, n: int, width: int, bound: float):
+    """((p11, p12, p21, p22), log_scale) with M_{n-1} ... M_0 = exp(log_scale) p, max |p| = 1.
 
-    Starts from X_0 = (0, 1), which lies in the invariant cone of both
-    regimes; the L2 norm is used for renormalization bookkeeping.
+    steps(lo, hi) gives the entries (m11, m12, m21, m22) of steps lo..hi-1 as four
+    (hi - lo, width) arrays; each step has determinant 1 and entries at most
+    bound.  Sub-chunks of 2^j rows are reduced in j levels that multiply
+    neighbouring rows, later times earlier.  A unit-determinant product has a
+    largest entry of at least 1/sqrt(2) and, from entries at most b, at most
+    2 b^2: levels run unscaled until that bound passes _UNSCALED_MAX, then each
+    divides its rows by their largest entry and sums the logs.  Entries 1e-308
+    below a row's largest are lost, which matters only for shears above 1e100.
     """
-    alpha, beta = params.alpha, params.beta
+    def mul(later, earlier):
+        l11, l12, l21, l22 = later
+        e11, e12, e21, e22 = earlier
+        return (l11 * e11 + l12 * e21, l11 * e12 + l12 * e22,
+                l21 * e11 + l22 * e21, l21 * e12 + l22 * e22)
+
+    def rescale(m):
+        mx = np.maximum(np.maximum(np.abs(m[0]), np.abs(m[1])),
+                        np.maximum(np.abs(m[2]), np.abs(m[3])))
+        return [x / mx for x in m], np.log(mx)
+
+    one, zero = np.ones(width), np.zeros(width)
+    total, log_scale = (one, zero, zero, one), zero
+    rows = 1 << max(1, (_PAIRWISE_BUDGET // width).bit_length() - 1)
+    lo = 0
+    while lo < n:
+        hi = lo + min(rows, 1 << ((n - lo).bit_length() - 1))
+        m, s, big = steps(lo, hi), 0.0, bound  # s: log scale of each row of m
+        while len(m[0]) > 1:
+            if big > _UNSCALED_MAX:
+                m, ds = rescale(m)
+                s, big = s + ds, math.inf  # rescale every level from here on
+            m = mul([x[1::2] for x in m], [x[0::2] for x in m])
+            if isinstance(s, np.ndarray):
+                s = s[1::2] + s[0::2]
+            big = 2.0 * big * big
+        total, ds = rescale(mul([x[0] for x in m], total))
+        log_scale = log_scale + ds + np.reshape(s, -1)
+        lo = hi
+    return total, log_scale
+
+
+def _shear_steps(params: ShearParams, coins: np.ndarray):
+    """Step entries: A = [[1, 0], [alpha, 1]] where a coin is 1, else B = [[1, beta], [0, 1]]."""
+    one = np.broadcast_to(1.0, coins.shape)
+    return one, params.beta * (1 - coins), params.alpha * coins, one
+
+
+def _shear_bound(params: ShearParams) -> float:
+    return max(1.0, abs(params.alpha), abs(params.beta))
+
+
+def _iterate_log_growth(params: ShearParams, cfg: McConfig, traj_len: int) -> np.ndarray:
+    """Per-ensemble log |X_N| / |X_0| (L2 norm) after traj_len coin steps from
+    X_0 = (0, 1), which lies in the invariant cone of both regimes.  Raises
+    DomainError if it is not finite."""
     E = cfg.n_ensembles
     rngs = _ensemble_rngs(cfg)
-    u = np.zeros(E)
-    v = np.ones(E)
-    acc = np.zeros(E)
-    done = 0
-    step_in_cycle = 0
-    while done < traj_len:
+    u, v, acc = np.zeros(E), np.ones(E), np.zeros(E)
+    for done in range(0, traj_len, _COIN_CHUNK):
         n = min(_COIN_CHUNK, traj_len - done)
-        coins = np.empty((n, E))
+        coins = np.empty((n, E), dtype=np.int8)
         for e, r in enumerate(rngs):
             coins[:, e] = r.integers(0, 2, size=n)
-        for t in range(n):
-            m = coins[t]
-            u += beta * v * (1.0 - m)   # upper shear where the coin chose B
-            v += alpha * u * m          # lower shear where it chose A
-            step_in_cycle += 1
-            if step_in_cycle == cfg.renorm_every:
-                r2 = np.sqrt(u * u + v * v)
-                acc += np.log(r2)
-                u /= r2
-                v /= r2
-                step_in_cycle = 0
-        done += n
-    r2 = np.sqrt(u * u + v * v)
-    acc += np.log(r2)
+        if done + n == traj_len:
+            rngs.clear()  # free the generators' memory for the product's temporaries
+        (p11, p12, p21, p22), scale = _pairwise_product(
+            lambda lo, hi: _shear_steps(params, coins[lo:hi]), n, E, _shear_bound(params))
+        u, v = p11 * u + p12 * v, p21 * u + p22 * v
+        r2 = np.hypot(u, v)
+        acc += scale + np.log(r2)
+        u, v = u / r2, v / r2
+    if not np.isfinite(acc).all():
+        raise DomainError(f"Monte Carlo log growth is not finite at alpha={params.alpha}, "
+                          f"beta={params.beta}")
     return acc
 
 
 def lyapunov_mc(params: ShearParams, cfg: McConfig) -> McEstimate:
-    """Lyapunov exponent by renormalized vector iteration.
+    """Lyapunov exponent by vector iteration.
 
     Returns the mean per-step log growth over all trajectories and the
-    standard error across the independent ensemble members.
+    standard error across the independent ensemble members (nan for one
+    member).  Raises DomainError if the log growth is not finite.
     """
-    traj_len = cfg.n_steps // cfg.n_ensembles
-    acc = _iterate_log_growth(params, cfg, traj_len)
-    means = acc / traj_len
+    E = cfg.n_ensembles
+    traj_len = cfg.n_steps // E
+    means = _iterate_log_growth(params, cfg, traj_len) / traj_len
     mean = float(means.mean())
-    if cfg.n_ensembles > 1:
-        se = float(means.std(ddof=1) / math.sqrt(cfg.n_ensembles))
-    else:
-        se = float("nan")
-    return McEstimate(mean=mean, std_error=se, n_samples=cfg.n_ensembles)
+    se = float(means.std(ddof=1) / math.sqrt(E)) if E > 1 else math.nan
+    return McEstimate(mean=mean, std_error=se, n_samples=E, n_apps=E * traj_len)
 
 
 def gle_mc(
@@ -161,7 +200,7 @@ def gle_mc(
     error comes from a bootstrap over ensemble members.  Warns when the
     importance weights concentrate on too few trajectories (small effective
     sample size), the telltale of the moment estimator's exponential
-    variance problem.
+    variance problem.  Raises DomainError if the log growth is not finite.
     """
     traj_len = cfg.n_steps // cfg.n_ensembles
     if traj_len_cap is not None:
@@ -188,16 +227,9 @@ def gle_mc(
         )
     boot_rng = _rng(cfg.seed, 1 << 30)
     E = cfg.n_ensembles
-    reps = np.empty(n_bootstrap)
-    for i in range(n_bootstrap):
-        reps[i] = combine(w[boot_rng.integers(0, E, size=E)])
-    return McEstimate(mean=est, std_error=float(reps.std(ddof=1)), n_samples=E)
-
-
-def _renorm(P: np.ndarray, logacc: np.ndarray) -> None:
-    mu = np.abs(P).max(axis=(1, 2))
-    P /= mu[:, None, None]
-    logacc += np.log(mu)
+    reps = [combine(w[boot_rng.integers(0, E, size=E)]) for _ in range(n_bootstrap)]
+    return McEstimate(mean=est, std_error=float(np.std(reps, ddof=1)), n_samples=E,
+                      n_apps=E * traj_len)
 
 
 def standard_bound(
@@ -215,40 +247,37 @@ def standard_bound(
     """
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
-    A = np.array([[1.0, 0.0], [params.alpha, 1.0]])
-    B = np.array([[1.0, params.beta], [0.0, 1.0]])
-
     if mode == "exhaustive":
         if k > _EXHAUSTIVE_MAX_K:
             raise DomainError(
                 f"exhaustive mode enumerates 2^k products; k = {k} exceeds the "
                 f"cost guard {_EXHAUSTIVE_MAX_K} (use mode='sampled')"
             )
+        A = np.array([[1.0, 0.0], [params.alpha, 1.0]])
+        B = np.array([[1.0, params.beta], [0.0, 1.0]])
         P = np.stack([A, B])
         logacc = np.zeros(2)
         for _ in range(k - 1):
             P = np.concatenate(
                 [np.einsum("ij,njk->nik", A, P), np.einsum("ij,njk->nik", B, P)]
             )
-            logacc = np.concatenate([logacc, logacc])
-            _renorm(P, logacc)
+            mu = np.abs(P).max(axis=(1, 2))
+            P /= mu[:, None, None]
+            logacc = np.concatenate([logacc, logacc]) + np.log(mu)
         vals = (np.log(spectral_norm_batch(P)) + logacc) / k
         return float(vals.mean())
 
     if mode != "sampled":
         raise DomainError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     rng = _rng(seed, 1 << 29)
-    P = np.broadcast_to(np.eye(2), (n_samples, 2, 2)).copy()
-    logacc = np.zeros(n_samples)
-    for t in range(k):
-        coin = rng.integers(0, 2, size=n_samples).astype(bool)
-        PA = np.einsum("ij,njk->nik", A, P)
-        PB = np.einsum("ij,njk->nik", B, P)
-        P = np.where(coin[:, None, None], PA, PB)
-        if (t + 1) % 32 == 0:
-            _renorm(P, logacc)
-    vals = (np.log(spectral_norm_batch(P)) + logacc) / k
-    return float(vals.mean())
+
+    def steps(lo, hi):  # one draw per step, in step order
+        return _shear_steps(params, np.stack([rng.integers(0, 2, size=n_samples)
+                                              for _ in range(lo, hi)]))
+
+    prod, logacc = _pairwise_product(steps, k, n_samples, _shear_bound(params))
+    P = np.stack(prod, axis=-1).reshape(-1, 2, 2)
+    return float(((np.log(spectral_norm_batch(P)) + logacc) / k).mean())
 
 
 def _run_lengths(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -267,61 +296,32 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     estimate from the block products that must agree with lyapunov_mc.
     """
     per_stream = cfg.n_steps // cfg.n_ensembles
-    rngs = _ensemble_rngs(cfg)
-
-    a_streams: list[np.ndarray] = []
-    b_streams: list[np.ndarray] = []
-    n_blocks = 0
-    sum_len = 0
-    n_eq = n_gt = n_lt = 0
-    for r in rngs:
+    a_streams, b_streams = [], []
+    for r in _ensemble_rngs(cfg):
         coins = r.integers(0, 2, size=per_stream).astype(bool)  # True -> A
         lengths, first_is_a = _run_lengths(coins)
         if not first_is_a:
             lengths = lengths[1:]  # leading B-run belongs to an unseen block
-        pairs = lengths.size // 2
-        if pairs >= 1:
-            pairs -= 1  # final block may be truncated by the stream end
-        a = lengths[0 : 2 * pairs : 2]
-        b = lengths[1 : 2 * pairs : 2]
-        n_blocks += pairs
-        sum_len += int(a.sum() + b.sum())
-        n_eq += int((a == b).sum())
-        n_gt += int((a > b).sum())
-        n_lt += int((a < b).sum())
-        a_streams.append(a.astype(np.int32))
-        b_streams.append(b.astype(np.int32))
-
-    if n_blocks == 0:
+        pairs = max(lengths.size // 2 - 1, 0)  # final block may be truncated by the stream end
+        a_streams.append(lengths[0 : 2 * pairs : 2].astype(np.int32))
+        b_streams.append(lengths[1 : 2 * pairs : 2].astype(np.int32))
+    a, b = np.concatenate(a_streams), np.concatenate(b_streams)
+    if a.size == 0:
         raise DomainError("coin streams too short to form a single complete block")
+    stats = dict(mean_block_len=float(np.mean(a + b)), p_eq=float(np.mean(a == b)),
+                 p_gt=float(np.mean(a > b)), p_lt=float(np.mean(a < b)), n_blocks=a.size)
 
-    # Lyapunov estimate from the block products, vectorized across streams
-    J = min(a.size for a in a_streams)
-    alpha, beta = params.alpha, params.beta
-    E = cfg.n_ensembles
-    u = np.zeros(E)
-    v = np.ones(E)
-    acc = np.zeros(E)
-    steps = 0
-    if J > 0:
-        a_mat = np.stack([s[:J] for s in a_streams]).astype(float)
-        b_mat = np.stack([s[:J] for s in b_streams]).astype(float)
-        steps = float(a_mat.sum() + b_mat.sum())
-        for j in range(J):
-            x = a_mat[:, j] * alpha
-            y = b_mat[:, j] * beta
-            u, v = u + y * v, x * u + (1.0 + x * y) * v
-            r2 = np.sqrt(u * u + v * v)
-            acc += np.log(r2)
-            u /= r2
-            v /= r2
-    lambda_est = float(acc.sum() / steps) if steps else float("nan")
+    # Lyapunov estimate from the block products K(a, b) = A^a B^b applied to (0, 1)
+    J = min(s.size for s in a_streams)
+    a_mat = np.stack([s[:J] for s in a_streams])
+    b_mat = np.stack([s[:J] for s in b_streams])
+    steps = int(a_mat.sum() + b_mat.sum())
 
-    return BlockStats(
-        mean_block_len=sum_len / n_blocks,
-        p_eq=n_eq / n_blocks,
-        p_gt=n_gt / n_blocks,
-        p_lt=n_lt / n_blocks,
-        lambda_est=lambda_est,
-        n_blocks=n_blocks,
-    )
+    def blocks(lo, hi):  # one stream per row of a_mat; the kernel runs time on axis 0
+        x, y = params.alpha * a_mat[:, lo:hi].T, params.beta * b_mat[:, lo:hi].T
+        return np.broadcast_to(1.0, x.shape), y, x, 1.0 + x * y
+
+    bound = 1.0 + abs(params.alpha * params.beta) * a_mat.max(initial=0) * b_mat.max(initial=0)
+    (_, p12, _, p22), scale = _pairwise_product(blocks, J, cfg.n_ensembles, bound)
+    acc = scale + np.log(np.hypot(p12, p22))
+    return BlockStats(lambda_est=float(acc.sum() / steps) if steps else math.nan, **stats)

@@ -246,6 +246,29 @@ class TestMcCommand:
         result = runner.invoke(main, ["mc", "--alpha", "-1", "--beta", "1"])
         assert result.exit_code == 2
 
+    @pytest.mark.filterwarnings("ignore:effective sample size")
+    def test_reports_applications_run(self, runner):
+        # the moment estimator caps trajectories at 200: 32 x 200 of 10^6 run
+        args = ["mc", "--alpha", "1", "--beta", "1", "--q", "2", "--steps", "1e6"]
+        rec = run_json(runner, args)
+        assert rec["payload"]["n_steps"] == 1_000_000
+        assert rec["payload"]["n_apps"] == 6400
+        row, = parse_csv(runner.invoke(main, args + ["--format", "csv"]).output)
+        assert (row["n_steps"], row["n_apps"]) == ("1000000", "6400")
+        text = runner.invoke(main, args).output
+        assert "applications run 6.4e+03 of 1e+06 requested" in text
+
+    def test_strong_shear_with_renorm_every_is_finite(self, runner):
+        rec = run_json(runner, ["mc", "--alpha", "50", "--beta", "50", "--steps", "1e5",
+                                "--ensembles", "8", "--renorm-every", "1000"])
+        assert math.isfinite(rec["payload"]["mean"])
+        assert rec["payload"]["n_apps"] == 100_000
+
+    def test_non_finite_parameter_exit_2(self, runner):
+        result = runner.invoke(main, ["mc", "--alpha", "inf", "--beta", "2"])
+        assert result.exit_code == 2
+        assert "finite" in result.output
+
 
 class TestSmallCommands:
     def test_gle_exact(self, runner):

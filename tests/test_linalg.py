@@ -66,6 +66,15 @@ class TestShearParams:
         with pytest.raises(DomainError):
             ShearParams(-2.0, 2.5, Regime.OPPOSED_PAIR)
 
+    @pytest.mark.parametrize("alpha,beta", [(math.inf, 2.0), (2.0, math.inf), (-math.inf, 3.0),
+                                            (math.nan, 2.0), (-3.0, math.nan)])
+    def test_rejects_non_finite(self, alpha, beta):
+        with pytest.raises(DomainError, match="finite"):
+            ShearParams.infer(alpha, beta)
+        regime = Regime.POSITIVE_PAIR if beta <= 2.0 else Regime.OPPOSED_PAIR
+        with pytest.raises(DomainError, match="finite"):
+            ShearParams(alpha, beta, regime)
+
 
 class TestKab:
     def test_unit_shears(self):

@@ -14,13 +14,143 @@ from shearlyap import (
     gle_mc,
     lyapunov_bounds,
     lyapunov_mc,
+    montecarlo,
     spectral_norm,
+    spectral_norm_batch,
     standard_bound,
 )
 
 POS11 = ShearParams.infer(1.0, 1.0)
 OPP33 = ShearParams.infer(-3.0, 3.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
+# the paper's strengths, and 1e75, where products of two steps already reach
+# 1e150 and every level above the first rescales
+KERNEL_PARAMS = [(1.0, 1.0), (10.0, 10.0), (50.0, 50.0), (-3.0, 3.0), (-10.0, 10.0),
+                 (1e75, 1e75)]
+
+
+# ---------------------------------------------------------------- references
+# Straightforward loops, one matrix application at a time, that the pairwise
+# kernel must reproduce up to rounding.  They draw the same Philox streams.
+
+def reference_log_growth(params, cfg, traj_len):
+    """Per-ensemble log |X_N| / |X_0| by one shear per step from X_0 = (0, 1)."""
+    alpha, beta = params.alpha, params.beta
+    E = cfg.n_ensembles
+    rngs = montecarlo._ensemble_rngs(cfg)
+    u, v, acc = np.zeros(E), np.ones(E), np.zeros(E)
+    done = step_in_cycle = 0
+    while done < traj_len:
+        n = min(montecarlo._COIN_CHUNK, traj_len - done)
+        coins = np.empty((n, E))
+        for e, r in enumerate(rngs):
+            coins[:, e] = r.integers(0, 2, size=n)
+        for t in range(n):
+            m = coins[t]
+            u += beta * v * (1.0 - m)  # upper shear where the coin chose B
+            v += alpha * u * m  # lower shear where it chose A
+            step_in_cycle += 1
+            if step_in_cycle == cfg.renorm_every:
+                r2 = np.sqrt(u * u + v * v)
+                acc += np.log(r2)
+                u /= r2
+                v /= r2
+                step_in_cycle = 0
+        done += n
+    return acc + np.log(np.sqrt(u * u + v * v))
+
+
+def reference_block_lambda(params, cfg):
+    """block_oracle's lambda by one block matrix K(a, b) at a time."""
+    per_stream = cfg.n_steps // cfg.n_ensembles
+    a_streams, b_streams = [], []
+    for r in montecarlo._ensemble_rngs(cfg):
+        lengths, first_is_a = montecarlo._run_lengths(
+            r.integers(0, 2, size=per_stream).astype(bool))
+        if not first_is_a:
+            lengths = lengths[1:]
+        pairs = max(lengths.size // 2 - 1, 0)
+        a_streams.append(lengths[0 : 2 * pairs : 2])
+        b_streams.append(lengths[1 : 2 * pairs : 2])
+    J = min(a.size for a in a_streams)
+    x_mat = np.stack([s[:J] for s in a_streams]) * params.alpha
+    y_mat = np.stack([s[:J] for s in b_streams]) * params.beta
+    steps = sum(int(s[:J].sum()) for s in a_streams + b_streams)
+    u, v, acc = np.zeros(cfg.n_ensembles), np.ones(cfg.n_ensembles), np.zeros(cfg.n_ensembles)
+    for j in range(J):
+        x, y = x_mat[:, j], y_mat[:, j]
+        u, v = u + y * v, x * u + (1.0 + x * y) * v
+        r2 = np.sqrt(u * u + v * v)
+        acc += np.log(r2)
+        u /= r2
+        v /= r2
+    return acc.sum() / steps
+
+
+def reference_sampled_bound(k, params, n_samples, seed):
+    """Sampled E_k by multiplying both shears into every product at each step."""
+    A = np.array([[1.0, 0.0], [params.alpha, 1.0]])
+    B = np.array([[1.0, params.beta], [0.0, 1.0]])
+    rng = montecarlo._rng(seed, 1 << 29)
+    P = np.broadcast_to(np.eye(2), (n_samples, 2, 2)).copy()
+    logacc = np.zeros(n_samples)
+    for t in range(k):
+        coin = rng.integers(0, 2, size=n_samples).astype(bool)
+        PA = np.einsum("ij,njk->nik", A, P)
+        PB = np.einsum("ij,njk->nik", B, P)
+        P = np.where(coin[:, None, None], PA, PB)
+        if (t + 1) % 32 == 0:
+            mu = np.abs(P).max(axis=(1, 2))
+            P /= mu[:, None, None]
+            logacc += np.log(mu)
+    return float(((np.log(spectral_norm_batch(P)) + logacc) / k).mean())
+
+
+def tightest_envelope(params):
+    g = lyapunov_bounds(params).envelope
+    i = lyapunov_bounds(params, BoundFamily.IMPROVED).envelope
+    return max(g.lower, i.lower), min(g.upper, i.upper)
+
+
+class TestPairwiseKernel:
+    @pytest.mark.parametrize("alpha,beta", KERNEL_PARAMS)
+    @pytest.mark.parametrize("n_ensembles,traj_len", [(1, 600), (6, 1001), (5, 512)])
+    @pytest.mark.parametrize("budget", [None, 40])
+    def test_matches_per_step_loop(self, monkeypatch, alpha, beta, n_ensembles, traj_len,
+                                   budget):
+        # budget 40 makes sub-chunks of 32, 4 and 8 rows: many full ones and,
+        # for lengths that are not a multiple, shorter power-of-two tails
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", budget)
+        params = ShearParams.infer(alpha, beta)
+        cfg = McConfig(n_ensembles * traj_len, n_ensembles, seed=41)
+        got = montecarlo._iterate_log_growth(params, cfg, traj_len)
+        want = reference_log_growth(params, cfg, traj_len)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    def test_matches_beyond_one_coin_chunk(self):
+        traj_len = montecarlo._COIN_CHUNK + 777
+        cfg = McConfig(2 * traj_len, 2, seed=42)
+        p = ShearParams.infer(10.0, 10.0)
+        got = montecarlo._iterate_log_growth(p, cfg, traj_len)
+        want = reference_log_growth(p, cfg, traj_len)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (50.0, 50.0), (-3.0, 3.0)])
+    @pytest.mark.parametrize("budget", [None, 40])
+    def test_block_oracle_matches_per_block_loop(self, monkeypatch, alpha, beta, budget):
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", budget)
+        params = ShearParams.infer(alpha, beta)
+        cfg = McConfig(n_steps=100_000, n_ensembles=7, seed=43)
+        got = block_oracle(params, cfg).lambda_est
+        assert got == pytest.approx(reference_block_lambda(params, cfg), rel=1e-10)
+
+    @pytest.mark.parametrize("k,n_samples,alpha", [(64, 500, 1.0), (1024, 4000, 5.0)])
+    def test_sampled_bound_matches_two_einsum_loop(self, k, n_samples, alpha):
+        params = ShearParams.infer(alpha, alpha)
+        got = standard_bound(k, params, mode="sampled", n_samples=n_samples, seed=44)
+        assert got == pytest.approx(reference_sampled_bound(k, params, n_samples, 44), rel=1e-12)
 
 
 class TestLyapunovMc:
@@ -46,6 +176,30 @@ class TestLyapunovMc:
         a = lyapunov_mc(POS11, McConfig(100_000, 8, seed=5, renorm_every=1))
         b = lyapunov_mc(POS11, McConfig(100_000, 8, seed=5, renorm_every=64))
         assert a.mean == pytest.approx(b.mean, rel=1e-12)
+
+    def test_strong_shear_with_renorm_every_is_finite(self):
+        # without rescaling, 1000 steps at this strength overflow a double
+        p = ShearParams.infer(50.0, 50.0)
+        est = lyapunov_mc(p, McConfig(10**6, 25, seed=46, renorm_every=1000))
+        lo, hi = tightest_envelope(p)
+        assert math.isfinite(est.mean) and math.isfinite(est.std_error)
+        assert lo - 6 * est.std_error <= est.mean <= hi + 6 * est.std_error
+
+    def test_non_finite_estimate_raises(self, monkeypatch):
+        def overflowing(steps, n, width, bound):
+            one, zero = np.ones(width), np.zeros(width)
+            return (one, zero, zero, one), np.full(width, np.inf)
+
+        monkeypatch.setattr(montecarlo, "_pairwise_product", overflowing)
+        cfg = McConfig(n_steps=1000, n_ensembles=10, seed=1)
+        with pytest.raises(DomainError, match="not finite"):
+            lyapunov_mc(POS11, cfg)
+        with pytest.raises(DomainError, match="not finite"):
+            gle_mc(1.0, POS11, cfg)
+
+    def test_counts_applications_run(self):
+        # the remainder of n_steps / n_ensembles is dropped
+        assert lyapunov_mc(POS11, McConfig(n_steps=1003, n_ensembles=10)).n_apps == 1000
 
     def test_opposed_containment(self):
         est = lyapunov_mc(OPP33, McConfig(n_steps=1_000_000, n_ensembles=25, seed=4))
@@ -79,6 +233,11 @@ class TestGleMc:
         env = gle_bounds(-1.0, POS11)
         assert env.lower < est.mean < env.upper
         assert est.mean < 0.0
+
+    def test_counts_capped_applications(self):
+        cfg = McConfig(n_steps=10**6, n_ensembles=100, seed=3)
+        assert gle_mc(0.0, POS11, cfg).n_apps == 100 * 200
+        assert gle_mc(0.0, POS11, cfg, traj_len_cap=None).n_apps == 10**6
 
     def test_deterministic(self):
         cfg = McConfig(n_steps=200_000, n_ensembles=2_000, seed=31)
