@@ -17,13 +17,11 @@ from .linalg import (
     Regime,
     ShearParams,
     Vec2,
-    is_hyperbolic,
     k_ab,
     shear_a,
     shear_b,
     spectral_norm,
     spectral_norm_batch,
-    top_right_singular_vector,
     vec_norm,
 )
 from .cones import (

@@ -1,10 +1,11 @@
 """Command-line front end.
 
 Subcommands: bounds, table1, sweep, mc, gle-exact, entropy, standard-bound.
-Every subcommand supports --format text|json|csv and an optional --output
-path (relative paths are joined to $SHEARLYAP_OUTPUT_DIR when that is set).
-Series truncation defaults can come from a key = value config file passed
-with --config or named by $SHEARLYAP_CONFIG.
+Each returns one Result, which one renderer writes as --format text|json|csv
+to stdout or to --output PATH (relative paths are joined to
+$SHEARLYAP_OUTPUT_DIR when that is set), so all three formats show the same
+values.  Series truncation defaults can come from a key = value config file
+passed with --config or named by $SHEARLYAP_CONFIG.
 
 Exit codes: 0 success, 2 invalid parameter domain (or usage), 3 numerical
 non-convergence of a series.
@@ -17,6 +18,7 @@ four applications on average.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import functools
 import io
 import json
@@ -32,37 +34,48 @@ from . import __version__
 from .engine import (
     BoundFamily,
     BoundReport,
+    Bounds,
+    NormBounds,
     closed_form_bounds,
     entropy_bounds,
     gle_bounds_report,
     gle_exact_integer,
     lyapunov_bounds,
 )
-from .linalg import DomainError, NormKind, ShearParams
-from .montecarlo import McConfig, gle_mc, lyapunov_mc, standard_bound
+from .linalg import DomainError, NormKind, Regime, ShearParams
+from .montecarlo import RNG_ALGORITHM, McConfig, gle_mc, lyapunov_mc, standard_bound
 from .series import NonConvergenceError, SeriesConfig
 
 # reference estimate of the exponent at alpha = beta = 1, reproducible with
 # `shearlyap mc --alpha 1 --beta 1 --steps 10000000 --seed 42`
 MC_REFERENCE_LAMBDA = 0.39625
 
-_NORM_ORDER = (NormKind.L1, NormKind.L2, NormKind.LINF)
-
 
 # --------------------------------------------------------------------------
 # plumbing
+
+@dataclasses.dataclass(frozen=True)
+class Result:
+    """One command's output.  rows=None: the payload is the one CSV row;
+    text=None: the text output is a column table of the rows."""
+
+    kind: str
+    payload: dict
+    columns: list[str]
+    series_cfg: SeriesConfig
+    rows: list[dict] | None = None
+    text: str | None = None
+    seed: int | None = None
+
 
 def _guarded(fn):
     @functools.wraps(fn)
     def wrapper(*args, **kwargs):
         try:
             return fn(*args, **kwargs)
-        except DomainError as exc:
+        except (DomainError, NonConvergenceError) as exc:
             click.echo(f"error: {exc}", err=True)
-            sys.exit(2)
-        except NonConvergenceError as exc:
-            click.echo(f"error: {exc}", err=True)
-            sys.exit(3)
+            sys.exit(3 if isinstance(exc, NonConvergenceError) else 2)
 
     return wrapper
 
@@ -73,8 +86,12 @@ def _load_config_file(path: str | None) -> dict:
     if not path:
         return {}
     allowed = {"max_index": int, "tail_tol": float}
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:
+        raise DomainError(f"cannot read config file {path}: {exc}") from None
     out: dict = {}
-    for lineno, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -84,33 +101,13 @@ def _load_config_file(path: str | None) -> dict:
         key = key.strip()
         if key not in allowed:
             raise DomainError(f"{path}:{lineno}: unknown config key {key!r}")
-        out[key] = allowed[key](value.strip())
+        try:
+            out[key] = allowed[key](value.strip())
+        except ValueError:
+            raise DomainError(
+                f"{path}:{lineno}: {key} must be {allowed[key].__name__}, got {value.strip()!r}"
+            ) from None
     return out
-
-
-def _series_config(ctx_cfg: dict, max_index: int | None, tol: float | None) -> SeriesConfig:
-    values = dict(ctx_cfg)
-    if max_index is not None:
-        values["max_index"] = max_index
-    if tol is not None:
-        values["tail_tol"] = tol
-    return SeriesConfig(**values)
-
-
-def _record(kind: str, payload: dict, series_cfg: SeriesConfig, seed: int | None) -> dict:
-    return {
-        "kind": kind,
-        "payload": payload,
-        "metadata": {
-            "tool_version": __version__,
-            "seed": seed,
-            "series_config": {
-                "max_index": series_cfg.max_index,
-                "tail_tol": series_cfg.tail_tol,
-            },
-            "timestamp": datetime.now(timezone.utc).isoformat(),
-        },
-    }
 
 
 def _write_output(text: str, output: str | None) -> None:
@@ -126,29 +123,40 @@ def _write_output(text: str, output: str | None) -> None:
     click.echo(f"wrote {path}", err=True)
 
 
-def _csv_text(header: list[str], rows: list[dict]) -> str:
-    buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=header, lineterminator="\r\n")
-    writer.writeheader()
-    for row in rows:
-        writer.writerow({k: ("" if row.get(k) is None else row.get(k)) for k in header})
-    return buf.getvalue()
-
-
-def _emit(record: dict, fmt: str, output: str | None, text_fn, csv_fn) -> None:
-    if fmt == "json":
-        _write_output(json.dumps(record, indent=2), output)
-    elif fmt == "csv":
-        header, rows = csv_fn(record["payload"])
-        _write_output(_csv_text(header, rows), output)
-    else:
-        _write_output(text_fn(record["payload"]), output)
-
-
 def _fmt(x, digits=8) -> str:
     if x is None:
         return "-"
     return f"{x:.{digits}g}"
+
+
+def _emit(result: Result, fmt: str, output: str | None) -> None:
+    rows = [result.payload] if result.rows is None else result.rows
+    if fmt == "json":
+        metadata = {
+            "tool_version": __version__,
+            "seed": result.seed,
+            "series_config": dataclasses.asdict(result.series_cfg),
+            "timestamp": datetime.now(timezone.utc).isoformat(),
+        }
+        record = {"kind": result.kind, "payload": result.payload, "metadata": metadata}
+        text = json.dumps(record, indent=2)
+    elif fmt == "csv":
+        buf = io.StringIO()
+        # missing keys and None values both become empty fields
+        writer = csv.DictWriter(buf, fieldnames=result.columns, lineterminator="\r\n",
+                                extrasaction="ignore")
+        writer.writeheader()
+        writer.writerows(rows)
+        text = buf.getvalue()
+    elif result.text is not None:
+        text = result.text
+    else:
+        lines = ["  ".join(result.columns)]
+        for r in rows:
+            values = (r.get(c) for c in result.columns)
+            lines.append("  ".join(v if isinstance(v, str) else _fmt(v, 6) for v in values))
+        text = "\n".join(lines)
+    _write_output(text, output)
 
 
 def parse_range(spec: str) -> list[float]:
@@ -176,94 +184,19 @@ def parse_range(spec: str) -> list[float]:
     return out
 
 
-_format_option = click.option(
-    "--format", "fmt", type=click.Choice(["text", "json", "csv"]), default="text",
-    show_default=True, help="output format",
-)
-_output_option = click.option(
-    "--output", default=None, metavar="PATH",
-    help="write to PATH instead of stdout ($SHEARLYAP_OUTPUT_DIR prefixes relative paths)",
-)
+def _named_bounds(report: BoundReport) -> list[tuple[str, Bounds | NormBounds]]:
+    """(norm name, bounds) for each norm of a report, then ("envelope", envelope)."""
+    return [(n.value, nb) for n, nb in report.per_norm.items()] + [("envelope", report.envelope)]
 
 
-# --------------------------------------------------------------------------
-# payload builders
-
-def _bound_report_payload(params: ShearParams, report: BoundReport) -> dict:
-    return {
-        "alpha": params.alpha,
-        "beta": params.beta,
-        "regime": params.regime.value,
-        "family": report.family.value,
-        "scale": "lambda (per matrix application); block scale is 4x",
-        "per_norm": {
-            norm.value: {"lower": nb.lower, "upper": nb.upper}
-            for norm, nb in report.per_norm.items()
-        },
-        "envelope": {"lower": report.envelope.lower, "upper": report.envelope.upper},
-    }
-
-
-def _bound_report_text(payload: dict) -> str:
-    lines = [
-        f"Lyapunov exponent bounds  alpha={payload['alpha']:g} beta={payload['beta']:g}"
-        f"  regime={payload['regime']} family={payload['family']}",
-        "",
-        f"  {'norm':<6} {'lower':>12} {'upper':>12} {'lower*4':>12} {'upper*4':>12}",
-    ]
-    for norm in _NORM_ORDER:
-        nb = payload["per_norm"].get(norm.value)
-        if nb is None:
-            continue
-        lo, up = nb["lower"], nb["upper"]
-        lines.append(
-            f"  {norm.value:<6} {_fmt(lo):>12} {_fmt(up):>12}"
-            f" {_fmt(None if lo is None else 4 * lo):>12}"
-            f" {_fmt(None if up is None else 4 * up):>12}"
-        )
-    env = payload["envelope"]
-    lines.append("")
-    lines.append(
-        f"  envelope  [{_fmt(env['lower'])}, {_fmt(env['upper'])}]"
-        f"   *4: [{_fmt(4 * env['lower'])}, {_fmt(4 * env['upper'])}]"
-    )
-    return "\n".join(lines)
-
-
-def _bound_report_csv(payload: dict):
-    header = ["alpha", "beta", "family", "norm", "side", "value", "value_block_scale"]
-    rows = []
-    for norm in _NORM_ORDER:
-        nb = payload["per_norm"].get(norm.value)
-        if nb is None:
-            continue
+def _report_rows(report: BoundReport, **keys):
+    """Rows of a BoundReport: each norm's available sides, then the envelope."""
+    for norm, bounds in _named_bounds(report):
         for side in ("lower", "upper"):
-            if nb[side] is None:
-                continue
-            rows.append(
-                {
-                    "alpha": payload["alpha"],
-                    "beta": payload["beta"],
-                    "family": payload["family"],
-                    "norm": norm.value,
-                    "side": side,
-                    "value": nb[side],
-                    "value_block_scale": 4 * nb[side],
-                }
-            )
-    for side in ("lower", "upper"):
-        rows.append(
-            {
-                "alpha": payload["alpha"],
-                "beta": payload["beta"],
-                "family": payload["family"],
-                "norm": "envelope",
-                "side": side,
-                "value": payload["envelope"][side],
-                "value_block_scale": 4 * payload["envelope"][side],
-            }
-        )
-    return header, rows
+            value = getattr(bounds, side)
+            if value is not None:
+                yield {**keys, "norm": norm, "family": report.family.value,
+                       "side": side, "value": value}
 
 
 # --------------------------------------------------------------------------
@@ -280,7 +213,35 @@ def main(ctx, config):
     ctx.obj = _load_config_file(config)
 
 
-@main.command()
+def _command(name: str | None = None):
+    """Register a command on `main` that takes the series config (config file,
+    then its own --max-index/--tol) and returns a Result to emit; adds
+    --format and --output, and exit codes 2 and 3 for domain and series errors."""
+
+    def register(fn):
+        @functools.wraps(fn)
+        def run(ctx, fmt, output, max_index=None, tol=None, **options):
+            values = dict(ctx.obj or {})
+            if max_index is not None:
+                values["max_index"] = max_index
+            if tol is not None:
+                values["tail_tol"] = tol
+            _emit(fn(SeriesConfig(**values), **options), fmt, output)
+
+        cmd = main.command(name)(click.pass_context(_guarded(run)))
+        cmd.params += [
+            click.Option(["--format", "fmt"], type=click.Choice(["text", "json", "csv"]),
+                         default="text", show_default=True, help="output format"),
+            click.Option(["--output"], default=None, metavar="PATH",
+                         help="write to PATH instead of stdout "
+                              "($SHEARLYAP_OUTPUT_DIR prefixes relative paths)"),
+        ]
+        return cmd
+
+    return register
+
+
+@_command()
 @click.option("--alpha", type=float, required=True, help="lower-shear strength")
 @click.option("--beta", type=float, required=True, help="upper-shear strength")
 @click.option("--family", type=click.Choice(["global", "improved"]), default="global",
@@ -289,154 +250,113 @@ def main(ctx, config):
               help="comma-separated subset of l1,l2,linf (default: all)")
 @click.option("--max-index", type=int, default=None, help="series truncation index")
 @click.option("--tol", type=float, default=None, help="series tail tolerance")
-@_format_option
-@_output_option
-@click.pass_context
-@_guarded
-def bounds(ctx, alpha, beta, family, norms, max_index, tol, fmt, output):
+def bounds(cfg, alpha, beta, family, norms):
     """Lyapunov-exponent bounds for one parameter pair."""
     params = ShearParams.infer(alpha, beta)
-    cfg = _series_config(ctx.obj or {}, max_index, tol)
     report = lyapunov_bounds(params, BoundFamily(family), cfg)
-    payload = _bound_report_payload(params, report)
     if norms:
         wanted = {n.strip() for n in norms.split(",") if n.strip()}
-        bad = wanted - {n.value for n in _NORM_ORDER}
+        bad = wanted - {n.value for n in NormKind}
         if bad:
             raise DomainError(f"unknown norms {sorted(bad)}; choose from l1,l2,linf")
-        kept = {k: v for k, v in payload["per_norm"].items() if k in wanted}
-        lowers = [v["lower"] for v in kept.values() if v["lower"] is not None]
-        uppers = [v["upper"] for v in kept.values() if v["upper"] is not None]
+        kept = {k: v for k, v in report.per_norm.items() if k.value in wanted}
+        lowers = [v.lower for v in kept.values() if v.lower is not None]
+        uppers = [v.upper for v in kept.values() if v.upper is not None]
         if not lowers or not uppers:
             raise DomainError(f"norms {sorted(wanted)} provide no two-sided envelope")
-        payload["per_norm"] = kept
-        payload["envelope"] = {"lower": max(lowers), "upper": min(uppers)}
-    record = _record("bound_report", payload, cfg, seed=None)
-    _emit(record, fmt, output, _bound_report_text, _bound_report_csv)
+        report = dataclasses.replace(report, per_norm=kept,
+                                     envelope=Bounds(max(lowers), min(uppers)))
+    env = report.envelope
+    payload = {
+        "alpha": params.alpha,
+        "beta": params.beta,
+        "regime": params.regime.value,
+        "family": report.family.value,
+        "scale": "lambda (per matrix application); block scale is 4x",
+        "per_norm": {
+            norm.value: {"lower": nb.lower, "upper": nb.upper}
+            for norm, nb in report.per_norm.items()
+        },
+        "envelope": {"lower": env.lower, "upper": env.upper},
+    }
+    lines = [
+        f"Lyapunov exponent bounds  alpha={params.alpha:g} beta={params.beta:g}"
+        f"  regime={params.regime.value} family={report.family.value}",
+        "",
+        f"  {'norm':<6} {'lower':>12} {'upper':>12} {'lower*4':>12} {'upper*4':>12}",
+    ]
+    for norm, nb in report.per_norm.items():
+        lo, up = nb.lower, nb.upper
+        lines.append(
+            f"  {norm.value:<6} {_fmt(lo):>12} {_fmt(up):>12}"
+            f" {_fmt(None if lo is None else 4 * lo):>12}"
+            f" {_fmt(None if up is None else 4 * up):>12}"
+        )
+    lines.append("")
+    lines.append(
+        f"  envelope  [{_fmt(env.lower)}, {_fmt(env.upper)}]"
+        f"   *4: [{_fmt(4 * env.lower)}, {_fmt(4 * env.upper)}]"
+    )
+    rows = [{**r, "value_block_scale": 4 * r["value"]}
+            for r in _report_rows(report, alpha=params.alpha, beta=params.beta)]
+    return Result(
+        "bound_report", payload,
+        ["alpha", "beta", "family", "norm", "side", "value", "value_block_scale"],
+        cfg, rows=rows, text="\n".join(lines),
+    )
 
 
-@main.command()
+@_command()
 @click.option("--mc/--no-mc", "run_mc", default=False,
               help="recompute the reference estimate instead of using the stored value")
 @click.option("--steps", type=float, default=1e7, show_default=True)
 @click.option("--ensembles", type=int, default=32, show_default=True)
 @click.option("--seed", type=int, default=42, show_default=True)
-@_format_option
-@_output_option
-@click.pass_context
-@_guarded
-def table1(ctx, run_mc, steps, ensembles, seed, fmt, output):
+def table1(cfg, run_mc, steps, ensembles, seed):
     """Reference table of bounds at alpha = beta = 1 (5 significant figures)."""
     params = ShearParams.infer(1.0, 1.0)
-    cfg = _series_config(ctx.obj or {}, None, None)
     glob = lyapunov_bounds(params, BoundFamily.GLOBAL, cfg)
     impr = lyapunov_bounds(params, BoundFamily.IMPROVED, cfg)
-    improved_cell = {
-        NormKind.L1: (impr.per_norm[NormKind.L1].lower, "lower"),
-        NormKind.L2: (impr.per_norm[NormKind.L2].lower, "lower"),
-        NormKind.LINF: (impr.per_norm[NormKind.LINF].upper, "upper"),
-    }
+    lines = [
+        "Bounds at alpha = beta = 1 (5 significant figures)",
+        "",
+        f"  {'norm':<6} {'global lower':>14} {'global upper':>14} {'improved':>14}",
+    ]
     rows = []
-    for norm in _NORM_ORDER:
-        value, side = improved_cell[norm]
-        rows.append(
-            {
-                "norm": norm.value,
-                "global_lower": glob.per_norm[norm].lower,
-                "global_upper": glob.per_norm[norm].upper,
-                "improved": value,
-                "improved_side": side,
-            }
-        )
+    # the improved family sharpens the l1 and l2 lower bounds and the linf upper bound
+    for norm, side in ((NormKind.L1, "lower"), (NormKind.L2, "lower"), (NormKind.LINF, "upper")):
+        g = glob.per_norm[norm]
+        improved = getattr(impr.per_norm[norm], side)
+        rows.append({"norm": norm.value, "global_lower": g.lower, "global_upper": g.upper,
+                     "improved": improved, "improved_side": side})
+        lines.append(f"  {norm.value:<6} {g.lower:>14.5f} {g.upper:>14.5f}"
+                     f" {improved:>14.5f} ({side})")
     payload: dict = {"alpha": 1.0, "beta": 1.0, "rows": rows,
                      "mc_reference": MC_REFERENCE_LAMBDA}
-    used_seed = None
+    lines += ["", f"  reference estimate: {MC_REFERENCE_LAMBDA}"]
     if run_mc:
         est = lyapunov_mc(params, McConfig(int(steps), ensembles, seed))
-        used_seed = seed
         payload["mc_estimate"] = {
             "mean": est.mean, "std_error": est.std_error, "n_samples": est.n_samples,
             "n_steps": int(steps), "n_apps": est.n_apps,
         }
-    record = _record("table", payload, cfg, seed=used_seed)
-
-    def text_fn(p):
-        lines = [
-            "Bounds at alpha = beta = 1 (5 significant figures)",
-            "",
-            f"  {'norm':<6} {'global lower':>14} {'global upper':>14} {'improved':>14}",
-        ]
-        for r in p["rows"]:
-            lines.append(
-                f"  {r['norm']:<6} {r['global_lower']:>14.5f} {r['global_upper']:>14.5f}"
-                f" {r['improved']:>14.5f} ({r['improved_side']})"
-            )
-        lines.append("")
-        lines.append(f"  reference estimate: {p['mc_reference']}")
-        if "mc_estimate" in p:
-            m = p["mc_estimate"]
-            lines.append(
-                f"  recomputed estimate: {m['mean']:.5f} +- {m['std_error']:.1e}"
-                f" ({m['n_apps']:.0e} applications)"
-            )
-        return "\n".join(lines)
-
-    def csv_fn(p):
-        header = ["norm", "global_lower", "global_upper", "improved", "improved_side"]
-        return header, p["rows"]
-
-    _emit(record, fmt, output, text_fn, csv_fn)
+        lines.append(f"  recomputed estimate: {est.mean:.5f} +- {est.std_error:.1e}"
+                     f" ({est.n_apps:.0e} applications)")
+    return Result("table", payload, list(rows[0]), cfg, rows=rows, text="\n".join(lines),
+                  seed=seed if run_mc else None)
 
 
-def _sweep_point_rows(alpha, beta, cfg, include_mc, mc_opts, standard_k, standard_samples):
-    """Bound rows for one (alpha, beta) pair: both families, plus extras."""
-    params = ShearParams.infer(alpha, beta)
-    rows = []
-    reports = {}
-    for family in (BoundFamily.GLOBAL, BoundFamily.IMPROVED):
-        report = lyapunov_bounds(params, family, cfg)
-        reports[family] = report
-        for norm, nb in report.per_norm.items():
-            for side, value in (("lower", nb.lower), ("upper", nb.upper)):
-                if value is not None:
-                    rows.append(
-                        {"alpha": alpha, "beta": beta, "norm": norm.value,
-                         "family": family.value, "side": side, "value": value}
-                    )
-        for side, value in (("lower", report.envelope.lower), ("upper", report.envelope.upper)):
-            rows.append(
-                {"alpha": alpha, "beta": beta, "norm": "envelope",
-                 "family": family.value, "side": side, "value": value}
-            )
-    if params.regime.value == "positive":
-        cor = closed_form_bounds(params)
-        for side, value in (("lower", cor.lower), ("upper", cor.upper)):
-            rows.append(
-                {"alpha": alpha, "beta": beta, "norm": "linf",
-                 "family": "closed_form", "side": side, "value": value}
-            )
-    mc_mean = mc_se = None
-    if include_mc:
-        est = lyapunov_mc(params, McConfig(**mc_opts))
-        mc_mean, mc_se = est.mean, est.std_error
-        rows.append(
-            {"alpha": alpha, "beta": beta, "norm": "", "family": "mc",
-             "side": "estimate", "value": est.mean, "std_error": est.std_error}
-        )
-    if standard_k:
-        ek = standard_bound(
-            standard_k, params,
-            mode="exhaustive" if standard_k <= 12 else "sampled",
-            n_samples=standard_samples, seed=mc_opts["seed"],
-        )
-        rows.append(
-            {"alpha": alpha, "beta": beta, "norm": "", "family": "standard",
-             "side": "upper", "value": ek}
-        )
-    return rows, reports, mc_mean, mc_se
+_SWEEP_COLUMNS = {
+    "gle": ["alpha", "beta", "q", "norm", "family", "side", "value"],
+    "neg-gle": ["alpha", "beta", "q", "norm", "family", "side", "value"],
+    "errors": ["alpha", "beta", "norm", "family", "side", "bound", "mc", "error"],
+    "envelopes": ["alpha", "beta", "norm", "family", "gap"],
+    "lyap-bounds": ["alpha", "beta", "norm", "family", "side", "value", "std_error"],
+    "neg-bounds": ["alpha", "beta", "norm", "family", "side", "value", "std_error"],
+}
 
 
-@main.command()
+@_command()
 @click.option("--mode", type=click.Choice(
     ["lyap-bounds", "errors", "envelopes", "gle", "neg-bounds", "neg-gle"]),
     required=True)
@@ -457,20 +377,10 @@ def _sweep_point_rows(alpha, beta, cfg, include_mc, mc_opts, standard_k, standar
 @click.option("--standard-samples", type=int, default=20000, show_default=True)
 @click.option("--max-index", type=int, default=None)
 @click.option("--tol", type=float, default=None)
-@_format_option
-@_output_option
-@click.pass_context
-@_guarded
-def sweep(ctx, mode, alpha, beta, q_range, family, include_mc, steps, ensembles, seed,
-          standard_k, standard_samples, max_index, tol, fmt, output):
+def sweep(cfg, mode, alpha, beta, q_range, family, include_mc, steps, ensembles, seed,
+          standard_k, standard_samples):
     """Curve datasets: bounds, errors and envelopes vs alpha, or bounds vs q."""
-    cfg = _series_config(ctx.obj or {}, max_index, tol)
-    families = {
-        "global": [BoundFamily.GLOBAL],
-        "improved": [BoundFamily.IMPROVED],
-        "both": [BoundFamily.GLOBAL, BoundFamily.IMPROVED],
-    }[family]
-    mc_opts = {"n_steps": int(steps), "n_ensembles": ensembles, "seed": seed}
+    families = list(BoundFamily) if family == "both" else [BoundFamily(family)]
     uses_rng = include_mc or mode == "errors" or standard_k is not None
     rows: list[dict] = []
 
@@ -485,73 +395,58 @@ def sweep(ctx, mode, alpha, beta, q_range, family, include_mc, steps, ensembles,
         params = ShearParams.infer(a, b)
         for q in parse_range(q_range):
             for fam in families:
-                report = gle_bounds_report(q, params, fam, cfg)
-                for norm, nb in report.per_norm.items():
-                    for side, value in (("lower", nb.lower), ("upper", nb.upper)):
-                        if value is not None:
-                            rows.append({"alpha": a, "beta": b, "q": q, "norm": norm.value,
-                                         "family": fam.value, "side": side, "value": value})
-                for side, value in (("lower", report.envelope.lower),
-                                    ("upper", report.envelope.upper)):
-                    rows.append({"alpha": a, "beta": b, "q": q, "norm": "envelope",
-                                 "family": fam.value, "side": side, "value": value})
-        header = ["alpha", "beta", "q", "norm", "family", "side", "value"]
+                rows.extend(_report_rows(gle_bounds_report(q, params, fam, cfg),
+                                         alpha=a, beta=b, q=q))
     else:
         if alpha is None:
             raise DomainError(f"mode {mode} requires --alpha")
-        alphas = parse_range(alpha)
-        header = ["alpha", "beta", "norm", "family", "side", "value", "std_error"]
+        wanted = {f.value for f in families} | {"closed_form", "standard"}
         if mode == "errors":
             include_mc = True
-            header = ["alpha", "beta", "norm", "family", "side", "bound", "mc", "error"]
-        if mode == "envelopes":
-            header = ["alpha", "beta", "norm", "family", "gap"]
-        for a in alphas:
+        else:
+            wanted.add("mc")
+        for a in parse_range(alpha):
             b = beta if beta is not None else (-a if mode == "neg-bounds" else a)
-            point_rows, reports, mc_mean, _mc_se = _sweep_point_rows(
-                a, b, cfg, include_mc, mc_opts, standard_k, standard_samples
-            )
+            # every point computes both families and the extras, whatever the mode keeps
+            params = ShearParams.infer(a, b)
+            keys = {"alpha": a, "beta": b}
+            reports = {fam: lyapunov_bounds(params, fam, cfg) for fam in BoundFamily}
+            point = [row for report in reports.values() for row in _report_rows(report, **keys)]
+            if params.regime is Regime.POSITIVE_PAIR:
+                cor = closed_form_bounds(params)
+                for side, value in (("lower", cor.lower), ("upper", cor.upper)):
+                    point.append({**keys, "norm": "linf", "family": "closed_form",
+                                  "side": side, "value": value})
+            if include_mc:
+                est = lyapunov_mc(params, McConfig(int(steps), ensembles, seed))
+                point.append({**keys, "norm": "", "family": "mc", "side": "estimate",
+                              "value": est.mean, "std_error": est.std_error})
+            if standard_k is not None:
+                ek = standard_bound(standard_k, params,
+                                    mode="exhaustive" if standard_k <= 12 else "sampled",
+                                    n_samples=standard_samples, seed=seed)
+                point.append({**keys, "norm": "", "family": "standard", "side": "upper",
+                              "value": ek})
             if mode == "envelopes":
                 for fam in families:
-                    report = reports[fam]
-                    for norm, nb in report.per_norm.items():
-                        if nb.lower is not None and nb.upper is not None:
-                            rows.append({"alpha": a, "beta": b, "norm": norm.value,
-                                         "family": fam.value, "gap": nb.upper - nb.lower})
-                    rows.append({"alpha": a, "beta": b, "norm": "envelope",
-                                 "family": fam.value,
-                                 "gap": report.envelope.upper - report.envelope.lower})
+                    rows.extend({**keys, "norm": norm, "family": fam.value,
+                                 "gap": nb.upper - nb.lower}
+                                for norm, nb in _named_bounds(reports[fam])
+                                if nb.lower is not None and nb.upper is not None)
             elif mode == "errors":
-                for r in point_rows:
-                    if r["family"] in ("mc",):
-                        continue
-                    if r["family"] not in [f.value for f in families] + ["closed_form", "standard"]:
-                        continue
-                    rows.append({"alpha": a, "beta": b, "norm": r["norm"],
-                                 "family": r["family"], "side": r["side"],
-                                 "bound": r["value"], "mc": mc_mean,
-                                 "error": r["value"] - mc_mean})
+                rows.extend({**keys, "norm": r["norm"], "family": r["family"],
+                             "side": r["side"], "bound": r["value"], "mc": est.mean,
+                             "error": r["value"] - est.mean}
+                            for r in point if r["family"] in wanted)
             else:
-                wanted = [f.value for f in families] + ["closed_form", "mc", "standard"]
-                rows.extend(r for r in point_rows if r["family"] in wanted)
+                rows.extend(r for r in point if r["family"] in wanted)
 
-    payload = {"mode": mode, "columns": header, "rows": rows}
-    record = _record("sweep", payload, cfg, seed=seed if uses_rng else None)
-
-    def text_fn(p):
-        lines = ["  ".join(p["columns"])]
-        for r in p["rows"]:
-            lines.append("  ".join(_fmt(r.get(c), 6) if not isinstance(r.get(c), str)
-                                    else r.get(c) for c in p["columns"]))
-        return "\n".join(lines)
-
-    def csv_fn(p):
-        return p["columns"], p["rows"]
-
-    _emit(record, fmt, output, text_fn, csv_fn)
+    columns = _SWEEP_COLUMNS[mode]
+    return Result("sweep", {"mode": mode, "columns": columns, "rows": rows}, columns, cfg,
+                  rows=rows, seed=seed if uses_rng else None)
 
 
-@main.command()
+@_command()
 @click.option("--alpha", type=float, required=True)
 @click.option("--beta", type=float, required=True)
 @click.option("--q", type=float, default=None,
@@ -564,14 +459,9 @@ def sweep(ctx, mode, alpha, beta, q_range, family, include_mc, steps, ensembles,
 @click.option("--renorm-every", type=int, default=1, show_default=True,
               help="accepted for compatibility; no numerical effect (products are "
                    "rescaled by magnitude)")
-@_format_option
-@_output_option
-@click.pass_context
-@_guarded
-def mc(ctx, alpha, beta, q, steps, ensembles, seed, renorm_every, fmt, output):
+def mc(cfg, alpha, beta, q, steps, ensembles, seed, renorm_every):
     """Monte Carlo estimate of the Lyapunov or moment exponent."""
     params = ShearParams.infer(alpha, beta)
-    cfg = _series_config(ctx.obj or {}, None, None)
     mc_cfg = McConfig(int(steps), ensembles, seed, renorm_every)
     if q is None:
         est = lyapunov_mc(params, mc_cfg)
@@ -583,91 +473,56 @@ def mc(ctx, alpha, beta, q, steps, ensembles, seed, renorm_every, fmt, output):
         "mean": est.mean, "std_error": est.std_error, "n_samples": est.n_samples,
         "n_steps": int(steps), "n_apps": est.n_apps, "n_ensembles": ensembles,
         "renorm_every": renorm_every,
-        "rng": "philox4x64 keyed by (seed, ensemble index)",
+        "rng": RNG_ALGORITHM,
     }
-    record = _record("mc_estimate", payload, cfg, seed=seed)
-
-    def text_fn(p):
-        what = "lambda" if p["q"] is None else f"l(q={p['q']:g})"
-        return (
-            f"{what} estimate  alpha={p['alpha']:g} beta={p['beta']:g}\n"
-            f"  mean      {p['mean']:.6f}\n"
-            f"  std error {p['std_error']:.2e}\n"
-            f"  ensembles {p['n_samples']}, applications run {p['n_apps']:.3g} "
-            f"of {p['n_steps']:.3g} requested, seed {seed}"
-        )
-
-    def csv_fn(p):
-        header = ["alpha", "beta", "q", "estimator", "mean", "std_error",
-                  "n_samples", "n_steps", "n_apps"]
-        return header, [{k: p.get(k) for k in header}]
-
-    _emit(record, fmt, output, text_fn, csv_fn)
+    what = "lambda" if q is None else f"l(q={q:g})"
+    text = (
+        f"{what} estimate  alpha={alpha:g} beta={beta:g}\n"
+        f"  mean      {est.mean:.6f}\n"
+        f"  std error {est.std_error:.2e}\n"
+        f"  ensembles {est.n_samples}, applications run {est.n_apps:.3g} "
+        f"of {int(steps):.3g} requested, seed {seed}"
+    )
+    columns = ["alpha", "beta", "q", "estimator", "mean", "std_error",
+               "n_samples", "n_steps", "n_apps"]
+    return Result("mc_estimate", payload, columns, cfg, text=text, seed=seed)
 
 
-@main.command(name="gle-exact")
+@_command("gle-exact")
 @click.option("--q", type=int, required=True, help="integer moment order in [1, 6]")
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--beta", type=float, default=1.0, show_default=True)
-@_format_option
-@_output_option
-@click.pass_context
-@_guarded
-def gle_exact(ctx, q, alpha, beta, fmt, output):
+def gle_exact(cfg, q, alpha, beta):
     """Exact integer-q moment bounds (log arguments are exact at alpha=beta=1)."""
-    params = ShearParams.infer(alpha, beta)
-    cfg = _series_config(ctx.obj or {}, None, None)
-    res = gle_exact_integer(q, params)
+    res = gle_exact_integer(q, ShearParams.infer(alpha, beta))
     payload = {
         "alpha": alpha, "beta": beta, "q": q,
         "lower_arg": res.lower_arg, "upper_arg": res.upper_arg,
         "lower": res.lower, "upper": res.upper,
     }
-    record = _record("exact_gle", payload, cfg, seed=None)
-
-    def text_fn(p):
-        return (
-            f"moment exponent l(q={p['q']})  alpha={p['alpha']:g} beta={p['beta']:g}\n"
-            f"  (1/4) log {p['lower_arg']} <= l <= (1/4) log {p['upper_arg']}\n"
-            f"  [{p['lower']:.8f}, {p['upper']:.8f}]"
-        )
-
-    def csv_fn(p):
-        header = ["alpha", "beta", "q", "lower_arg", "upper_arg", "lower", "upper"]
-        return header, [{k: p[k] for k in header}]
-
-    _emit(record, fmt, output, text_fn, csv_fn)
+    text = (
+        f"moment exponent l(q={q})  alpha={alpha:g} beta={beta:g}\n"
+        f"  (1/4) log {res.lower_arg} <= l <= (1/4) log {res.upper_arg}\n"
+        f"  [{res.lower:.8f}, {res.upper:.8f}]"
+    )
+    return Result("exact_gle", payload, list(payload), cfg, text=text)
 
 
-@main.command()
+@_command()
 @click.option("--alpha", type=float, required=True)
 @click.option("--beta", type=float, required=True)
-@_format_option
-@_output_option
-@click.pass_context
-@_guarded
-def entropy(ctx, alpha, beta, fmt, output):
+def entropy(cfg, alpha, beta):
     """Topological-entropy bounds (1/4) log(1+4ab) <= h <= (1/4) log(3+4ab)."""
-    params = ShearParams.infer(alpha, beta)
-    cfg = _series_config(ctx.obj or {}, None, None)
-    env = entropy_bounds(params)
+    env = entropy_bounds(ShearParams.infer(alpha, beta))
     payload = {"alpha": alpha, "beta": beta, "lower": env.lower, "upper": env.upper}
-    record = _record("entropy", payload, cfg, seed=None)
-
-    def text_fn(p):
-        return (
-            f"topological entropy  alpha={p['alpha']:g} beta={p['beta']:g}\n"
-            f"  [{p['lower']:.8f}, {p['upper']:.8f}]"
-        )
-
-    def csv_fn(p):
-        header = ["alpha", "beta", "lower", "upper"]
-        return header, [{k: p[k] for k in header}]
-
-    _emit(record, fmt, output, text_fn, csv_fn)
+    text = (
+        f"topological entropy  alpha={alpha:g} beta={beta:g}\n"
+        f"  [{env.lower:.8f}, {env.upper:.8f}]"
+    )
+    return Result("entropy", payload, list(payload), cfg, text=text)
 
 
-@main.command(name="standard-bound")
+@_command("standard-bound")
 @click.option("--k", type=int, required=True, help="product length")
 @click.option("--alpha", type=float, required=True)
 @click.option("--beta", type=float, required=True)
@@ -676,32 +531,20 @@ def entropy(ctx, alpha, beta, fmt, output):
 @click.option("--samples", type=int, default=100000, show_default=True,
               help="sample count for sampled mode")
 @click.option("--seed", type=int, default=0, show_default=True)
-@_format_option
-@_output_option
-@click.pass_context
-@_guarded
-def standard_bound_cmd(ctx, k, alpha, beta, mode, samples, seed, fmt, output):
+def standard_bound_cmd(cfg, k, alpha, beta, mode, samples, seed):
     """Classical submultiplicative upper bound E_k = (1/k) E log |C|."""
-    params = ShearParams.infer(alpha, beta)
-    cfg = _series_config(ctx.obj or {}, None, None)
-    value = standard_bound(k, params, mode=mode, n_samples=samples, seed=seed)
+    value = standard_bound(k, ShearParams.infer(alpha, beta), mode=mode, n_samples=samples,
+                           seed=seed)
+    n_samples = samples if mode == "sampled" else 2**k
     payload = {"alpha": alpha, "beta": beta, "k": k, "mode": mode,
-               "n_samples": samples if mode == "sampled" else 2**k, "value": value}
-    record = _record("standard_bound", payload, cfg,
-                     seed=seed if mode == "sampled" else None)
-
-    def text_fn(p):
-        return (
-            f"standard bound E_{p['k']}  alpha={p['alpha']:g} beta={p['beta']:g}"
-            f" ({p['mode']}, {p['n_samples']} products)\n"
-            f"  E_k = {p['value']:.8f}"
-        )
-
-    def csv_fn(p):
-        header = ["alpha", "beta", "k", "mode", "n_samples", "value"]
-        return header, [{key: p[key] for key in header}]
-
-    _emit(record, fmt, output, text_fn, csv_fn)
+               "n_samples": n_samples, "value": value}
+    text = (
+        f"standard bound E_{k}  alpha={alpha:g} beta={beta:g}"
+        f" ({mode}, {n_samples} products)\n"
+        f"  E_k = {value:.8f}"
+    )
+    return Result("standard_bound", payload, list(payload), cfg, text=text,
+                  seed=seed if mode == "sampled" else None)
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -71,9 +71,6 @@ class Cone:
         pad = tol * max(1.0, abs(self.lo), abs(self.hi))
         return self.lo - pad <= slope <= self.hi + pad
 
-    def width(self) -> float:
-        return self.hi - self.lo
-
 
 def cone_positive(params: ShearParams) -> Cone:
     """Smallest cone [0, 1/alpha] invariant under every block (positive regime)."""

@@ -32,7 +32,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import cone_negative, cone_positive, gamma, gamma_mab
+from .cones import gamma, gamma_mab, invariant_cone
 from .linalg import (
     BlockExponents,
     DomainError,
@@ -210,27 +210,15 @@ class BoundFunctionId:
     case: tuple[int, ...] = field(default=())
 
     def __post_init__(self):
-        fam, case = self.family, self.case
-        if fam in (FunctionFamily.GLOBAL, FunctionFamily.GLOBAL_NEG):
-            if case != ():
-                raise DomainError(f"{fam.value} functions take no case index, got {case}")
-        elif fam is FunctionFamily.IMPROVED:
-            if len(case) != 1 or case[0] not in (1, 2, 3):
-                raise DomainError(f"improved case must be (m,) with m in 1..3, got {case}")
-        elif self.side is Side.LOWER:
-            if len(case) != 2 or any(c not in (1, 2) for c in case):
-                raise DomainError(
-                    f"improved_neg lower case must be (m_a, m_b) in {{1,2}}^2, got {case}"
-                )
-        else:
-            if self.norm is not NormKind.LINF:
-                raise DomainError(
-                    "improved_neg upper bounds exist only for the L-infinity norm"
-                )
-            if len(case) != 1 or case[0] not in (1, 2, 3, 4):
-                raise DomainError(
-                    f"improved_neg upper case must be (m,) with m in 1..4, got {case}"
-                )
+        family, side = self.family.value, self.side.value
+        norms = norms_for(self.family, self.side)
+        if self.norm not in norms:
+            raise DomainError(
+                f"{family} {side} bounds exist only for the norms {[n.value for n in norms]}"
+            )
+        cases = cases_for(self.family, self.side)
+        if self.case not in cases:
+            raise DomainError(f"{family} {side} case must be one of {cases}, got {self.case}")
 
 
 def cases_for(family: FunctionFamily, side: Side) -> list[tuple[int, ...]]:
@@ -246,9 +234,57 @@ def cases_for(family: FunctionFamily, side: Side) -> list[tuple[int, ...]]:
 
 def norms_for(family: FunctionFamily, side: Side) -> list[NormKind]:
     """Norms for which the family provides a bound on the given side."""
-    if family is FunctionFamily.IMPROVED_NEG and side is Side.UPPER:
-        return [NormKind.LINF]
-    return [NormKind.L1, NormKind.L2, NormKind.LINF]
+    return [n for (f, n, s) in _EVALUATORS if f is family and s is side]
+
+
+def _plain(fn):
+    """Table entry for a function of (a, b, alpha, beta) alone."""
+    return lambda case, p: lambda a, b: fn(a, b, p.alpha, p.beta)
+
+
+def _cased(fn):
+    """Table entry for a function that also takes the case index m = case[0]."""
+    return lambda case, p: lambda a, b: fn(case[0], a, b, p.alpha, p.beta)
+
+
+def _coned(fn):
+    """Table entry for an opposed lower function of the cone's lower slope g:
+    Gamma for the global family (case ()), Gamma_{m_a,m_b} for the improved one."""
+
+    def entry(case, p):
+        g = gamma_mab(case[0], case[1], p) if case else gamma(p)
+        return lambda a, b: fn(a, b, p.alpha, p.beta, g)
+
+    return entry
+
+
+_FF, _L1, _L2, _LINF = FunctionFamily, NormKind.L1, NormKind.L2, NormKind.LINF
+
+# (family, norm, side) -> entry(case, params) returning f(a, b)
+_EVALUATORS = {
+    (_FF.GLOBAL, _L1, Side.LOWER): _plain(_phi_l1),
+    (_FF.GLOBAL, _L2, Side.LOWER): _plain(_phi_l2),
+    (_FF.GLOBAL, _LINF, Side.LOWER): _plain(_phi_linf),
+    (_FF.GLOBAL, _L1, Side.UPPER): _plain(_psi_l1),
+    (_FF.GLOBAL, _L2, Side.UPPER): _plain(_psi_l2),
+    (_FF.GLOBAL, _LINF, Side.UPPER): _plain(_psi_linf),
+    (_FF.IMPROVED, _L1, Side.LOWER): _cased(_phi_hat_l1),
+    (_FF.IMPROVED, _L2, Side.LOWER): _cased(_phi_hat_l2),
+    (_FF.IMPROVED, _LINF, Side.LOWER): _plain(_phi_linf),
+    (_FF.IMPROVED, _L1, Side.UPPER): _plain(_psi_l1),
+    (_FF.IMPROVED, _L2, Side.UPPER): _plain(_psi_l2),
+    (_FF.IMPROVED, _LINF, Side.UPPER): _cased(_psi_hat_linf),
+    (_FF.GLOBAL_NEG, _L1, Side.LOWER): _coned(_phi_t_l1),
+    (_FF.GLOBAL_NEG, _L2, Side.LOWER): _coned(_phi_t_l2),
+    (_FF.GLOBAL_NEG, _LINF, Side.LOWER): _coned(_phi_t_linf),
+    (_FF.GLOBAL_NEG, _L1, Side.UPPER): _plain(_psi_t_l1),
+    (_FF.GLOBAL_NEG, _L2, Side.UPPER): _plain(_psi_t_l2),
+    (_FF.GLOBAL_NEG, _LINF, Side.UPPER): _plain(_psi_t_linf),
+    (_FF.IMPROVED_NEG, _L1, Side.LOWER): _coned(_phi_t_l1),
+    (_FF.IMPROVED_NEG, _L2, Side.LOWER): _coned(_phi_t_l2),
+    (_FF.IMPROVED_NEG, _LINF, Side.LOWER): _coned(_phi_t_linf),
+    (_FF.IMPROVED_NEG, _LINF, Side.UPPER): _cased(_psi_hat_t_linf),
+}
 
 
 def evaluator(
@@ -265,64 +301,7 @@ def evaluator(
             f"{family.value} bound functions require {_REGIME_FOR_FAMILY[family].value}"
             f"-regime parameters"
         )
-    al, be = params.alpha, params.beta
-
-    if family is FunctionFamily.GLOBAL:
-        table = {
-            (NormKind.L1, Side.LOWER): _phi_l1,
-            (NormKind.L2, Side.LOWER): _phi_l2,
-            (NormKind.LINF, Side.LOWER): _phi_linf,
-            (NormKind.L1, Side.UPPER): _psi_l1,
-            (NormKind.L2, Side.UPPER): _psi_l2,
-            (NormKind.LINF, Side.UPPER): _psi_linf,
-        }
-        fn = table[(norm, side)]
-        return lambda a, b: fn(a, b, al, be)
-
-    if family is FunctionFamily.IMPROVED:
-        m = case[0]
-        if side is Side.LOWER:
-            if norm is NormKind.L1:
-                return lambda a, b: _phi_hat_l1(m, a, b, al, be)
-            if norm is NormKind.L2:
-                return lambda a, b: _phi_hat_l2(m, a, b, al, be)
-            return lambda a, b: _phi_linf(a, b, al, be)
-        if norm is NormKind.L1:
-            return lambda a, b: _psi_l1(a, b, al, be)
-        if norm is NormKind.L2:
-            return lambda a, b: _psi_l2(a, b, al, be)
-        return lambda a, b: _psi_hat_linf(m, a, b, al, be)
-
-    if family is FunctionFamily.GLOBAL_NEG:
-        if side is Side.LOWER:
-            g = gamma(params)
-            table_lo = {
-                NormKind.L1: _phi_t_l1,
-                NormKind.L2: _phi_t_l2,
-                NormKind.LINF: _phi_t_linf,
-            }
-            fn = table_lo[norm]
-            return lambda a, b: fn(a, b, al, be, g)
-        table_hi = {
-            NormKind.L1: _psi_t_l1,
-            NormKind.L2: _psi_t_l2,
-            NormKind.LINF: _psi_t_linf,
-        }
-        fn = table_hi[norm]
-        return lambda a, b: fn(a, b, al, be)
-
-    # IMPROVED_NEG
-    if side is Side.LOWER:
-        g = gamma_mab(case[0], case[1], params)
-        table_lo = {
-            NormKind.L1: _phi_t_l1,
-            NormKind.L2: _phi_t_l2,
-            NormKind.LINF: _phi_t_linf,
-        }
-        fn = table_lo[norm]
-        return lambda a, b: fn(a, b, al, be, g)
-    m = case[0]
-    return lambda a, b: _psi_hat_t_linf(m, a, b, al, be)
+    return _EVALUATORS[(family, norm, side)](case, params)
 
 
 def phi(id_: BoundFunctionId, block: BlockExponents, params: ShearParams) -> float:
@@ -348,10 +327,7 @@ def growth_ratio(
     if x.v == 0.0:
         raise DomainError("direction with v = 0 lies outside both invariant cones")
     slope = x.u / x.v
-    if params.regime is Regime.POSITIVE_PAIR:
-        cone = cone_positive(params)
-    else:
-        cone = cone_negative(params)
+    cone = invariant_cone(params)
     if not cone.contains_slope(slope):
         raise DomainError(
             f"slope {slope} outside the invariant cone [{cone.lo}, {cone.hi}]; "

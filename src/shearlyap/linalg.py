@@ -30,12 +30,8 @@ __all__ = [
     "shear_b",
     "k_ab",
     "vec_norm",
-    "mat_vec",
-    "mat_mul",
     "spectral_norm",
     "spectral_norm_batch",
-    "top_right_singular_vector",
-    "is_hyperbolic",
 ]
 
 
@@ -109,12 +105,6 @@ class Vec2:
     u: float
     v: float
 
-    def norm(self, kind: NormKind) -> float:
-        return vec_norm(self, kind)
-
-    def to_array(self) -> np.ndarray:
-        return np.array([self.u, self.v], dtype=float)
-
 
 @dataclass(frozen=True)
 class Mat2:
@@ -139,9 +129,6 @@ class Mat2:
             self.m21 * other.m11 + self.m22 * other.m21,
             self.m21 * other.m12 + self.m22 * other.m22,
         )
-
-    def to_array(self) -> np.ndarray:
-        return np.array([[self.m11, self.m12], [self.m21, self.m22]], dtype=float)
 
 
 @dataclass(frozen=True)
@@ -181,25 +168,12 @@ def vec_norm(x: Vec2, kind: NormKind) -> float:
     return max(abs(x.u), abs(x.v))
 
 
-def mat_vec(m: Mat2, x: Vec2) -> Vec2:
-    return m.apply(x)
-
-
-def mat_mul(m: Mat2, n: Mat2) -> Mat2:
-    return m.mul(n)
-
-
-def _gram(m: Mat2) -> tuple[float, float, float]:
+def spectral_norm(m: Mat2) -> float:
+    """Largest singular value via the closed-form 2x2 eigenproblem of M^T M."""
     # entries of M^T M: [[g11, g12], [g12, g22]]
     g11 = m.m11 * m.m11 + m.m21 * m.m21
     g12 = m.m11 * m.m12 + m.m21 * m.m22
     g22 = m.m12 * m.m12 + m.m22 * m.m22
-    return g11, g12, g22
-
-
-def spectral_norm(m: Mat2) -> float:
-    """Largest singular value via the closed-form 2x2 eigenproblem of M^T M."""
-    g11, g12, g22 = _gram(m)
     half_tr = 0.5 * (g11 + g22)
     disc = math.hypot(0.5 * (g11 - g22), g12)
     return math.sqrt(max(half_tr + disc, 0.0))
@@ -214,25 +188,3 @@ def spectral_norm_batch(mats: np.ndarray) -> np.ndarray:
     disc = np.hypot(0.5 * (g11 - g22), g12)
     return np.sqrt(np.maximum(half_tr + disc, 0.0))
 
-
-def top_right_singular_vector(m: Mat2) -> Vec2:
-    """Unit right-singular vector attaining the spectral norm."""
-    g11, g12, g22 = _gram(m)
-    half_tr = 0.5 * (g11 + g22)
-    disc = math.hypot(0.5 * (g11 - g22), g12)
-    lam = half_tr + disc
-    # eigenvector of the Gram matrix for eigenvalue lam; pick the
-    # better-conditioned of the two equivalent forms
-    c1 = (g12, lam - g11)
-    c2 = (lam - g22, g12)
-    u, v = c1 if math.hypot(*c1) >= math.hypot(*c2) else c2
-    r = math.hypot(u, v)
-    if r == 0.0:  # isotropic matrix (multiple of a rotation)
-        return Vec2(1.0, 0.0)
-    return Vec2(u / r, v / r)
-
-
-def is_hyperbolic(block: BlockExponents, params: ShearParams) -> bool:
-    """Trace criterion |tr K| > 2 for a unit-determinant matrix."""
-    trace = 2.0 + block.a * params.alpha * block.b * params.beta
-    return abs(trace) > 2.0

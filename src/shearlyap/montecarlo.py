@@ -269,6 +269,8 @@ def standard_bound(
 
     if mode != "sampled":
         raise DomainError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    if n_samples < 1:
+        raise DomainError(f"sampled mode needs n_samples >= 1, got {n_samples}")
     rng = _rng(seed, 1 << 29)
 
     def steps(lo, hi):  # one draw per step, in step order

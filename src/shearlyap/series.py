@@ -2,11 +2,11 @@
 
 Block run lengths (a, b) are i.i.d. geometric with weight 2^-(a+b), so
 every quantity of interest is a double series  sum 2^-(a+b) f(a, b).
-Truncated sums are accumulated in diagonal order (increasing a+b) with
-exact compensated summation, and checked by doubling the truncation
-index.  Moments of the form  sum 2^-a a^n  are integers and are computed
-exactly by recurrence, which gives exact values for integer-q moment
-expansions.
+Truncated sums are accumulated with exact compensated summation (the
+result is correctly rounded, whatever the order of the terms), and
+checked by doubling the truncation index.  Moments of the form
+sum 2^-a a^n  are integers and are computed exactly by recurrence, which
+gives exact values for integer-q moment expansions.
 
 The 2^-(a+b) weights encode a fair coin.  A biased coin (probability p of
 the lower shear) would weight blocks by p^a q^b with mean block length
@@ -40,6 +40,7 @@ __all__ = [
 ]
 
 _POLYLOG_MAX = 12
+_BLOCK_ROWS = 16  # grid rows per call of a vectorized integrand
 
 
 class NonConvergenceError(RuntimeError):
@@ -77,23 +78,42 @@ class SeriesResult:
 DEFAULT_SERIES = SeriesConfig()
 
 
+@functools.lru_cache(maxsize=2)  # the doubling check sums at two sizes
+def _grid_blocks(limit: int) -> list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
+    """(rows, a, b, 2^-(a+b)) for each block of _BLOCK_ROWS rows of the grid
+    1..limit x 1..limit; read-only, shared by every sum of that size."""
+    idx = np.arange(1, limit + 1, dtype=np.float64)
+    blocks = []
+    for lo in range(0, limit, _BLOCK_ROWS):
+        aa, bb = np.meshgrid(idx[lo:lo + _BLOCK_ROWS], idx, indexing="ij")
+        weights = np.exp2(-(aa + bb))
+        for x in (aa, bb, weights):
+            x.flags.writeable = False
+        blocks.append((slice(lo, lo + _BLOCK_ROWS), aa, bb, weights))
+    return blocks
+
+
 def truncated_sum(f: Callable, limit: int) -> float:
-    """sum_{a,b=1}^{limit} 2^-(a+b) f(a, b), diagonally ordered, fsum-accumulated.
+    """sum_{a,b=1}^{limit} 2^-(a+b) f(a, b), fsum-accumulated.
 
     f may be vectorized over numpy arrays; scalar-only callables are
-    evaluated pointwise.
+    evaluated pointwise.  Vectorized f sees _BLOCK_ROWS rows of the grid
+    at a time: its temporaries then stay small enough for the allocator to
+    reuse from one call to the next, instead of returning whole-grid
+    buffers to the system and page-faulting them in again.
     """
-    idx = np.arange(1, limit + 1, dtype=np.float64)
-    aa, bb = np.meshgrid(idx, idx, indexing="ij")
-    try:
-        vals = np.asarray(f(aa, bb), dtype=np.float64)
-        if vals.shape != aa.shape:
-            raise TypeError
-    except (TypeError, ValueError):
-        vals = np.array([[float(f(float(a), float(b))) for b in idx] for a in idx])
-    terms = np.exp2(-(aa + bb)) * vals
-    order = np.argsort((aa + bb).ravel(), kind="stable")
-    return math.fsum(terms.ravel()[order].tolist())
+    terms = np.empty((limit, limit))
+    for rows, aa, bb, weights in _grid_blocks(limit):
+        try:
+            vals = np.asarray(f(aa, bb), dtype=np.float64)
+            if vals.shape != aa.shape:
+                raise TypeError
+        except (TypeError, ValueError):
+            vals = np.array([[float(f(float(a), float(b))) for a, b in zip(ra, rb)]
+                             for ra, rb in zip(aa, bb)])
+        np.multiply(weights, vals, out=terms[rows])
+    # fsum is correctly rounded, so the order of the terms does not matter
+    return math.fsum(terms.ravel().tolist())
 
 
 def expect_block_report(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:

@@ -6,6 +6,7 @@ import math
 import pytest
 from click.testing import CliRunner
 
+from shearlyap import RNG_ALGORITHM
 from shearlyap.cli import main, parse_range
 
 
@@ -215,6 +216,22 @@ class TestSweepCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("k", ["0", "-1"])
+    def test_standard_k_must_be_positive(self, runner, k):
+        result = runner.invoke(
+            main, ["sweep", "--mode", "lyap-bounds", "--alpha", "1", "--standard-k", k]
+        )
+        assert result.exit_code == 2
+        assert "k must be positive" in result.output
+
+    def test_sampled_standard_needs_samples(self, runner):
+        result = runner.invoke(
+            main, ["sweep", "--mode", "lyap-bounds", "--alpha", "1", "--standard-k", "14",
+                   "--standard-samples", "0"]
+        )
+        assert result.exit_code == 2
+        assert "n_samples" in result.output
+
 
 class TestMcCommand:
     def test_metadata_seed_present_when_defaulted(self, runner):
@@ -224,6 +241,7 @@ class TestMcCommand:
         )
         assert rec["metadata"]["seed"] == 0
         assert rec["payload"]["estimator"] == "lyapunov"
+        assert rec["payload"]["rng"] == RNG_ALGORITHM
         assert rec["payload"]["mean"] == pytest.approx(0.396, abs=0.02)
 
     def test_deterministic(self, runner):
@@ -299,6 +317,15 @@ class TestSmallCommands:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("samples", ["0", "-3"])
+    def test_standard_bound_sampled_needs_samples(self, runner, samples):
+        result = runner.invoke(
+            main, ["standard-bound", "--k", "8", "--alpha", "1", "--beta", "1",
+                   "--mode", "sampled", "--samples", samples]
+        )
+        assert result.exit_code == 2
+        assert "n_samples" in result.output
+
 
 class TestConfigAndOutput:
     def test_config_file_defaults(self, runner, tmp_path):
@@ -319,6 +346,27 @@ class TestConfigAndOutput:
         assert result.exit_code == 2
         assert "unknown config key" in result.output
 
+    @pytest.mark.parametrize("content", [None, b"\xff\xfe max_index = 64"])
+    def test_config_unreadable_file(self, runner, tmp_path, content):
+        cfg = tmp_path / "series.cfg"
+        if content is not None:
+            cfg.write_bytes(content)
+        result = runner.invoke(
+            main, ["--config", str(cfg), "bounds", "--alpha", "1", "--beta", "1"]
+        )
+        assert result.exit_code == 2
+        assert f"cannot read config file {cfg}" in result.output
+
+    def test_config_bad_value(self, runner, tmp_path):
+        cfg = tmp_path / "series.cfg"
+        cfg.write_text("tail_tol = 1e-10\nmax_index = abc\n")
+        result = runner.invoke(
+            main, ["--config", str(cfg), "bounds", "--alpha", "1", "--beta", "1"]
+        )
+        assert result.exit_code == 2
+        assert f"{cfg}:2:" in result.output
+        assert "'abc'" in result.output
+
     def test_output_dir_env(self, runner, tmp_path, monkeypatch):
         monkeypatch.setenv("SHEARLYAP_OUTPUT_DIR", str(tmp_path))
         result = runner.invoke(
@@ -336,3 +384,65 @@ class TestConfigAndOutput:
         rec = run_json(runner, ["gle-exact", "--q", "1"])
         again = json.loads(json.dumps(rec))
         assert again == rec
+
+
+def _bounds_rows(payload):
+    """Expected bounds CSV rows: each norm's available sides, then the envelope."""
+    named = list(payload["per_norm"].items()) + [("envelope", payload["envelope"])]
+    return [
+        {"alpha": payload["alpha"], "beta": payload["beta"], "family": payload["family"],
+         "norm": norm, "side": side, "value": nb[side], "value_block_scale": 4 * nb[side]}
+        for norm, nb in named for side in ("lower", "upper") if nb[side] is not None
+    ]
+
+
+# command line, CSV columns, and the rows the JSON payload says the CSV holds
+ONE_MODEL_CASES = [
+    (["bounds", "--alpha", "-3", "--beta", "3", "--family", "improved"],
+     ["alpha", "beta", "family", "norm", "side", "value", "value_block_scale"], _bounds_rows),
+    (["table1"], ["norm", "global_lower", "global_upper", "improved", "improved_side"],
+     lambda p: p["rows"]),
+    (["sweep", "--mode", "lyap-bounds", "--alpha", "1:2:1", "--mc", "--steps", "1e4",
+      "--standard-k", "4"],
+     ["alpha", "beta", "norm", "family", "side", "value", "std_error"], lambda p: p["rows"]),
+    (["mc", "--alpha", "1", "--beta", "1", "--steps", "1e4", "--ensembles", "8"],
+     ["alpha", "beta", "q", "estimator", "mean", "std_error", "n_samples", "n_steps",
+      "n_apps"], lambda p: [p]),
+    (["gle-exact", "--q", "2"],
+     ["alpha", "beta", "q", "lower_arg", "upper_arg", "lower", "upper"], lambda p: [p]),
+    (["entropy", "--alpha", "2", "--beta", "3"], ["alpha", "beta", "lower", "upper"],
+     lambda p: [p]),
+    (["standard-bound", "--k", "6", "--alpha", "1", "--beta", "1"],
+     ["alpha", "beta", "k", "mode", "n_samples", "value"], lambda p: [p]),
+]
+
+
+@pytest.mark.parametrize("args, columns, expected_rows", ONE_MODEL_CASES,
+                         ids=[case[0][0] for case in ONE_MODEL_CASES])
+def test_csv_and_json_render_one_result(runner, args, columns, expected_rows):
+    payload = run_json(runner, args)["payload"]
+    result = runner.invoke(main, args + ["--format", "csv"])
+    assert result.exit_code == 0, result.output
+    rows = parse_csv(result.output)
+    assert result.output.splitlines()[0].split(",") == columns
+    want = [{c: "" if r.get(c) is None else str(r[c]) for c in columns}
+            for r in expected_rows(payload)]
+    assert rows == want
+
+
+def test_command_options_unchanged():
+    surface = {name: sorted(p.name for p in cmd.params) for name, cmd in main.commands.items()}
+    surface["(main)"] = sorted(p.name for p in main.params)
+    assert surface == {
+        "(main)": ["config", "version"],
+        "bounds": ["alpha", "beta", "family", "fmt", "max_index", "norms", "output", "tol"],
+        "entropy": ["alpha", "beta", "fmt", "output"],
+        "gle-exact": ["alpha", "beta", "fmt", "output", "q"],
+        "mc": ["alpha", "beta", "ensembles", "fmt", "output", "q", "renorm_every", "seed",
+               "steps"],
+        "standard-bound": ["alpha", "beta", "fmt", "k", "mode", "output", "samples", "seed"],
+        "sweep": ["alpha", "beta", "ensembles", "family", "fmt", "include_mc", "max_index",
+                  "mode", "output", "q_range", "seed", "standard_k", "standard_samples",
+                  "steps", "tol"],
+        "table1": ["ensembles", "fmt", "output", "run_mc", "seed", "steps"],
+    }

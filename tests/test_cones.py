@@ -73,7 +73,8 @@ class TestGamma:
 
     def test_eigenvector_oracle(self):
         # slope of the expanding eigenvector of K(1,1) via numpy eig
-        m = k_ab(BlockExponents(1, 1), OPPOSED).to_array()
+        k = k_ab(BlockExponents(1, 1), OPPOSED)
+        m = np.array([[k.m11, k.m12], [k.m21, k.m22]])
         vals, vecs = np.linalg.eig(m)
         i = int(np.argmax(np.abs(vals)))
         slope = vecs[0, i] / vecs[1, i]

@@ -13,13 +13,11 @@ from shearlyap import (
     Regime,
     ShearParams,
     Vec2,
-    is_hyperbolic,
     k_ab,
     shear_a,
     shear_b,
     spectral_norm,
     spectral_norm_batch,
-    top_right_singular_vector,
     vec_norm,
 )
 
@@ -187,7 +185,8 @@ class TestSpectralNorm:
             for t in theta:
                 x = Vec2(math.cos(t), math.sin(t))
                 assert vec_norm(m.apply(x), NormKind.L2) <= sigma * (1 + 1e-12)
-            top = top_right_singular_vector(m)
+            _, _, vt = np.linalg.svd(np.array([[m.m11, m.m12], [m.m21, m.m22]]))
+            top = Vec2(*vt[0])
             attained = vec_norm(m.apply(top), NormKind.L2) / vec_norm(top, NormKind.L2)
             assert attained == pytest.approx(sigma, rel=1e-9)
 
@@ -200,20 +199,25 @@ class TestSpectralNorm:
             assert batch[i] == pytest.approx(spectral_norm(m), rel=1e-12)
 
 
+def hyperbolic(block, params) -> bool:
+    """Trace criterion |tr K| > 2 for the unit-determinant block matrix."""
+    return abs(k_ab(block, params).trace()) > 2.0
+
+
 class TestHyperbolicity:
     def test_positive_unit(self):
-        assert is_hyperbolic(BlockExponents(1, 1), ShearParams.infer(1, 1))
+        assert hyperbolic(BlockExponents(1, 1), ShearParams.infer(1, 1))
 
     def test_borderline_product(self):
         # trace 2 + a*alpha*b*beta = -2 exactly: not hyperbolic
         fake = SimpleNamespace(alpha=-2.0, beta=2.0)
-        assert not is_hyperbolic(BlockExponents(1, 1), fake)
+        assert not hyperbolic(BlockExponents(1, 1), fake)
 
     def test_opposed(self):
-        assert is_hyperbolic(BlockExponents(1, 1), ShearParams.infer(-3, 3))
+        assert hyperbolic(BlockExponents(1, 1), ShearParams.infer(-3, 3))
 
     def test_opposed_always_hyperbolic(self):
         params = ShearParams.infer(-2.5, 2.5)
         for a in range(1, 8):
             for b in range(1, 8):
-                assert is_hyperbolic(BlockExponents(a, b), params)
+                assert hyperbolic(BlockExponents(a, b), params)

@@ -294,6 +294,11 @@ class TestStandardBound:
         with pytest.raises(DomainError):
             standard_bound(4, POS11, mode="bogus")
 
+    @pytest.mark.parametrize("n_samples", [0, -3])
+    def test_sampled_rejects_no_samples(self, n_samples):
+        with pytest.raises(DomainError, match="n_samples"):
+            standard_bound(8, POS11, mode="sampled", n_samples=n_samples)
+
     def test_sampled_deterministic(self):
         a = standard_bound(64, POS11, mode="sampled", n_samples=500, seed=17)
         b = standard_bound(64, POS11, mode="sampled", n_samples=500, seed=17)

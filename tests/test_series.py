@@ -81,6 +81,25 @@ class TestExpectBlock:
         sums = [truncated_sum(f, limit) for limit in (8, 12, 16, 24, 32, 64)]
         assert all(s2 >= s1 for s1, s2 in zip(sums, sums[1:]))
 
+    @pytest.mark.parametrize("limit", [8, 12, 16, 24, 40, 64, 128])
+    def test_truncated_sum_matches_whole_grid_reference(self, limit):
+        # the whole grid summed in diagonal order, as one vectorized call
+        def reference(f):
+            idx = np.arange(1, limit + 1, dtype=np.float64)
+            aa, bb = np.meshgrid(idx, idx, indexing="ij")
+            terms = np.exp2(-(aa + bb)) * f(aa, bb)
+            order = np.argsort((aa + bb).ravel(), kind="stable")
+            return math.fsum(terms.ravel()[order].tolist())
+
+        for f in (lambda a, b: np.log1p(a * b),
+                  lambda a, b: np.sqrt((1.0 + a * b) ** 2 + b * b) ** -1.7,
+                  lambda a, b: (1.0 + a + 2.5 * a * b) ** 3.2):
+            assert truncated_sum(f, limit) == reference(f)
+
+    def test_truncated_sum_scalar_integrand(self):
+        vectorized = truncated_sum(lambda a, b: np.log1p(a * b), 24)
+        assert truncated_sum(lambda a, b: math.log1p(a * b), 24) == vectorized
+
     def test_nonconvergence_flag(self):
         cfg = SeriesConfig(max_index=8, tail_tol=1e-12)
         with pytest.raises(NonConvergenceError):
