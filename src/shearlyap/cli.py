@@ -8,7 +8,7 @@ values.  Series truncation defaults can come from a key = value config file
 passed with --config or named by $SHEARLYAP_CONFIG.
 
 Exit codes: 0 success, 2 invalid parameter domain (or usage), 3 numerical
-non-convergence of a series.
+non-convergence of a series (or a series sum that is not finite).
 
 All exponent values are reported on the per-application (lambda) scale;
 text output also shows the block-scale value (4x), since a block contains
@@ -400,18 +400,21 @@ def sweep(cfg, mode, alpha, beta, q_range, family, include_mc, steps, ensembles,
     else:
         if alpha is None:
             raise DomainError(f"mode {mode} requires --alpha")
-        wanted = {f.value for f in families} | {"closed_form", "standard"}
         if mode == "errors":
-            include_mc = True
-        else:
-            wanted.add("mc")
+            include_mc = True  # errors are measured against the estimate
         for a in parse_range(alpha):
             b = beta if beta is not None else (-a if mode == "neg-bounds" else a)
-            # every point computes both families and the extras, whatever the mode keeps
+            # each point computes only what the mode prints
             params = ShearParams.infer(a, b)
             keys = {"alpha": a, "beta": b}
-            reports = {fam: lyapunov_bounds(params, fam, cfg) for fam in BoundFamily}
-            point = [row for report in reports.values() for row in _report_rows(report, **keys)]
+            reports = [lyapunov_bounds(params, fam, cfg) for fam in families]
+            if mode == "envelopes":
+                rows.extend({**keys, "norm": norm, "family": report.family.value,
+                             "gap": nb.upper - nb.lower}
+                            for report in reports for norm, nb in _named_bounds(report)
+                            if nb.lower is not None and nb.upper is not None)
+                continue
+            point = [row for report in reports for row in _report_rows(report, **keys)]
             if params.regime is Regime.POSITIVE_PAIR:
                 cor = closed_form_bounds(params)
                 for side, value in (("lower", cor.lower), ("upper", cor.upper)):
@@ -419,27 +422,21 @@ def sweep(cfg, mode, alpha, beta, q_range, family, include_mc, steps, ensembles,
                                   "side": side, "value": value})
             if include_mc:
                 est = lyapunov_mc(params, McConfig(int(steps), ensembles, seed))
-                point.append({**keys, "norm": "", "family": "mc", "side": "estimate",
-                              "value": est.mean, "std_error": est.std_error})
+                if mode != "errors":
+                    point.append({**keys, "norm": "", "family": "mc", "side": "estimate",
+                                  "value": est.mean, "std_error": est.std_error})
             if standard_k is not None:
                 ek = standard_bound(standard_k, params,
                                     mode="exhaustive" if standard_k <= 12 else "sampled",
                                     n_samples=standard_samples, seed=seed)
                 point.append({**keys, "norm": "", "family": "standard", "side": "upper",
                               "value": ek})
-            if mode == "envelopes":
-                for fam in families:
-                    rows.extend({**keys, "norm": norm, "family": fam.value,
-                                 "gap": nb.upper - nb.lower}
-                                for norm, nb in _named_bounds(reports[fam])
-                                if nb.lower is not None and nb.upper is not None)
-            elif mode == "errors":
+            if mode == "errors":
                 rows.extend({**keys, "norm": r["norm"], "family": r["family"],
                              "side": r["side"], "bound": r["value"], "mc": est.mean,
-                             "error": r["value"] - est.mean}
-                            for r in point if r["family"] in wanted)
+                             "error": r["value"] - est.mean} for r in point)
             else:
-                rows.extend(r for r in point if r["family"] in wanted)
+                rows.extend(point)
 
     columns = _SWEEP_COLUMNS[mode]
     return Result("sweep", {"mode": mode, "columns": columns, "rows": rows}, columns, cfg,

@@ -2,9 +2,12 @@
 
 Block run lengths (a, b) are i.i.d. geometric with weight 2^-(a+b), so
 every quantity of interest is a double series  sum 2^-(a+b) f(a, b).
-Truncated sums are accumulated with exact compensated summation (the
-result is correctly rounded, whatever the order of the terms), and
-checked by doubling the truncation index.  Moments of the form
+Truncated sums are exact: the terms are split into integer pieces binned
+by binary exponent, whose per-bin sums involve no rounding, and only the
+few hundred bin totals are rounded together by math.fsum.  The result is
+the correctly rounded exact sum, the same double math.fsum returns for
+the terms themselves, whatever their order.  Sums are checked by
+doubling the truncation index.  Moments of the form
 sum 2^-a a^n  are integers and are computed exactly by recurrence, which
 gives exact values for integer-q moment expansions.
 
@@ -41,10 +44,15 @@ __all__ = [
 
 _POLYLOG_MAX = 12
 _BLOCK_ROWS = 16  # grid rows per call of a vectorized integrand
+_SUM_CHUNK = 4096  # terms binned per numpy pass: temporaries stay at 32 KB
+_SUM_BLOCK = 1 << 25  # terms per set of bins: each bin stays below 2^52
+_SUM_EMAX = 900  # binned exponents; rescaled bin totals then stay normal and finite
+_SUM_BINS = 2 * _SUM_EMAX + 27  # exponents -_SUM_EMAX.._SUM_EMAX, 26 more for integer parts
 
 
 class NonConvergenceError(RuntimeError):
-    """Doubling the truncation moved the sum by more than the tail tolerance."""
+    """Doubling the truncation moved the sum by more than the tail tolerance,
+    or the sum is not finite."""
 
 
 @dataclass(frozen=True)
@@ -93,8 +101,73 @@ def _grid_blocks(limit: int) -> list[tuple[slice, np.ndarray, np.ndarray, np.nda
     return blocks
 
 
+def _exact_sum(terms: np.ndarray) -> float:
+    """math.fsum(terms.ravel().tolist()), bit for bit, in a few numpy passes.
+
+    Each finite term is m 2^e with 1/2 <= |m| < 1, and m 2^27 splits
+    exactly into an integer part below 2^27 and a fraction that is a
+    multiple of 2^-26.  Counted in units of 2^(k-53) in bin k, both pieces
+    are integers: the fraction times 2^26 in bin e, the integer part in bin
+    e + 26.  np.bincount adds the pieces bin by bin, and a few adjacent bins
+    are then folded into one with power-of-two weights.  A set of bins takes
+    at most _SUM_BLOCK terms and the fold width shrinks as the term count
+    grows, so every addition is between integers below 2^53 and none
+    rounds, in any order.  math.fsum of the rescaled bin totals (and of any
+    term with e < -_SUM_EMAX, passed through as it is) then rounds the exact
+    sum once, like math.fsum of the terms themselves: fsum rounds correctly
+    whenever no partial sum overflows, which magnitudes below 2^_SUM_EMAX
+    rule out.
+
+    Non-finite terms, terms of 2^_SUM_EMAX or more, and an exact sum of
+    zero (whose sign is fsum's to choose) are left to
+    math.fsum of the list itself, so values, inf or nan results and its
+    ValueError or OverflowError stay those of fsum.
+    """
+    flat = terms.ravel()
+    parts: list[float] = []
+    for start in range(0, flat.size, _SUM_BLOCK):
+        block = flat[start:start + _SUM_BLOCK]
+        # n terms put less than n 2^27 in a bin; folding w bins multiplies
+        # that by less than 2^w, which stays within 2^53
+        width = 26 - (block.size - 1).bit_length()
+        nbins = -(-_SUM_BINS // width) * width
+        lo_bins = np.zeros(nbins)
+        hi_bins = np.zeros(nbins)
+        m = np.empty(min(block.size, _SUM_CHUNK))
+        e = np.empty(m.size, dtype=np.intp)
+        for lo in range(0, block.size, _SUM_CHUNK):
+            x = block[lo:lo + _SUM_CHUNK]
+            mx, ex = m[:x.size], e[:x.size]
+            np.frexp(x, out=(mx, ex))
+            if ex.max() > _SUM_EMAX:
+                return math.fsum(flat.tolist())
+            if ex.min() < -_SUM_EMAX:
+                tiny = ex < -_SUM_EMAX
+                parts.extend(x[tiny].tolist())
+                mx[tiny] = 0.0
+                ex[tiny] = 0
+            ex += _SUM_EMAX
+            mx *= 2.0 ** 27
+            frac, whole = np.modf(mx)  # inf and nan go to whole, with no warning
+            lo_bins += np.bincount(ex, weights=frac, minlength=nbins)
+            hi_bins += np.bincount(ex, weights=whole, minlength=nbins)
+        if not np.isfinite(hi_bins).all():
+            return math.fsum(flat.tolist())
+        lo_bins *= 2.0 ** 26
+        lo_bins[26:] += hi_bins[:-26]
+        folded = lo_bins.reshape(-1, width) @ np.exp2(np.arange(width))
+        nonzero = np.flatnonzero(folded)
+        parts.extend(np.ldexp(folded[nonzero], nonzero * width - _SUM_EMAX - 53).tolist())
+    total = math.fsum(parts)
+    return total if total != 0.0 else math.fsum(flat.tolist())
+
+
 def truncated_sum(f: Callable, limit: int) -> float:
-    """sum_{a,b=1}^{limit} 2^-(a+b) f(a, b), fsum-accumulated.
+    """sum_{a,b=1}^{limit} 2^-(a+b) f(a, b), summed exactly.
+
+    The result is the correctly rounded sum of the weighted terms, equal
+    bit for bit to math.fsum over them (see _exact_sum), so it does not
+    depend on the order of the terms or on how the grid is split.
 
     f may be vectorized over numpy arrays; scalar-only callables are
     evaluated pointwise.  Vectorized f sees _BLOCK_ROWS rows of the grid
@@ -112,8 +185,7 @@ def truncated_sum(f: Callable, limit: int) -> float:
             vals = np.array([[float(f(float(a), float(b))) for a, b in zip(ra, rb)]
                              for ra, rb in zip(aa, bb)])
         np.multiply(weights, vals, out=terms[rows])
-    # fsum is correctly rounded, so the order of the terms does not matter
-    return math.fsum(terms.ravel().tolist())
+    return _exact_sum(terms)
 
 
 def expect_block_report(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:
@@ -122,7 +194,8 @@ def expect_block_report(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> Seri
     s2 = truncated_sum(f, 2 * cfg.max_index)
     tail = abs(s2 - s1)
     allowance = max(cfg.tail_tol, cfg.tail_tol * abs(s2))
-    if tail > allowance:
+    # an inf or nan sum makes tail nan or allowance inf, which the comparison alone lets pass
+    if not (tail <= allowance and math.isfinite(s2)):
         raise NonConvergenceError(
             f"series tail estimate {tail:.3e} exceeds tolerance {allowance:.3e} "
             f"at truncation {cfg.max_index} (sum ~ {s2:.6g}); increase max_index"

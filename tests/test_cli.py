@@ -224,6 +224,44 @@ class TestSweepCommand:
         assert result.exit_code == 2
         assert "k must be positive" in result.output
 
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    def test_non_finite_moment_sum_exit_3(self, runner):
+        # at q = 200 the moment terms overflow and both truncations sum to inf
+        result = runner.invoke(main, ["sweep", "--mode", "gle", "--alpha", "1", "--q", "200",
+                                      "--family", "global", "--format", "csv"])
+        assert result.exit_code == 3
+        assert "error: series tail estimate nan exceeds tolerance inf" in result.output
+        assert "increase max_index" in result.output
+
+    @pytest.mark.parametrize("args,bounds_families,mc_calls,standard_calls", [
+        (["--mode", "envelopes", "--mc", "--standard-k", "4"], ["global", "improved"] * 2, 0, 0),
+        (["--mode", "lyap-bounds", "--family", "global"], ["global"] * 2, 0, 0),
+        (["--mode", "lyap-bounds", "--family", "global", "--mc", "--standard-k", "4"],
+         ["global"] * 2, 2, 2),
+        (["--mode", "errors", "--family", "improved"], ["improved"] * 2, 2, 0),
+        (["--mode", "envelopes", "--family", "global"], ["global"] * 2, 0, 0),
+    ])
+    def test_sweep_computes_only_what_it_prints(self, runner, monkeypatch, args,
+                                                bounds_families, mc_calls, standard_calls):
+        from shearlyap import cli
+
+        calls = {}
+        for name in ("lyapunov_bounds", "lyapunov_mc", "standard_bound", "closed_form_bounds"):
+            def counted(*a, fn=getattr(cli, name), name=name, **kw):
+                calls.setdefault(name, []).append(a)
+                return fn(*a, **kw)
+            monkeypatch.setattr(cli, name, counted)
+        rec = run_json(runner, ["sweep", "--alpha", "1:2:1", "--steps", "20000",
+                                "--ensembles", "4", *args])
+        assert [a[1].value for a in calls["lyapunov_bounds"]] == bounds_families
+        assert len(calls.get("lyapunov_mc", [])) == mc_calls
+        assert len(calls.get("standard_bound", [])) == standard_calls
+        assert len(calls.get("closed_form_bounds", [])) == (0 if "envelopes" in args else 2)
+        printed = {r.get("family") for r in rec["payload"]["rows"]}
+        assert printed >= set(bounds_families)
+        assert ("mc" in printed) == (mc_calls > 0 and "errors" not in args)
+        assert ("standard" in printed) == (standard_calls > 0)
+
     def test_sampled_standard_needs_samples(self, runner):
         result = runner.invoke(
             main, ["sweep", "--mode", "lyap-bounds", "--alpha", "1", "--standard-k", "14",

@@ -6,6 +6,7 @@ import pytest
 from shearlyap import (
     BoundFamily,
     DomainError,
+    NonConvergenceError,
     NormKind,
     SeriesConfig,
     ShearParams,
@@ -266,6 +267,12 @@ class TestGleBounds:
         rep_neg_q = gle_bounds_report(-1.0, OPP33, BoundFamily.IMPROVED)
         assert rep_neg_q.per_norm[NormKind.L1].lower is None
         assert rep_neg_q.per_norm[NormKind.L1].upper is not None
+
+    def test_overflowing_moment_sums_raise(self):
+        # f^200 overflows, both truncations sum to inf: no inf bound comes back
+        with np.errstate(over="ignore"):
+            with pytest.raises(NonConvergenceError, match="sum ~ inf"):
+                gle_bounds_report(200.0, POS11)
 
 
 class TestGleCurve:
