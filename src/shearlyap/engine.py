@@ -1,11 +1,21 @@
-"""Assembled exponent bounds: Lyapunov, generalised (q-moment), and entropy.
+"""Assembled exponent bounds: Lyapunov, q-moment block values, and entropy.
 
 Per-norm bounds come from averaging log (or q-th powers) of the growth
 bound functions over the geometric block distribution.  Because blocks
-contain four matrix applications on average, block-scale rates are four
-times the per-application exponent; everything reported here is on the
-per-application (lambda) scale, with the block-scale value available as
-4 * value.
+contain four matrix applications on average, the block-scale Lyapunov
+rate is four times the per-application exponent lambda; values are
+reported divided by 4, with the block-scale value available as 4 * value.
+
+The q-moment values (gle_bounds, gle_bounds_report, gle_curve,
+gle_exact_integer, entropy_bounds) are (1/4) log of a block-scale moment
+sum, the published quantity.  For q != 0 they are not bounds on the
+per-application generalised exponent l(q) = lim (1/N) log E|X_N|^q: the
+number of blocks in N applications is random, and dividing by the mean
+block length 4 is valid only for lambda.  At alpha = beta = 1 and q = 2
+the exact l(2) is 0.82452 (log of the spectral radius of
+M -> (A M A^T + B M B^T) / 2), outside the global envelope
+[0.95167, 1.01484].  ROADMAP.md ("Moment exponents that are
+per-application enclosures") plans values that do enclose l(q).
 
 Side assignment for the q-moment bounds: for q >= 0 the lower-bound
 functions bound the moment sum from below and the upper-bound functions
@@ -32,7 +42,14 @@ import numpy as np
 
 from .growth import FunctionFamily, Side, cases_for, evaluator, norms_for
 from .linalg import DomainError, NormKind, Regime, ShearParams
-from .series import DEFAULT_SERIES, SeriesConfig, expect_block, kappa, expect_block_exact_poly
+from .series import (
+    DEFAULT_SERIES,
+    SeriesConfig,
+    _grid_blocks,
+    expect_block,
+    expect_block_exact_poly,
+    kappa,
+)
 
 __all__ = [
     "BoundFamily",
@@ -110,22 +127,98 @@ def _function_family(family: BoundFamily, regime: Regime) -> FunctionFamily:
     )
 
 
-def _case_mean(ff: FunctionFamily, norm: NormKind, side: Side, params: ShearParams, q=None):
-    """Integrand over (a, b): case-averaged bound function, optionally q-powered."""
-    fns = [evaluator(ff, norm, side, c, params) for c in cases_for(ff, side)]
-    n = len(fns)
-    if q is None:
-        def f(a, b):
-            total = fns[0](a, b)
-            for fn in fns[1:]:
-                total = total + fn(a, b)
-            return np.log(total / n)
-    else:
-        def f(a, b):
-            total = fns[0](a, b) ** q
-            for fn in fns[1:]:
-                total = total + fn(a, b) ** q
-            return total / n
+class _GridCache:
+    """Bound-function grids of the latest parameter point, filled lazily.
+
+    A grid holds one bound function's values on 1..limit x 1..limit.  It
+    does not depend on q, so every moment order at that point reuses it.
+    Table entries that wrap one function (the plain functions shared by
+    several cases or by both families) are the same code over the same
+    captured values, and map to one grid.
+
+    Only one point is held.  The next point of the same size overwrites its
+    buffers: freeing each point's grids and allocating the next point's
+    would page-fault them in again at every point of a sweep.  A grid is
+    therefore valid until the parameter point changes.
+    """
+
+    def __init__(self):
+        self.point = None
+        self.grids: dict = {}        # (family, norm, side, case) -> grid
+        self.by_function: dict = {}  # evaluator code and captured values -> grid
+        self.buffers: list[np.ndarray] = []
+
+    def grid(self, ff: FunctionFamily, norm: NormKind, side: Side, case: tuple,
+             params: ShearParams, limit: int) -> np.ndarray:
+        if self.point != (params, limit):
+            if self.buffers and self.buffers[0].shape != (limit, limit):
+                self.buffers = []
+            self.point, self.grids, self.by_function = (params, limit), {}, {}
+        key = (ff, norm, side, case)
+        grid = self.grids.get(key)
+        if grid is None:
+            fn = evaluator(ff, norm, side, case, params)
+            shared = (fn.__code__, *(c.cell_contents for c in fn.__closure__ or ()))
+            grid = self.by_function.get(shared)
+            if grid is None:
+                if len(self.by_function) == len(self.buffers):
+                    self.buffers.append(np.empty((limit, limit)))
+                buf = self.buffers[len(self.by_function)]
+                for rows, aa, bb, _ in _grid_blocks(limit):
+                    buf[rows] = fn(aa, bb)
+                grid = self.by_function[shared] = buf.view()
+                grid.flags.writeable = False
+            self.grids[key] = grid
+        return grid
+
+
+_GRIDS = _GridCache()
+
+
+def _case_mean_table(ff: FunctionFamily, norm: NormKind, side: Side, params: ShearParams,
+                     limit: int, q) -> np.ndarray:
+    """Case mean of the bound functions (of their q-th powers, or the log of
+    the mean when q is None) on 1..limit x 1..limit, from the cached grids.
+
+    Each distinct grid is raised to q once, and cases are added in table
+    order as pointwise evaluation would, so the values are the same doubles.
+    """
+    grids = [_GRIDS.grid(ff, norm, side, c, params, limit) for c in cases_for(ff, side)]
+    n = len(grids)
+    distinct = {id(g): g for g in grids}.values()
+    out = np.empty((limit, limit))
+    # f^q overflows to inf at large |q|; the series layer reports that sum
+    with np.errstate(over="ignore"):
+        for rows, *_ in _grid_blocks(limit):
+            vals = {id(g): g[rows] if q is None else g[rows] ** q for g in distinct}
+            total = vals[id(grids[0])]
+            for g in grids[1:]:
+                total = total + vals[id(g)]
+            out[rows] = np.log(total / n) if q is None else total / n
+    return out
+
+
+def _case_mean(ff: FunctionFamily, norm: NormKind, side: Side, params: ShearParams,
+               cfg: SeriesConfig, q=None):
+    """Integrand over (a, b): case-averaged bound function, optionally q-powered.
+
+    On its first call it tabulates the case mean over the doubling grid
+    1..2N x 1..2N (N = cfg.max_index) and then serves the grid blocks of
+    both truncated sums as views of that table; the N-sum reads its corner.
+    """
+    limit = 2 * cfg.max_index
+    table = None
+
+    def f(a, b):
+        nonlocal table
+        if table is None:
+            table = _case_mean_table(ff, norm, side, params, limit, q)
+        lo = int(a[0, 0]) - 1
+        view = table[lo:lo + a.shape[0], :a.shape[1]]
+        if view.shape != a.shape:
+            raise IndexError(f"block {a.shape} at row {lo + 1} lies outside the "
+                             f"{limit}x{limit} integrand table")
+        return view
     return f
 
 
@@ -139,10 +232,10 @@ def lyapunov_bounds(
     upper_norms = set(norms_for(ff, Side.UPPER))
     per_norm: dict[NormKind, NormBounds] = {}
     for norm in _ALL_NORMS:
-        lo = expect_block(_case_mean(ff, norm, Side.LOWER, params), cfg) / 4.0
+        lo = expect_block(_case_mean(ff, norm, Side.LOWER, params, cfg), cfg) / 4.0
         up = None
         if norm in upper_norms:
-            up = expect_block(_case_mean(ff, norm, Side.UPPER, params), cfg) / 4.0
+            up = expect_block(_case_mean(ff, norm, Side.UPPER, params, cfg), cfg) / 4.0
         per_norm[norm] = NormBounds(lo, up)
     env = Bounds(
         max(nb.lower for nb in per_norm.values()),
@@ -177,7 +270,7 @@ def _gle_side_values(
     """log of the q-moment sum, per norm, for one side's function family."""
     out = {}
     for norm in norms_for(ff, side_functions):
-        s = expect_block(_case_mean(ff, norm, side_functions, params, q=q), cfg)
+        s = expect_block(_case_mean(ff, norm, side_functions, params, cfg, q), cfg)
         out[norm] = math.log(s) / 4.0
     return out
 
@@ -188,7 +281,8 @@ def gle_bounds_report(
     family: BoundFamily = BoundFamily.GLOBAL,
     cfg: SeriesConfig = DEFAULT_SERIES,
 ) -> BoundReport:
-    """Per-norm and envelope bounds on the generalised exponent l(q)."""
+    """Per-norm and envelope values of (1/4) log of the block-scale q-moment sum
+    (not an enclosure of l(q) for q != 0; see the module docstring)."""
     ff = _function_family(family, params.regime)
     lower_fns = Side.LOWER if q >= 0 else Side.UPPER
     upper_fns = Side.UPPER if q >= 0 else Side.LOWER

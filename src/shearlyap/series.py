@@ -2,12 +2,13 @@
 
 Block run lengths (a, b) are i.i.d. geometric with weight 2^-(a+b), so
 every quantity of interest is a double series  sum 2^-(a+b) f(a, b).
-Truncated sums are exact: the terms are split into integer pieces binned
-by binary exponent, whose per-bin sums involve no rounding, and only the
-few hundred bin totals are rounded together by math.fsum.  The result is
-the correctly rounded exact sum, the same double math.fsum returns for
-the terms themselves, whatever their order.  Sums are checked by
-doubling the truncation index.  Moments of the form
+Truncated sums are exact: the terms are split into integer pieces (an
+integer part by np.trunc, and a fraction by a subtraction that does not
+round) binned by binary exponent, whose per-bin sums involve no rounding,
+and only the few hundred bin totals are rounded together by math.fsum.
+The result is the correctly rounded exact sum, the same double math.fsum
+returns for the terms themselves, whatever their order.  Sums are checked
+by doubling the truncation index.  Moments of the form
 sum 2^-a a^n  are integers and are computed exactly by recurrence, which
 gives exact values for integer-q moment expansions.
 
@@ -105,8 +106,9 @@ def _exact_sum(terms: np.ndarray) -> float:
     """math.fsum(terms.ravel().tolist()), bit for bit, in a few numpy passes.
 
     Each finite term is m 2^e with 1/2 <= |m| < 1, and m 2^27 splits
-    exactly into an integer part below 2^27 and a fraction that is a
-    multiple of 2^-26.  Counted in units of 2^(k-53) in bin k, both pieces
+    exactly into an integer part below 2^27 (np.trunc) and a fraction that
+    is a multiple of 2^-26 (m 2^27 minus that part, a subtraction that does
+    not round).  Counted in units of 2^(k-53) in bin k, both pieces
     are integers: the fraction times 2^26 in bin e, the integer part in bin
     e + 26.  np.bincount adds the pieces bin by bin, and a few adjacent bins
     are then folded into one with power-of-two weights.  A set of bins takes
@@ -134,24 +136,28 @@ def _exact_sum(terms: np.ndarray) -> float:
         lo_bins = np.zeros(nbins)
         hi_bins = np.zeros(nbins)
         m = np.empty(min(block.size, _SUM_CHUNK))
+        w = np.empty(m.size)
         e = np.empty(m.size, dtype=np.intp)
-        for lo in range(0, block.size, _SUM_CHUNK):
-            x = block[lo:lo + _SUM_CHUNK]
-            mx, ex = m[:x.size], e[:x.size]
-            np.frexp(x, out=(mx, ex))
-            if ex.max() > _SUM_EMAX:
-                return math.fsum(flat.tolist())
-            if ex.min() < -_SUM_EMAX:
-                tiny = ex < -_SUM_EMAX
-                parts.extend(x[tiny].tolist())
-                mx[tiny] = 0.0
-                ex[tiny] = 0
-            ex += _SUM_EMAX
-            mx *= 2.0 ** 27
-            frac, whole = np.modf(mx)  # inf and nan go to whole, with no warning
-            lo_bins += np.bincount(ex, weights=frac, minlength=nbins)
-            hi_bins += np.bincount(ex, weights=whole, minlength=nbins)
-        if not np.isfinite(hi_bins).all():
+        # inf - trunc(inf) below is nan; non-finite bins are caught after the loop
+        with np.errstate(invalid="ignore"):
+            for lo in range(0, block.size, _SUM_CHUNK):
+                x = block[lo:lo + _SUM_CHUNK]
+                mx, wx, ex = m[:x.size], w[:x.size], e[:x.size]
+                np.frexp(x, out=(mx, ex))
+                if ex.max() > _SUM_EMAX:
+                    return math.fsum(flat.tolist())
+                if ex.min() < -_SUM_EMAX:
+                    tiny = ex < -_SUM_EMAX
+                    parts.extend(x[tiny].tolist())
+                    mx[tiny] = 0.0
+                    ex[tiny] = 0
+                ex += _SUM_EMAX
+                mx *= 2.0 ** 27
+                np.trunc(mx, out=wx)
+                np.subtract(mx, wx, out=mx)  # exact: the fraction of a double
+                lo_bins += np.bincount(ex, weights=mx, minlength=nbins)
+                hi_bins += np.bincount(ex, weights=wx, minlength=nbins)
+        if not (np.isfinite(lo_bins).all() and np.isfinite(hi_bins).all()):
             return math.fsum(flat.tolist())
         lo_bins *= 2.0 ** 26
         lo_bins[26:] += hi_bins[:-26]
@@ -192,10 +198,14 @@ def expect_block_report(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> Seri
     """Expectation of f(a, b) under the 2^-(a+b) weights, with tail estimate."""
     s1 = truncated_sum(f, cfg.max_index)
     s2 = truncated_sum(f, 2 * cfg.max_index)
+    if not math.isfinite(s2):
+        raise NonConvergenceError(
+            f"series sum is not finite ({s2}): its terms overflow double precision, "
+            "as moment terms f^q do at large |q|; a larger max_index cannot help"
+        )
     tail = abs(s2 - s1)
     allowance = max(cfg.tail_tol, cfg.tail_tol * abs(s2))
-    # an inf or nan sum makes tail nan or allowance inf, which the comparison alone lets pass
-    if not (tail <= allowance and math.isfinite(s2)):
+    if not tail <= allowance:
         raise NonConvergenceError(
             f"series tail estimate {tail:.3e} exceeds tolerance {allowance:.3e} "
             f"at truncation {cfg.max_index} (sum ~ {s2:.6g}); increase max_index"

@@ -224,14 +224,16 @@ class TestSweepCommand:
         assert result.exit_code == 2
         assert "k must be positive" in result.output
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.filterwarnings("error")
     def test_non_finite_moment_sum_exit_3(self, runner):
-        # at q = 200 the moment terms overflow and both truncations sum to inf
+        # at q = 200 the moment terms overflow and both truncations sum to inf;
+        # numpy's overflow warning must not leak from the integrand
         result = runner.invoke(main, ["sweep", "--mode", "gle", "--alpha", "1", "--q", "200",
                                       "--family", "global", "--format", "csv"])
         assert result.exit_code == 3
-        assert "error: series tail estimate nan exceeds tolerance inf" in result.output
-        assert "increase max_index" in result.output
+        assert "error: series sum is not finite (inf): its terms overflow" in result.output
+        assert "a larger max_index cannot help" in result.output
+        assert "increase max_index" not in result.output
 
     @pytest.mark.parametrize("args,bounds_families,mc_calls,standard_calls", [
         (["--mode", "envelopes", "--mc", "--standard-k", "4"], ["global", "improved"] * 2, 0, 0),

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from shearlyap import engine, series
 from shearlyap import (
     BoundFamily,
     DomainError,
@@ -268,11 +269,12 @@ class TestGleBounds:
         assert rep_neg_q.per_norm[NormKind.L1].lower is None
         assert rep_neg_q.per_norm[NormKind.L1].upper is not None
 
+    @pytest.mark.filterwarnings("error")
     def test_overflowing_moment_sums_raise(self):
-        # f^200 overflows, both truncations sum to inf: no inf bound comes back
-        with np.errstate(over="ignore"):
-            with pytest.raises(NonConvergenceError, match="sum ~ inf"):
-                gle_bounds_report(200.0, POS11)
+        # f^200 overflows, both truncations sum to inf: no inf bound comes back,
+        # and numpy's overflow warning stays inside the integrand
+        with pytest.raises(NonConvergenceError, match=r"series sum is not finite \(inf\)"):
+            gle_bounds_report(200.0, POS11)
 
 
 class TestGleCurve:
@@ -307,3 +309,96 @@ class TestSeriesConfigPlumbing:
     def test_coarse_truncation_still_accurate(self):
         rep = lyapunov_bounds(POS11, cfg=SeriesConfig(max_index=32, tail_tol=1e-8))
         assert abs(rep.per_norm[NormKind.L1].lower - 0.3688682) < 1e-6
+
+
+def _pointwise_case_mean(ff, norm, side, params, cfg, q=None):
+    """The integrand as built before the grid cache: every case's bound
+    function evaluated afresh on each block, raised to q, averaged."""
+    fns = [engine.evaluator(ff, norm, side, c, params) for c in engine.cases_for(ff, side)]
+    n = len(fns)
+    if q is None:
+        def f(a, b):
+            total = fns[0](a, b)
+            for fn in fns[1:]:
+                total = total + fn(a, b)
+            return np.log(total / n)
+    else:
+        def f(a, b):
+            total = fns[0](a, b) ** q
+            for fn in fns[1:]:
+                total = total + fn(a, b) ** q
+            return total / n
+    return f
+
+
+def _outcomes(params, family, cfg):
+    """repr of each report (exact floats) or the error raised, for the
+    Lyapunov bounds and the moment bounds at a few q."""
+    out = []
+    for call in [lambda: lyapunov_bounds(params, family, cfg)] + [
+            lambda q=q: gle_bounds_report(q, params, family, cfg) for q in (-2.5, -1.0, 0.5, 3.0)]:
+        try:
+            out.append(repr(call()))
+        except NonConvergenceError as exc:
+            out.append(f"NonConvergenceError: {exc}")
+    return out
+
+
+class TestGridCache:
+    @pytest.mark.parametrize("max_index", [8, 40, 64, 96])
+    @pytest.mark.parametrize("params", [ShearParams.infer(2.0, 3.0), OPP33], ids=["pos", "opp"])
+    @pytest.mark.parametrize("family", list(BoundFamily))
+    def test_bit_identical_to_pointwise_integrand(self, monkeypatch, max_index, params, family):
+        cfg = SeriesConfig(max_index=max_index)
+        cached = _outcomes(params, family, cfg)
+        monkeypatch.setattr(engine, "_case_mean", _pointwise_case_mean)
+        assert cached == _outcomes(params, family, cfg)
+
+    @pytest.mark.parametrize("max_index", [8, 64])
+    @pytest.mark.parametrize("params", [ShearParams.infer(2.0, 3.0), OPP33], ids=["pos", "opp"])
+    @pytest.mark.parametrize("family", list(BoundFamily))
+    def test_integrand_terms_bit_identical(self, max_index, params, family):
+        # the values the sums see, block by block at both truncations
+        cfg = SeriesConfig(max_index=max_index)
+        ff = engine._function_family(family, params.regime)
+        for side in engine.Side:
+            for norm in engine.norms_for(ff, side):
+                for q in (None, -2.5, -1.0, 0.5, 3.0):
+                    cached = engine._case_mean(ff, norm, side, params, cfg, q)
+                    pointwise = _pointwise_case_mean(ff, norm, side, params, cfg, q)
+                    for limit in (max_index, 2 * max_index):
+                        for _, aa, bb, _ in series._grid_blocks(limit):
+                            assert np.array_equal(cached(aa, bb), pointwise(aa, bb))
+
+    def test_holds_one_parameter_point(self):
+        p23, p11 = ShearParams.infer(2.0, 3.0), POS11
+        lyapunov_bounds(p23, BoundFamily.IMPROVED)
+        n_buffers = len(engine._GRIDS.buffers)
+        gle_bounds_report(2.0, p11)
+        cache = engine._GRIDS
+        assert cache.point == (p11, 128)
+        # the (1, 1) grids took over the (2, 3) buffers instead of adding new ones
+        assert len(cache.buffers) == max(n_buffers, len(cache.by_function))
+        aa, bb = np.meshgrid(np.arange(1.0, 129.0), np.arange(1.0, 129.0), indexing="ij")
+        for (ff, norm, side, case), grid in cache.grids.items():
+            assert np.array_equal(grid, engine.evaluator(ff, norm, side, case, p11)(aa, bb))
+
+    def test_shared_functions_share_a_grid(self):
+        ff, side = engine.FunctionFamily, engine.Side
+        grid = lambda f, norm, s, case: engine._GRIDS.grid(f, norm, s, case, POS11, 16)
+        for norm in (NormKind.L1, NormKind.L2):
+            shared = grid(ff.GLOBAL, norm, side.UPPER, ())
+            assert all(grid(ff.IMPROVED, norm, side.UPPER, (m,)) is shared for m in (1, 2, 3))
+        assert grid(ff.IMPROVED, NormKind.LINF, side.LOWER, (2,)) is grid(
+            ff.GLOBAL, NormKind.LINF, side.LOWER, ())
+        cased = [grid(ff.IMPROVED, NormKind.LINF, side.UPPER, (m,)) for m in (1, 2, 3)]
+        assert len({id(g) for g in cased}) == 3
+        assert not cased[0].flags.writeable
+
+    def test_integrand_serves_only_its_grid(self):
+        f = engine._case_mean(engine.FunctionFamily.GLOBAL, NormKind.L1, engine.Side.LOWER,
+                              POS11, SeriesConfig(max_index=8))
+        idx = np.arange(1.0, 33.0)
+        aa, bb = np.meshgrid(idx[:16], idx, indexing="ij")
+        with pytest.raises(IndexError, match="16x16 integrand table"):
+            f(aa, bb)

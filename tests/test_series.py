@@ -123,7 +123,8 @@ class TestExpectBlock:
                                    lambda a, b: np.full_like(a, np.nan)])
     def test_non_finite_sum_does_not_converge(self, f):
         with np.errstate(over="ignore"):
-            with pytest.raises(NonConvergenceError, match="increase max_index"):
+            with pytest.raises(NonConvergenceError, match=r"series sum is not finite \((inf|nan)\): "
+                               r"its terms overflow .* a larger max_index cannot help$"):
                 expect_block(f)
 
     def test_config_validation(self):
@@ -225,9 +226,11 @@ class TestExactSum:
         [1.0, math.nan],
         [math.inf, math.nan],
     ])
+    @pytest.mark.filterwarnings("error")  # inf - trunc(inf) must not warn
     def test_non_finite_terms_give_fsums_value(self, values):
         assert _matches_fsum(np.array(values))
 
+    @pytest.mark.filterwarnings("error")
     def test_inf_minus_inf_raises_value_error(self):
         with pytest.raises(ValueError):
             series._exact_sum(np.array([math.inf, 1.0, -math.inf]))
