@@ -34,6 +34,8 @@ __all__ = [
     "spectral_norm_batch",
 ]
 
+_NORM_SLICE = 1 << 16  # matrices per slice of spectral_norm_batch
+
 
 class DomainError(ValueError):
     """Parameter combination outside the supported shear regimes."""
@@ -180,11 +182,20 @@ def spectral_norm(m: Mat2) -> float:
 
 
 def spectral_norm_batch(mats: np.ndarray) -> np.ndarray:
-    """Largest singular values of a stack of 2x2 matrices, shape (..., 2, 2)."""
-    g11 = mats[..., 0, 0] ** 2 + mats[..., 1, 0] ** 2
-    g12 = mats[..., 0, 0] * mats[..., 0, 1] + mats[..., 1, 0] * mats[..., 1, 1]
-    g22 = mats[..., 0, 1] ** 2 + mats[..., 1, 1] ** 2
-    half_tr = 0.5 * (g11 + g22)
-    disc = np.hypot(0.5 * (g11 - g22), g12)
-    return np.sqrt(np.maximum(half_tr + disc, 0.0))
+    """Largest singular values of a stack of 2x2 matrices, shape (..., 2, 2).
+
+    Works through the stack in slices of _NORM_SLICE matrices, so its
+    temporaries stay small however many matrices there are.
+    """
+    flat = mats.reshape(-1, 2, 2)
+    out = np.empty(len(flat))
+    for lo in range(0, len(flat), _NORM_SLICE):
+        m = flat[lo:lo + _NORM_SLICE]
+        g11 = m[:, 0, 0] ** 2 + m[:, 1, 0] ** 2
+        g12 = m[:, 0, 0] * m[:, 0, 1] + m[:, 1, 0] * m[:, 1, 1]
+        g22 = m[:, 0, 1] ** 2 + m[:, 1, 1] ** 2
+        half_tr = 0.5 * (g11 + g22)
+        disc = np.hypot(0.5 * (g11 - g22), g12)
+        out[lo:lo + _NORM_SLICE] = np.sqrt(np.maximum(half_tr + disc, 0.0))
+    return out.reshape(mats.shape[:-2])
 

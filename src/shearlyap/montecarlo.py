@@ -1,7 +1,12 @@
 """Empirical estimators that validate the analytic bounds.
 
-All randomness flows from numpy's Philox counter-based generator; the
-stream for ensemble member e is keyed by (seed, e), so results are
+All randomness flows from numpy's Philox4x64 counter-based generator.  The
+coins of ensemble member e come from the stream keyed by (seed, e): its key
+is what ``SeedSequence(entropy=seed, spawn_key=(e,))`` hands to
+``np.random.Philox``, and coin i is the coin ``Generator.integers(0, 2)``
+would draw i-th from that generator.  ``_coins`` derives the keys of all
+streams at once and draws every stream through one Philox object by setting
+its key and counter, so no generator is built per ensemble.  Results are
 bit-for-bit reproducible for a fixed config and identical whether the
 ensembles run serially or in parallel.
 
@@ -19,6 +24,7 @@ treat the reported effective sample size warning seriously.
 from __future__ import annotations
 
 import math
+import operator
 import warnings
 from dataclasses import dataclass
 
@@ -32,9 +38,11 @@ __all__ = ["McConfig", "McEstimate", "BlockStats", "RNG_ALGORITHM", "lyapunov_mc
 RNG_ALGORITHM = "philox4x64 (numpy), stream keyed by (seed, ensemble index)"
 
 _COIN_CHUNK = 1 << 16
+_COIN_RAW_BUDGET = 1 << 16  # raw Philox words per tile of _coins
 _EXHAUSTIVE_MAX_K = 22
 _GLE_TRAJ_CAP = 200
 _PAIRWISE_BUDGET = 1 << 16  # step-matrix elements per sub-chunk of _pairwise_product
+_SLICE_MATRICES = 1 << 16  # 2x2 matrices per slice of exhaustive standard_bound's reductions
 _UNSCALED_MAX = 1e150  # 2 * _UNSCALED_MAX**2 does not overflow
 
 
@@ -44,8 +52,9 @@ class McConfig:
 
     n_steps counts matrix applications in total, split evenly across the
     n_ensembles independent trajectories (remainder dropped).  The
-    standard error is estimated from the spread across ensembles.
-    renorm_every has no numerical effect (products are rescaled by magnitude).
+    standard error is estimated from the spread across ensembles.  seed is
+    a non-negative integer.  renorm_every has no numerical effect (products
+    are rescaled by magnitude).
     """
 
     n_steps: int
@@ -60,6 +69,8 @@ class McConfig:
             raise DomainError("renorm_every must not exceed n_steps")
         if self.n_steps < self.n_ensembles:
             raise DomainError("need at least one step per ensemble member")
+        if self.seed < 0:
+            raise DomainError(f"seed must be non-negative, got {self.seed}")
 
 
 @dataclass(frozen=True)
@@ -88,8 +99,92 @@ def _rng(seed: int, stream: int) -> np.random.Generator:
     )
 
 
-def _ensemble_rngs(cfg: McConfig) -> list[np.random.Generator]:
-    return [_rng(cfg.seed, e) for e in range(cfg.n_ensembles)]
+# SeedSequence's hash constants (numpy/random/bit_generator.pyx); a pool of 4 words
+_M32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_L, _MIX_R = 0xCA01F9DD, 0x4973F715
+
+
+def _philox_keys(seed: int, streams) -> np.ndarray:
+    """(len(streams), 2) uint64: SeedSequence(seed, spawn_key=(e,)).generate_state(2, uint64)
+    for every stream e < 2^32, by SeedSequence's own hash in uint32 arithmetic.
+
+    Only the last entropy word, e, differs between streams, and the hash
+    constants advance the same way for all of them: the seed's words are
+    mixed once as Python ints and the stream word as one uint32 array.
+    """
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _M32
+        value = value * hash_const & _M32
+        return value ^ value >> 16
+
+    def mix(x, y):
+        r = ((_MIX_L * x & _M32) - (_MIX_R * y & _M32)) & _M32
+        return r ^ r >> 16
+
+    seed = operator.index(seed)
+    words = [seed >> i & _M32 for i in range(0, max(seed.bit_length(), 1), 32)]
+    words += [0] * (4 - len(words))  # a spawn key pads the seed to the pool size
+    pool = [hashmix(w) for w in words[:4]]
+    for src in range(4):
+        for dst in range(4):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    stream = np.asarray(streams, dtype=np.uint32)
+    for w in [*words[4:], stream]:
+        for dst in range(4):
+            pool[dst] = mix(pool[dst], hashmix(w))
+    state, hash_const = [], _INIT_B
+    for w in pool:
+        w = np.asarray(w ^ hash_const, dtype=np.uint32)
+        hash_const = hash_const * _MULT_B & _M32
+        w = w * np.uint32(hash_const)
+        state.append((w ^ w >> 16).astype(np.uint64))
+    return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
+
+
+def _coins(seed: int, streams, start: int, n: int) -> np.ndarray:
+    """(n, len(streams)) int8: coins start..start+n-1 of each stream (seed, e),
+    each equal to what Generator(Philox(SeedSequence(seed, spawn_key=(e,))))
+    .integers(0, 2) draws at that position.
+
+    integers(0, 2) returns bit 31 of a 32-bit draw, and Philox splits each
+    64-bit word into its low half first: coin 2i is bit 31 of word i and coin
+    2i+1 is bit 63.  A Philox block holds four words, and its counter is
+    incremented before each block is generated, so coin c lies in the block
+    after counter c // 8.  One Philox object draws every stream from its key
+    and counter.  The raw words are drawn in tiles of whole blocks and groups
+    of streams of at most _COIN_RAW_BUDGET words.
+    """
+    keys = _philox_keys(seed, streams)
+    out = np.empty((n, len(keys)), dtype=np.int8)
+    bitgen = np.random.Philox()
+    stop = start + n
+    tile = 8 * max(1, _COIN_RAW_BUDGET // 4)  # coins per tile, whole blocks
+    for lo in range(start - start % 8, stop, tile):
+        hi = min(lo + tile, stop)
+        n_words = (hi - lo + 1) // 2
+        counter = np.array([lo // 8, 0, 0, 0], dtype=np.uint64)
+        group = max(1, _COIN_RAW_BUDGET // n_words)
+        first = max(lo, start)
+        for g in range(0, len(keys), group):
+            raw = np.empty((min(group, len(keys) - g), n_words), dtype=np.uint64)
+            for row, key in zip(raw, keys[g:g + group]):
+                bitgen.state = {"bit_generator": "Philox",
+                                "state": {"counter": counter, "key": key},
+                                "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
+                                "has_uint32": 0, "uinteger": 0}
+                row[:] = bitgen.random_raw(n_words)
+            bits = np.empty(raw.shape + (2,), dtype=np.int8)
+            bits[..., 0] = raw >> 31 & 1
+            bits[..., 1] = raw >> 63
+            bits = bits.reshape(len(raw), -1)[:, first - lo:hi - lo]
+            out[first - start:hi - start, g:g + len(raw)] = bits.T
+    return out
 
 
 def _pairwise_product(steps, n: int, width: int, bound: float):
@@ -151,15 +246,10 @@ def _iterate_log_growth(params: ShearParams, cfg: McConfig, traj_len: int) -> np
     X_0 = (0, 1), which lies in the invariant cone of both regimes.  Raises
     DomainError if it is not finite."""
     E = cfg.n_ensembles
-    rngs = _ensemble_rngs(cfg)
     u, v, acc = np.zeros(E), np.ones(E), np.zeros(E)
     for done in range(0, traj_len, _COIN_CHUNK):
         n = min(_COIN_CHUNK, traj_len - done)
-        coins = np.empty((n, E), dtype=np.int8)
-        for e, r in enumerate(rngs):
-            coins[:, e] = r.integers(0, 2, size=n)
-        if done + n == traj_len:
-            rngs.clear()  # free the generators' memory for the product's temporaries
+        coins = _coins(cfg.seed, range(E), done, n)
         (p11, p12, p21, p22), scale = _pairwise_product(
             lambda lo, hi: _shear_steps(params, coins[lo:hi]), n, E, _shear_bound(params))
         u, v = p11 * u + p12 * v, p21 * u + p22 * v
@@ -242,8 +332,8 @@ def standard_bound(
     """Classical submultiplicative upper bound E_k = (1/k) E log |C|_2.
 
     "exhaustive" averages over all 2^k products of length k (k <= 22 cost
-    guard); "sampled" draws n_samples uniform products.  E_k decreases to
-    the Lyapunov exponent as k grows.
+    guard); "sampled" draws n_samples uniform products from a non-negative
+    seed.  E_k decreases to the Lyapunov exponent as k grows.
     """
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
@@ -258,10 +348,14 @@ def standard_bound(
         P = np.stack([A, B])
         logacc = np.zeros(2)
         for _ in range(k - 1):
-            P = np.concatenate(
-                [np.einsum("ij,njk->nik", A, P), np.einsum("ij,njk->nik", B, P)]
-            )
-            mu = np.abs(P).max(axis=(1, 2))
+            n = len(P)
+            nxt = np.empty((2 * n, 2, 2))  # A P then B P, each written in place
+            np.einsum("ij,njk->nik", A, P, out=nxt[:n])
+            np.einsum("ij,njk->nik", B, P, out=nxt[n:])
+            P = nxt
+            mu = np.empty(2 * n)
+            for lo in range(0, 2 * n, _SLICE_MATRICES):  # np.abs of all of P would copy it
+                mu[lo:lo + _SLICE_MATRICES] = np.abs(P[lo:lo + _SLICE_MATRICES]).max(axis=(1, 2))
             P /= mu[:, None, None]
             logacc = np.concatenate([logacc, logacc]) + np.log(mu)
         vals = (np.log(spectral_norm_batch(P)) + logacc) / k
@@ -271,11 +365,12 @@ def standard_bound(
         raise DomainError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
     if n_samples < 1:
         raise DomainError(f"sampled mode needs n_samples >= 1, got {n_samples}")
-    rng = _rng(seed, 1 << 29)
+    if seed < 0:
+        raise DomainError(f"seed must be non-negative, got {seed}")
 
-    def steps(lo, hi):  # one draw per step, in step order
-        return _shear_steps(params, np.stack([rng.integers(0, 2, size=n_samples)
-                                              for _ in range(lo, hi)]))
+    def steps(lo, hi):  # one stream: coin t * n_samples + j picks step t of sample j
+        coins = _coins(seed, [1 << 29], lo * n_samples, (hi - lo) * n_samples)
+        return _shear_steps(params, coins.reshape(hi - lo, n_samples))
 
     prod, logacc = _pairwise_product(steps, k, n_samples, _shear_bound(params))
     P = np.stack(prod, axis=-1).reshape(-1, 2, 2)
@@ -299,8 +394,8 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     """
     per_stream = cfg.n_steps // cfg.n_ensembles
     a_streams, b_streams = [], []
-    for r in _ensemble_rngs(cfg):
-        coins = r.integers(0, 2, size=per_stream).astype(bool)  # True -> A
+    for e in range(cfg.n_ensembles):
+        coins = _coins(cfg.seed, [e], 0, per_stream)[:, 0].astype(bool)  # True -> A
         lengths, first_is_a = _run_lengths(coins)
         if not first_is_a:
             lengths = lengths[1:]  # leading B-run belongs to an unseen block

@@ -327,6 +327,19 @@ class TestMcCommand:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    @pytest.mark.parametrize("args", [
+        ["mc", "--alpha", "1", "--beta", "1", "--steps", "1e3"],
+        ["mc", "--alpha", "1", "--beta", "1", "--steps", "1e3", "--q", "1"],
+        ["sweep", "--mode", "lyap-bounds", "--alpha", "1", "--mc", "--steps", "1e3"],
+        ["sweep", "--mode", "errors", "--alpha", "1", "--steps", "1e3"],
+        ["standard-bound", "--k", "8", "--alpha", "1", "--beta", "1", "--mode", "sampled"],
+        ["sweep", "--mode", "lyap-bounds", "--alpha", "1", "--standard-k", "16"],
+    ])
+    def test_negative_seed_exit_2(self, runner, args):
+        result = runner.invoke(main, args + ["--seed", "-1"])
+        assert result.exit_code == 2
+        assert "error: seed must be non-negative, got -1" in result.output
+
 
 class TestSmallCommands:
     def test_gle_exact(self, runner):

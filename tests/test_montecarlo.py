@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shearlyap import (
     BoundFamily,
@@ -13,6 +14,7 @@ from shearlyap import (
     gle_bounds,
     gle_mc,
     lyapunov_bounds,
+    linalg,
     lyapunov_mc,
     montecarlo,
     spectral_norm,
@@ -31,13 +33,31 @@ KERNEL_PARAMS = [(1.0, 1.0), (10.0, 10.0), (50.0, 50.0), (-3.0, 3.0), (-10.0, 10
 
 # ---------------------------------------------------------------- references
 # Straightforward loops, one matrix application at a time, that the pairwise
-# kernel must reproduce up to rounding.  They draw the same Philox streams.
+# kernel must reproduce up to rounding.  They draw the same Philox streams,
+# each from its own numpy Generator.
+
+def philox_generator(seed, stream):
+    """The generator of stream (seed, stream), built the documented way."""
+    return np.random.Generator(
+        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
+
+
+def reference_coins(seed, streams, start, n):
+    """montecarlo._coins by one generator per stream that skips `start` coins."""
+    out = np.empty((n, len(streams)), dtype=np.int8)
+    for j, e in enumerate(streams):
+        rng = philox_generator(seed, e)
+        if start:
+            rng.integers(0, 2, size=start)
+        out[:, j] = rng.integers(0, 2, size=n)
+    return out
+
 
 def reference_log_growth(params, cfg, traj_len):
     """Per-ensemble log |X_N| / |X_0| by one shear per step from X_0 = (0, 1)."""
     alpha, beta = params.alpha, params.beta
     E = cfg.n_ensembles
-    rngs = montecarlo._ensemble_rngs(cfg)
+    rngs = [philox_generator(cfg.seed, e) for e in range(E)]
     u, v, acc = np.zeros(E), np.ones(E), np.zeros(E)
     done = step_in_cycle = 0
     while done < traj_len:
@@ -64,7 +84,7 @@ def reference_block_lambda(params, cfg):
     """block_oracle's lambda by one block matrix K(a, b) at a time."""
     per_stream = cfg.n_steps // cfg.n_ensembles
     a_streams, b_streams = [], []
-    for r in montecarlo._ensemble_rngs(cfg):
+    for r in (philox_generator(cfg.seed, e) for e in range(cfg.n_ensembles)):
         lengths, first_is_a = montecarlo._run_lengths(
             r.integers(0, 2, size=per_stream).astype(bool))
         if not first_is_a:
@@ -91,7 +111,7 @@ def reference_sampled_bound(k, params, n_samples, seed):
     """Sampled E_k by multiplying both shears into every product at each step."""
     A = np.array([[1.0, 0.0], [params.alpha, 1.0]])
     B = np.array([[1.0, params.beta], [0.0, 1.0]])
-    rng = montecarlo._rng(seed, 1 << 29)
+    rng = philox_generator(seed, 1 << 29)
     P = np.broadcast_to(np.eye(2), (n_samples, 2, 2)).copy()
     logacc = np.zeros(n_samples)
     for t in range(k):
@@ -104,6 +124,25 @@ def reference_sampled_bound(k, params, n_samples, seed):
             P /= mu[:, None, None]
             logacc += np.log(mu)
     return float(((np.log(spectral_norm_batch(P)) + logacc) / k).mean())
+
+
+def reference_exhaustive_bound(k, params):
+    """Exhaustive E_k as computed before its reductions were sliced: each level
+    concatenates both einsum products and takes np.abs of all of them at once."""
+    A = np.array([[1.0, 0.0], [params.alpha, 1.0]])
+    B = np.array([[1.0, params.beta], [0.0, 1.0]])
+    P = np.stack([A, B])
+    logacc = np.zeros(2)
+    for _ in range(k - 1):
+        P = np.concatenate([np.einsum("ij,njk->nik", A, P), np.einsum("ij,njk->nik", B, P)])
+        mu = np.abs(P).max(axis=(1, 2))
+        P /= mu[:, None, None]
+        logacc = np.concatenate([logacc, logacc]) + np.log(mu)
+    g11 = P[:, 0, 0] ** 2 + P[:, 1, 0] ** 2
+    g12 = P[:, 0, 0] * P[:, 0, 1] + P[:, 1, 0] * P[:, 1, 1]
+    g22 = P[:, 0, 1] ** 2 + P[:, 1, 1] ** 2
+    norms = np.sqrt(np.maximum(0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12), 0.0))
+    return float(((np.log(norms) + logacc) / k).mean())
 
 
 def tightest_envelope(params):
@@ -151,6 +190,97 @@ class TestPairwiseKernel:
         params = ShearParams.infer(alpha, alpha)
         got = standard_bound(k, params, mode="sampled", n_samples=n_samples, seed=44)
         assert got == pytest.approx(reference_sampled_bound(k, params, n_samples, 44), rel=1e-12)
+
+
+SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**200]
+
+
+class TestCoins:
+    @pytest.mark.parametrize("seed", SEEDS)
+    def test_keys_match_seed_sequence(self, seed):
+        streams = [0, 1, 1 << 29, 1 << 30]
+        want = [np.random.SeedSequence(entropy=seed, spawn_key=(e,)).generate_state(2, np.uint64)
+                for e in streams]
+        got = montecarlo._philox_keys(seed, streams)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, np.array(want))
+
+    def test_numpy_integer_seed(self):
+        np.testing.assert_array_equal(montecarlo._philox_keys(np.uint64(2**64 - 1), [3]),
+                                      montecarlo._philox_keys(2**64 - 1, [3]))
+        with pytest.raises(TypeError):
+            montecarlo._philox_keys(1.0, [3])
+
+    @pytest.mark.parametrize("start,n", [(0, 1), (0, 1000), (1, 9), (3, 1), (5, 100),
+                                         (12, 31), (65_536, 300), (131_072 + 7, 77)])
+    @pytest.mark.parametrize("streams", [[0], [0, 1, 5, 1 << 29, 1 << 30]])
+    def test_coins_match_generator_integers(self, start, n, streams):
+        got = montecarlo._coins(17, streams, start, n)
+        assert got.dtype == np.int8 and got.shape == (n, len(streams))
+        np.testing.assert_array_equal(got, reference_coins(17, streams, start, n))
+
+    def test_coins_across_coin_chunk(self):
+        start = montecarlo._COIN_CHUNK - 5
+        streams = range(3)
+        np.testing.assert_array_equal(montecarlo._coins(2**64 + 1, streams, start, 1000),
+                                      reference_coins(2**64 + 1, streams, start, 1000))
+
+    @pytest.mark.parametrize("budget", [1, 3, 8, 50])
+    def test_coins_in_small_tiles_and_groups(self, monkeypatch, budget):
+        # a budget of b raw words makes tiles of 8 * max(1, b // 4) coins and
+        # groups of streams sized to the budget
+        monkeypatch.setattr(montecarlo, "_COIN_RAW_BUDGET", budget)
+        streams = range(7)
+        for start, n in [(0, 64), (3, 101), (21, 8)]:
+            np.testing.assert_array_equal(montecarlo._coins(5, streams, start, n),
+                                          reference_coins(5, streams, start, n))
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(0, 2**130), start=st.integers(0, 3000), n=st.integers(1, 300),
+           n_streams=st.integers(1, 4))
+    def test_coins_property(self, seed, start, n, n_streams):
+        streams = [3 * e + 1 for e in range(n_streams)]
+        np.testing.assert_array_equal(montecarlo._coins(seed, streams, start, n),
+                                      reference_coins(seed, streams, start, n))
+
+
+class TestSameResultsAsPerEnsembleGenerators:
+    """The estimators return exactly what they returned when every ensemble
+    drew from its own numpy Generator."""
+
+    @pytest.mark.filterwarnings("ignore:effective sample size")
+    def test_pinned_values(self):
+        # values computed with one Generator per ensemble; 70 000 steps per
+        # trajectory cross one coin chunk
+        est = lyapunov_mc(POS11, McConfig(140_000, 2, seed=2**40 + 3))
+        assert (est.mean.hex(), est.std_error.hex()) == ("0x1.95ec841d1fa96p-2",
+                                                         "0x1.1e91c2630e000p-12")
+        est = gle_mc(2.0, POS11, McConfig(10**6, 5000, seed=8))
+        assert (est.mean.hex(), est.std_error.hex()) == ("0x1.a56ed01b2b25ap-1",
+                                                         "0x1.c0efb6a2026a6p-10")
+        stats = block_oracle(OPP33, McConfig(100_001, 3, seed=9))
+        assert (stats.lambda_est.hex(), stats.mean_block_len.hex(), stats.n_blocks) == (
+            "0x1.8c5b29527046cp-1", "0x1.ff390a886a83dp+1", 25034)
+        got = standard_bound(100, ShearParams.infer(5.0, 5.0), mode="sampled", n_samples=1001,
+                             seed=12)
+        assert got.hex() == "0x1.1323dd4bd84b6p+0"
+
+    @pytest.mark.filterwarnings("ignore:effective sample size")
+    @pytest.mark.parametrize("seed", [0, 3, 2**33])
+    @pytest.mark.parametrize("n_steps,n_ensembles", [(900, 1), (5000, 9),
+                                                     (2 * (1 << 16) + 10, 2)])
+    def test_estimators_match_reference_coins(self, monkeypatch, seed, n_steps, n_ensembles):
+        cfg = McConfig(n_steps, n_ensembles, seed=seed)
+
+        def run():
+            return (lyapunov_mc(OPP33, cfg), gle_mc(1.0, POS11, cfg, traj_len_cap=None),
+                    gle_mc(-1.0, POS11, cfg), block_oracle(POS11, cfg),
+                    standard_bound(40, POS11, mode="sampled", n_samples=n_ensembles + 6,
+                                   seed=seed))
+
+        got = run()
+        monkeypatch.setattr(montecarlo, "_coins", reference_coins)
+        assert got == run()
 
 
 class TestLyapunovMc:
@@ -214,6 +344,8 @@ class TestLyapunovMc:
             McConfig(n_steps=10, n_ensembles=4, renorm_every=11)
         with pytest.raises(DomainError):
             McConfig(n_steps=3, n_ensembles=4)
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            McConfig(n_steps=10, n_ensembles=4, seed=-1)
 
 
 class TestGleMc:
@@ -298,6 +430,22 @@ class TestStandardBound:
     def test_sampled_rejects_no_samples(self, n_samples):
         with pytest.raises(DomainError, match="n_samples"):
             standard_bound(8, POS11, mode="sampled", n_samples=n_samples)
+
+    def test_sampled_rejects_negative_seed(self):
+        with pytest.raises(DomainError, match="seed must be non-negative"):
+            standard_bound(8, POS11, mode="sampled", n_samples=10, seed=-1)
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (5.0, 5.0), (-3.0, 3.0)])
+    @pytest.mark.parametrize("k,slice_", [(1, None), (2, None), (12, 1000), (12, 7),
+                                          (17, None)])
+    def test_exhaustive_matches_unsliced_formulation(self, monkeypatch, alpha, beta, k,
+                                                     slice_):
+        # 2^17 products span two default slices; small slices leave partial ones
+        if slice_ is not None:
+            monkeypatch.setattr(montecarlo, "_SLICE_MATRICES", slice_)
+            monkeypatch.setattr(linalg, "_NORM_SLICE", slice_)
+        params = ShearParams.infer(alpha, beta)
+        assert standard_bound(k, params) == reference_exhaustive_bound(k, params)
 
     def test_sampled_deterministic(self):
         a = standard_bound(64, POS11, mode="sampled", n_samples=500, seed=17)
