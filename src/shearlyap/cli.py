@@ -533,11 +533,13 @@ def standard_bound_cmd(cfg, k, alpha, beta, mode, samples, seed):
     value = standard_bound(k, ShearParams.infer(alpha, beta), mode=mode, n_samples=samples,
                            seed=seed)
     n_samples = samples if mode == "sampled" else 2**k
+    # exhaustive builds the 2^j products of each length j = 1..k, one application each
+    n_apps = k * samples if mode == "sampled" else 2 ** (k + 1) - 2
     payload = {"alpha": alpha, "beta": beta, "k": k, "mode": mode,
-               "n_samples": n_samples, "value": value}
+               "n_samples": n_samples, "n_apps": n_apps, "value": value}
     text = (
         f"standard bound E_{k}  alpha={alpha:g} beta={beta:g}"
-        f" ({mode}, {n_samples} products)\n"
+        f" ({mode}, {n_samples} products, {n_apps} applications run)\n"
         f"  E_k = {value:.8f}"
     )
     return Result("standard_bound", payload, list(payload), cfg, text=text,

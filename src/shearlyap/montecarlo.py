@@ -13,7 +13,11 @@ ensembles run serially or in parallel.
 Every random product goes through one kernel, ``_pairwise_product``: the
 textbook one-vector Lyapunov estimator (a fair coin picks the shear of each
 step), the block oracle and sampled E_k all multiply their step matrices
-pairwise in about log2(length) vectorized levels.  The moment estimator
+pairwise in about log2(length) vectorized levels.  Products are held as
+four entry arrays, p11, p12, p21 and p22, one element per product.
+Exhaustive E_k uses the same layout: one (4, 2^k) array is doubled in place
+at each level, B P into the upper half and then A P over the lower half,
+which reproduces a 2x2 matrix product bit for bit.  The moment estimator
 for l(q) is honest about its known weakness; the q-th moment is dominated
 by exponentially rare trajectories, so the estimate is biased low once
 q * (spread of log growth) becomes large compared to log(ensemble size).
@@ -42,7 +46,7 @@ _COIN_RAW_BUDGET = 1 << 16  # raw Philox words per tile of _coins
 _EXHAUSTIVE_MAX_K = 22
 _GLE_TRAJ_CAP = 200
 _PAIRWISE_BUDGET = 1 << 16  # step-matrix elements per sub-chunk of _pairwise_product
-_SLICE_MATRICES = 1 << 16  # 2x2 matrices per slice of exhaustive standard_bound's reductions
+_SLICE_MATRICES = 1 << 16  # products per slice of exhaustive standard_bound's in-place levels
 _UNSCALED_MAX = 1e150  # 2 * _UNSCALED_MAX**2 does not overflow
 
 
@@ -231,6 +235,16 @@ def _pairwise_product(steps, n: int, width: int, bound: float):
     return total, log_scale
 
 
+def _mean_log_norm(p: np.ndarray, logacc: np.ndarray, k: int) -> float:
+    """Mean over the columns j of (log |P_j|_2 + logacc_j) / k, where the rows of the
+    (4, n) array p are the entries p11, p12, p21, p22 of the products P_j."""
+    vals = spectral_norm_batch(p.T.reshape(-1, 2, 2))  # a view: row j of p.T is P_j
+    np.log(vals, out=vals)
+    vals += logacc
+    vals /= k
+    return float(vals.mean())
+
+
 def _shear_steps(params: ShearParams, coins: np.ndarray):
     """Step entries: A = [[1, 0], [alpha, 1]] where a coin is 1, else B = [[1, beta], [0, 1]]."""
     one = np.broadcast_to(1.0, coins.shape)
@@ -333,8 +347,13 @@ def standard_bound(
 
     "exhaustive" averages over all 2^k products of length k (k <= 22 cost
     guard); "sampled" draws n_samples uniform products from a non-negative
-    seed.  E_k decreases to the Lyapunov exponent as k grows.
+    seed.  E_k decreases to the Lyapunov exponent as k grows.  k must be a
+    positive integer; anything else raises DomainError.
     """
+    try:
+        k = operator.index(k)
+    except TypeError:
+        raise DomainError(f"k must be an integer, got {k!r}") from None
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
     if mode == "exhaustive":
@@ -343,23 +362,33 @@ def standard_bound(
                 f"exhaustive mode enumerates 2^k products; k = {k} exceeds the "
                 f"cost guard {_EXHAUSTIVE_MAX_K} (use mode='sampled')"
             )
-        A = np.array([[1.0, 0.0], [params.alpha, 1.0]])
-        B = np.array([[1.0, params.beta], [0.0, 1.0]])
-        P = np.stack([A, B])
-        logacc = np.zeros(2)
-        for _ in range(k - 1):
-            n = len(P)
-            nxt = np.empty((2 * n, 2, 2))  # A P then B P, each written in place
-            np.einsum("ij,njk->nik", A, P, out=nxt[:n])
-            np.einsum("ij,njk->nik", B, P, out=nxt[n:])
-            P = nxt
-            mu = np.empty(2 * n)
-            for lo in range(0, 2 * n, _SLICE_MATRICES):  # np.abs of all of P would copy it
-                mu[lo:lo + _SLICE_MATRICES] = np.abs(P[lo:lo + _SLICE_MATRICES]).max(axis=(1, 2))
-            P /= mu[:, None, None]
-            logacc = np.concatenate([logacc, logacc]) + np.log(mu)
-        vals = (np.log(spectral_norm_batch(P)) + logacc) / k
-        return float(vals.mean())
+        S = _SLICE_MATRICES
+        p = np.empty((4, 1 << k))  # rows p11, p12, p21, p22; column j is one product
+        p[:, :2] = [[1.0, 1.0], [0.0, params.beta], [params.alpha, 0.0], [1.0, 1.0]]  # A, B
+        logacc = np.zeros(1 << k)
+        tmp, mu = np.empty((2, min(S, 1 << k))), np.empty(min(S, 1 << k))
+        for level in range(1, k):
+            n = 1 << level
+            for lo in range(0, n, S):  # B P into the upper half, then A P in place
+                hi = min(lo + S, n)
+                low, up, t = p[:, lo:hi], p[:, n + lo:n + hi], tmp[:, :hi - lo]
+                up[2:] = low[2:]
+                np.multiply(params.beta, low[2:], out=t)
+                np.add(low[:2], t, out=up[:2])
+                np.multiply(params.alpha, low[:2], out=t)
+                np.add(low[2:], t, out=low[2:])
+            logacc[n:2 * n] = logacc[:n]
+            for lo in range(0, 2 * n, S):  # divide each product by its largest entry
+                hi = min(lo + S, 2 * n)
+                q, t, m = p[:, lo:hi], tmp[:, :hi - lo], mu[:hi - lo]
+                np.abs(q[:2], out=t)
+                np.maximum(t[0], t[1], out=m)
+                np.abs(q[2:], out=t)
+                np.maximum(t[0], t[1], out=t[0])
+                np.maximum(m, t[0], out=m)
+                q /= m
+                logacc[lo:hi] += np.log(m, out=m)
+        return _mean_log_norm(p, logacc, k)
 
     if mode != "sampled":
         raise DomainError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
@@ -373,8 +402,7 @@ def standard_bound(
         return _shear_steps(params, coins.reshape(hi - lo, n_samples))
 
     prod, logacc = _pairwise_product(steps, k, n_samples, _shear_bound(params))
-    P = np.stack(prod, axis=-1).reshape(-1, 2, 2)
-    return float(((np.log(spectral_norm_batch(P)) + logacc) / k).mean())
+    return _mean_log_norm(np.stack(prod), logacc, k)
 
 
 def _run_lengths(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

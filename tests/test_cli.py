@@ -357,12 +357,26 @@ class TestSmallCommands:
         assert rec["payload"]["upper"] == pytest.approx(math.log(27) / 4, abs=1e-12)
 
     def test_standard_bound_exhaustive(self, runner):
-        rec = run_json(
-            runner, ["standard-bound", "--k", "4", "--alpha", "1", "--beta", "1"]
-        )
+        args = ["standard-bound", "--k", "4", "--alpha", "1", "--beta", "1"]
+        rec = run_json(runner, args)
         assert rec["payload"]["n_samples"] == 16
         assert rec["metadata"]["seed"] is None
         assert rec["payload"]["value"] > 0.39625
+        # 2 + 4 + 8 + 16 products of lengths 1..4, one application each
+        assert rec["payload"]["n_apps"] == 30
+        row, = parse_csv(runner.invoke(main, args + ["--format", "csv"]).output)
+        assert (row["n_samples"], row["n_apps"]) == ("16", "30")
+        assert "(exhaustive, 16 products, 30 applications run)" in runner.invoke(main, args).output
+
+    def test_standard_bound_sampled_counts_applications(self, runner):
+        args = ["standard-bound", "--k", "8", "--alpha", "1", "--beta", "1",
+                "--mode", "sampled", "--samples", "300", "--seed", "4"]
+        rec = run_json(runner, args)
+        assert (rec["payload"]["n_samples"], rec["payload"]["n_apps"]) == (300, 2400)
+        assert rec["metadata"]["seed"] == 4
+        row, = parse_csv(runner.invoke(main, args + ["--format", "csv"]).output)
+        assert (row["n_samples"], row["n_apps"]) == ("300", "2400")
+        assert "(sampled, 300 products, 2400 applications run)" in runner.invoke(main, args).output
 
     def test_standard_bound_guard(self, runner):
         result = runner.invoke(
@@ -466,7 +480,7 @@ ONE_MODEL_CASES = [
     (["entropy", "--alpha", "2", "--beta", "3"], ["alpha", "beta", "lower", "upper"],
      lambda p: [p]),
     (["standard-bound", "--k", "6", "--alpha", "1", "--beta", "1"],
-     ["alpha", "beta", "k", "mode", "n_samples", "value"], lambda p: [p]),
+     ["alpha", "beta", "k", "mode", "n_samples", "n_apps", "value"], lambda p: [p]),
 ]
 
 

@@ -435,17 +435,30 @@ class TestStandardBound:
         with pytest.raises(DomainError, match="seed must be non-negative"):
             standard_bound(8, POS11, mode="sampled", n_samples=10, seed=-1)
 
-    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (5.0, 5.0), (-3.0, 3.0)])
-    @pytest.mark.parametrize("k,slice_", [(1, None), (2, None), (12, 1000), (12, 7),
-                                          (17, None)])
+    @pytest.mark.parametrize("k,slice_,alpha,beta", [
+        (k, slice_, alpha, beta)
+        for k, slice_ in [(1, None), (2, None), (12, 1000), (12, 7), (17, None), (3, 3), (13, 3)]
+        for alpha, beta in [(1.0, 1.0), (5.0, 5.0), (-3.0, 3.0)]
+    ] + [(20, None, 1.0, 1.0)])
     def test_exhaustive_matches_unsliced_formulation(self, monkeypatch, alpha, beta, k,
                                                      slice_):
-        # 2^17 products span two default slices; small slices leave partial ones
+        # 2^17 products span two default slices; small slices leave partial ones, and
+        # slices of 3 straddle the boundary between a level's two halves; k = 20 is the
+        # largest k the benchmark runs
         if slice_ is not None:
             monkeypatch.setattr(montecarlo, "_SLICE_MATRICES", slice_)
             monkeypatch.setattr(linalg, "_NORM_SLICE", slice_)
         params = ShearParams.infer(alpha, beta)
         assert standard_bound(k, params) == reference_exhaustive_bound(k, params)
+
+    @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
+    @pytest.mark.parametrize("k", [2.5, 3.0, "3"])
+    def test_non_integer_k_raises(self, mode, k):
+        with pytest.raises(DomainError, match="k must be an integer"):
+            standard_bound(k, POS11, mode=mode, n_samples=10)
+
+    def test_numpy_integer_k(self):
+        assert standard_bound(np.int64(5), POS11) == standard_bound(5, POS11)
 
     def test_sampled_deterministic(self):
         a = standard_bound(64, POS11, mode="sampled", n_samples=500, seed=17)
