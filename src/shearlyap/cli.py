@@ -159,28 +159,31 @@ def _emit(result: Result, fmt: str, output: str | None) -> None:
     _write_output(text, output)
 
 
+def _finite(value: float, what: str) -> float:
+    if not math.isfinite(value):
+        raise DomainError(f"{what} must be finite, got {value}")
+    return value
+
+
 def parse_range(spec: str) -> list[float]:
     """Parse 'start:stop:step' (endpoints inclusive within half a step) or a single value."""
     parts = spec.split(":")
-    if len(parts) == 1:
-        return [float(spec)]
-    if len(parts) != 3:
+    if len(parts) not in (1, 3):
         raise DomainError(f"range must be a value or start:stop:step, got {spec!r}")
     try:
-        start, stop, step = (float(p) for p in parts)
+        values = [float(p) for p in parts]
     except ValueError as exc:
         raise DomainError(f"bad range {spec!r}: {exc}") from None
+    values = [_finite(v, f"range {spec!r}") for v in values]
+    if len(values) == 1:
+        return values
+    start, stop, step = values
     if step == 0.0 or (stop - start) * step < 0.0:
         raise DomainError(f"range {spec!r} cannot reach its endpoint")
     direction = math.copysign(1.0, step)
     out: list[float] = []
-    i = 0
-    while True:
-        v = start + i * step
-        if (v - stop) * direction > abs(step) / 2.0:
-            break
+    while ((v := start + len(out) * step) - stop) * direction <= abs(step) / 2.0:
         out.append(round(v, 12))
-        i += 1
     return out
 
 
@@ -335,10 +338,11 @@ def table1(cfg, run_mc, steps, ensembles, seed):
                      "mc_reference": MC_REFERENCE_LAMBDA}
     lines += ["", f"  reference estimate: {MC_REFERENCE_LAMBDA}"]
     if run_mc:
-        est = lyapunov_mc(params, McConfig(int(steps), ensembles, seed))
+        steps = int(_finite(steps, "--steps"))
+        est = lyapunov_mc(params, McConfig(steps, ensembles, seed))
         payload["mc_estimate"] = {
             "mean": est.mean, "std_error": est.std_error, "n_samples": est.n_samples,
-            "n_steps": int(steps), "n_apps": est.n_apps,
+            "n_steps": steps, "n_apps": est.n_apps,
         }
         lines.append(f"  recomputed estimate: {est.mean:.5f} +- {est.std_error:.1e}"
                      f" ({est.n_apps:.0e} applications)")
@@ -381,6 +385,7 @@ def sweep(cfg, mode, alpha, beta, q_range, family, include_mc, steps, ensembles,
           standard_k, standard_samples):
     """Curve datasets: bounds, errors and envelopes vs alpha, or bounds vs q."""
     families = list(BoundFamily) if family == "both" else [BoundFamily(family)]
+    steps = int(_finite(steps, "--steps"))
     uses_rng = include_mc or mode == "errors" or standard_k is not None
     rows: list[dict] = []
 
@@ -421,7 +426,7 @@ def sweep(cfg, mode, alpha, beta, q_range, family, include_mc, steps, ensembles,
                     point.append({**keys, "norm": "linf", "family": "closed_form",
                                   "side": side, "value": value})
             if include_mc:
-                est = lyapunov_mc(params, McConfig(int(steps), ensembles, seed))
+                est = lyapunov_mc(params, McConfig(steps, ensembles, seed))
                 if mode != "errors":
                     point.append({**keys, "norm": "", "family": "mc", "side": "estimate",
                                   "value": est.mean, "std_error": est.std_error})
@@ -459,7 +464,8 @@ def sweep(cfg, mode, alpha, beta, q_range, family, include_mc, steps, ensembles,
 def mc(cfg, alpha, beta, q, steps, ensembles, seed, renorm_every):
     """Monte Carlo estimate of the Lyapunov or moment exponent."""
     params = ShearParams.infer(alpha, beta)
-    mc_cfg = McConfig(int(steps), ensembles, seed, renorm_every)
+    steps = int(_finite(steps, "--steps"))
+    mc_cfg = McConfig(steps, ensembles, seed, renorm_every)
     if q is None:
         est = lyapunov_mc(params, mc_cfg)
     else:
@@ -468,7 +474,7 @@ def mc(cfg, alpha, beta, q, steps, ensembles, seed, renorm_every):
         "alpha": alpha, "beta": beta, "q": q,
         "estimator": "lyapunov" if q is None else "gle",
         "mean": est.mean, "std_error": est.std_error, "n_samples": est.n_samples,
-        "n_steps": int(steps), "n_apps": est.n_apps, "n_ensembles": ensembles,
+        "n_steps": steps, "n_apps": est.n_apps, "n_ensembles": ensembles,
         "renorm_every": renorm_every,
         "rng": RNG_ALGORITHM,
     }
@@ -478,7 +484,7 @@ def mc(cfg, alpha, beta, q, steps, ensembles, seed, renorm_every):
         f"  mean      {est.mean:.6f}\n"
         f"  std error {est.std_error:.2e}\n"
         f"  ensembles {est.n_samples}, applications run {est.n_apps:.3g} "
-        f"of {int(steps):.3g} requested, seed {seed}"
+        f"of {steps:.3g} requested, seed {seed}"
     )
     columns = ["alpha", "beta", "q", "estimator", "mean", "std_error",
                "n_samples", "n_steps", "n_apps"]

@@ -35,6 +35,7 @@ two improved bounds can cross.  The global family is ordered for every q.
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from dataclasses import dataclass
 
@@ -45,7 +46,7 @@ from .linalg import DomainError, NormKind, Regime, ShearParams
 from .series import (
     DEFAULT_SERIES,
     SeriesConfig,
-    _grid_blocks,
+    _grid,
     expect_block,
     expect_block_exact_poly,
     kappa,
@@ -66,9 +67,6 @@ __all__ = [
     "entropy_bounds",
     "gle_curve",
 ]
-
-_ALL_NORMS = (NormKind.L1, NormKind.L2, NormKind.LINF)
-
 
 class BoundFamily(enum.Enum):
     GLOBAL = "global"
@@ -130,29 +128,21 @@ def _function_family(family: BoundFamily, regime: Regime) -> FunctionFamily:
 class _GridCache:
     """Bound-function grids of the latest parameter point, filled lazily.
 
-    A grid holds one bound function's values on 1..limit x 1..limit.  It
-    does not depend on q, so every moment order at that point reuses it.
-    Table entries that wrap one function (the plain functions shared by
-    several cases or by both families) are the same code over the same
-    captured values, and map to one grid.
-
-    Only one point is held.  The next point of the same size overwrites its
-    buffers: freeing each point's grids and allocating the next point's
-    would page-fault them in again at every point of a sweep.  A grid is
-    therefore valid until the parameter point changes.
+    A grid is one call of a bound function on the series layer's grid
+    1..limit x 1..limit.  It does not depend on q, so every moment order at
+    that point reuses it.  Table entries that wrap one function (the plain
+    functions shared by several cases or by both families) are the same code
+    over the same captured values, and map to one grid.
     """
 
     def __init__(self):
         self.point = None
         self.grids: dict = {}        # (family, norm, side, case) -> grid
         self.by_function: dict = {}  # evaluator code and captured values -> grid
-        self.buffers: list[np.ndarray] = []
 
     def grid(self, ff: FunctionFamily, norm: NormKind, side: Side, case: tuple,
              params: ShearParams, limit: int) -> np.ndarray:
         if self.point != (params, limit):
-            if self.buffers and self.buffers[0].shape != (limit, limit):
-                self.buffers = []
             self.point, self.grids, self.by_function = (params, limit), {}, {}
         key = (ff, norm, side, case)
         grid = self.grids.get(key)
@@ -161,12 +151,8 @@ class _GridCache:
             shared = (fn.__code__, *(c.cell_contents for c in fn.__closure__ or ()))
             grid = self.by_function.get(shared)
             if grid is None:
-                if len(self.by_function) == len(self.buffers):
-                    self.buffers.append(np.empty((limit, limit)))
-                buf = self.buffers[len(self.by_function)]
-                for rows, aa, bb, _ in _grid_blocks(limit):
-                    buf[rows] = fn(aa, bb)
-                grid = self.by_function[shared] = buf.view()
+                aa, bb, _ = _grid(limit)
+                grid = self.by_function[shared] = fn(aa, bb)
                 grid.flags.writeable = False
             self.grids[key] = grid
         return grid
@@ -175,36 +161,15 @@ class _GridCache:
 _GRIDS = _GridCache()
 
 
-def _case_mean_table(ff: FunctionFamily, norm: NormKind, side: Side, params: ShearParams,
-                     limit: int, q) -> np.ndarray:
-    """Case mean of the bound functions (of their q-th powers, or the log of
-    the mean when q is None) on 1..limit x 1..limit, from the cached grids.
-
-    Each distinct grid is raised to q once, and cases are added in table
-    order as pointwise evaluation would, so the values are the same doubles.
-    """
-    grids = [_GRIDS.grid(ff, norm, side, c, params, limit) for c in cases_for(ff, side)]
-    n = len(grids)
-    distinct = {id(g): g for g in grids}.values()
-    out = np.empty((limit, limit))
-    # f^q overflows to inf at large |q|; the series layer reports that sum
-    with np.errstate(over="ignore"):
-        for rows, *_ in _grid_blocks(limit):
-            vals = {id(g): g[rows] if q is None else g[rows] ** q for g in distinct}
-            total = vals[id(grids[0])]
-            for g in grids[1:]:
-                total = total + vals[id(g)]
-            out[rows] = np.log(total / n) if q is None else total / n
-    return out
-
-
 def _case_mean(ff: FunctionFamily, norm: NormKind, side: Side, params: ShearParams,
                cfg: SeriesConfig, q=None):
-    """Integrand over (a, b): case-averaged bound function, optionally q-powered.
+    """Integrand over (a, b): case mean of the bound functions (of their q-th
+    powers, or the log of the mean when q is None).
 
-    On its first call it tabulates the case mean over the doubling grid
-    1..2N x 1..2N (N = cfg.max_index) and then serves the grid blocks of
-    both truncated sums as views of that table; the N-sum reads its corner.
+    Its first call tabulates the mean on the doubling grid 1..2N x 1..2N
+    (N = cfg.max_index) from the cached grids, raising each distinct grid to
+    q once and adding the cases in table order as pointwise evaluation
+    would; each call returns the table's corner of the shape of a.
     """
     limit = 2 * cfg.max_index
     table = None
@@ -212,14 +177,40 @@ def _case_mean(ff: FunctionFamily, norm: NormKind, side: Side, params: ShearPara
     def f(a, b):
         nonlocal table
         if table is None:
-            table = _case_mean_table(ff, norm, side, params, limit, q)
-        lo = int(a[0, 0]) - 1
-        view = table[lo:lo + a.shape[0], :a.shape[1]]
-        if view.shape != a.shape:
-            raise IndexError(f"block {a.shape} at row {lo + 1} lies outside the "
-                             f"{limit}x{limit} integrand table")
-        return view
+            grids = [_GRIDS.grid(ff, norm, side, c, params, limit) for c in cases_for(ff, side)]
+            n = len(grids)
+            # f^q overflows to inf at large |q|; the series layer reports that sum
+            with np.errstate(over="ignore"):
+                distinct = {id(g): g for g in grids}.values()
+                vals = {id(g): g if q is None else g ** q for g in distinct}
+                total = functools.reduce(np.add, (vals[id(g)] for g in grids))
+                table = np.log(total / n) if q is None else total / n
+        return table[:a.shape[0], :a.shape[1]]
     return f
+
+
+def _report(params: ShearParams, family: BoundFamily, cfg: SeriesConfig,
+            q: float | None = None) -> BoundReport:
+    """Per-norm values and envelope: the Lyapunov bounds when q is None, else
+    (1/4) log of the q-moment sums, whose lower values come from the
+    upper-bound functions when q < 0."""
+    ff = _function_family(family, params.regime)
+
+    def values(side: Side) -> dict[NormKind, float]:
+        out = {}
+        for norm in norms_for(ff, side):
+            s = expect_block(_case_mean(ff, norm, side, params, cfg, q), cfg)
+            out[norm] = (s if q is None else math.log(s)) / 4.0
+        return out
+
+    swap = q is not None and q < 0
+    lowers = values(Side.UPPER if swap else Side.LOWER)
+    uppers = values(Side.LOWER if swap else Side.UPPER)
+    # a norm can miss one side (improved opposed provides upper functions
+    # only for L-infinity); the envelope ranges over the available values
+    per_norm = {norm: NormBounds(lowers.get(norm), uppers.get(norm)) for norm in NormKind}
+    env = Bounds(max(lowers.values()), min(uppers.values()))
+    return BoundReport("lyapunov" if q is None else "gle", family, q, per_norm, env)
 
 
 def lyapunov_bounds(
@@ -228,20 +219,7 @@ def lyapunov_bounds(
     cfg: SeriesConfig = DEFAULT_SERIES,
 ) -> BoundReport:
     """Per-norm and envelope bounds on the Lyapunov exponent (lambda scale)."""
-    ff = _function_family(family, params.regime)
-    upper_norms = set(norms_for(ff, Side.UPPER))
-    per_norm: dict[NormKind, NormBounds] = {}
-    for norm in _ALL_NORMS:
-        lo = expect_block(_case_mean(ff, norm, Side.LOWER, params, cfg), cfg) / 4.0
-        up = None
-        if norm in upper_norms:
-            up = expect_block(_case_mean(ff, norm, Side.UPPER, params, cfg), cfg) / 4.0
-        per_norm[norm] = NormBounds(lo, up)
-    env = Bounds(
-        max(nb.lower for nb in per_norm.values()),
-        min(nb.upper for nb in per_norm.values() if nb.upper is not None),
-    )
-    return BoundReport("lyapunov", family, None, per_norm, env)
+    return _report(params, family, cfg)
 
 
 def closed_form_bounds(params: ShearParams) -> Bounds:
@@ -260,21 +238,6 @@ def closed_form_bounds(params: ShearParams) -> Bounds:
     return Bounds(lower, upper)
 
 
-def _gle_side_values(
-    q: float,
-    params: ShearParams,
-    ff: FunctionFamily,
-    side_functions: Side,
-    cfg: SeriesConfig,
-) -> dict[NormKind, float]:
-    """log of the q-moment sum, per norm, for one side's function family."""
-    out = {}
-    for norm in norms_for(ff, side_functions):
-        s = expect_block(_case_mean(ff, norm, side_functions, params, cfg, q), cfg)
-        out[norm] = math.log(s) / 4.0
-    return out
-
-
 def gle_bounds_report(
     q: float,
     params: ShearParams,
@@ -283,18 +246,7 @@ def gle_bounds_report(
 ) -> BoundReport:
     """Per-norm and envelope values of (1/4) log of the block-scale q-moment sum
     (not an enclosure of l(q) for q != 0; see the module docstring)."""
-    ff = _function_family(family, params.regime)
-    lower_fns = Side.LOWER if q >= 0 else Side.UPPER
-    upper_fns = Side.UPPER if q >= 0 else Side.LOWER
-    lowers = _gle_side_values(q, params, ff, lower_fns, cfg)
-    uppers = _gle_side_values(q, params, ff, upper_fns, cfg)
-    # a norm can miss one side (improved opposed provides upper functions
-    # only for L-infinity); the envelope ranges over the available values
-    per_norm = {
-        norm: NormBounds(lowers.get(norm), uppers.get(norm)) for norm in _ALL_NORMS
-    }
-    env = Bounds(max(lowers.values()), min(uppers.values()))
-    return BoundReport("gle", family, q, per_norm, env)
+    return _report(params, family, cfg, q)
 
 
 def gle_bounds(

@@ -44,6 +44,7 @@ RNG_ALGORITHM = "philox4x64 (numpy), stream keyed by (seed, ensemble index)"
 _COIN_CHUNK = 1 << 16
 _COIN_RAW_BUDGET = 1 << 16  # raw Philox words per tile of _coins
 _EXHAUSTIVE_MAX_K = 22
+_GLE_BOOTSTRAP = 200  # resamples behind gle_mc's standard error
 _GLE_TRAJ_CAP = 200
 _PAIRWISE_BUDGET = 1 << 16  # step-matrix elements per sub-chunk of _pairwise_product
 _SLICE_MATRICES = 1 << 16  # products per slice of exhaustive standard_bound's in-place levels
@@ -296,7 +297,6 @@ def gle_mc(
     params: ShearParams,
     cfg: McConfig,
     traj_len_cap: int | None = _GLE_TRAJ_CAP,
-    n_bootstrap: int = 200,
 ) -> McEstimate:
     """Moment growth rate  (1/N) log E |X_N|^q  from an ensemble of trajectories.
 
@@ -331,7 +331,7 @@ def gle_mc(
         )
     boot_rng = _rng(cfg.seed, 1 << 30)
     E = cfg.n_ensembles
-    reps = [combine(w[boot_rng.integers(0, E, size=E)]) for _ in range(n_bootstrap)]
+    reps = [combine(w[boot_rng.integers(0, E, size=E)]) for _ in range(_GLE_BOOTSTRAP)]
     return McEstimate(mean=est, std_error=float(np.std(reps, ddof=1)), n_samples=E,
                       n_apps=E * traj_len)
 

@@ -2,15 +2,16 @@
 
 Block run lengths (a, b) are i.i.d. geometric with weight 2^-(a+b), so
 every quantity of interest is a double series  sum 2^-(a+b) f(a, b).
-Truncated sums are exact: the terms are split into integer pieces (an
-integer part by np.trunc, and a fraction by a subtraction that does not
-round) binned by binary exponent, whose per-bin sums involve no rounding,
-and only the few hundred bin totals are rounded together by math.fsum.
-The result is the correctly rounded exact sum, the same double math.fsum
-returns for the terms themselves, whatever their order.  Sums are checked
-by doubling the truncation index.  Moments of the form
-sum 2^-a a^n  are integers and are computed exactly by recurrence, which
-gives exact values for integer-q moment expansions.
+A truncated sum calls a vectorized f once, on the whole grid, and is
+exact: the terms are split into integer pieces (an integer part by
+np.trunc, and a fraction by a subtraction that does not round) binned by
+binary exponent, whose per-bin sums involve no rounding, and only the few
+hundred bin totals are rounded together by math.fsum.  The result is the
+correctly rounded exact sum, the same double math.fsum returns for the
+terms themselves, whatever their order.  Sums are checked by doubling the
+truncation index.  Moments of the form  sum 2^-a a^n  are integers and
+are computed exactly by recurrence, which gives exact values for
+integer-q moment expansions.
 
 The 2^-(a+b) weights encode a fair coin.  A biased coin (probability p of
 the lower shear) would weight blocks by p^a q^b with mean block length
@@ -44,7 +45,6 @@ __all__ = [
 ]
 
 _POLYLOG_MAX = 12
-_BLOCK_ROWS = 16  # grid rows per call of a vectorized integrand
 _SUM_CHUNK = 4096  # terms binned per numpy pass: temporaries stay at 32 KB
 _SUM_BLOCK = 1 << 25  # terms per set of bins: each bin stays below 2^52
 _SUM_EMAX = 900  # binned exponents; rescaled bin totals then stay normal and finite
@@ -88,18 +88,15 @@ DEFAULT_SERIES = SeriesConfig()
 
 
 @functools.lru_cache(maxsize=2)  # the doubling check sums at two sizes
-def _grid_blocks(limit: int) -> list[tuple[slice, np.ndarray, np.ndarray, np.ndarray]]:
-    """(rows, a, b, 2^-(a+b)) for each block of _BLOCK_ROWS rows of the grid
-    1..limit x 1..limit; read-only, shared by every sum of that size."""
+def _grid(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(a, b, 2^-(a+b)) on the grid 1..limit x 1..limit; read-only, shared by
+    every sum of that size."""
     idx = np.arange(1, limit + 1, dtype=np.float64)
-    blocks = []
-    for lo in range(0, limit, _BLOCK_ROWS):
-        aa, bb = np.meshgrid(idx[lo:lo + _BLOCK_ROWS], idx, indexing="ij")
-        weights = np.exp2(-(aa + bb))
-        for x in (aa, bb, weights):
-            x.flags.writeable = False
-        blocks.append((slice(lo, lo + _BLOCK_ROWS), aa, bb, weights))
-    return blocks
+    aa, bb = np.meshgrid(idx, idx, indexing="ij")
+    weights = np.exp2(-(aa + bb))
+    for x in (aa, bb, weights):
+        x.flags.writeable = False
+    return aa, bb, weights
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -171,27 +168,12 @@ def _exact_sum(terms: np.ndarray) -> float:
 def truncated_sum(f: Callable, limit: int) -> float:
     """sum_{a,b=1}^{limit} 2^-(a+b) f(a, b), summed exactly.
 
-    The result is the correctly rounded sum of the weighted terms, equal
-    bit for bit to math.fsum over them (see _exact_sum), so it does not
-    depend on the order of the terms or on how the grid is split.
-
-    f may be vectorized over numpy arrays; scalar-only callables are
-    evaluated pointwise.  Vectorized f sees _BLOCK_ROWS rows of the grid
-    at a time: its temporaries then stay small enough for the allocator to
-    reuse from one call to the next, instead of returning whole-grid
-    buffers to the system and page-faulting them in again.
+    f is called once, on the limit x limit arrays of a and b.  The result is
+    the correctly rounded sum of the weighted terms, equal bit for bit to
+    math.fsum over them (see _exact_sum), whatever their order.
     """
-    terms = np.empty((limit, limit))
-    for rows, aa, bb, weights in _grid_blocks(limit):
-        try:
-            vals = np.asarray(f(aa, bb), dtype=np.float64)
-            if vals.shape != aa.shape:
-                raise TypeError
-        except (TypeError, ValueError):
-            vals = np.array([[float(f(float(a), float(b))) for a, b in zip(ra, rb)]
-                             for ra, rb in zip(aa, bb)])
-        np.multiply(weights, vals, out=terms[rows])
-    return _exact_sum(terms)
+    aa, bb, weights = _grid(limit)
+    return _exact_sum(weights * f(aa, bb))
 
 
 def expect_block_report(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:

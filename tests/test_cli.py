@@ -2,10 +2,16 @@ import csv
 import io
 import json
 import math
+import os
+import signal
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
 
+import shearlyap
 from shearlyap import RNG_ALGORITHM
 from shearlyap.cli import main, parse_range
 
@@ -13,6 +19,20 @@ from shearlyap.cli import main, parse_range
 @pytest.fixture()
 def runner():
     return CliRunner()
+
+
+@pytest.fixture()
+def deadline():
+    """Fail the test after 10 s instead of hanging the suite: a NaN range once
+    grew its list until the process was killed."""
+    def hang(signum, frame):
+        raise TimeoutError("no result within 10 s")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(10)
+    yield
+    signal.alarm(0)
+    signal.signal(signal.SIGALRM, previous)
 
 
 def run_json(runner, args, **kwargs):
@@ -42,6 +62,14 @@ class TestParseRange:
             parse_range("1:2:-0.5")
         with pytest.raises(DomainError):
             parse_range("1:2")
+
+    @pytest.mark.parametrize("spec", ["nan", "inf", "0:1:nan", "nan:1:1", "1:nan:1",
+                                      "1:inf:1", "-inf:0:1"])
+    def test_rejects_non_finite(self, deadline, spec):
+        from shearlyap import DomainError
+
+        with pytest.raises(DomainError, match="must be finite"):
+            parse_range(spec)
 
 
 class TestBoundsCommand:
@@ -216,6 +244,16 @@ class TestSweepCommand:
         )
         assert result.exit_code == 2
 
+    @pytest.mark.parametrize("args", [
+        ["--mode", "gle", "--q", "0:1:nan"],
+        ["--mode", "gle", "--q", "nan"],
+        ["--mode", "lyap-bounds", "--alpha", "1:nan:1"],
+    ])
+    def test_non_finite_range_exit_2(self, runner, deadline, args):
+        result = runner.invoke(main, ["sweep", *args])
+        assert result.exit_code == 2, result.output
+        assert "must be finite" in result.output
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_standard_k_must_be_positive(self, runner, k):
         result = runner.invoke(
@@ -339,6 +377,19 @@ class TestMcCommand:
         result = runner.invoke(main, args + ["--seed", "-1"])
         assert result.exit_code == 2
         assert "error: seed must be non-negative, got -1" in result.output
+
+
+    @pytest.mark.parametrize("steps", ["nan", "inf"])
+    @pytest.mark.parametrize("args", [
+        ["mc", "--alpha", "1", "--beta", "1"],
+        ["table1", "--mc"],
+        ["sweep", "--mode", "lyap-bounds", "--alpha", "1", "--mc"],
+        ["sweep", "--mode", "errors", "--alpha", "1"],
+    ])
+    def test_non_finite_steps_exit_2(self, runner, args, steps):
+        result = runner.invoke(main, args + ["--steps", steps])
+        assert result.exit_code == 2
+        assert f"error: --steps must be finite, got {steps}" in result.output
 
 
 class TestSmallCommands:
@@ -513,3 +564,15 @@ def test_command_options_unchanged():
                   "steps", "tol"],
         "table1": ["ensembles", "fmt", "output", "run_mc", "seed", "steps"],
     }
+
+
+def test_no_undeclared_imports():
+    # scipy and mpmath are installed but not declared: library code must not load them
+    code = ("import sys, shearlyap, shearlyap.cli; "
+            "print(sorted({m.partition('.')[0] for m in sys.modules} & {'scipy', 'mpmath'}))")
+    src = str(Path(shearlyap.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                         env=env, check=True).stdout
+    assert out.strip() == "[]"

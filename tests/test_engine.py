@@ -1,4 +1,5 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -358,7 +359,7 @@ class TestGridCache:
     @pytest.mark.parametrize("params", [ShearParams.infer(2.0, 3.0), OPP33], ids=["pos", "opp"])
     @pytest.mark.parametrize("family", list(BoundFamily))
     def test_integrand_terms_bit_identical(self, max_index, params, family):
-        # the values the sums see, block by block at both truncations
+        # the values the sums see: the whole grid at both truncations
         cfg = SeriesConfig(max_index=max_index)
         ff = engine._function_family(family, params.regime)
         for side in engine.Side:
@@ -367,18 +368,18 @@ class TestGridCache:
                     cached = engine._case_mean(ff, norm, side, params, cfg, q)
                     pointwise = _pointwise_case_mean(ff, norm, side, params, cfg, q)
                     for limit in (max_index, 2 * max_index):
-                        for _, aa, bb, _ in series._grid_blocks(limit):
-                            assert np.array_equal(cached(aa, bb), pointwise(aa, bb))
+                        aa, bb, _ = series._grid(limit)
+                        assert np.array_equal(cached(aa, bb), pointwise(aa, bb))
 
     def test_holds_one_parameter_point(self):
         p23, p11 = ShearParams.infer(2.0, 3.0), POS11
         lyapunov_bounds(p23, BoundFamily.IMPROVED)
-        n_buffers = len(engine._GRIDS.buffers)
+        held = [weakref.ref(g) for g in engine._GRIDS.by_function.values()]
         gle_bounds_report(2.0, p11)
         cache = engine._GRIDS
         assert cache.point == (p11, 128)
-        # the (1, 1) grids took over the (2, 3) buffers instead of adding new ones
-        assert len(cache.buffers) == max(n_buffers, len(cache.by_function))
+        # the (2, 3) grids were released, not kept beside the (1, 1) ones
+        assert held and all(ref() is None for ref in held)
         aa, bb = np.meshgrid(np.arange(1.0, 129.0), np.arange(1.0, 129.0), indexing="ij")
         for (ff, norm, side, case), grid in cache.grids.items():
             assert np.array_equal(grid, engine.evaluator(ff, norm, side, case, p11)(aa, bb))
@@ -396,9 +397,9 @@ class TestGridCache:
         assert not cased[0].flags.writeable
 
     def test_integrand_serves_only_its_grid(self):
-        f = engine._case_mean(engine.FunctionFamily.GLOBAL, NormKind.L1, engine.Side.LOWER,
-                              POS11, SeriesConfig(max_index=8))
-        idx = np.arange(1.0, 33.0)
-        aa, bb = np.meshgrid(idx[:16], idx, indexing="ij")
-        with pytest.raises(IndexError, match="16x16 integrand table"):
-            f(aa, bb)
+        args = (engine.FunctionFamily.GLOBAL, NormKind.L1, engine.Side.LOWER, POS11,
+                SeriesConfig(max_index=8))
+        f = engine._case_mean(*args)
+        assert series.truncated_sum(f, 16) == series.truncated_sum(_pointwise_case_mean(*args), 16)
+        with pytest.raises(ValueError, match="broadcast"):
+            series.truncated_sum(f, 17)

@@ -128,7 +128,8 @@ def reference_sampled_bound(k, params, n_samples, seed):
 
 def reference_exhaustive_bound(k, params):
     """Exhaustive E_k as computed before its reductions were sliced: each level
-    concatenates both einsum products and takes np.abs of all of them at once."""
+    concatenates both einsum products and takes np.abs of all of them at once.
+    Returns E_k, the (2^k, 2, 2) rescaled products and their log scales."""
     A = np.array([[1.0, 0.0], [params.alpha, 1.0]])
     B = np.array([[1.0, params.beta], [0.0, 1.0]])
     P = np.stack([A, B])
@@ -142,7 +143,7 @@ def reference_exhaustive_bound(k, params):
     g12 = P[:, 0, 0] * P[:, 0, 1] + P[:, 1, 0] * P[:, 1, 1]
     g22 = P[:, 0, 1] ** 2 + P[:, 1, 1] ** 2
     norms = np.sqrt(np.maximum(0.5 * (g11 + g22) + np.hypot(0.5 * (g11 - g22), g12), 0.0))
-    return float(((np.log(norms) + logacc) / k).mean())
+    return float(((np.log(norms) + logacc) / k).mean()), P, logacc
 
 
 def tightest_envelope(params):
@@ -448,8 +449,21 @@ class TestStandardBound:
         if slice_ is not None:
             monkeypatch.setattr(montecarlo, "_SLICE_MATRICES", slice_)
             monkeypatch.setattr(linalg, "_NORM_SLICE", slice_)
+        seen, original = [], montecarlo._mean_log_norm
+
+        def mean_log_norm(p, logacc, k):
+            seen.append((p.T.reshape(-1, 2, 2).copy(), logacc.copy()))
+            return original(p, logacc, k)
+
+        monkeypatch.setattr(montecarlo, "_mean_log_norm", mean_log_norm)
         params = ShearParams.infer(alpha, beta)
-        assert standard_bound(k, params) == reference_exhaustive_bound(k, params)
+        value = standard_bound(k, params)
+        want, products, logacc = reference_exhaustive_bound(k, params)
+        assert value == want
+        # every product and log scale, not only their mean
+        [(got_products, got_logacc)] = seen
+        assert np.array_equal(got_products, products)
+        assert np.array_equal(got_logacc, logacc)
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     @pytest.mark.parametrize("k", [2.5, 3.0, "3"])

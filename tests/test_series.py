@@ -61,10 +61,6 @@ class TestExpectBlock:
     def test_product(self):
         assert expect_block(lambda a, b: a * b) == pytest.approx(4.0, abs=1e-12)
 
-    def test_scalar_only_callable(self):
-        got = expect_block(lambda a, b: float(a) * float(b) if a < 3 else a * b)
-        assert got == pytest.approx(4.0, abs=1e-12)
-
     def test_report_fields(self):
         rep = expect_block_report(lambda a, b: a * b)
         assert rep.truncation == 128
@@ -97,10 +93,6 @@ class TestExpectBlock:
                   lambda a, b: np.sqrt((1.0 + a * b) ** 2 + b * b) ** -1.7,
                   lambda a, b: (1.0 + a + 2.5 * a * b) ** 3.2):
             assert truncated_sum(f, limit) == reference(f)
-
-    def test_truncated_sum_scalar_integrand(self):
-        vectorized = truncated_sum(lambda a, b: np.log1p(a * b), 24)
-        assert truncated_sum(lambda a, b: math.log1p(a * b), 24) == vectorized
 
     def test_truncated_sum_matches_whole_grid_reference_at_limit_1024(self):
         # 2^20 terms, some below 2^-900 and many that underflow to zero
