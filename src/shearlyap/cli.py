@@ -166,7 +166,10 @@ def _finite(value: float, what: str) -> float:
 
 
 def parse_range(spec: str) -> list[float]:
-    """Parse 'start:stop:step' (endpoints inclusive within half a step) or a single value."""
+    """Parse 'start:stop:step' (endpoints inclusive within half a step) or a single value.
+
+    Grid values are rounded to 12 decimals; a step too small to survive that
+    rounding raises DomainError rather than repeating a value."""
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise DomainError(f"range must be a value or start:stop:step, got {spec!r}")
@@ -184,6 +187,8 @@ def parse_range(spec: str) -> list[float]:
     out: list[float] = []
     while ((v := start + len(out) * step) - stop) * direction <= abs(step) / 2.0:
         out.append(round(v, 12))
+    if any(x == y for x, y in zip(out, out[1:])):
+        raise DomainError(f"range {spec!r} has steps below the 1e-12 resolution of its values")
     return out
 
 
@@ -262,13 +267,8 @@ def bounds(cfg, alpha, beta, family, norms):
         bad = wanted - {n.value for n in NormKind}
         if bad:
             raise DomainError(f"unknown norms {sorted(bad)}; choose from l1,l2,linf")
-        kept = {k: v for k, v in report.per_norm.items() if k.value in wanted}
-        lowers = [v.lower for v in kept.values() if v.lower is not None]
-        uppers = [v.upper for v in kept.values() if v.upper is not None]
-        if not lowers or not uppers:
-            raise DomainError(f"norms {sorted(wanted)} provide no two-sided envelope")
-        report = dataclasses.replace(report, per_norm=kept,
-                                     envelope=Bounds(max(lowers), min(uppers)))
+        report = dataclasses.replace(report, per_norm={
+            k: v for k, v in report.per_norm.items() if k.value in wanted})
     env = report.envelope
     payload = {
         "alpha": params.alpha,

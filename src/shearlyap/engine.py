@@ -94,7 +94,17 @@ class BoundReport:
     family: BoundFamily
     q: float | None
     per_norm: dict[NormKind, NormBounds]
-    envelope: Bounds                  # max of lowers, min of available uppers
+
+    @property
+    def envelope(self) -> Bounds:
+        """Max of the lowers, min of the uppers, over the sides the norms
+        provide (improved opposed has upper functions only for L-infinity)."""
+        lowers = [nb.lower for nb in self.per_norm.values() if nb.lower is not None]
+        uppers = [nb.upper for nb in self.per_norm.values() if nb.upper is not None]
+        if not lowers or not uppers:
+            names = sorted(norm.value for norm in self.per_norm)
+            raise DomainError(f"norms {names} provide no two-sided envelope")
+        return Bounds(max(lowers), min(uppers))
 
 
 @dataclass(frozen=True)
@@ -125,40 +135,21 @@ def _function_family(family: BoundFamily, regime: Regime) -> FunctionFamily:
     )
 
 
-class _GridCache:
-    """Bound-function grids of the latest parameter point, filled lazily.
-
-    A grid is one call of a bound function on the series layer's grid
-    1..limit x 1..limit.  It does not depend on q, so every moment order at
-    that point reuses it.  Table entries that wrap one function (the plain
-    functions shared by several cases or by both families) are the same code
-    over the same captured values, and map to one grid.
-    """
-
-    def __init__(self):
-        self.point = None
-        self.grids: dict = {}        # (family, norm, side, case) -> grid
-        self.by_function: dict = {}  # evaluator code and captured values -> grid
-
-    def grid(self, ff: FunctionFamily, norm: NormKind, side: Side, case: tuple,
-             params: ShearParams, limit: int) -> np.ndarray:
-        if self.point != (params, limit):
-            self.point, self.grids, self.by_function = (params, limit), {}, {}
-        key = (ff, norm, side, case)
-        grid = self.grids.get(key)
-        if grid is None:
-            fn = evaluator(ff, norm, side, case, params)
-            shared = (fn.__code__, *(c.cell_contents for c in fn.__closure__ or ()))
-            grid = self.by_function.get(shared)
-            if grid is None:
-                aa, bb, _ = _grid(limit)
-                grid = self.by_function[shared] = fn(aa, bb)
-                grid.flags.writeable = False
-            self.grids[key] = grid
-        return grid
+# one parameter point's grids across both families: 6 global + 18 improved
+# in the positive regime, 6 + 16 in the opposed one
+_GRID_CACHE_SIZE = 24
 
 
-_GRIDS = _GridCache()
+@functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
+def _bound_grid(ff: FunctionFamily, norm: NormKind, side: Side, case: tuple,
+                params: ShearParams, limit: int) -> np.ndarray:
+    """One bound function on the series layer's grid 1..limit x 1..limit,
+    read-only.  It does not depend on q, so every moment order at the point
+    reuses it."""
+    aa, bb, _ = _grid(limit)
+    grid = evaluator(ff, norm, side, case, params)(aa, bb)
+    grid.flags.writeable = False
+    return grid
 
 
 def _case_mean(ff: FunctionFamily, norm: NormKind, side: Side, params: ShearParams,
@@ -167,9 +158,9 @@ def _case_mean(ff: FunctionFamily, norm: NormKind, side: Side, params: ShearPara
     powers, or the log of the mean when q is None).
 
     Its first call tabulates the mean on the doubling grid 1..2N x 1..2N
-    (N = cfg.max_index) from the cached grids, raising each distinct grid to
-    q once and adding the cases in table order as pointwise evaluation
-    would; each call returns the table's corner of the shape of a.
+    (N = cfg.max_index) from the cached grids, raising each case's grid to q
+    and adding the cases in table order as pointwise evaluation would; each
+    call returns the table's corner of the shape of a.
     """
     limit = 2 * cfg.max_index
     table = None
@@ -177,13 +168,11 @@ def _case_mean(ff: FunctionFamily, norm: NormKind, side: Side, params: ShearPara
     def f(a, b):
         nonlocal table
         if table is None:
-            grids = [_GRIDS.grid(ff, norm, side, c, params, limit) for c in cases_for(ff, side)]
+            grids = [_bound_grid(ff, norm, side, c, params, limit) for c in cases_for(ff, side)]
             n = len(grids)
             # f^q overflows to inf at large |q|; the series layer reports that sum
             with np.errstate(over="ignore"):
-                distinct = {id(g): g for g in grids}.values()
-                vals = {id(g): g if q is None else g ** q for g in distinct}
-                total = functools.reduce(np.add, (vals[id(g)] for g in grids))
+                total = functools.reduce(np.add, grids if q is None else (g ** q for g in grids))
                 table = np.log(total / n) if q is None else total / n
         return table[:a.shape[0], :a.shape[1]]
     return f
@@ -206,11 +195,8 @@ def _report(params: ShearParams, family: BoundFamily, cfg: SeriesConfig,
     swap = q is not None and q < 0
     lowers = values(Side.UPPER if swap else Side.LOWER)
     uppers = values(Side.LOWER if swap else Side.UPPER)
-    # a norm can miss one side (improved opposed provides upper functions
-    # only for L-infinity); the envelope ranges over the available values
     per_norm = {norm: NormBounds(lowers.get(norm), uppers.get(norm)) for norm in NormKind}
-    env = Bounds(max(lowers.values()), min(uppers.values()))
-    return BoundReport("lyapunov" if q is None else "gle", family, q, per_norm, env)
+    return BoundReport("lyapunov" if q is None else "gle", family, q, per_norm)
 
 
 def lyapunov_bounds(

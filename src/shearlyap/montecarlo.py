@@ -21,7 +21,7 @@ which reproduces a 2x2 matrix product bit for bit.  The moment estimator
 for l(q) is honest about its known weakness; the q-th moment is dominated
 by exponentially rare trajectories, so the estimate is biased low once
 q * (spread of log growth) becomes large compared to log(ensemble size).
-Keep trajectories short (the default caps them at 200 applications) and
+Keep trajectories short (gle_mc caps them at 200 applications) and
 treat the reported effective sample size warning seriously.
 """
 
@@ -45,7 +45,8 @@ _COIN_CHUNK = 1 << 16
 _COIN_RAW_BUDGET = 1 << 16  # raw Philox words per tile of _coins
 _EXHAUSTIVE_MAX_K = 22
 _GLE_BOOTSTRAP = 200  # resamples behind gle_mc's standard error
-_GLE_TRAJ_CAP = 200
+_GLE_TRAJ_CAP = 200  # applications per gle_mc trajectory
+_MAX_APPS = 10**10  # cost guard: matrix applications one estimator call may run
 _PAIRWISE_BUDGET = 1 << 16  # step-matrix elements per sub-chunk of _pairwise_product
 _SLICE_MATRICES = 1 << 16  # products per slice of exhaustive standard_bound's in-place levels
 _UNSCALED_MAX = 1e150  # 2 * _UNSCALED_MAX**2 does not overflow
@@ -256,6 +257,13 @@ def _shear_bound(params: ShearParams) -> float:
     return max(1.0, abs(params.alpha), abs(params.beta))
 
 
+def _check_cost(n_apps: int) -> int:
+    if n_apps > _MAX_APPS:
+        raise DomainError(f"{n_apps:.3g} matrix applications exceed the cost guard "
+                          f"{_MAX_APPS:.0e}; lower n_steps")
+    return n_apps
+
+
 def _iterate_log_growth(params: ShearParams, cfg: McConfig, traj_len: int) -> np.ndarray:
     """Per-ensemble log |X_N| / |X_0| (L2 norm) after traj_len coin steps from
     X_0 = (0, 1), which lies in the invariant cone of both regimes.  Raises
@@ -282,33 +290,33 @@ def lyapunov_mc(params: ShearParams, cfg: McConfig) -> McEstimate:
 
     Returns the mean per-step log growth over all trajectories and the
     standard error across the independent ensemble members (nan for one
-    member).  Raises DomainError if the log growth is not finite.
+    member).  Raises DomainError, before drawing any coin, if it would run more
+    than _MAX_APPS (10^10) applications, and if the log growth is not finite.
     """
     E = cfg.n_ensembles
     traj_len = cfg.n_steps // E
+    n_apps = _check_cost(E * traj_len)
     means = _iterate_log_growth(params, cfg, traj_len) / traj_len
     mean = float(means.mean())
     se = float(means.std(ddof=1) / math.sqrt(E)) if E > 1 else math.nan
-    return McEstimate(mean=mean, std_error=se, n_samples=E, n_apps=E * traj_len)
+    return McEstimate(mean=mean, std_error=se, n_samples=E, n_apps=n_apps)
 
 
-def gle_mc(
-    q: float,
-    params: ShearParams,
-    cfg: McConfig,
-    traj_len_cap: int | None = _GLE_TRAJ_CAP,
-) -> McEstimate:
+def gle_mc(q: float, params: ShearParams, cfg: McConfig) -> McEstimate:
     """Moment growth rate  (1/N) log E |X_N|^q  from an ensemble of trajectories.
+
+    Each trajectory runs n_steps / n_ensembles applications, at most
+    _GLE_TRAJ_CAP (200).
 
     Per-trajectory log norms are combined by log-sum-exp, and the standard
     error comes from a bootstrap over ensemble members.  Warns when the
     importance weights concentrate on too few trajectories (small effective
     sample size), the telltale of the moment estimator's exponential
-    variance problem.  Raises DomainError if the log growth is not finite.
+    variance problem.  Raises DomainError if the log growth is not finite
+    (or, like lyapunov_mc, beyond the cost guard).
     """
-    traj_len = cfg.n_steps // cfg.n_ensembles
-    if traj_len_cap is not None:
-        traj_len = min(traj_len, traj_len_cap)
+    traj_len = min(cfg.n_steps // cfg.n_ensembles, _GLE_TRAJ_CAP)
+    n_apps = _check_cost(cfg.n_ensembles * traj_len)
     acc = _iterate_log_growth(params, cfg, traj_len)
 
     z = q * acc
@@ -333,7 +341,7 @@ def gle_mc(
     E = cfg.n_ensembles
     reps = [combine(w[boot_rng.integers(0, E, size=E)]) for _ in range(_GLE_BOOTSTRAP)]
     return McEstimate(mean=est, std_error=float(np.std(reps, ddof=1)), n_samples=E,
-                      n_apps=E * traj_len)
+                      n_apps=n_apps)
 
 
 def standard_bound(
@@ -419,8 +427,10 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     Checks the geometric block law empirically: mean block length 4, the
     three order comparisons P(a=b), P(a>b), P(a<b) each 1/3, and a Lyapunov
     estimate from the block products that must agree with lyapunov_mc.
+    Raises DomainError if the streams hold more than _MAX_APPS (10^10) coins.
     """
     per_stream = cfg.n_steps // cfg.n_ensembles
+    _check_cost(cfg.n_ensembles * per_stream)
     a_streams, b_streams = [], []
     for e in range(cfg.n_ensembles):
         coins = _coins(cfg.seed, [e], 0, per_stream)[:, 0].astype(bool)  # True -> A

@@ -3,7 +3,6 @@ import io
 import json
 import math
 import os
-import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -19,20 +18,6 @@ from shearlyap.cli import main, parse_range
 @pytest.fixture()
 def runner():
     return CliRunner()
-
-
-@pytest.fixture()
-def deadline():
-    """Fail the test after 10 s instead of hanging the suite: a NaN range once
-    grew its list until the process was killed."""
-    def hang(signum, frame):
-        raise TimeoutError("no result within 10 s")
-
-    previous = signal.signal(signal.SIGALRM, hang)
-    signal.alarm(10)
-    yield
-    signal.alarm(0)
-    signal.signal(signal.SIGALRM, previous)
 
 
 def run_json(runner, args, **kwargs):
@@ -70,6 +55,17 @@ class TestParseRange:
 
         with pytest.raises(DomainError, match="must be finite"):
             parse_range(spec)
+
+    @pytest.mark.parametrize("spec", ["1e-300:1e-299:1e-301", "0:1e-11:1e-13",
+                                      "5:5.000000000001:1e-13"])
+    def test_rejects_steps_lost_to_rounding(self, spec):
+        from shearlyap import DomainError
+
+        with pytest.raises(DomainError, match="below the 1e-12 resolution"):
+            parse_range(spec)
+
+    def test_finest_representable_step(self):
+        assert parse_range("0:3e-12:1e-12") == [0.0, 1e-12, 2e-12, 3e-12]
 
 
 class TestBoundsCommand:
@@ -127,6 +123,12 @@ class TestBoundsCommand:
         assert float(l2_lower["value_block_scale"]) == pytest.approx(
             4 * float(l2_lower["value"]), rel=1e-12
         )
+
+    def test_norm_filter_without_two_sided_envelope(self, runner):
+        result = runner.invoke(main, ["bounds", "--alpha", "-3", "--beta", "3",
+                                      "--family", "improved", "--norms", "l2,l1"])
+        assert result.exit_code == 2
+        assert "error: norms ['l1', 'l2'] provide no two-sided envelope" in result.output
 
     def test_opposed_improved_has_single_upper(self, runner):
         rec = run_json(
@@ -254,6 +256,11 @@ class TestSweepCommand:
         assert result.exit_code == 2, result.output
         assert "must be finite" in result.output
 
+    def test_q_steps_lost_to_rounding_exit_2(self, runner):
+        result = runner.invoke(main, ["sweep", "--mode", "gle", "--q", "1e-300:1e-299:1e-301"])
+        assert result.exit_code == 2, result.output
+        assert "error: range '1e-300:1e-299:1e-301' has steps below" in result.output
+
     @pytest.mark.parametrize("k", ["0", "-1"])
     def test_standard_k_must_be_positive(self, runner, k):
         result = runner.invoke(
@@ -359,6 +366,18 @@ class TestMcCommand:
                                 "--ensembles", "8", "--renorm-every", "1000"])
         assert math.isfinite(rec["payload"]["mean"])
         assert rec["payload"]["n_apps"] == 100_000
+
+    def test_cost_guard_exit_2(self, runner, deadline):
+        result = runner.invoke(main, ["mc", "--alpha", "1", "--beta", "1", "--steps", "1e30",
+                                      "--ensembles", "2"])
+        assert result.exit_code == 2
+        assert "exceed the cost guard" in result.output
+
+    @pytest.mark.filterwarnings("ignore:effective sample size")
+    def test_capped_moment_estimate_accepts_any_steps(self, runner, deadline):
+        rec = run_json(runner, ["mc", "--alpha", "1", "--beta", "1", "--q", "2",
+                                "--steps", "1e30", "--ensembles", "2"])
+        assert rec["payload"]["n_apps"] == 400
 
     def test_non_finite_parameter_exit_2(self, runner):
         result = runner.invoke(main, ["mc", "--alpha", "inf", "--beta", "2"])

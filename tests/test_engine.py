@@ -1,5 +1,4 @@
 import math
-import weakref
 
 import numpy as np
 import pytest
@@ -371,30 +370,42 @@ class TestGridCache:
                         aa, bb, _ = series._grid(limit)
                         assert np.array_equal(cached(aa, bb), pointwise(aa, bb))
 
-    def test_holds_one_parameter_point(self):
-        p23, p11 = ShearParams.infer(2.0, 3.0), POS11
-        lyapunov_bounds(p23, BoundFamily.IMPROVED)
-        held = [weakref.ref(g) for g in engine._GRIDS.by_function.values()]
-        gle_bounds_report(2.0, p11)
-        cache = engine._GRIDS
-        assert cache.point == (p11, 128)
-        # the (2, 3) grids were released, not kept beside the (1, 1) ones
-        assert held and all(ref() is None for ref in held)
-        aa, bb = np.meshgrid(np.arange(1.0, 129.0), np.arange(1.0, 129.0), indexing="ij")
-        for (ff, norm, side, case), grid in cache.grids.items():
-            assert np.array_equal(grid, engine.evaluator(ff, norm, side, case, p11)(aa, bb))
+    @pytest.mark.parametrize("params,misses", [(POS11, 24), (OPP33, 22)], ids=["pos", "opp"])
+    def test_one_miss_per_grid_of_a_point(self, params, misses):
+        # a both-family q-sweep tabulates each bound function once
+        engine._bound_grid.cache_clear()
+        for q in (-1.0, 0.5, 2.0):
+            for family in BoundFamily:
+                gle_bounds_report(q, params, family)
+        for family in BoundFamily:
+            lyapunov_bounds(params, family)
+        info = engine._bound_grid.cache_info()
+        assert (info.misses, info.currsize) == (misses, misses)
+        assert info.maxsize == engine._GRID_CACHE_SIZE == 24
 
-    def test_shared_functions_share_a_grid(self):
-        ff, side = engine.FunctionFamily, engine.Side
-        grid = lambda f, norm, s, case: engine._GRIDS.grid(f, norm, s, case, POS11, 16)
-        for norm in (NormKind.L1, NormKind.L2):
-            shared = grid(ff.GLOBAL, norm, side.UPPER, ())
-            assert all(grid(ff.IMPROVED, norm, side.UPPER, (m,)) is shared for m in (1, 2, 3))
-        assert grid(ff.IMPROVED, NormKind.LINF, side.LOWER, (2,)) is grid(
-            ff.GLOBAL, NormKind.LINF, side.LOWER, ())
-        cased = [grid(ff.IMPROVED, NormKind.LINF, side.UPPER, (m,)) for m in (1, 2, 3)]
-        assert len({id(g) for g in cased}) == 3
-        assert not cased[0].flags.writeable
+    def test_holds_at_most_its_size(self):
+        engine._bound_grid.cache_clear()
+        for a in (1.0, 2.0):
+            lyapunov_bounds(ShearParams.infer(a, a), BoundFamily.IMPROVED)
+            lyapunov_bounds(ShearParams.infer(-a - 2.0, a + 2.0), BoundFamily.IMPROVED)
+            assert engine._bound_grid.cache_info().currsize <= engine._GRID_CACHE_SIZE
+        assert engine._bound_grid.cache_info().misses == 2 * (18 + 16)
+
+    @pytest.mark.parametrize("params", [POS11, OPP33], ids=["pos", "opp"])
+    def test_grids_are_read_only_evaluator_output(self, params):
+        engine._bound_grid.cache_clear()
+        lyapunov_bounds(params, BoundFamily.IMPROVED, SeriesConfig(max_index=64))
+        aa, bb = np.meshgrid(np.arange(1.0, 129.0), np.arange(1.0, 129.0), indexing="ij")
+        ff = engine._function_family(BoundFamily.IMPROVED, params.regime)
+        for side in engine.Side:
+            for norm in engine.norms_for(ff, side):
+                for case in engine.cases_for(ff, side):
+                    grid = engine._bound_grid(ff, norm, side, case, params, 128)
+                    assert not grid.flags.writeable
+                    fresh = engine.evaluator(ff, norm, side, case, params)(aa, bb)
+                    assert np.array_equal(grid, fresh)
+        # every grid was already cached by the bound computation
+        assert engine._bound_grid.cache_info().misses == engine._bound_grid.cache_info().currsize
 
     def test_integrand_serves_only_its_grid(self):
         args = (engine.FunctionFamily.GLOBAL, NormKind.L1, engine.Side.LOWER, POS11,

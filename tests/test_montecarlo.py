@@ -273,8 +273,13 @@ class TestSameResultsAsPerEnsembleGenerators:
     def test_estimators_match_reference_coins(self, monkeypatch, seed, n_steps, n_ensembles):
         cfg = McConfig(n_steps, n_ensembles, seed=seed)
 
+        def uncapped_gle(q):
+            with monkeypatch.context() as m:
+                m.setattr(montecarlo, "_GLE_TRAJ_CAP", n_steps)
+                return gle_mc(q, POS11, cfg)
+
         def run():
-            return (lyapunov_mc(OPP33, cfg), gle_mc(1.0, POS11, cfg, traj_len_cap=None),
+            return (lyapunov_mc(OPP33, cfg), uncapped_gle(1.0),
                     gle_mc(-1.0, POS11, cfg), block_oracle(POS11, cfg),
                     standard_bound(40, POS11, mode="sampled", n_samples=n_ensembles + 6,
                                    seed=seed))
@@ -349,6 +354,28 @@ class TestLyapunovMc:
             McConfig(n_steps=10, n_ensembles=4, seed=-1)
 
 
+class TestCostGuard:
+    @pytest.mark.parametrize("estimator", [lyapunov_mc, block_oracle])
+    def test_refuses_before_drawing_coins(self, monkeypatch, deadline, estimator):
+        def no_coins(*args):
+            raise AssertionError("coins drawn")
+
+        monkeypatch.setattr(montecarlo, "_coins", no_coins)
+        with pytest.raises(DomainError, match="exceed the cost guard"):
+            estimator(POS11, McConfig(10**30, 2))
+
+    @pytest.mark.parametrize("estimator", [lyapunov_mc, block_oracle])
+    def test_guard_bounds_applications_run(self, monkeypatch, estimator):
+        monkeypatch.setattr(montecarlo, "_MAX_APPS", 2000)
+        estimator(POS11, McConfig(2001, 2))  # 2000 applications run, the remainder dropped
+        with pytest.raises(DomainError, match="exceed the cost guard"):
+            estimator(POS11, McConfig(2002, 2))
+
+    @pytest.mark.filterwarnings("ignore:effective sample size")
+    def test_moment_estimate_counts_capped_applications(self, deadline):
+        assert gle_mc(2.0, POS11, McConfig(10**30, 2)).n_apps == 400
+
+
 class TestGleMc:
     def test_zero_exactly(self):
         est = gle_mc(0.0, POS11, McConfig(n_steps=50_000, n_ensembles=100, seed=2))
@@ -360,17 +387,19 @@ class TestGleMc:
         env = entropy_bounds(POS11)
         assert env.lower < est.mean < env.upper
 
-    def test_qminus1_inside_envelope(self):
+    def test_qminus1_inside_envelope(self, monkeypatch):
         cfg = McConfig(n_steps=1_000_000, n_ensembles=40_000, seed=11)
-        est = gle_mc(-1.0, POS11, cfg, traj_len_cap=25)
+        monkeypatch.setattr(montecarlo, "_GLE_TRAJ_CAP", 25)
+        est = gle_mc(-1.0, POS11, cfg)
         env = gle_bounds(-1.0, POS11)
         assert env.lower < est.mean < env.upper
         assert est.mean < 0.0
 
-    def test_counts_capped_applications(self):
+    def test_counts_capped_applications(self, monkeypatch):
         cfg = McConfig(n_steps=10**6, n_ensembles=100, seed=3)
         assert gle_mc(0.0, POS11, cfg).n_apps == 100 * 200
-        assert gle_mc(0.0, POS11, cfg, traj_len_cap=None).n_apps == 10**6
+        monkeypatch.setattr(montecarlo, "_GLE_TRAJ_CAP", 10**6)
+        assert gle_mc(0.0, POS11, cfg).n_apps == 10**6
 
     def test_deterministic(self):
         cfg = McConfig(n_steps=200_000, n_ensembles=2_000, seed=31)
