@@ -49,6 +49,8 @@ from .series import NonConvergenceError, SeriesConfig
 # reference estimate of the exponent at alpha = beta = 1, reproducible with
 # `shearlyap mc --alpha 1 --beta 1 --steps 10000000 --seed 42`
 MC_REFERENCE_LAMBDA = 0.39625
+# a sweep computes every value of a range, some ms each: a million take over an hour
+_MAX_RANGE_VALUES = 10**6
 
 
 # --------------------------------------------------------------------------
@@ -169,7 +171,8 @@ def parse_range(spec: str) -> list[float]:
     """Parse 'start:stop:step' (endpoints inclusive within half a step) or a single value.
 
     Grid values are rounded to 12 decimals; a step too small to survive that
-    rounding raises DomainError rather than repeating a value."""
+    rounding raises DomainError rather than repeating a value, and so does a
+    range of more than _MAX_RANGE_VALUES values, before any is built."""
     parts = spec.split(":")
     if len(parts) not in (1, 3):
         raise DomainError(f"range must be a value or start:stop:step, got {spec!r}")
@@ -183,6 +186,9 @@ def parse_range(spec: str) -> list[float]:
     start, stop, step = values
     if step == 0.0 or (stop - start) * step < 0.0:
         raise DomainError(f"range {spec!r} cannot reach its endpoint")
+    # the loop below takes value i while i <= (stop - start) / step + 1/2
+    if not (stop - start) / step + 0.5 < _MAX_RANGE_VALUES:
+        raise DomainError(f"range {spec!r} has more than {_MAX_RANGE_VALUES} values")
     direction = math.copysign(1.0, step)
     out: list[float] = []
     while ((v := start + len(out) * step) - stop) * direction <= abs(step) / 2.0:

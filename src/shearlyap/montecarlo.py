@@ -47,7 +47,10 @@ _EXHAUSTIVE_MAX_K = 22
 _GLE_BOOTSTRAP = 200  # resamples behind gle_mc's standard error
 _GLE_TRAJ_CAP = 200  # applications per gle_mc trajectory
 _MAX_APPS = 10**10  # cost guard: matrix applications one estimator call may run
+# block_oracle holds a stream's coins and run lengths at once, about 19 bytes a coin: 1 GB
+_MAX_STREAM_COINS = 5 * 10**7
 _PAIRWISE_BUDGET = 1 << 16  # step-matrix elements per sub-chunk of _pairwise_product
+_SHEAR_MAX = 1e79  # largest |alpha|, |beta| at which _pairwise_product keeps its accuracy
 _SLICE_MATRICES = 1 << 16  # products per slice of exhaustive standard_bound's in-place levels
 _UNSCALED_MAX = 1e150  # 2 * _UNSCALED_MAX**2 does not overflow
 
@@ -203,7 +206,9 @@ def _pairwise_product(steps, n: int, width: int, bound: float):
     largest entry of at least 1/sqrt(2) and, from entries at most b, at most
     2 b^2: levels run unscaled until that bound passes _UNSCALED_MAX, then each
     divides its rows by their largest entry and sums the logs.  Entries 1e-308
-    below a row's largest are lost, which matters only for shears above 1e100.
+    below a row's largest are lost: above shears of about 10^79.3 the
+    one-vector estimator's log growth then drifts by more than 1e-10 relative
+    (10^-4 at 1e120), so the estimators refuse shears above _SHEAR_MAX (1e79).
     """
     def mul(later, earlier):
         l11, l12, l21, l22 = later
@@ -254,7 +259,12 @@ def _shear_steps(params: ShearParams, coins: np.ndarray):
 
 
 def _shear_bound(params: ShearParams) -> float:
-    return max(1.0, abs(params.alpha), abs(params.beta))
+    """The largest step entry; DomainError if a shear exceeds _SHEAR_MAX."""
+    bound = max(1.0, abs(params.alpha), abs(params.beta))
+    if bound > _SHEAR_MAX:
+        raise DomainError(f"shears above {_SHEAR_MAX:.0e} lose accuracy in the Monte Carlo "
+                          f"products; got alpha={params.alpha}, beta={params.beta}")
+    return bound
 
 
 def _check_cost(n_apps: int) -> int:
@@ -269,12 +279,13 @@ def _iterate_log_growth(params: ShearParams, cfg: McConfig, traj_len: int) -> np
     X_0 = (0, 1), which lies in the invariant cone of both regimes.  Raises
     DomainError if it is not finite."""
     E = cfg.n_ensembles
+    bound = _shear_bound(params)
     u, v, acc = np.zeros(E), np.ones(E), np.zeros(E)
     for done in range(0, traj_len, _COIN_CHUNK):
         n = min(_COIN_CHUNK, traj_len - done)
         coins = _coins(cfg.seed, range(E), done, n)
         (p11, p12, p21, p22), scale = _pairwise_product(
-            lambda lo, hi: _shear_steps(params, coins[lo:hi]), n, E, _shear_bound(params))
+            lambda lo, hi: _shear_steps(params, coins[lo:hi]), n, E, bound)
         u, v = p11 * u + p12 * v, p21 * u + p22 * v
         r2 = np.hypot(u, v)
         acc += scale + np.log(r2)
@@ -291,7 +302,8 @@ def lyapunov_mc(params: ShearParams, cfg: McConfig) -> McEstimate:
     Returns the mean per-step log growth over all trajectories and the
     standard error across the independent ensemble members (nan for one
     member).  Raises DomainError, before drawing any coin, if it would run more
-    than _MAX_APPS (10^10) applications, and if the log growth is not finite.
+    than _MAX_APPS (10^10) applications or a shear exceeds _SHEAR_MAX (1e79),
+    and if the log growth is not finite.
     """
     E = cfg.n_ensembles
     traj_len = cfg.n_steps // E
@@ -313,7 +325,7 @@ def gle_mc(q: float, params: ShearParams, cfg: McConfig) -> McEstimate:
     importance weights concentrate on too few trajectories (small effective
     sample size), the telltale of the moment estimator's exponential
     variance problem.  Raises DomainError if the log growth is not finite
-    (or, like lyapunov_mc, beyond the cost guard).
+    (or, like lyapunov_mc, beyond the cost guard or above shears of 1e79).
     """
     traj_len = min(cfg.n_steps // cfg.n_ensembles, _GLE_TRAJ_CAP)
     n_apps = _check_cost(cfg.n_ensembles * traj_len)
@@ -355,8 +367,9 @@ def standard_bound(
 
     "exhaustive" averages over all 2^k products of length k (k <= 22 cost
     guard); "sampled" draws n_samples uniform products from a non-negative
-    seed.  E_k decreases to the Lyapunov exponent as k grows.  k must be a
-    positive integer; anything else raises DomainError.
+    seed; it refuses shears above _SHEAR_MAX (1e79) with DomainError.  E_k
+    decreases to the Lyapunov exponent as k grows.  k must be a positive
+    integer; anything else raises DomainError.
     """
     try:
         k = operator.index(k)
@@ -404,12 +417,13 @@ def standard_bound(
         raise DomainError(f"sampled mode needs n_samples >= 1, got {n_samples}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
+    bound = _shear_bound(params)
 
     def steps(lo, hi):  # one stream: coin t * n_samples + j picks step t of sample j
         coins = _coins(seed, [1 << 29], lo * n_samples, (hi - lo) * n_samples)
         return _shear_steps(params, coins.reshape(hi - lo, n_samples))
 
-    prod, logacc = _pairwise_product(steps, k, n_samples, _shear_bound(params))
+    prod, logacc = _pairwise_product(steps, k, n_samples, bound)
     return _mean_log_norm(np.stack(prod), logacc, k)
 
 
@@ -427,10 +441,16 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     Checks the geometric block law empirically: mean block length 4, the
     three order comparisons P(a=b), P(a>b), P(a<b) each 1/3, and a Lyapunov
     estimate from the block products that must agree with lyapunov_mc.
-    Raises DomainError if the streams hold more than _MAX_APPS (10^10) coins.
+    Raises DomainError, before drawing any coin, if the streams hold more
+    than _MAX_APPS (10^10) coins, one stream more than _MAX_STREAM_COINS
+    (5 * 10^7), or a shear exceeds _SHEAR_MAX (1e79).
     """
     per_stream = cfg.n_steps // cfg.n_ensembles
     _check_cost(cfg.n_ensembles * per_stream)
+    if per_stream > _MAX_STREAM_COINS:
+        raise DomainError(f"{per_stream:.3g} coins per stream exceed the memory guard "
+                          f"{_MAX_STREAM_COINS:.0e}; add ensembles or lower n_steps")
+    _shear_bound(params)  # refuses shears above _SHEAR_MAX
     a_streams, b_streams = [], []
     for e in range(cfg.n_ensembles):
         coins = _coins(cfg.seed, [e], 0, per_stream)[:, 0].astype(bool)  # True -> A

@@ -5,13 +5,13 @@ every quantity of interest is a double series  sum 2^-(a+b) f(a, b).
 A truncated sum calls a vectorized f once, on the whole grid, and is
 exact: the terms are split into integer pieces (an integer part by
 np.trunc, and a fraction by a subtraction that does not round) binned by
-binary exponent, whose per-bin sums involve no rounding, and only the few
-hundred bin totals are rounded together by math.fsum.  The result is the
-correctly rounded exact sum, the same double math.fsum returns for the
-terms themselves, whatever their order.  Sums are checked by doubling the
-truncation index.  Moments of the form  sum 2^-a a^n  are integers and
-are computed exactly by recurrence, which gives exact values for
-integer-q moment expansions.
+binary exponent in one numpy pass, whose per-bin sums involve no rounding,
+and only the few hundred bin totals are rounded together by math.fsum.  The
+result is the correctly rounded exact sum, the same double math.fsum returns
+for the terms themselves, whatever their order (above 2^25 terms, math.fsum
+sums them itself).  Sums are checked by doubling the truncation index.
+Moments of the form  sum 2^-a a^n  are integers and are computed exactly
+by recurrence, which gives exact values for integer-q moment expansions.
 
 The 2^-(a+b) weights encode a fair coin.  A biased coin (probability p of
 the lower shear) would weight blocks by p^a q^b with mean block length
@@ -44,9 +44,9 @@ __all__ = [
     "expect_block_exact_poly",
 ]
 
+_MAX_INDEX = 1024  # engine's cache holds 24 grids of (2N)^2 doubles: 0.8 GB at N = 1024
 _POLYLOG_MAX = 12
-_SUM_CHUNK = 4096  # terms binned per numpy pass: temporaries stay at 32 KB
-_SUM_BLOCK = 1 << 25  # terms per set of bins: each bin stays below 2^52
+_SUM_MAX_TERMS = 1 << 25  # terms binned at most: each bin stays below 2^52
 _SUM_EMAX = 900  # binned exponents; rescaled bin totals then stay normal and finite
 _SUM_BINS = 2 * _SUM_EMAX + 27  # exponents -_SUM_EMAX.._SUM_EMAX, 26 more for integer parts
 
@@ -64,15 +64,16 @@ class SeriesConfig:
     truncated at 2*max_index; the difference must stay below tail_tol,
     in absolute terms for order-one sums or relative to the sum's magnitude
     for large moment sums (double precision cannot resolve an absolute
-    1e-12 on a sum of size 1e6).
+    1e-12 on a sum of size 1e6).  max_index is at most 1024, which bounds the
+    memory of the bound-function grid cache.
     """
 
     max_index: int = 64
     tail_tol: float = 1e-12
 
     def __post_init__(self):
-        if self.max_index < 8:
-            raise DomainError(f"max_index must be >= 8, got {self.max_index}")
+        if not 8 <= self.max_index <= _MAX_INDEX:
+            raise DomainError(f"max_index must be in 8..{_MAX_INDEX}, got {self.max_index}")
         if not self.tail_tol > 0:
             raise DomainError(f"tail_tol must be positive, got {self.tail_tol}")
 
@@ -100,7 +101,7 @@ def _grid(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def _exact_sum(terms: np.ndarray) -> float:
-    """math.fsum(terms.ravel().tolist()), bit for bit, in a few numpy passes.
+    """math.fsum(terms.ravel().tolist()), bit for bit, in one numpy pass.
 
     Each finite term is m 2^e with 1/2 <= |m| < 1, and m 2^27 splits
     exactly into an integer part below 2^27 (np.trunc) and a fraction that
@@ -108,59 +109,49 @@ def _exact_sum(terms: np.ndarray) -> float:
     not round).  Counted in units of 2^(k-53) in bin k, both pieces
     are integers: the fraction times 2^26 in bin e, the integer part in bin
     e + 26.  np.bincount adds the pieces bin by bin, and a few adjacent bins
-    are then folded into one with power-of-two weights.  A set of bins takes
-    at most _SUM_BLOCK terms and the fold width shrinks as the term count
-    grows, so every addition is between integers below 2^53 and none
+    are then folded into one with power-of-two weights.  At most
+    _SUM_MAX_TERMS terms are binned and the fold width shrinks as the term
+    count grows, so every addition is between integers below 2^53 and none
     rounds, in any order.  math.fsum of the rescaled bin totals (and of any
     term with e < -_SUM_EMAX, passed through as it is) then rounds the exact
     sum once, like math.fsum of the terms themselves: fsum rounds correctly
     whenever no partial sum overflows, which magnitudes below 2^_SUM_EMAX
     rule out.
 
-    Non-finite terms, terms of 2^_SUM_EMAX or more, and an exact sum of
-    zero (whose sign is fsum's to choose) are left to
-    math.fsum of the list itself, so values, inf or nan results and its
-    ValueError or OverflowError stay those of fsum.
+    No terms or more than _SUM_MAX_TERMS, non-finite terms, terms of
+    2^_SUM_EMAX or more, and an exact sum of zero (whose sign is fsum's to
+    choose) are left to math.fsum of the list itself, so values, inf or nan
+    results and its ValueError or OverflowError stay those of fsum.
     """
     flat = terms.ravel()
+    if not 0 < flat.size <= _SUM_MAX_TERMS:
+        return math.fsum(flat.tolist())
+    # intp exponents: np.bincount would copy int32 ones for each of its two calls
+    m, e = np.frexp(flat, out=(None, np.empty(flat.size, dtype=np.intp)))
+    if e.max() > _SUM_EMAX:
+        return math.fsum(flat.tolist())
     parts: list[float] = []
-    for start in range(0, flat.size, _SUM_BLOCK):
-        block = flat[start:start + _SUM_BLOCK]
-        # n terms put less than n 2^27 in a bin; folding w bins multiplies
-        # that by less than 2^w, which stays within 2^53
-        width = 26 - (block.size - 1).bit_length()
-        nbins = -(-_SUM_BINS // width) * width
-        lo_bins = np.zeros(nbins)
-        hi_bins = np.zeros(nbins)
-        m = np.empty(min(block.size, _SUM_CHUNK))
-        w = np.empty(m.size)
-        e = np.empty(m.size, dtype=np.intp)
-        # inf - trunc(inf) below is nan; non-finite bins are caught after the loop
-        with np.errstate(invalid="ignore"):
-            for lo in range(0, block.size, _SUM_CHUNK):
-                x = block[lo:lo + _SUM_CHUNK]
-                mx, wx, ex = m[:x.size], w[:x.size], e[:x.size]
-                np.frexp(x, out=(mx, ex))
-                if ex.max() > _SUM_EMAX:
-                    return math.fsum(flat.tolist())
-                if ex.min() < -_SUM_EMAX:
-                    tiny = ex < -_SUM_EMAX
-                    parts.extend(x[tiny].tolist())
-                    mx[tiny] = 0.0
-                    ex[tiny] = 0
-                ex += _SUM_EMAX
-                mx *= 2.0 ** 27
-                np.trunc(mx, out=wx)
-                np.subtract(mx, wx, out=mx)  # exact: the fraction of a double
-                lo_bins += np.bincount(ex, weights=mx, minlength=nbins)
-                hi_bins += np.bincount(ex, weights=wx, minlength=nbins)
-        if not (np.isfinite(lo_bins).all() and np.isfinite(hi_bins).all()):
-            return math.fsum(flat.tolist())
-        lo_bins *= 2.0 ** 26
-        lo_bins[26:] += hi_bins[:-26]
-        folded = lo_bins.reshape(-1, width) @ np.exp2(np.arange(width))
-        nonzero = np.flatnonzero(folded)
-        parts.extend(np.ldexp(folded[nonzero], nonzero * width - _SUM_EMAX - 53).tolist())
+    if e.min() < -_SUM_EMAX:
+        tiny = e < -_SUM_EMAX
+        parts = flat[tiny].tolist()
+        m[tiny] = 0.0
+        e[tiny] = -_SUM_EMAX
+    e += _SUM_EMAX
+    m *= 2.0 ** 27
+    w = np.trunc(m)
+    # n terms put less than n 2^27 in a bin; folding w bins multiplies
+    # that by less than 2^w, which stays within 2^53
+    width = 26 - (flat.size - 1).bit_length()
+    nbins = -(-_SUM_BINS // width) * width
+    with np.errstate(invalid="ignore"):  # inf - trunc(inf) is nan; caught below
+        m -= w  # exact: the fraction of a double
+        bins = np.bincount(e, weights=m, minlength=nbins) * 2.0 ** 26
+        bins[26:] += np.bincount(e, weights=w, minlength=nbins)[:-26]
+    if not np.isfinite(bins).all():
+        return math.fsum(flat.tolist())
+    folded = bins.reshape(-1, width) @ np.exp2(np.arange(width))
+    nonzero = np.flatnonzero(folded)
+    parts += np.ldexp(folded[nonzero], nonzero * width - _SUM_EMAX - 53).tolist()
     total = math.fsum(parts)
     return total if total != 0.0 else math.fsum(flat.tolist())
 

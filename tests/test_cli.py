@@ -11,7 +11,7 @@ import pytest
 from click.testing import CliRunner
 
 import shearlyap
-from shearlyap import RNG_ALGORITHM
+from shearlyap import RNG_ALGORITHM, cli
 from shearlyap.cli import main, parse_range
 
 
@@ -66,6 +66,25 @@ class TestParseRange:
 
     def test_finest_representable_step(self):
         assert parse_range("0:3e-12:1e-12") == [0.0, 1e-12, 2e-12, 3e-12]
+
+    @pytest.mark.parametrize("spec", ["0:1000000:1", "0:-1000000:-1", "0:1:1e-6"])
+    def test_rejects_one_value_over_the_cap(self, deadline, spec):
+        # cap + 1 values: small enough that a missing guard would build them harmlessly
+        from shearlyap import DomainError
+
+        assert cli._MAX_RANGE_VALUES == 10**6
+        with pytest.raises(DomainError, match="has more than 1000000 values"):
+            parse_range(spec)
+
+    def test_cap_counts_values_as_built(self, monkeypatch):
+        from shearlyap import DomainError
+
+        monkeypatch.setattr(cli, "_MAX_RANGE_VALUES", 5)
+        assert parse_range("1:5:1") == [1.0, 2.0, 3.0, 4.0, 5.0]
+        assert parse_range("1:3.2:0.5") == [1.0, 1.5, 2.0, 2.5, 3.0]
+        for spec in ["1:6:1", "1:3.25:0.5", "5:-0.9:-1"]:
+            with pytest.raises(DomainError, match="has more than 5 values"):
+                parse_range(spec)
 
 
 class TestBoundsCommand:
@@ -256,6 +275,12 @@ class TestSweepCommand:
         assert result.exit_code == 2, result.output
         assert "must be finite" in result.output
 
+    def test_over_long_range_exit_2(self, runner, deadline):
+        result = runner.invoke(main, ["sweep", "--mode", "gle", "--alpha", "2",
+                                      "--q", "0:1000000:1"])
+        assert result.exit_code == 2, result.output
+        assert "error: range '0:1000000:1' has more than 1000000 values" in result.output
+
     def test_q_steps_lost_to_rounding_exit_2(self, runner):
         result = runner.invoke(main, ["sweep", "--mode", "gle", "--q", "1e-300:1e-299:1e-301"])
         assert result.exit_code == 2, result.output
@@ -379,6 +404,13 @@ class TestMcCommand:
                                 "--steps", "1e30", "--ensembles", "2"])
         assert rec["payload"]["n_apps"] == 400
 
+    @pytest.mark.parametrize("q", [None, "2"])
+    def test_shear_beyond_kernel_accuracy_exit_2(self, runner, deadline, q):
+        args = ["mc", "--alpha", "1e120", "--beta", "1e120"] + (["--q", q] if q else [])
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "error: shears above 1e+79 lose accuracy" in result.output
+
     def test_non_finite_parameter_exit_2(self, runner):
         result = runner.invoke(main, ["mc", "--alpha", "inf", "--beta", "2"])
         assert result.exit_code == 2
@@ -473,6 +505,18 @@ class TestConfigAndOutput:
             ["--config", str(cfg), "bounds", "--alpha", "1", "--beta", "1"],
         )
         assert rec["metadata"]["series_config"] == {"max_index": 96, "tail_tol": 1e-10}
+
+    @pytest.mark.parametrize("source", ["option", "config"])
+    def test_max_index_cap_exit_2(self, runner, tmp_path, source):
+        # refused before any grid is built: (2 * 1025)^2 terms per grid
+        cfg = tmp_path / "series.cfg"
+        cfg.write_text("max_index = 1025\n")
+        args = ["bounds", "--alpha", "1", "--beta", "1"]
+        args = (args + ["--max-index", "1025"] if source == "option"
+                else ["--config", str(cfg)] + args)
+        result = runner.invoke(main, args)
+        assert result.exit_code == 2, result.output
+        assert "error: max_index must be in 8..1024, got 1025" in result.output
 
     def test_config_unknown_key(self, runner, tmp_path):
         cfg = tmp_path / "series.cfg"

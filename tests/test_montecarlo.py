@@ -25,10 +25,11 @@ from shearlyap import (
 POS11 = ShearParams.infer(1.0, 1.0)
 OPP33 = ShearParams.infer(-3.0, 3.0)
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
-# the paper's strengths, and 1e75, where products of two steps already reach
-# 1e150 and every level above the first rescales
+# the paper's strengths, 1e75, where products of two steps already reach
+# 1e150 and every level above the first rescales, and the largest shears the
+# estimators accept (montecarlo._SHEAR_MAX)
 KERNEL_PARAMS = [(1.0, 1.0), (10.0, 10.0), (50.0, 50.0), (-3.0, 3.0), (-10.0, 10.0),
-                 (1e75, 1e75)]
+                 (1e75, 1e75), (1e79, 1e79), (-1e79, 1e79)]
 
 
 # ---------------------------------------------------------------- references
@@ -374,6 +375,34 @@ class TestCostGuard:
     @pytest.mark.filterwarnings("ignore:effective sample size")
     def test_moment_estimate_counts_capped_applications(self, deadline):
         assert gle_mc(2.0, POS11, McConfig(10**30, 2)).n_apps == 400
+
+    def test_block_oracle_bounds_coins_per_stream(self, monkeypatch):
+        monkeypatch.setattr(montecarlo, "_MAX_STREAM_COINS", 1000)
+        block_oracle(POS11, McConfig(2001, 2))  # 1000 coins a stream, the remainder dropped
+        monkeypatch.setattr(montecarlo, "_coins", _no_coins)
+        with pytest.raises(DomainError, match="coins per stream exceed the memory guard"):
+            block_oracle(POS11, McConfig(2002, 2))
+
+
+def _no_coins(*args):
+    raise AssertionError("coins drawn")
+
+
+class TestShearLimit:
+    @pytest.mark.parametrize("estimator", [
+        lambda p: lyapunov_mc(p, McConfig(1000, 2)),
+        lambda p: gle_mc(1.0, p, McConfig(1000, 2)),
+        lambda p: block_oracle(p, McConfig(1000, 2)),
+        lambda p: standard_bound(8, p, mode="sampled", n_samples=10),
+    ])
+    @pytest.mark.parametrize("alpha,beta", [(math.nextafter(1e79, math.inf), 2.0),
+                                            (-3.0, 1e120)])
+    def test_refuses_larger_shears_before_drawing_coins(self, monkeypatch, estimator, alpha,
+                                                        beta):
+        assert montecarlo._SHEAR_MAX == 1e79  # the largest shear in KERNEL_PARAMS
+        monkeypatch.setattr(montecarlo, "_coins", _no_coins)
+        with pytest.raises(DomainError, match="shears above 1e[+]79 lose accuracy"):
+            estimator(ShearParams.infer(alpha, beta))
 
 
 class TestGleMc:

@@ -122,6 +122,9 @@ class TestExpectBlock:
     def test_config_validation(self):
         with pytest.raises(DomainError):
             SeriesConfig(max_index=4)
+        assert SeriesConfig(max_index=1024).max_index == 1024
+        with pytest.raises(DomainError, match="max_index must be in 8..1024, got 1025"):
+            SeriesConfig(max_index=1025)  # refused before any grid is built
         with pytest.raises(DomainError):
             SeriesConfig(tail_tol=0.0)
 
@@ -197,13 +200,24 @@ class TestExactSum:
         assert _matches_fsum(np.array(values, dtype=np.float64))
 
     @pytest.mark.parametrize("seed", range(4))
-    def test_several_sets_of_bins(self, monkeypatch, seed):
-        # small blocks and chunks, so sums run over many sets of wide folds
-        monkeypatch.setattr(series, "_SUM_BLOCK", 1000)
-        monkeypatch.setattr(series, "_SUM_CHUNK", 96)
+    @pytest.mark.parametrize("size,binned", [(999, True), (1000, True), (1001, False)])
+    def test_term_cap(self, monkeypatch, seed, size, binned):
+        # a cap of 1000 terms folds 16 bins into one; a term more goes to math.fsum
+        monkeypatch.setattr(series, "_SUM_MAX_TERMS", 1000)
+        calls = []
+        bincount = np.bincount
+
+        def counting_bincount(*args, **kwargs):
+            calls.append(args)
+            return bincount(*args, **kwargs)
+
+        monkeypatch.setattr(np, "bincount", counting_bincount)
         rng = np.random.default_rng(seed)
-        x = rng.standard_normal(5000) * np.exp2(rng.integers(-950, 890, 5000))
-        assert _matches_fsum(x)
+        wide = rng.standard_normal(size) * np.exp2(rng.integers(-950, 890, size))
+        full = np.where(rng.random(size) < 0.3, -1.0, 1.0) * (1.0 - 2.0**-53)  # one bin, full
+        for x in (wide, full):
+            assert _matches_fsum(x)
+        assert len(calls) == (4 if binned else 0)
 
     def test_grid_shapes_and_exact_bins(self):
         # 16 384 terms of 2^53 - 1 in one bin: the largest bin load at limit 128
