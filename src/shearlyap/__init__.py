@@ -41,7 +41,6 @@ from .cones import (
 )
 from .growth import (
     BoundFunctionId,
-    FunctionFamily,
     Side,
     c_value,
     growth_ratio,

@@ -356,20 +356,19 @@ def table1(cfg, run_mc, steps, ensembles, seed):
                   seed=seed if run_mc else None)
 
 
+# sweep's modes, in --mode's order, and their CSV columns
 _SWEEP_COLUMNS = {
-    "gle": ["alpha", "beta", "q", "norm", "family", "side", "value"],
-    "neg-gle": ["alpha", "beta", "q", "norm", "family", "side", "value"],
+    "lyap-bounds": ["alpha", "beta", "norm", "family", "side", "value", "std_error"],
     "errors": ["alpha", "beta", "norm", "family", "side", "bound", "mc", "error"],
     "envelopes": ["alpha", "beta", "norm", "family", "gap"],
-    "lyap-bounds": ["alpha", "beta", "norm", "family", "side", "value", "std_error"],
+    "gle": ["alpha", "beta", "q", "norm", "family", "side", "value"],
     "neg-bounds": ["alpha", "beta", "norm", "family", "side", "value", "std_error"],
+    "neg-gle": ["alpha", "beta", "q", "norm", "family", "side", "value"],
 }
 
 
 @_command()
-@click.option("--mode", type=click.Choice(
-    ["lyap-bounds", "errors", "envelopes", "gle", "neg-bounds", "neg-gle"]),
-    required=True)
+@click.option("--mode", type=click.Choice(list(_SWEEP_COLUMNS)), required=True)
 @click.option("--alpha", default=None, metavar="RANGE",
               help="value or start:stop:step (endpoints inclusive)")
 @click.option("--beta", type=float, default=None,

@@ -34,17 +34,17 @@ two improved bounds can cross.  The global family is ordered for every q.
 
 from __future__ import annotations
 
-import enum
 import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .growth import FunctionFamily, Side, cases_for, evaluator, norms_for
+from .growth import BoundFamily, Side, cases_for, evaluator, norms_for
 from .linalg import DomainError, NormKind, Regime, ShearParams
 from .series import (
     DEFAULT_SERIES,
+    NonConvergenceError,
     SeriesConfig,
     _grid,
     expect_block,
@@ -68,11 +68,6 @@ __all__ = [
     "gle_curve",
 ]
 
-class BoundFamily(enum.Enum):
-    GLOBAL = "global"
-    IMPROVED = "improved"
-
-
 @dataclass(frozen=True)
 class Bounds:
     lower: float
@@ -90,7 +85,6 @@ class NormBounds:
 
 @dataclass(frozen=True)
 class BoundReport:
-    kind: str                         # "lyapunov" | "gle"
     family: BoundFamily
     q: float | None
     per_norm: dict[NormKind, NormBounds]
@@ -125,14 +119,11 @@ class ExactGleBounds:
     upper: float
 
 
-def _function_family(family: BoundFamily, regime: Regime) -> FunctionFamily:
-    if regime is Regime.POSITIVE_PAIR:
-        return FunctionFamily.GLOBAL if family is BoundFamily.GLOBAL else FunctionFamily.IMPROVED
-    return (
-        FunctionFamily.GLOBAL_NEG
-        if family is BoundFamily.GLOBAL
-        else FunctionFamily.IMPROVED_NEG
-    )
+def _require_finite(what: str, params: ShearParams, *values: float) -> None:
+    """DomainError when a closed-form value overflows at extreme shears."""
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"{what} overflow double precision at alpha={params.alpha}, "
+                          f"beta={params.beta}: got {list(values)}")
 
 
 # one parameter point's grids across both families: 6 global + 18 improved
@@ -141,18 +132,27 @@ _GRID_CACHE_SIZE = 24
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _bound_grid(ff: FunctionFamily, norm: NormKind, side: Side, case: tuple,
+def _bound_grid(family: BoundFamily, norm: NormKind, side: Side, case: tuple,
                 params: ShearParams, limit: int) -> np.ndarray:
     """One bound function on the series layer's grid 1..limit x 1..limit,
     read-only.  It does not depend on q, so every moment order at the point
     reuses it."""
     aa, bb, _ = _grid(limit)
-    grid = evaluator(ff, norm, side, case, params)(aa, bb)
+    try:
+        # numpy overflow gives inf or nan terms, whose sum the series layer reports
+        with np.errstate(over="ignore", invalid="ignore"):
+            grid = evaluator(family, norm, side, case, params)(aa, bb)
+    except OverflowError:  # from a power of Python floats
+        raise NonConvergenceError(
+            f"series terms are not finite: the {family.value} {params.regime.value} "
+            f"{side.value} {norm.value} bound function overflows double precision at "
+            f"alpha={params.alpha}, beta={params.beta}"
+        ) from None
     grid.flags.writeable = False
     return grid
 
 
-def _case_mean(ff: FunctionFamily, norm: NormKind, side: Side, params: ShearParams,
+def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearParams,
                cfg: SeriesConfig, q=None):
     """Integrand over (a, b): case mean of the bound functions (of their q-th
     powers, or the log of the mean when q is None).
@@ -168,7 +168,8 @@ def _case_mean(ff: FunctionFamily, norm: NormKind, side: Side, params: ShearPara
     def f(a, b):
         nonlocal table
         if table is None:
-            grids = [_bound_grid(ff, norm, side, c, params, limit) for c in cases_for(ff, side)]
+            grids = [_bound_grid(family, norm, side, c, params, limit)
+                     for c in cases_for(family, params.regime, side)]
             n = len(grids)
             # f^q overflows to inf at large |q|; the series layer reports that sum
             with np.errstate(over="ignore"):
@@ -183,12 +184,10 @@ def _report(params: ShearParams, family: BoundFamily, cfg: SeriesConfig,
     """Per-norm values and envelope: the Lyapunov bounds when q is None, else
     (1/4) log of the q-moment sums, whose lower values come from the
     upper-bound functions when q < 0."""
-    ff = _function_family(family, params.regime)
-
     def values(side: Side) -> dict[NormKind, float]:
         out = {}
-        for norm in norms_for(ff, side):
-            s = expect_block(_case_mean(ff, norm, side, params, cfg, q), cfg)
+        for norm in norms_for(family, params.regime, side):
+            s = expect_block(_case_mean(family, norm, side, params, cfg, q), cfg)
             out[norm] = (s if q is None else math.log(s)) / 4.0
         return out
 
@@ -196,7 +195,7 @@ def _report(params: ShearParams, family: BoundFamily, cfg: SeriesConfig,
     lowers = values(Side.UPPER if swap else Side.LOWER)
     uppers = values(Side.LOWER if swap else Side.UPPER)
     per_norm = {norm: NormBounds(lowers.get(norm), uppers.get(norm)) for norm in NormKind}
-    return BoundReport("lyapunov" if q is None else "gle", family, q, per_norm)
+    return BoundReport(family, q, per_norm)
 
 
 def lyapunov_bounds(
@@ -221,6 +220,7 @@ def closed_form_bounds(params: ShearParams) -> Bounds:
     k = kappa()
     lower = (k + math.log(ab)) / 4.0
     upper = (k + math.log(math.sqrt(ab) + 1.0 / math.sqrt(ab)) + 0.5 * math.log1p(ab)) / 4.0
+    _require_finite("closed-form bounds", params, lower, upper)
     return Bounds(lower, upper)
 
 
@@ -276,13 +276,10 @@ def gle_exact_integer(q: int, params: ShearParams) -> ExactGleBounds:
 
     lower_arg = expect_block_exact_poly(lower_coeffs)
     upper_arg = expect_block_exact_poly(upper_coeffs)
-    return ExactGleBounds(
-        q=q,
-        lower_arg=lower_arg,
-        upper_arg=upper_arg,
-        lower=math.log(lower_arg) / 4.0,
-        upper=math.log(upper_arg) / 4.0,
-    )
+    lower, upper = math.log(lower_arg) / 4.0, math.log(upper_arg) / 4.0
+    _require_finite(f"exact q = {q} moment bounds", params, lower, upper)
+    return ExactGleBounds(q=q, lower_arg=lower_arg, upper_arg=upper_arg, lower=lower,
+                          upper=upper)
 
 
 def entropy_bounds(params: ShearParams) -> Bounds:
@@ -290,7 +287,9 @@ def entropy_bounds(params: ShearParams) -> Bounds:
     if params.regime is not Regime.POSITIVE_PAIR:
         raise DomainError("entropy bounds require positive-regime parameters")
     ab = params.alpha * params.beta
-    return Bounds(math.log(1.0 + 4.0 * ab) / 4.0, math.log(3.0 + 4.0 * ab) / 4.0)
+    lower, upper = math.log(1.0 + 4.0 * ab) / 4.0, math.log(3.0 + 4.0 * ab) / 4.0
+    _require_finite("entropy bounds", params, lower, upper)
+    return Bounds(lower, upper)
 
 
 def gle_curve(

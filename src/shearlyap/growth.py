@@ -3,18 +3,19 @@
 For a vector X inside the regime's invariant cone, the growth ratio
 ``|K(a,b) X| / |X|`` in a given norm is sandwiched between a lower
 function (phi flavour) and an upper function (psi flavour) that depend
-only on (a, b, alpha, beta).  Four families exist:
+only on (a, b, alpha, beta).  Each function is keyed by its cone family
+(BoundFamily) and the regime, which the signs of (alpha, beta) decide:
 
-* GLOBAL        - positive regime, global cone [0, 1/alpha];
-* IMPROVED      - positive regime, the three sub-cones selected by
-                  comparing the previous block's run lengths (cases
-                  m = 1: a<b, 2: a=b, 3: a>b), each holding 1/3 of the time;
-* GLOBAL_NEG    - opposed regime, global cone [Gamma, 0];
-* IMPROVED_NEG  - opposed regime, the four sub-cones selected by whether
-                  each previous run length was 1 or >= 2 (cases
-                  (m_a, m_b) in {1,2}^2, each 1/4 of the time).  Only the
-                  L-infinity norm has improved upper functions here,
-                  indexed m = 1..4.
+* global, positive   - the global cone [0, 1/alpha];
+* improved, positive - the three sub-cones selected by comparing the
+                       previous block's run lengths (cases m = 1: a<b,
+                       2: a=b, 3: a>b), each holding 1/3 of the time;
+* global, opposed    - the global cone [Gamma, 0];
+* improved, opposed  - the four sub-cones selected by whether each
+                       previous run length was 1 or >= 2 (cases
+                       (m_a, m_b) in {1,2}^2, each 1/4 of the time).  Only
+                       the L-infinity norm has improved upper functions
+                       here, indexed m = 1..4.
 
 Formulas are kept in their published two-branch / rational form rather
 than algebraically simplified; every value is positive, and at least 1 in
@@ -27,7 +28,7 @@ real a, b >= 1, not just integers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -45,7 +46,7 @@ from .linalg import (
 )
 
 __all__ = [
-    "FunctionFamily",
+    "BoundFamily",
     "Side",
     "BoundFunctionId",
     "c_value",
@@ -57,11 +58,11 @@ __all__ = [
 ]
 
 
-class FunctionFamily(enum.Enum):
+class BoundFamily(enum.Enum):
+    """Cone family: the global invariant cone, or the improved sub-cones."""
+
     GLOBAL = "global"
     IMPROVED = "improved"
-    GLOBAL_NEG = "global_neg"
-    IMPROVED_NEG = "improved_neg"
 
 
 class Side(enum.Enum):
@@ -187,54 +188,37 @@ def _psi_hat_t_linf(m, a, b, al, be):
 # --------------------------------------------------------------------------
 # dispatch
 
-_REGIME_FOR_FAMILY = {
-    FunctionFamily.GLOBAL: Regime.POSITIVE_PAIR,
-    FunctionFamily.IMPROVED: Regime.POSITIVE_PAIR,
-    FunctionFamily.GLOBAL_NEG: Regime.OPPOSED_PAIR,
-    FunctionFamily.IMPROVED_NEG: Regime.OPPOSED_PAIR,
-}
-
-
 @dataclass(frozen=True)
 class BoundFunctionId:
     """Identifier of one bound function: family, norm, side and case index.
 
     Case conventions: () for the global families; (m,) with m in 1..3 for
-    IMPROVED; (m_a, m_b) in {1,2}^2 for IMPROVED_NEG lower; (m,) with m in
-    1..4 for IMPROVED_NEG upper, which exists only for the L-infinity norm.
+    the improved positive family; (m_a, m_b) in {1,2}^2 for the improved
+    opposed lower functions; (m,) with m in 1..4 for the improved opposed
+    upper functions, which exist only for the L-infinity norm.  evaluator
+    checks the combination against the parameters' regime.
     """
 
-    family: FunctionFamily
+    family: BoundFamily
     norm: NormKind
     side: Side
-    case: tuple[int, ...] = field(default=())
-
-    def __post_init__(self):
-        family, side = self.family.value, self.side.value
-        norms = norms_for(self.family, self.side)
-        if self.norm not in norms:
-            raise DomainError(
-                f"{family} {side} bounds exist only for the norms {[n.value for n in norms]}"
-            )
-        cases = cases_for(self.family, self.side)
-        if self.case not in cases:
-            raise DomainError(f"{family} {side} case must be one of {cases}, got {self.case}")
+    case: tuple[int, ...] = ()
 
 
-def cases_for(family: FunctionFamily, side: Side) -> list[tuple[int, ...]]:
-    """Case indices averaged together in the given family/side."""
-    if family in (FunctionFamily.GLOBAL, FunctionFamily.GLOBAL_NEG):
+def cases_for(family: BoundFamily, regime: Regime, side: Side) -> list[tuple[int, ...]]:
+    """Case indices averaged together in the given family/regime/side."""
+    if family is BoundFamily.GLOBAL:
         return [()]
-    if family is FunctionFamily.IMPROVED:
+    if regime is Regime.POSITIVE_PAIR:
         return [(1,), (2,), (3,)]
     if side is Side.LOWER:
         return [(1, 1), (1, 2), (2, 1), (2, 2)]
     return [(1,), (2,), (3,), (4,)]
 
 
-def norms_for(family: FunctionFamily, side: Side) -> list[NormKind]:
+def norms_for(family: BoundFamily, regime: Regime, side: Side) -> list[NormKind]:
     """Norms for which the family provides a bound on the given side."""
-    return [n for (f, n, s) in _EVALUATORS if f is family and s is side]
+    return [n for (f, r, n, s) in _EVALUATORS if (f, r, s) == (family, regime, side)]
 
 
 def _plain(fn):
@@ -258,50 +242,54 @@ def _coned(fn):
     return entry
 
 
-_FF, _L1, _L2, _LINF = FunctionFamily, NormKind.L1, NormKind.L2, NormKind.LINF
+_GLOBAL, _IMPROVED = BoundFamily.GLOBAL, BoundFamily.IMPROVED
+_POS, _OPP = Regime.POSITIVE_PAIR, Regime.OPPOSED_PAIR
+_L1, _L2, _LINF = NormKind.L1, NormKind.L2, NormKind.LINF
 
-# (family, norm, side) -> entry(case, params) returning f(a, b)
+# (family, regime, norm, side) -> entry(case, params) returning f(a, b)
 _EVALUATORS = {
-    (_FF.GLOBAL, _L1, Side.LOWER): _plain(_phi_l1),
-    (_FF.GLOBAL, _L2, Side.LOWER): _plain(_phi_l2),
-    (_FF.GLOBAL, _LINF, Side.LOWER): _plain(_phi_linf),
-    (_FF.GLOBAL, _L1, Side.UPPER): _plain(_psi_l1),
-    (_FF.GLOBAL, _L2, Side.UPPER): _plain(_psi_l2),
-    (_FF.GLOBAL, _LINF, Side.UPPER): _plain(_psi_linf),
-    (_FF.IMPROVED, _L1, Side.LOWER): _cased(_phi_hat_l1),
-    (_FF.IMPROVED, _L2, Side.LOWER): _cased(_phi_hat_l2),
-    (_FF.IMPROVED, _LINF, Side.LOWER): _plain(_phi_linf),
-    (_FF.IMPROVED, _L1, Side.UPPER): _plain(_psi_l1),
-    (_FF.IMPROVED, _L2, Side.UPPER): _plain(_psi_l2),
-    (_FF.IMPROVED, _LINF, Side.UPPER): _cased(_psi_hat_linf),
-    (_FF.GLOBAL_NEG, _L1, Side.LOWER): _coned(_phi_t_l1),
-    (_FF.GLOBAL_NEG, _L2, Side.LOWER): _coned(_phi_t_l2),
-    (_FF.GLOBAL_NEG, _LINF, Side.LOWER): _coned(_phi_t_linf),
-    (_FF.GLOBAL_NEG, _L1, Side.UPPER): _plain(_psi_t_l1),
-    (_FF.GLOBAL_NEG, _L2, Side.UPPER): _plain(_psi_t_l2),
-    (_FF.GLOBAL_NEG, _LINF, Side.UPPER): _plain(_psi_t_linf),
-    (_FF.IMPROVED_NEG, _L1, Side.LOWER): _coned(_phi_t_l1),
-    (_FF.IMPROVED_NEG, _L2, Side.LOWER): _coned(_phi_t_l2),
-    (_FF.IMPROVED_NEG, _LINF, Side.LOWER): _coned(_phi_t_linf),
-    (_FF.IMPROVED_NEG, _LINF, Side.UPPER): _cased(_psi_hat_t_linf),
+    (_GLOBAL, _POS, _L1, Side.LOWER): _plain(_phi_l1),
+    (_GLOBAL, _POS, _L2, Side.LOWER): _plain(_phi_l2),
+    (_GLOBAL, _POS, _LINF, Side.LOWER): _plain(_phi_linf),
+    (_GLOBAL, _POS, _L1, Side.UPPER): _plain(_psi_l1),
+    (_GLOBAL, _POS, _L2, Side.UPPER): _plain(_psi_l2),
+    (_GLOBAL, _POS, _LINF, Side.UPPER): _plain(_psi_linf),
+    (_IMPROVED, _POS, _L1, Side.LOWER): _cased(_phi_hat_l1),
+    (_IMPROVED, _POS, _L2, Side.LOWER): _cased(_phi_hat_l2),
+    (_IMPROVED, _POS, _LINF, Side.LOWER): _plain(_phi_linf),
+    (_IMPROVED, _POS, _L1, Side.UPPER): _plain(_psi_l1),
+    (_IMPROVED, _POS, _L2, Side.UPPER): _plain(_psi_l2),
+    (_IMPROVED, _POS, _LINF, Side.UPPER): _cased(_psi_hat_linf),
+    (_GLOBAL, _OPP, _L1, Side.LOWER): _coned(_phi_t_l1),
+    (_GLOBAL, _OPP, _L2, Side.LOWER): _coned(_phi_t_l2),
+    (_GLOBAL, _OPP, _LINF, Side.LOWER): _coned(_phi_t_linf),
+    (_GLOBAL, _OPP, _L1, Side.UPPER): _plain(_psi_t_l1),
+    (_GLOBAL, _OPP, _L2, Side.UPPER): _plain(_psi_t_l2),
+    (_GLOBAL, _OPP, _LINF, Side.UPPER): _plain(_psi_t_linf),
+    (_IMPROVED, _OPP, _L1, Side.LOWER): _coned(_phi_t_l1),
+    (_IMPROVED, _OPP, _L2, Side.LOWER): _coned(_phi_t_l2),
+    (_IMPROVED, _OPP, _LINF, Side.LOWER): _coned(_phi_t_linf),
+    (_IMPROVED, _OPP, _LINF, Side.UPPER): _cased(_psi_hat_t_linf),
 }
 
 
 def evaluator(
-    family: FunctionFamily,
+    family: BoundFamily,
     norm: NormKind,
     side: Side,
     case: tuple[int, ...],
     params: ShearParams,
 ) -> Callable:
-    """Array-capable callable f(a, b) for one bound function."""
-    BoundFunctionId(family, norm, side, case)  # validates the combination
-    if params.regime is not _REGIME_FOR_FAMILY[family]:
-        raise DomainError(
-            f"{family.value} bound functions require {_REGIME_FOR_FAMILY[family].value}"
-            f"-regime parameters"
-        )
-    return _EVALUATORS[(family, norm, side)](case, params)
+    """Array-capable callable f(a, b) for one bound function of the
+    parameters' regime; DomainError for a norm or case it does not have."""
+    what = f"{family.value} {params.regime.value} {side.value}"
+    norms = norms_for(family, params.regime, side)
+    if norm not in norms:
+        raise DomainError(f"{what} bounds exist only for the norms {[n.value for n in norms]}")
+    cases = cases_for(family, params.regime, side)
+    if case not in cases:
+        raise DomainError(f"{what} case must be one of {cases}, got {case}")
+    return _EVALUATORS[(family, params.regime, norm, side)](case, params)
 
 
 def phi(id_: BoundFunctionId, block: BlockExponents, params: ShearParams) -> float:

@@ -54,52 +54,37 @@ class NormKind(enum.Enum):
     LINF = "linf"
 
 
-def _require_finite(alpha: float, beta: float) -> None:
-    if not (math.isfinite(alpha) and math.isfinite(beta)):
-        raise DomainError(f"alpha and beta must be finite, got alpha={alpha}, beta={beta}")
-
-
 @dataclass(frozen=True)
 class ShearParams:
-    """Shear strengths (alpha, beta) plus their sign regime.
+    """Shear strengths (alpha, beta); their signs decide the regime.
 
-    POSITIVE_PAIR requires alpha >= 1 and beta >= 1.  OPPOSED_PAIR requires
-    alpha < -2 and beta > 2, which guarantees |alpha*beta| > 4 and hence
-    hyperbolicity of every block matrix.
+    POSITIVE_PAIR is alpha >= 1 and beta >= 1.  OPPOSED_PAIR is alpha < -2
+    and beta > 2, which guarantees |alpha*beta| > 4 and hence hyperbolicity
+    of every block matrix.  Any other pair, or a non-finite one, raises
+    DomainError.
     """
 
     alpha: float
     beta: float
-    regime: Regime
 
     def __post_init__(self):
         a, b = self.alpha, self.beta
-        _require_finite(a, b)
-        if self.regime is Regime.POSITIVE_PAIR:
-            if not (a >= 1.0 and b >= 1.0):
-                raise DomainError(
-                    f"positive regime requires alpha >= 1 and beta >= 1, got alpha={a}, beta={b}"
-                )
-        elif self.regime is Regime.OPPOSED_PAIR:
-            if not (a < -2.0 and b > 2.0):
-                raise DomainError(
-                    f"opposed regime requires alpha < -2 and beta > 2, got alpha={a}, beta={b}"
-                )
-        else:  # pragma: no cover - enum exhausts the cases
-            raise DomainError(f"unknown regime {self.regime!r}")
+        if not (math.isfinite(a) and math.isfinite(b)):
+            raise DomainError(f"alpha and beta must be finite, got alpha={a}, beta={b}")
+        if not (a >= 1.0 and b >= 1.0) and not (a < -2.0 and b > 2.0):
+            raise DomainError(
+                "alpha must be >= 1 (with beta >= 1) or < -2 (with beta > 2); "
+                f"got alpha={a}, beta={b}"
+            )
+
+    @property
+    def regime(self) -> Regime:
+        return Regime.POSITIVE_PAIR if self.alpha >= 1.0 else Regime.OPPOSED_PAIR
 
     @classmethod
     def infer(cls, alpha: float, beta: float) -> "ShearParams":
-        """Build params with the regime inferred from the signs."""
-        _require_finite(alpha, beta)
-        if alpha >= 1.0 and beta >= 1.0:
-            return cls(alpha, beta, Regime.POSITIVE_PAIR)
-        if alpha < -2.0 and beta > 2.0:
-            return cls(alpha, beta, Regime.OPPOSED_PAIR)
-        raise DomainError(
-            "alpha must be >= 1 (with beta >= 1) or < -2 (with beta > 2); "
-            f"got alpha={alpha}, beta={beta}"
-        )
+        """Alias of ShearParams(alpha, beta)."""
+        return cls(alpha, beta)
 
 
 @dataclass(frozen=True)

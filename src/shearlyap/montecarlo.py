@@ -267,6 +267,19 @@ def _shear_bound(params: ShearParams) -> float:
     return bound
 
 
+def _exhaustive_finite(k: int, params: ShearParams) -> bool:
+    """Whether exhaustive E_k is finite.  Only unscaled products can overflow:
+    A and B themselves when k = 1, through their norms; else the products of
+    length 2, through the entries 1 + alpha*beta, 2*alpha and 2*beta.  Every
+    later level starts from products divided by their largest entry."""
+    al, be = params.alpha, params.beta
+    with np.errstate(over="ignore"):
+        if k == 1:
+            ab = np.array([[[1.0, 0.0], [al, 1.0]], [[1.0, be], [0.0, 1.0]]])
+            return bool(np.isfinite(spectral_norm_batch(ab)).all())
+        return all(map(math.isfinite, (1.0 + be * al, al + al, be + be)))
+
+
 def _check_cost(n_apps: int) -> int:
     if n_apps > _MAX_APPS:
         raise DomainError(f"{n_apps:.3g} matrix applications exceed the cost guard "
@@ -366,7 +379,8 @@ def standard_bound(
     """Classical submultiplicative upper bound E_k = (1/k) E log |C|_2.
 
     "exhaustive" averages over all 2^k products of length k (k <= 22 cost
-    guard); "sampled" draws n_samples uniform products from a non-negative
+    guard) and refuses with DomainError the shears at which E_k overflows;
+    "sampled" draws n_samples uniform products from a non-negative
     seed; it refuses shears above _SHEAR_MAX (1e79) with DomainError.  E_k
     decreases to the Lyapunov exponent as k grows.  k must be a positive
     integer; anything else raises DomainError.
@@ -383,6 +397,9 @@ def standard_bound(
                 f"exhaustive mode enumerates 2^k products; k = {k} exceeds the "
                 f"cost guard {_EXHAUSTIVE_MAX_K} (use mode='sampled')"
             )
+        if not _exhaustive_finite(k, params):
+            raise DomainError(f"exhaustive E_{k} overflows double precision at "
+                              f"alpha={params.alpha}, beta={params.beta}")
         S = _SLICE_MATRICES
         p = np.empty((4, 1 << k))  # rows p11, p12, p21, p22; column j is one product
         p[:, :2] = [[1.0, 1.0], [0.0, params.beta], [params.alpha, 0.0], [1.0, 1.0]]  # A, B

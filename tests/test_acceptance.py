@@ -49,7 +49,7 @@ from shearlyap import (
     psi,
     standard_bound,
 )
-from shearlyap.growth import BoundFunctionId, FunctionFamily, Side
+from shearlyap.growth import BoundFamily, BoundFunctionId, Side
 
 POS11 = ShearParams.infer(1.0, 1.0)
 NORMS = (NormKind.L1, NormKind.L2, NormKind.LINF)
@@ -183,11 +183,11 @@ def _sandwich_violations(regime: str, n: int, seed: int) -> int:
         if regime == "positive":
             p = ShearParams.infer(rng.uniform(1, 10), rng.uniform(1, 10))
             cone = cone_positive(p)
-            family = FunctionFamily.GLOBAL
+            family = BoundFamily.GLOBAL
         else:
             p = ShearParams.infer(rng.uniform(-10, -2.1), rng.uniform(2.1, 10))
             cone = cone_negative(p)
-            family = FunctionFamily.GLOBAL_NEG
+            family = BoundFamily.GLOBAL
         block = BlockExponents(int(rng.integers(1, 31)), int(rng.integers(1, 31)))
         slope = rng.uniform(cone.lo, cone.hi)
         scale = rng.uniform(0.5, 2.0) * (1.0 if rng.random() < 0.5 else -1.0)

@@ -496,6 +496,29 @@ class TestSmallCommands:
         assert "n_samples" in result.output
 
 
+class TestExtremeShears:
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("args,code,message", [
+        ("entropy --alpha 1e300 --beta 1e300", 2, "entropy bounds overflow double precision"),
+        ("gle-exact --q 3 --alpha 1e300 --beta 1e300", 2,
+         "exact q = 3 moment bounds overflow double precision"),
+        ("standard-bound --k 5 --alpha 1e300 --beta 1e300", 2,
+         "exhaustive E_5 overflows double precision"),
+        ("bounds --alpha -2e16 --beta 3", 2, "Gamma is lost to rounding"),
+        ("bounds --alpha 1e200 --beta 1", 3,
+         "the global positive lower l2 bound function overflows double precision"),
+        ("sweep --mode lyap-bounds --alpha 1e200 --beta 1", 3,
+         "the global positive lower l2 bound function overflows double precision"),
+        ("bounds --alpha 1 --beta 1e200", 3, "series sum is not finite"),
+    ])
+    def test_one_error_line_and_exit_code(self, runner, args, code, message):
+        result = runner.invoke(main, args.split())
+        assert result.exit_code == code, result.output
+        assert isinstance(result.exception, SystemExit)
+        [line] = result.output.splitlines()
+        assert line.startswith("error: ") and message in line
+
+
 class TestConfigAndOutput:
     def test_config_file_defaults(self, runner, tmp_path):
         cfg = tmp_path / "series.cfg"

@@ -92,6 +92,11 @@ class TestGamma:
         with pytest.raises(DomainError):
             gamma(ShearParams.infer(1, 1))
 
+    @pytest.mark.parametrize("alpha,beta", [(-2e16, 3.0), (-3.0, 1e100), (-1e200, 3.0)])
+    def test_rounding_loss_is_a_domain_error(self, alpha, beta):
+        with pytest.raises(DomainError, match="Gamma is lost to rounding"):
+            gamma(ShearParams(alpha, beta))
+
     def test_rejects_weak_product(self):
         fake = SimpleNamespace(alpha=-2.0, beta=2.0, regime=Regime.OPPOSED_PAIR)
         with pytest.raises(DomainError):

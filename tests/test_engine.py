@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import shearlyap
 from shearlyap import engine, series
 from shearlyap import (
     BoundFamily,
@@ -211,6 +212,42 @@ class TestEntropy:
             entropy_bounds(OPP33)
 
 
+class TestExtremeShears:
+    @pytest.mark.parametrize("fn", [entropy_bounds, closed_form_bounds,
+                                    lambda p: gle_exact_integer(3, p)],
+                             ids=["entropy", "closed_form", "gle_exact"])
+    def test_closed_forms_refuse_overflow(self, fn):
+        with pytest.raises(DomainError, match=r"overflow double precision at alpha=1e\+300"):
+            fn(ShearParams(1e300, 1e300))
+
+    def test_closed_forms_keep_finite_values(self):
+        p = ShearParams(1e154, 1e154)
+        with pytest.raises(DomainError, match="entropy bounds overflow"):
+            entropy_bounds(p)  # 4 * alpha * beta overflows
+        assert closed_form_bounds(p).lower == 177.55296912197574
+        assert gle_exact_integer(3, p).upper == 533.5262047506353
+        assert entropy_bounds(ShearParams(1e100, 1e100)).lower == 115.47582823998226
+
+    @pytest.mark.parametrize("params,where", [
+        (ShearParams(1e200, 1.0), "global positive lower l2"),
+        (ShearParams(-3.0, 1e200), "global opposed lower l1"),
+    ])
+    def test_overflowing_bound_function_is_non_convergence(self, params, where):
+        with pytest.raises(NonConvergenceError,
+                           match=f"the {where} bound function overflows double precision"):
+            lyapunov_bounds(params)
+
+    def test_lost_gamma_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="Gamma is lost to rounding"):
+            gle_bounds_report(1.0, ShearParams(-2e16, 3.0))
+
+
+def test_bound_family_is_one_object():
+    from shearlyap import growth
+
+    assert shearlyap.BoundFamily is engine.BoundFamily is growth.BoundFamily
+
+
 class TestGleBounds:
     def test_zero_is_exact(self):
         for p in (POS11, OPP33):
@@ -314,7 +351,8 @@ class TestSeriesConfigPlumbing:
 def _pointwise_case_mean(ff, norm, side, params, cfg, q=None):
     """The integrand as built before the grid cache: every case's bound
     function evaluated afresh on each block, raised to q, averaged."""
-    fns = [engine.evaluator(ff, norm, side, c, params) for c in engine.cases_for(ff, side)]
+    fns = [engine.evaluator(ff, norm, side, c, params)
+           for c in engine.cases_for(ff, params.regime, side)]
     n = len(fns)
     if q is None:
         def f(a, b):
@@ -360,12 +398,11 @@ class TestGridCache:
     def test_integrand_terms_bit_identical(self, max_index, params, family):
         # the values the sums see: the whole grid at both truncations
         cfg = SeriesConfig(max_index=max_index)
-        ff = engine._function_family(family, params.regime)
         for side in engine.Side:
-            for norm in engine.norms_for(ff, side):
+            for norm in engine.norms_for(family, params.regime, side):
                 for q in (None, -2.5, -1.0, 0.5, 3.0):
-                    cached = engine._case_mean(ff, norm, side, params, cfg, q)
-                    pointwise = _pointwise_case_mean(ff, norm, side, params, cfg, q)
+                    cached = engine._case_mean(family, norm, side, params, cfg, q)
+                    pointwise = _pointwise_case_mean(family, norm, side, params, cfg, q)
                     for limit in (max_index, 2 * max_index):
                         aa, bb, _ = series._grid(limit)
                         assert np.array_equal(cached(aa, bb), pointwise(aa, bb))
@@ -396,10 +433,10 @@ class TestGridCache:
         engine._bound_grid.cache_clear()
         lyapunov_bounds(params, BoundFamily.IMPROVED, SeriesConfig(max_index=64))
         aa, bb = np.meshgrid(np.arange(1.0, 129.0), np.arange(1.0, 129.0), indexing="ij")
-        ff = engine._function_family(BoundFamily.IMPROVED, params.regime)
+        ff = BoundFamily.IMPROVED
         for side in engine.Side:
-            for norm in engine.norms_for(ff, side):
-                for case in engine.cases_for(ff, side):
+            for norm in engine.norms_for(ff, params.regime, side):
+                for case in engine.cases_for(ff, params.regime, side):
                     grid = engine._bound_grid(ff, norm, side, case, params, 128)
                     assert not grid.flags.writeable
                     fresh = engine.evaluator(ff, norm, side, case, params)(aa, bb)
@@ -408,7 +445,7 @@ class TestGridCache:
         assert engine._bound_grid.cache_info().misses == engine._bound_grid.cache_info().currsize
 
     def test_integrand_serves_only_its_grid(self):
-        args = (engine.FunctionFamily.GLOBAL, NormKind.L1, engine.Side.LOWER, POS11,
+        args = (BoundFamily.GLOBAL, NormKind.L1, engine.Side.LOWER, POS11,
                 SeriesConfig(max_index=8))
         f = engine._case_mean(*args)
         assert series.truncated_sum(f, 16) == series.truncated_sum(_pointwise_case_mean(*args), 16)

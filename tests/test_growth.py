@@ -7,7 +7,6 @@ from shearlyap import (
     BlockExponents,
     BoundFunctionId,
     DomainError,
-    FunctionFamily,
     NormKind,
     ShearParams,
     Side,
@@ -25,7 +24,7 @@ from shearlyap import (
     vec_norm,
 )
 from shearlyap.cones import BlockOrder
-from shearlyap.growth import evaluator
+from shearlyap.growth import BoundFamily, evaluator
 
 POS11 = ShearParams.infer(1.0, 1.0)
 OPP33 = ShearParams.infer(-3.0, 3.0)
@@ -48,14 +47,14 @@ def ratio_at_slope(block, params, slope, norm):
 
 class TestExamples:
     def test_phi_linf_unit(self):
-        assert phi(fid(FunctionFamily.GLOBAL, NormKind.LINF, Side.LOWER), B11, POS11) == 2.0
+        assert phi(fid(BoundFamily.GLOBAL, NormKind.LINF, Side.LOWER), B11, POS11) == 2.0
 
     def test_phi_l1_unit(self):
-        got = phi(fid(FunctionFamily.GLOBAL, NormKind.L1, Side.LOWER), B11, POS11)
+        got = phi(fid(BoundFamily.GLOBAL, NormKind.L1, Side.LOWER), B11, POS11)
         assert got == pytest.approx(2.5, abs=1e-15)
 
     def test_phi_l2_unit_two_branches(self):
-        got = phi(fid(FunctionFamily.GLOBAL, NormKind.L2, Side.LOWER), B11, POS11)
+        got = phi(fid(BoundFamily.GLOBAL, NormKind.L2, Side.LOWER), B11, POS11)
         assert got == pytest.approx(math.sqrt(5.0), abs=1e-14)
         # oracle: direct minimization of the L2 ratio over the cone
         slopes = np.linspace(0.0, 1.0, 20001)
@@ -63,20 +62,20 @@ class TestExamples:
         assert got == pytest.approx(min(ratios), abs=1e-7)
 
     def test_psi_linf_unit(self):
-        assert psi(fid(FunctionFamily.GLOBAL, NormKind.LINF, Side.UPPER), B11, POS11) == 3.0
+        assert psi(fid(BoundFamily.GLOBAL, NormKind.LINF, Side.UPPER), B11, POS11) == 3.0
 
     def test_psi_l2_is_spectral_norm(self):
-        got = psi(fid(FunctionFamily.GLOBAL, NormKind.L2, Side.UPPER), B11, POS11)
+        got = psi(fid(BoundFamily.GLOBAL, NormKind.L2, Side.UPPER), B11, POS11)
         want = math.sqrt((7.0 + math.sqrt(45.0)) / 2.0)
         assert got == pytest.approx(want, abs=1e-14)
         assert got == pytest.approx(spectral_norm(k_ab(B11, POS11)), abs=1e-12)
 
     def test_improved_psi_linf_case2(self):
-        got = psi(fid(FunctionFamily.IMPROVED, NormKind.LINF, Side.UPPER, (2,)), B11, POS11)
+        got = psi(fid(BoundFamily.IMPROVED, NormKind.LINF, Side.UPPER, (2,)), B11, POS11)
         assert got == pytest.approx(8.0 / 3.0, abs=1e-15)
 
     def test_tilde_phi_linf(self):
-        got = phi(fid(FunctionFamily.GLOBAL_NEG, NormKind.LINF, Side.LOWER), B11, OPP33)
+        got = phi(fid(BoundFamily.GLOBAL, NormKind.LINF, Side.LOWER), B11, OPP33)
         assert got == pytest.approx(8.0 + 3.0 * GAMMA_33, abs=1e-12)
         # oracle: ratio at the cone boundary direction (Gamma, 1)
         assert got == pytest.approx(
@@ -84,7 +83,7 @@ class TestExamples:
         )
 
     def test_tilde_psi_linf(self):
-        got = psi(fid(FunctionFamily.GLOBAL_NEG, NormKind.LINF, Side.UPPER), B11, OPP33)
+        got = psi(fid(BoundFamily.GLOBAL, NormKind.LINF, Side.UPPER), B11, OPP33)
         assert got == 8.0
 
 
@@ -111,33 +110,46 @@ class TestGrowthRatio:
 class TestIdValidation:
     def test_global_takes_no_case(self):
         with pytest.raises(DomainError):
-            BoundFunctionId(FunctionFamily.GLOBAL, NormKind.L1, Side.LOWER, (1,))
+            evaluator(BoundFamily.GLOBAL, NormKind.L1, Side.LOWER, (1,), POS11)
 
     def test_improved_case_range(self):
         with pytest.raises(DomainError):
-            BoundFunctionId(FunctionFamily.IMPROVED, NormKind.L1, Side.LOWER, (4,))
+            evaluator(BoundFamily.IMPROVED, NormKind.L1, Side.LOWER, (4,), POS11)
 
     def test_improved_neg_upper_linf_only(self):
         with pytest.raises(DomainError):
-            BoundFunctionId(FunctionFamily.IMPROVED_NEG, NormKind.L1, Side.UPPER, (1,))
-        BoundFunctionId(FunctionFamily.IMPROVED_NEG, NormKind.LINF, Side.UPPER, (4,))
+            evaluator(BoundFamily.IMPROVED, NormKind.L1, Side.UPPER, (1,), OPP33)
+        evaluator(BoundFamily.IMPROVED, NormKind.LINF, Side.UPPER, (4,), OPP33)
 
     def test_improved_neg_lower_pairs(self):
         with pytest.raises(DomainError):
-            BoundFunctionId(FunctionFamily.IMPROVED_NEG, NormKind.L1, Side.LOWER, (1,))
-        BoundFunctionId(FunctionFamily.IMPROVED_NEG, NormKind.L2, Side.LOWER, (2, 1))
+            evaluator(BoundFamily.IMPROVED, NormKind.L1, Side.LOWER, (1,), OPP33)
+        evaluator(BoundFamily.IMPROVED, NormKind.L2, Side.LOWER, (2, 1), OPP33)
 
-    def test_family_regime_mismatch(self):
-        with pytest.raises(DomainError):
-            phi(fid(FunctionFamily.GLOBAL, NormKind.L1, Side.LOWER), B11, OPP33)
-        with pytest.raises(DomainError):
-            phi(fid(FunctionFamily.GLOBAL_NEG, NormKind.L1, Side.LOWER), B11, POS11)
+    @pytest.mark.parametrize("family,norm,side,case,params,message", [
+        (BoundFamily.GLOBAL, NormKind.L1, Side.LOWER, (1,), POS11,
+         "global positive lower case must be one of [()], got (1,)"),
+        (BoundFamily.IMPROVED, NormKind.LINF, Side.UPPER, (), POS11,
+         "improved positive upper case must be one of [(1,), (2,), (3,)], got ()"),
+        (BoundFamily.GLOBAL, NormKind.L2, Side.UPPER, (1, 1), OPP33,
+         "global opposed upper case must be one of [()], got (1, 1)"),
+        (BoundFamily.IMPROVED, NormKind.L1, Side.LOWER, (1,), OPP33,
+         "improved opposed lower case must be one of [(1, 1), (1, 2), (2, 1), (2, 2)], got (1,)"),
+        (BoundFamily.IMPROVED, NormKind.L2, Side.UPPER, (1,), OPP33,
+         "improved opposed upper bounds exist only for the norms ['linf']"),
+        (BoundFamily.IMPROVED, "l1", Side.UPPER, (1,), POS11,
+         "improved positive upper bounds exist only for the norms ['l1', 'l2', 'linf']"),
+    ])
+    def test_messages_name_family_regime_side(self, family, norm, side, case, params, message):
+        with pytest.raises(DomainError) as info:
+            evaluator(family, norm, side, case, params)
+        assert str(info.value) == message
 
     def test_side_mismatch(self):
         with pytest.raises(DomainError):
-            phi(fid(FunctionFamily.GLOBAL, NormKind.L1, Side.UPPER), B11, POS11)
+            phi(fid(BoundFamily.GLOBAL, NormKind.L1, Side.UPPER), B11, POS11)
         with pytest.raises(DomainError):
-            psi(fid(FunctionFamily.GLOBAL, NormKind.L1, Side.LOWER), B11, POS11)
+            psi(fid(BoundFamily.GLOBAL, NormKind.L1, Side.LOWER), B11, POS11)
 
 
 def _sample_positive(rng, n):
@@ -179,8 +191,8 @@ class TestSandwich:
         for i in range(2000):
             p = ShearParams.infer(alpha[i], beta[i])
             for norm in NORMS:
-                lo = evaluator(FunctionFamily.GLOBAL, norm, Side.LOWER, (), p)(a[i], b[i])
-                hi = evaluator(FunctionFamily.GLOBAL, norm, Side.UPPER, (), p)(a[i], b[i])
+                lo = evaluator(BoundFamily.GLOBAL, norm, Side.LOWER, (), p)(a[i], b[i])
+                hi = evaluator(BoundFamily.GLOBAL, norm, Side.UPPER, (), p)(a[i], b[i])
                 r = ratios[norm][i]
                 tol = 1e-10 * max(1.0, abs(r))
                 assert lo <= r + tol and r <= hi + tol
@@ -193,8 +205,8 @@ class TestSandwich:
         for i in range(2000):
             p = ShearParams.infer(alpha[i], beta[i])
             for norm in NORMS:
-                lo = evaluator(FunctionFamily.GLOBAL_NEG, norm, Side.LOWER, (), p)(a[i], b[i])
-                hi = evaluator(FunctionFamily.GLOBAL_NEG, norm, Side.UPPER, (), p)(a[i], b[i])
+                lo = evaluator(BoundFamily.GLOBAL, norm, Side.LOWER, (), p)(a[i], b[i])
+                hi = evaluator(BoundFamily.GLOBAL, norm, Side.UPPER, (), p)(a[i], b[i])
                 r = ratios[norm][i]
                 tol = 1e-10 * max(1.0, abs(r))
                 assert lo <= r + tol and r <= hi + tol
@@ -213,8 +225,8 @@ class TestSandwich:
                     x = Vec2(float(s), 1.0)
                     for norm in NORMS:
                         r = growth_ratio(block, p, x, norm)
-                        lo = phi(fid(FunctionFamily.IMPROVED, norm, Side.LOWER, (m,)), block, p)
-                        hi = psi(fid(FunctionFamily.IMPROVED, norm, Side.UPPER, (m,)), block, p)
+                        lo = phi(fid(BoundFamily.IMPROVED, norm, Side.LOWER, (m,)), block, p)
+                        hi = psi(fid(BoundFamily.IMPROVED, norm, Side.UPPER, (m,)), block, p)
                         tol = 1e-10 * max(1.0, r)
                         assert lo <= r + tol and r <= hi + tol
 
@@ -240,14 +252,14 @@ class TestSandwich:
                         else:
                             r = max(abs(up), abs(vp)) / max(abs(s), 1.0)
                         lo = phi(
-                            fid(FunctionFamily.IMPROVED_NEG, norm, Side.LOWER, (ma, mb)),
+                            fid(BoundFamily.IMPROVED, norm, Side.LOWER, (ma, mb)),
                             block, p,
                         )
                         tol = 1e-10 * max(1.0, r)
                         assert lo <= r + tol
                         if norm is NormKind.LINF:
                             hi = psi(
-                                fid(FunctionFamily.IMPROVED_NEG, norm, Side.UPPER, (mpsi,)),
+                                fid(BoundFamily.IMPROVED, norm, Side.UPPER, (mpsi,)),
                                 block, p,
                             )
                             assert r <= hi + tol
@@ -259,14 +271,14 @@ class TestSandwich:
             p = ShearParams.infer(alpha[i], beta[i])
             for norm in NORMS:
                 for side in (Side.LOWER, Side.UPPER):
-                    v = evaluator(FunctionFamily.GLOBAL, norm, side, (), p)(a[i], b[i])
+                    v = evaluator(BoundFamily.GLOBAL, norm, side, (), p)(a[i], b[i])
                     assert v >= 1.0
         alpha, beta, a, b, _ = _sample_opposed(rng, 500)
         for i in range(500):
             p = ShearParams.infer(alpha[i], beta[i])
             for norm in NORMS:
                 for side in (Side.LOWER, Side.UPPER):
-                    v = evaluator(FunctionFamily.GLOBAL_NEG, norm, side, (), p)(a[i], b[i])
+                    v = evaluator(BoundFamily.GLOBAL, norm, side, (), p)(a[i], b[i])
                     assert v > 1.0
 
     def test_linf_tight_at_boundaries(self):
@@ -274,8 +286,8 @@ class TestSandwich:
         for _ in range(200):
             p = ShearParams.infer(rng.uniform(1, 10), rng.uniform(1, 10))
             block = BlockExponents(int(rng.integers(1, 25)), int(rng.integers(1, 25)))
-            lo = phi(fid(FunctionFamily.GLOBAL, NormKind.LINF, Side.LOWER), block, p)
-            hi = psi(fid(FunctionFamily.GLOBAL, NormKind.LINF, Side.UPPER), block, p)
+            lo = phi(fid(BoundFamily.GLOBAL, NormKind.LINF, Side.LOWER), block, p)
+            hi = psi(fid(BoundFamily.GLOBAL, NormKind.LINF, Side.UPPER), block, p)
             at_zero = growth_ratio(block, p, Vec2(0.0, 1.0), NormKind.LINF)
             at_top = growth_ratio(block, p, Vec2(1.0, p.alpha), NormKind.LINF)
             assert at_zero == pytest.approx(lo, rel=1e-9)
@@ -292,10 +304,10 @@ class TestFormulaOracle:
             block = BlockExponents(int(rng.integers(1, 25)), int(rng.integers(1, 25)))
             hi_slope = 1.0 / p.alpha
             # L1: lower attained at the steep boundary, upper at slope 0
-            assert phi(fid(FunctionFamily.GLOBAL, NormKind.L1, Side.LOWER), block, p) == (
+            assert phi(fid(BoundFamily.GLOBAL, NormKind.L1, Side.LOWER), block, p) == (
                 pytest.approx(ratio_at_slope(block, p, hi_slope, NormKind.L1), rel=1e-12)
             )
-            assert psi(fid(FunctionFamily.GLOBAL, NormKind.L1, Side.UPPER), block, p) == (
+            assert psi(fid(BoundFamily.GLOBAL, NormKind.L1, Side.UPPER), block, p) == (
                 pytest.approx(ratio_at_slope(block, p, 0.0, NormKind.L1), rel=1e-12)
             )
             # L2: lower is the smaller boundary ratio, upper the spectral norm
@@ -303,10 +315,10 @@ class TestFormulaOracle:
                 ratio_at_slope(block, p, 0.0, NormKind.L2),
                 ratio_at_slope(block, p, hi_slope, NormKind.L2),
             )
-            assert phi(fid(FunctionFamily.GLOBAL, NormKind.L2, Side.LOWER), block, p) == (
+            assert phi(fid(BoundFamily.GLOBAL, NormKind.L2, Side.LOWER), block, p) == (
                 pytest.approx(b_lo, rel=1e-12)
             )
-            assert psi(fid(FunctionFamily.GLOBAL, NormKind.L2, Side.UPPER), block, p) == (
+            assert psi(fid(BoundFamily.GLOBAL, NormKind.L2, Side.UPPER), block, p) == (
                 pytest.approx(spectral_norm(k_ab(block, p)), rel=1e-12)
             )
 
@@ -318,17 +330,17 @@ class TestFormulaOracle:
             block = BlockExponents(int(rng.integers(1, 25)), int(rng.integers(1, 25)))
             for m, order in orders.items():
                 sub = improved_cone_positive(order, p)
-                got1 = phi(fid(FunctionFamily.IMPROVED, NormKind.L1, Side.LOWER, (m,)), block, p)
+                got1 = phi(fid(BoundFamily.IMPROVED, NormKind.L1, Side.LOWER, (m,)), block, p)
                 assert got1 == pytest.approx(
                     ratio_at_slope(block, p, sub.hi, NormKind.L1), rel=1e-12
                 )
-                got2 = phi(fid(FunctionFamily.IMPROVED, NormKind.L2, Side.LOWER, (m,)), block, p)
+                got2 = phi(fid(BoundFamily.IMPROVED, NormKind.L2, Side.LOWER, (m,)), block, p)
                 want2 = min(
                     ratio_at_slope(block, p, 0.0, NormKind.L2),
                     ratio_at_slope(block, p, sub.hi, NormKind.L2),
                 )
                 assert got2 == pytest.approx(want2, rel=1e-12)
-                goti = psi(fid(FunctionFamily.IMPROVED, NormKind.LINF, Side.UPPER, (m,)), block, p)
+                goti = psi(fid(BoundFamily.IMPROVED, NormKind.LINF, Side.UPPER, (m,)), block, p)
                 assert goti == pytest.approx(
                     ratio_at_slope(block, p, sub.hi, NormKind.LINF), rel=1e-12
                 )
@@ -349,7 +361,7 @@ class TestFormulaOracle:
             ]
             for norm, side, slope in pairs:
                 f = phi if side is Side.LOWER else psi
-                got = f(fid(FunctionFamily.GLOBAL_NEG, norm, side), block, p)
+                got = f(fid(BoundFamily.GLOBAL, norm, side), block, p)
                 assert got == pytest.approx(ratio_at_slope(block, p, slope, norm), rel=1e-12)
 
     def test_opposed_improved_formulas(self):
@@ -363,7 +375,7 @@ class TestFormulaOracle:
                     sub = improved_cone_negative(ma, mb, p)
                     for norm in NORMS:
                         got = phi(
-                            fid(FunctionFamily.IMPROVED_NEG, norm, Side.LOWER, (ma, mb)),
+                            fid(BoundFamily.IMPROVED, norm, Side.LOWER, (ma, mb)),
                             block, p,
                         )
                         assert got == pytest.approx(
@@ -372,7 +384,7 @@ class TestFormulaOracle:
             for m, (ma, mb) in psi_boundary.items():
                 sub = improved_cone_negative(ma, mb, p)
                 got = psi(
-                    fid(FunctionFamily.IMPROVED_NEG, NormKind.LINF, Side.UPPER, (m,)), block, p
+                    fid(BoundFamily.IMPROVED, NormKind.LINF, Side.UPPER, (m,)), block, p
                 )
                 assert got == pytest.approx(
                     ratio_at_slope(block, p, sub.hi, NormKind.LINF), rel=1e-12

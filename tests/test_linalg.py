@@ -1,3 +1,4 @@
+import dataclasses
 import math
 from types import SimpleNamespace
 
@@ -60,18 +61,35 @@ class TestShearParams:
 
     def test_explicit_regime_validated(self):
         with pytest.raises(DomainError):
-            ShearParams(0.9, 1.0, Regime.POSITIVE_PAIR)
+            ShearParams(0.9, 1.0)
         with pytest.raises(DomainError):
-            ShearParams(-2.0, 2.5, Regime.OPPOSED_PAIR)
+            ShearParams(-2.0, 2.5)
 
     @pytest.mark.parametrize("alpha,beta", [(math.inf, 2.0), (2.0, math.inf), (-math.inf, 3.0),
                                             (math.nan, 2.0), (-3.0, math.nan)])
     def test_rejects_non_finite(self, alpha, beta):
         with pytest.raises(DomainError, match="finite"):
             ShearParams.infer(alpha, beta)
-        regime = Regime.POSITIVE_PAIR if beta <= 2.0 else Regime.OPPOSED_PAIR
         with pytest.raises(DomainError, match="finite"):
-            ShearParams(alpha, beta, regime)
+            ShearParams(alpha, beta)
+
+    def test_fields_are_the_shears(self):
+        assert [f.name for f in dataclasses.fields(ShearParams)] == ["alpha", "beta"]
+
+    @given(st.one_of(st.floats(-4.0, 4.0), st.floats(allow_nan=False, allow_infinity=False)),
+           st.one_of(st.floats(-4.0, 4.0), st.floats(allow_nan=False, allow_infinity=False)))
+    def test_regime_is_the_sign_rule(self, alpha, beta):
+        positive = alpha >= 1.0 and beta >= 1.0
+        opposed = alpha < -2.0 and beta > 2.0
+        try:
+            p = ShearParams(alpha, beta)
+        except DomainError:
+            assert not (positive or opposed)
+            return
+        assert p.regime is (Regime.POSITIVE_PAIR if positive else Regime.OPPOSED_PAIR)
+        assert positive or opposed
+        q = ShearParams.infer(alpha, beta)
+        assert p == q and hash(p) == hash(q)
 
 
 class TestKab:

@@ -529,6 +529,27 @@ class TestStandardBound:
         with pytest.raises(DomainError, match="k must be an integer"):
             standard_bound(k, POS11, mode=mode, n_samples=10)
 
+    def test_exhaustive_keeps_large_finite_shears(self):
+        assert standard_bound(8, ShearParams(1e154, 1e154)) == 199.69891799381418
+
+    @pytest.mark.parametrize("k", [1, 2, 5])
+    def test_exhaustive_refuses_exactly_where_it_overflows(self, monkeypatch, k):
+        points = [(a, b) for x in 10.0 ** np.array([150, 154, 154.1, 154.2, 155, 300, 307.9])
+                  for a, b in [(x, x), (x, 1.0), (1.0, x), (-x, 3.0), (-3.0, x)]]
+        guarded = []
+        for a, b in points:
+            try:
+                guarded.append(standard_bound(k, ShearParams(a, b)))
+            except DomainError as exc:
+                assert f"exhaustive E_{k} overflows double precision" in str(exc)
+                guarded.append(None)
+        assert None in guarded and any(v is not None for v in guarded)
+        monkeypatch.setattr(montecarlo, "_exhaustive_finite", lambda k, params: True)
+        with np.errstate(all="ignore"):
+            for (a, b), want in zip(points, guarded):
+                got = standard_bound(k, ShearParams(a, b))
+                assert (not math.isfinite(got)) if want is None else got == want
+
     def test_numpy_integer_k(self):
         assert standard_bound(np.int64(5), POS11) == standard_bound(5, POS11)
 
