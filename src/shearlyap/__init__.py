@@ -12,15 +12,11 @@ Carlo estimators validate every bound.
 from .linalg import (
     BlockExponents,
     DomainError,
-    Mat2,
     NormKind,
     Regime,
     ShearParams,
     Vec2,
     k_ab,
-    shear_a,
-    shear_b,
-    spectral_norm,
     spectral_norm_batch,
     vec_norm,
 )
@@ -28,7 +24,6 @@ from .cones import (
     BlockOrder,
     Cone,
     SlopeUndefinedError,
-    cone_contains,
     cone_negative,
     cone_positive,
     gamma,
@@ -42,7 +37,6 @@ from .cones import (
 from .growth import (
     BoundFunctionId,
     Side,
-    c_value,
     growth_ratio,
     phi,
     psi,
@@ -65,7 +59,6 @@ from .engine import (
     Bounds,
     ExactGleBounds,
     GLECurve,
-    NormBounds,
     closed_form_bounds,
     entropy_bounds,
     gle_bounds,

@@ -35,7 +35,6 @@ from .engine import (
     BoundFamily,
     BoundReport,
     Bounds,
-    NormBounds,
     closed_form_bounds,
     entropy_bounds,
     gle_bounds_report,
@@ -198,7 +197,7 @@ def parse_range(spec: str) -> list[float]:
     return out
 
 
-def _named_bounds(report: BoundReport) -> list[tuple[str, Bounds | NormBounds]]:
+def _named_bounds(report: BoundReport) -> list[tuple[str, Bounds]]:
     """(norm name, bounds) for each norm of a report, then ("envelope", envelope)."""
     return [(n.value, nb) for n, nb in report.per_norm.items()] + [("envelope", report.envelope)]
 

@@ -15,15 +15,9 @@ import enum
 import math
 from dataclasses import dataclass
 
-from .linalg import (
-    BlockExponents,
-    DomainError,
-    Mat2,
-    Regime,
-    ShearParams,
-    Vec2,
-    k_ab,
-)
+import numpy as np
+
+from .linalg import BlockExponents, DomainError, Regime, ShearParams, k_ab
 
 __all__ = [
     "SLOPE_TOL",
@@ -37,7 +31,6 @@ __all__ = [
     "map_slope",
     "improved_cone_positive",
     "improved_cone_negative",
-    "cone_contains",
     "invariant_cone",
     "image_slope",
 ]
@@ -112,10 +105,11 @@ def cone_negative(params: ShearParams) -> Cone:
     return Cone(gamma(params), 0.0)
 
 
-def map_slope(m: Mat2, slope: float) -> float:
-    """Image of a slope u/v under the projective action of m."""
-    u = m.m11 * slope + m.m12
-    v = m.m21 * slope + m.m22
+def map_slope(m: np.ndarray, slope: float) -> float:
+    """Image of a slope u/v under the projective action of the 2x2 matrix m."""
+    (m11, m12), (m21, m22) = m.tolist()
+    u = m11 * slope + m12
+    v = m21 * slope + m22
     if v == 0.0:
         raise SlopeUndefinedError(f"projective blow-up: slope {slope} maps to v' = 0")
     return u / v
@@ -171,13 +165,6 @@ def improved_cone_negative(m_a: int, m_b: int, params: ShearParams) -> Cone:
     else:
         hi = 0.0
     return Cone(lo, hi)
-
-
-def cone_contains(c: Cone, x: Vec2) -> bool:
-    """Whether the direction of x lies in the cone (v must be nonzero)."""
-    if x.v == 0.0:
-        raise SlopeUndefinedError("slope u/v undefined for v = 0")
-    return c.contains_slope(x.u / x.v)
 
 
 def invariant_cone(params: ShearParams) -> Cone:

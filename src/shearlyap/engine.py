@@ -55,7 +55,6 @@ from .series import (
 __all__ = [
     "BoundFamily",
     "Bounds",
-    "NormBounds",
     "BoundReport",
     "GLECurve",
     "ExactGleBounds",
@@ -70,14 +69,9 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Bounds:
-    lower: float
-    upper: float
-
-
-@dataclass(frozen=True)
-class NormBounds:
-    """Bounds from a single norm; a side is None when the family provides none
-    (the improved opposed family has upper functions only for L-infinity)."""
+    """A lower and an upper value.  In a report's per-norm bounds a side is
+    None when the family provides none (the improved opposed family has
+    upper functions only for L-infinity)."""
 
     lower: float | None
     upper: float | None
@@ -86,8 +80,7 @@ class NormBounds:
 @dataclass(frozen=True)
 class BoundReport:
     family: BoundFamily
-    q: float | None
-    per_norm: dict[NormKind, NormBounds]
+    per_norm: dict[NormKind, Bounds]
 
     @property
     def envelope(self) -> Bounds:
@@ -126,9 +119,13 @@ def _require_finite(what: str, params: ShearParams, *values: float) -> None:
                           f"beta={params.beta}: got {list(values)}")
 
 
-# one parameter point's grids across both families: 6 global + 18 improved
-# in the positive regime, 6 + 16 in the opposed one
-_GRID_CACHE_SIZE = 24
+# one parameter point's grids across both families, in the regime with more
+# of them (24 positive, 22 opposed)
+_GRID_CACHE_SIZE = max(
+    sum(len(cases_for(family, regime, side)) * len(norms_for(family, regime, side))
+        for family in BoundFamily for side in Side)
+    for regime in Regime
+)
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
@@ -188,14 +185,20 @@ def _report(params: ShearParams, family: BoundFamily, cfg: SeriesConfig,
         out = {}
         for norm in norms_for(family, params.regime, side):
             s = expect_block(_case_mean(family, norm, side, params, cfg, q), cfg)
+            if q is not None and s == 0.0:
+                raise NonConvergenceError(
+                    f"series sum is zero: the {side.value} {norm.value} moment sum at "
+                    f"q = {q} underflows double precision, as terms f^q do at large "
+                    "negative q; a larger max_index cannot help"
+                )
             out[norm] = (s if q is None else math.log(s)) / 4.0
         return out
 
     swap = q is not None and q < 0
     lowers = values(Side.UPPER if swap else Side.LOWER)
     uppers = values(Side.LOWER if swap else Side.UPPER)
-    per_norm = {norm: NormBounds(lowers.get(norm), uppers.get(norm)) for norm in NormKind}
-    return BoundReport(family, q, per_norm)
+    per_norm = {norm: Bounds(lowers.get(norm), uppers.get(norm)) for norm in NormKind}
+    return BoundReport(family, per_norm)
 
 
 def lyapunov_bounds(

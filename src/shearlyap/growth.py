@@ -49,7 +49,6 @@ __all__ = [
     "BoundFamily",
     "Side",
     "BoundFunctionId",
-    "c_value",
     "cases_for",
     "evaluator",
     "phi",
@@ -321,5 +320,6 @@ def growth_ratio(
             f"slope {slope} outside the invariant cone [{cone.lo}, {cone.hi}]; "
             "the growth bounds are only claimed there"
         )
-    image = k_ab(block, params).apply(x)
+    (m11, m12), (m21, m22) = k_ab(block, params).tolist()
+    image = Vec2(m11 * x.u + m12 * x.v, m21 * x.u + m22 * x.v)
     return vec_norm(image, kind) / vec_norm(x, kind)

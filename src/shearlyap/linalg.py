@@ -6,8 +6,10 @@ followed by a run of B's gives the block matrix
 
     K(a, b) = A^a B^b = [[1, b*beta], [a*alpha, 1 + a*alpha*b*beta]]
 
-which has unit determinant.  Everything here is closed-form double
-precision; no general-purpose linear algebra is needed.
+which has unit determinant.  Matrices are numpy arrays of shape (2, 2),
+or stacks of them of shape (..., 2, 2); vectors are Vec2.  Everything here
+is closed-form double precision; no general-purpose linear algebra is
+needed.
 """
 
 from __future__ import annotations
@@ -23,14 +25,10 @@ __all__ = [
     "Regime",
     "NormKind",
     "ShearParams",
-    "Mat2",
     "Vec2",
     "BlockExponents",
-    "shear_a",
-    "shear_b",
     "k_ab",
     "vec_norm",
-    "spectral_norm",
     "spectral_norm_batch",
 ]
 
@@ -94,31 +92,6 @@ class Vec2:
 
 
 @dataclass(frozen=True)
-class Mat2:
-    m11: float
-    m12: float
-    m21: float
-    m22: float
-
-    def det(self) -> float:
-        return self.m11 * self.m22 - self.m12 * self.m21
-
-    def trace(self) -> float:
-        return self.m11 + self.m22
-
-    def apply(self, x: Vec2) -> Vec2:
-        return Vec2(self.m11 * x.u + self.m12 * x.v, self.m21 * x.u + self.m22 * x.v)
-
-    def mul(self, other: "Mat2") -> "Mat2":
-        return Mat2(
-            self.m11 * other.m11 + self.m12 * other.m21,
-            self.m11 * other.m12 + self.m12 * other.m22,
-            self.m21 * other.m11 + self.m22 * other.m21,
-            self.m21 * other.m12 + self.m22 * other.m22,
-        )
-
-
-@dataclass(frozen=True)
 class BlockExponents:
     """Run lengths (a, b) of one A-run followed by one B-run."""
 
@@ -130,21 +103,11 @@ class BlockExponents:
             raise DomainError(f"block exponents must satisfy a, b >= 1, got ({self.a}, {self.b})")
 
 
-def shear_a(params: ShearParams) -> Mat2:
-    """Lower shear A = [[1, 0], [alpha, 1]]."""
-    return Mat2(1.0, 0.0, params.alpha, 1.0)
-
-
-def shear_b(params: ShearParams) -> Mat2:
-    """Upper shear B = [[1, beta], [0, 1]]."""
-    return Mat2(1.0, params.beta, 0.0, 1.0)
-
-
-def k_ab(block: BlockExponents, params: ShearParams) -> Mat2:
-    """Block matrix A^a B^b in closed form (unit determinant)."""
+def k_ab(block: BlockExponents, params: ShearParams) -> np.ndarray:
+    """Block matrix A^a B^b in closed form (unit determinant), shape (2, 2)."""
     x = block.a * params.alpha
     y = block.b * params.beta
-    return Mat2(1.0, y, x, 1.0 + x * y)
+    return np.array([[1.0, y], [x, 1.0 + x * y]])
 
 
 def vec_norm(x: Vec2, kind: NormKind) -> float:
@@ -153,17 +116,6 @@ def vec_norm(x: Vec2, kind: NormKind) -> float:
     if kind is NormKind.L2:
         return math.hypot(x.u, x.v)
     return max(abs(x.u), abs(x.v))
-
-
-def spectral_norm(m: Mat2) -> float:
-    """Largest singular value via the closed-form 2x2 eigenproblem of M^T M."""
-    # entries of M^T M: [[g11, g12], [g12, g22]]
-    g11 = m.m11 * m.m11 + m.m21 * m.m21
-    g12 = m.m11 * m.m12 + m.m21 * m.m22
-    g22 = m.m12 * m.m12 + m.m22 * m.m22
-    half_tr = 0.5 * (g11 + g22)
-    disc = math.hypot(0.5 * (g11 - g22), g12)
-    return math.sqrt(max(half_tr + disc, 0.0))
 
 
 def spectral_norm_batch(mats: np.ndarray) -> np.ndarray:

@@ -510,6 +510,10 @@ class TestExtremeShears:
         ("sweep --mode lyap-bounds --alpha 1e200 --beta 1", 3,
          "the global positive lower l2 bound function overflows double precision"),
         ("bounds --alpha 1 --beta 1e200", 3, "series sum is not finite"),
+        ("sweep --mode neg-gle --alpha -3 --q -400 --family global", 3,
+         "moment sum at q = -400.0 underflows double precision"),
+        ("sweep --mode gle --alpha 1 --q -700 --family global", 3,
+         "moment sum at q = -700.0 underflows double precision"),
     ])
     def test_one_error_line_and_exit_code(self, runner, args, code, message):
         result = runner.invoke(main, args.split())

@@ -313,6 +313,13 @@ class TestGleBounds:
         with pytest.raises(NonConvergenceError, match=r"series sum is not finite \(inf\)"):
             gle_bounds_report(200.0, POS11)
 
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("q,params", [(-700.0, POS11), (-400.0, OPP33)], ids=["pos", "opp"])
+    def test_underflowing_moment_sums_raise(self, q, params):
+        # f^q underflows to 0 at every term: no log of zero, and no -inf bound
+        with pytest.raises(NonConvergenceError, match="underflows double precision"):
+            gle_bounds_report(q, params)
+
 
 class TestGleCurve:
     def test_through_origin_and_monotone(self):

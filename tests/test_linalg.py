@@ -9,15 +9,11 @@ from hypothesis import given, strategies as st
 from shearlyap import (
     BlockExponents,
     DomainError,
-    Mat2,
     NormKind,
     Regime,
     ShearParams,
     Vec2,
     k_ab,
-    shear_a,
-    shear_b,
-    spectral_norm,
     spectral_norm_batch,
     vec_norm,
 )
@@ -25,24 +21,20 @@ from shearlyap import (
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
 
 
-def mat_close(m: Mat2, entries, tol=1e-12):
-    (e11, e12), (e21, e22) = entries
-    return (
-        abs(m.m11 - e11) <= tol
-        and abs(m.m12 - e12) <= tol
-        and abs(m.m21 - e21) <= tol
-        and abs(m.m22 - e22) <= tol
-    )
+def mat_close(m: np.ndarray, entries, tol=1e-12):
+    return m.shape == (2, 2) and bool(np.all(np.abs(m - np.array(entries)) <= tol))
 
 
-def power_product(block: BlockExponents, params: ShearParams) -> Mat2:
-    """Oracle: A^a B^b by repeated multiplication."""
-    acc = Mat2(1.0, 0.0, 0.0, 1.0)
-    for _ in range(block.b):
-        acc = shear_b(params).mul(acc)
-    for _ in range(block.a):
-        acc = shear_a(params).mul(acc)
-    return acc
+def shears(params: ShearParams) -> tuple[np.ndarray, np.ndarray]:
+    """The lower shear A and the upper shear B."""
+    return (np.array([[1.0, 0.0], [params.alpha, 1.0]]),
+            np.array([[1.0, params.beta], [0.0, 1.0]]))
+
+
+def power_product(block: BlockExponents, params: ShearParams) -> np.ndarray:
+    """Oracle: A^a B^b by numpy matrix powers."""
+    a, b = shears(params)
+    return np.linalg.matrix_power(a, block.a) @ np.linalg.matrix_power(b, block.b)
 
 
 class TestShearParams:
@@ -97,18 +89,22 @@ class TestKab:
         m = k_ab(BlockExponents(1, 1), ShearParams.infer(1, 1))
         assert mat_close(m, [[1, 1], [1, 2]])
 
+    def test_is_a_float_array(self):
+        m = k_ab(BlockExponents(2, 3), ShearParams.infer(1, 1))
+        assert isinstance(m, np.ndarray) and m.shape == (2, 2) and m.dtype == np.float64
+
     def test_a2_b3(self):
         m = k_ab(BlockExponents(2, 3), ShearParams.infer(1, 1))
         assert mat_close(m, [[1, 3], [2, 7]])
-        assert abs(m.det() - 1.0) <= 1e-12
+        assert abs(np.linalg.det(m) - 1.0) <= 1e-12
 
     def test_opposed_matches_hand_product(self):
         # A = [[1,0],[-3,1]], B = [[1,3],[0,1]]: A.B = [[1,3],[-3,-8]]
         params = ShearParams.infer(-3.0, 3.0)
         m = k_ab(BlockExponents(1, 1), params)
         assert mat_close(m, [[1, 3], [-3, -8]])
-        oracle = shear_a(params).mul(shear_b(params))
-        assert mat_close(m, [[oracle.m11, oracle.m12], [oracle.m21, oracle.m22]])
+        a, b = shears(params)
+        assert mat_close(m, a @ b)
 
     def test_matches_repeated_multiplication(self):
         rng = np.random.default_rng(7)
@@ -120,12 +116,8 @@ class TestKab:
             block = BlockExponents(int(rng.integers(1, 11)), int(rng.integers(1, 11)))
             got = k_ab(block, params)
             want = power_product(block, params)
-            scale = max(1.0, abs(want.m22))
-            for g, w in zip(
-                (got.m11, got.m12, got.m21, got.m22),
-                (want.m11, want.m12, want.m21, want.m22),
-            ):
-                assert abs(g - w) <= 1e-12 * scale
+            scale = max(1.0, abs(want[1, 1]))
+            assert np.all(np.abs(got - want) <= 1e-12 * scale)
 
     def test_determinant_one_small_range(self):
         # modest entries keep the unit determinant exact to 1e-12 absolute
@@ -133,7 +125,7 @@ class TestKab:
         for _ in range(1000):
             params = ShearParams.infer(rng.uniform(1, 3), rng.uniform(1, 3))
             block = BlockExponents(int(rng.integers(1, 11)), int(rng.integers(1, 11)))
-            assert abs(k_ab(block, params).det() - 1.0) <= 1e-12
+            assert abs(np.linalg.det(k_ab(block, params)) - 1.0) <= 1e-12
 
     def test_determinant_one_relative(self):
         # for large a*alpha*b*beta the check is relative to the matrix scale
@@ -145,7 +137,7 @@ class TestKab:
                 params = ShearParams.infer(rng.uniform(-10, -2.1), rng.uniform(2.1, 10))
             block = BlockExponents(int(rng.integers(1, 31)), int(rng.integers(1, 31)))
             m = k_ab(block, params)
-            assert abs(m.det() - 1.0) <= 1e-12 * max(1.0, abs(m.m22))
+            assert abs(np.linalg.det(m) - 1.0) <= 1e-12 * max(1.0, abs(m[1, 1]))
 
     def test_block_validation(self):
         with pytest.raises(DomainError):
@@ -179,18 +171,19 @@ class TestNorms:
 
 class TestSpectralNorm:
     def test_identity(self):
-        assert spectral_norm(Mat2(1, 0, 0, 1)) == pytest.approx(1.0, abs=1e-15)
+        assert spectral_norm_batch(np.eye(2)) == pytest.approx(1.0, abs=1e-15)
 
     def test_unit_block(self):
         # K(1,1) at alpha = beta = 1 has norm golden-ratio squared; the Gram
         # matrix [[2,3],[3,5]] has top eigenvalue (7+sqrt(45))/2 = golden^4
-        m = Mat2(1, 1, 1, 2)
+        m = np.array([[1.0, 1.0], [1.0, 2.0]])
         char_poly_root = (7.0 + math.sqrt(45.0)) / 2.0
-        assert spectral_norm(m) == pytest.approx(math.sqrt(char_poly_root), abs=1e-12)
-        assert spectral_norm(m) == pytest.approx(GOLDEN**2, abs=1e-12)
+        assert spectral_norm_batch(m) == pytest.approx(math.sqrt(char_poly_root), abs=1e-12)
+        assert spectral_norm_batch(m) == pytest.approx(GOLDEN**2, abs=1e-12)
 
     def test_diagonal(self):
-        assert spectral_norm(Mat2(2, 0, 0, 0.5)) == pytest.approx(2.0, abs=1e-15)
+        m = np.array([[2.0, 0.0], [0.0, 0.5]])
+        assert spectral_norm_batch(m) == pytest.approx(2.0, abs=1e-15)
 
     def test_dominates_random_directions(self):
         rng = np.random.default_rng(3)
@@ -198,28 +191,26 @@ class TestSpectralNorm:
             params = ShearParams.infer(rng.uniform(1, 8), rng.uniform(1, 8))
             block = BlockExponents(int(rng.integers(1, 9)), int(rng.integers(1, 9)))
             m = k_ab(block, params)
-            sigma = spectral_norm(m)
+            sigma = spectral_norm_batch(m)
             theta = rng.uniform(0, 2 * math.pi, size=40)
             for t in theta:
-                x = Vec2(math.cos(t), math.sin(t))
-                assert vec_norm(m.apply(x), NormKind.L2) <= sigma * (1 + 1e-12)
-            _, _, vt = np.linalg.svd(np.array([[m.m11, m.m12], [m.m21, m.m22]]))
-            top = Vec2(*vt[0])
-            attained = vec_norm(m.apply(top), NormKind.L2) / vec_norm(top, NormKind.L2)
+                x = np.array([math.cos(t), math.sin(t)])
+                assert np.linalg.norm(m @ x) <= sigma * (1 + 1e-12)
+            _, _, vt = np.linalg.svd(m)
+            attained = np.linalg.norm(m @ vt[0]) / np.linalg.norm(vt[0])
             assert attained == pytest.approx(sigma, rel=1e-9)
 
-    def test_batch_agrees_with_scalar(self):
+    def test_batch_agrees_with_numpy(self):
         rng = np.random.default_rng(5)
         mats = rng.normal(size=(50, 2, 2))
         batch = spectral_norm_batch(mats)
         for i in range(50):
-            m = Mat2(*mats[i].ravel())
-            assert batch[i] == pytest.approx(spectral_norm(m), rel=1e-12)
+            assert batch[i] == pytest.approx(np.linalg.norm(mats[i], 2), rel=1e-12)
 
 
 def hyperbolic(block, params) -> bool:
     """Trace criterion |tr K| > 2 for the unit-determinant block matrix."""
-    return abs(k_ab(block, params).trace()) > 2.0
+    return abs(np.trace(k_ab(block, params))) > 2.0
 
 
 class TestHyperbolicity:

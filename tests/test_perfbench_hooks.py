@@ -1,0 +1,45 @@
+"""The benchmark's traced run still finds the functions it wraps.
+
+perfbench/workloads.instrument replaces functions where their callers look
+them up (cli.gle_bounds_report, engine.evaluator, series.truncated_sum, ...).
+A rename in the program would leave those wrappers counting nothing, so a
+traced run would report zero calls without failing.
+"""
+
+from pathlib import Path
+
+import pytest
+
+from shearlyap import engine
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+@pytest.fixture()
+def perfbench(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+    import workloads
+    return tracing, workloads
+
+
+def test_traced_cli_run_counts_every_layer(perfbench, tmp_path):
+    tracing, workloads = perfbench
+    wl = workloads.Figures(1, tmp_path)
+    tracer = tracing.Tracer()
+    engine._bound_grid.cache_clear()  # a cached grid would skip the evaluator
+    workloads.instrument(wl, tracer)
+    wl.tracer = tracer
+    try:
+        wl._cli(["sweep", "--mode", "gle", "--alpha", "1", "--beta", "1", "--q", "-1:1:1",
+                 "--output", str(tmp_path / "gle.csv")])
+        wl._cli(["sweep", "--mode", "lyap-bounds", "--alpha", "2",
+                 "--output", str(tmp_path / "lyap.csv")])
+    finally:
+        tracer.unwrap_all()
+    for name in ("series.truncated_sum.calls", "growth.evaluator.calls",
+                 "engine.gle_bounds_report.calls"):
+        assert tracer.counts[name] > 0, name
+    names = {span[0] for span in tracer.spans}
+    assert {"series.expect_block", "cli.sweep"} <= names
+    assert (tmp_path / "gle.csv").exists() and (tmp_path / "lyap.csv").exists()
