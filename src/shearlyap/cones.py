@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BlockExponents, DomainError, Regime, ShearParams, k_ab
+from .linalg import BlockExponents, DomainError, Regime, ShearOverflowError, ShearParams, k_ab
 
 __all__ = [
     "SLOPE_TOL",
@@ -85,7 +85,11 @@ def gamma(params: ShearParams) -> float:
     al, be = params.alpha, params.beta
     if al * be >= -4.0:
         raise DomainError(f"opposed cone undefined for alpha*beta = {al * be} >= -4")
-    g = -be / 2.0 + math.sqrt((be / 2.0) ** 2 + be / al)
+    try:
+        g = -be / 2.0 + math.sqrt((be / 2.0) ** 2 + be / al)
+    except OverflowError:
+        raise ShearOverflowError(f"Gamma overflows double precision at alpha={al}, "
+                                 f"beta={be}") from None
 
     # expanding eigenvalue of K(1,1) and its eigenvector slope beta/(e - 1)
     ab = al * be

@@ -39,6 +39,7 @@ from .linalg import (
     DomainError,
     NormKind,
     Regime,
+    ShearOverflowError,
     ShearParams,
     Vec2,
     k_ab,
@@ -280,7 +281,9 @@ def evaluator(
     params: ShearParams,
 ) -> Callable:
     """Array-capable callable f(a, b) for one bound function of the
-    parameters' regime; DomainError for a norm or case it does not have."""
+    parameters' regime; DomainError for a norm or case it does not have, and
+    ShearOverflowError (a DomainError) where a power of Python floats in it
+    overflows."""
     what = f"{family.value} {params.regime.value} {side.value}"
     norms = norms_for(family, params.regime, side)
     if norm not in norms:
@@ -288,7 +291,17 @@ def evaluator(
     cases = cases_for(family, params.regime, side)
     if case not in cases:
         raise DomainError(f"{what} case must be one of {cases}, got {case}")
-    return _EVALUATORS[(family, params.regime, norm, side)](case, params)
+    f = _EVALUATORS[(family, params.regime, norm, side)](case, params)
+
+    def checked(a, b):
+        try:
+            return f(a, b)
+        except OverflowError:
+            raise ShearOverflowError(
+                f"the {what} {norm.value} bound function overflows double precision at "
+                f"alpha={params.alpha}, beta={params.beta}") from None
+
+    return checked
 
 
 def phi(id_: BoundFunctionId, block: BlockExponents, params: ShearParams) -> float:

@@ -39,6 +39,11 @@ class DomainError(ValueError):
     """Parameter combination outside the supported shear regimes."""
 
 
+class ShearOverflowError(DomainError, OverflowError):
+    """A shear so large that a power of it overflows double precision.  It is
+    an OverflowError too, so callers that report overflow keep catching it."""
+
+
 class Regime(enum.Enum):
     """Sign regime of the shear pair."""
 

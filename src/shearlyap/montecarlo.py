@@ -1,13 +1,15 @@
 """Empirical estimators that validate the analytic bounds.
 
-All randomness flows from numpy's Philox4x64 counter-based generator.  The
-coins of ensemble member e come from the stream keyed by (seed, e): its key
-is what ``SeedSequence(entropy=seed, spawn_key=(e,))`` hands to
-``np.random.Philox``, and coin i is the coin ``Generator.integers(0, 2)``
-would draw i-th from that generator.  ``_coins`` derives the keys of all
-streams at once and draws every stream through one Philox object by setting
-its key and counter, so no generator is built per ensemble.  Results are
-bit-for-bit reproducible for a fixed config and identical whether the
+All randomness flows from numpy's Philox4x64-10 counter-based generator.
+The coins of ensemble member e come from the stream keyed by (seed, e): its
+key is what ``SeedSequence(entropy=seed, spawn_key=(e,))`` hands to
+``np.random.Philox``, and coin c is bit c % 64, least significant first, of
+raw word c // 64 that ``random_raw`` returns from a Philox built with that
+key; the generator increments its counter before each block of four words,
+so block b comes from the counter (b + 1, 0, 0, 0).  ``_coins`` derives the
+keys of all streams at once and runs Philox4x64-10 in numpy over every
+(stream, block) of a tile, so no generator is built per ensemble.  Results
+are bit-for-bit reproducible for a fixed config and identical whether the
 ensembles run serially or in parallel.
 
 Every random product goes through one kernel, ``_pairwise_product``: the
@@ -39,12 +41,12 @@ from .linalg import DomainError, ShearParams, spectral_norm_batch
 __all__ = ["McConfig", "McEstimate", "BlockStats", "RNG_ALGORITHM", "lyapunov_mc", "gle_mc",
            "standard_bound", "block_oracle"]
 
-RNG_ALGORITHM = "philox4x64 (numpy), stream keyed by (seed, ensemble index)"
+RNG_ALGORITHM = ("philox4x64-10 (numpy random_raw), stream keyed by (seed, ensemble index), "
+                 "64 coins per word, least significant bit first")
 
 _COIN_CHUNK = 1 << 16
-_COIN_RAW_BUDGET = 1 << 16  # raw Philox words per tile of _coins
+_COIN_TILE_WORDS = 1 << 16  # raw Philox words per tile of _coins
 _EXHAUSTIVE_MAX_K = 22
-_GLE_BOOTSTRAP = 200  # resamples behind gle_mc's standard error
 _GLE_TRAJ_CAP = 200  # applications per gle_mc trajectory
 _MAX_APPS = 10**10  # cost guard: matrix applications one estimator call may run
 # block_oracle holds a stream's coins and run lengths at once, about 19 bytes a coin: 1 GB
@@ -102,12 +104,6 @@ class BlockStats:
     n_blocks: int
 
 
-def _rng(seed: int, stream: int) -> np.random.Generator:
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
-    )
-
-
 # SeedSequence's hash constants (numpy/random/bit_generator.pyx); a pool of 4 words
 _M32 = 0xFFFFFFFF
 _INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
@@ -156,43 +152,65 @@ def _philox_keys(seed: int, streams) -> np.ndarray:
     return np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
 
 
-def _coins(seed: int, streams, start: int, n: int) -> np.ndarray:
-    """(n, len(streams)) int8: coins start..start+n-1 of each stream (seed, e),
-    each equal to what Generator(Philox(SeedSequence(seed, spawn_key=(e,))))
-    .integers(0, 2) draws at that position.
+# Philox4x64-10's multipliers and Weyl key increments (Random123, as in numpy)
+_PHILOX_M0, _PHILOX_M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
+_PHILOX_W0, _PHILOX_W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
+_U32, _SHIFT32 = np.uint64(_M32), np.uint64(32)
+_BIT_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
 
-    integers(0, 2) returns bit 31 of a 32-bit draw, and Philox splits each
-    64-bit word into its low half first: coin 2i is bit 31 of word i and coin
-    2i+1 is bit 63.  A Philox block holds four words, and its counter is
-    incremented before each block is generated, so coin c lies in the block
-    after counter c // 8.  One Philox object draws every stream from its key
-    and counter.  The raw words are drawn in tiles of whole blocks and groups
-    of streams of at most _COIN_RAW_BUDGET words.
+
+def _mulhilo(m: np.uint64, x: np.ndarray):
+    """(low, high) 64-bit halves of the 128-bit product m * x, from 32-bit halves."""
+    m_lo, m_hi = m & _U32, m >> _SHIFT32
+    x_lo, x_hi = x & _U32, x >> _SHIFT32
+    t = x_lo * m_lo
+    u = x_hi * m_lo + (t >> _SHIFT32)
+    v = x_lo * m_hi + (u & _U32)
+    return x * m, x_hi * m_hi + (u >> _SHIFT32) + (v >> _SHIFT32)
+
+
+def _philox_words(keys: np.ndarray, b0: int, b1: int) -> np.ndarray:
+    """(4 (b1 - b0), len(keys)) uint64: raw words 4 b0 .. 4 b1 - 1 of every stream,
+    what np.random.Philox(key=k).random_raw() returns there.  That generator
+    increments its counter before each block, so block b is Philox4x64-10 of
+    the counter (b + 1, 0, 0, 0)."""
+    k0, k1 = keys[:, 0], keys[:, 1]
+    zero = np.zeros((1, 1), dtype=np.uint64)
+    x = (np.arange(b0 + 1, b1 + 1, dtype=np.uint64)[:, None], zero, zero, zero)
+    for r in range(10):
+        if r:
+            k0, k1 = k0 + _PHILOX_W0, k1 + _PHILOX_W1
+        lo0, hi0 = _mulhilo(_PHILOX_M0, x[0])
+        lo1, hi1 = _mulhilo(_PHILOX_M1, x[2])
+        x = (hi1 ^ x[1] ^ k0, lo1, hi0 ^ x[3] ^ k1, lo0)
+    return np.stack(x, axis=1).reshape(-1, len(keys))  # all (b1 - b0, S) from round 3 on
+
+
+def _coins(seed: int, streams, start: int, n: int) -> np.ndarray:
+    """(n, len(streams)) int8: coins start..start+n-1 of each stream (seed, e).
+
+    Coin c of stream e is bit c % 64 (bit 0 the least significant) of raw
+    word c // 64 of np.random.Philox(key=k), where k is the key that
+    SeedSequence(seed, spawn_key=(e,)) hands to Philox.  A block of four
+    words holds 256 coins.  All streams are drawn at once, in tiles of whole
+    blocks of at most _COIN_TILE_WORDS words (one block a stream when the
+    streams alone need more), so a stream's coins do not depend on the
+    streams drawn beside it or on the tile size.
     """
     keys = _philox_keys(seed, streams)
     out = np.empty((n, len(keys)), dtype=np.int8)
-    bitgen = np.random.Philox()
     stop = start + n
-    tile = 8 * max(1, _COIN_RAW_BUDGET // 4)  # coins per tile, whole blocks
-    for lo in range(start - start % 8, stop, tile):
-        hi = min(lo + tile, stop)
-        n_words = (hi - lo + 1) // 2
-        counter = np.array([lo // 8, 0, 0, 0], dtype=np.uint64)
-        group = max(1, _COIN_RAW_BUDGET // n_words)
-        first = max(lo, start)
-        for g in range(0, len(keys), group):
-            raw = np.empty((min(group, len(keys) - g), n_words), dtype=np.uint64)
-            for row, key in zip(raw, keys[g:g + group]):
-                bitgen.state = {"bit_generator": "Philox",
-                                "state": {"counter": counter, "key": key},
-                                "buffer": np.zeros(4, dtype=np.uint64), "buffer_pos": 4,
-                                "has_uint32": 0, "uinteger": 0}
-                row[:] = bitgen.random_raw(n_words)
-            bits = np.empty(raw.shape + (2,), dtype=np.int8)
-            bits[..., 0] = raw >> 31 & 1
-            bits[..., 1] = raw >> 63
-            bits = bits.reshape(len(raw), -1)[:, first - lo:hi - lo]
-            out[first - start:hi - start, g:g + len(raw)] = bits.T
+    per_tile = max(1, _COIN_TILE_WORDS // (4 * len(keys)))  # blocks per tile
+    b_stop = -(-stop // 256)
+    for b0 in range(start // 256, b_stop, per_tile):
+        b1 = min(b0 + per_tile, b_stop)
+        words = _philox_words(keys, b0, b1).astype("<u8", copy=False)
+        # each stream's bytes in order down axis 0, then the 8 bits of each byte
+        by = words.view(np.uint8).reshape(len(words), len(keys), 8).transpose(0, 2, 1)
+        bits = np.ascontiguousarray(by).reshape(-1, 1, len(keys)) >> _BIT_SHIFTS
+        bits &= 1
+        lo, hi = max(start, 256 * b0), min(stop, 256 * b1)
+        out[lo - start:hi - start] = bits.reshape(-1, len(keys))[lo - 256 * b0:hi - 256 * b0]
     return out
 
 
@@ -334,11 +352,12 @@ def gle_mc(q: float, params: ShearParams, cfg: McConfig) -> McEstimate:
     _GLE_TRAJ_CAP (200).
 
     Per-trajectory log norms are combined by log-sum-exp, and the standard
-    error comes from a bootstrap over ensemble members.  Warns when the
-    importance weights concentrate on too few trajectories (small effective
-    sample size), the telltale of the moment estimator's exponential
-    variance problem.  Raises DomainError if the log growth is not finite
-    (or, like lyapunov_mc, beyond the cost guard or above shears of 1e79).
+    error is the delta-method one of the log of the mean importance weight
+    (nan for one trajectory).  Warns when the importance weights concentrate
+    on too few trajectories (small effective sample size), the telltale of
+    the moment estimator's exponential variance problem.  Raises DomainError
+    if the log growth is not finite (or, like lyapunov_mc, beyond the cost
+    guard or above shears of 1e79).
     """
     traj_len = min(cfg.n_steps // cfg.n_ensembles, _GLE_TRAJ_CAP)
     n_apps = _check_cost(cfg.n_ensembles * traj_len)
@@ -347,11 +366,8 @@ def gle_mc(q: float, params: ShearParams, cfg: McConfig) -> McEstimate:
     z = q * acc
     mx = z.max()
     w = np.exp(z - mx)
-
-    def combine(weights: np.ndarray) -> float:
-        return (mx + math.log(weights.mean())) / traj_len
-
-    est = combine(w)
+    mean_w = w.mean()
+    est = (mx + math.log(mean_w)) / traj_len
     ess = float(w.sum() ** 2 / (w * w).sum())
     threshold = max(8.0, 0.02 * cfg.n_ensembles)
     if q != 0 and ess < threshold:
@@ -362,11 +378,10 @@ def gle_mc(q: float, params: ShearParams, cfg: McConfig) -> McEstimate:
             RuntimeWarning,
             stacklevel=2,
         )
-    boot_rng = _rng(cfg.seed, 1 << 30)
     E = cfg.n_ensembles
-    reps = [combine(w[boot_rng.integers(0, E, size=E)]) for _ in range(_GLE_BOOTSTRAP)]
-    return McEstimate(mean=est, std_error=float(np.std(reps, ddof=1)), n_samples=E,
-                      n_apps=n_apps)
+    # delta method: sd(log mean w) = sd(w) / (sqrt(E) mean w) to first order
+    se = float(w.std(ddof=1) / (math.sqrt(E) * mean_w) / traj_len) if E > 1 else math.nan
+    return McEstimate(mean=est, std_error=se, n_samples=E, n_apps=n_apps)
 
 
 def standard_bound(

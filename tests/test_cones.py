@@ -92,6 +92,11 @@ class TestGamma:
         with pytest.raises(DomainError, match="Gamma is lost to rounding"):
             gamma(ShearParams(alpha, beta))
 
+    def test_overflow_is_a_domain_error(self):
+        # (beta / 2)**2 overflows a Python float above beta of about 2.7e154
+        with pytest.raises(DomainError, match="Gamma overflows double precision at alpha=-3"):
+            gamma(ShearParams.infer(-3.0, 1e200))
+
     def test_rejects_weak_product(self):
         fake = SimpleNamespace(alpha=-2.0, beta=2.0, regime=Regime.OPPOSED_PAIR)
         with pytest.raises(DomainError):

@@ -145,6 +145,21 @@ class TestIdValidation:
             evaluator(family, norm, side, case, params)
         assert str(info.value) == message
 
+    @pytest.mark.parametrize("fn,family,side,case,alpha,beta", [
+        (phi, BoundFamily.GLOBAL, Side.LOWER, (), 1e200, 1.0),  # alpha**2 in _phi_l2
+        (phi, BoundFamily.IMPROVED, Side.LOWER, (2,), 1.0, 1e200),
+        (psi, BoundFamily.GLOBAL, Side.UPPER, (), -3.0, 1e200),
+    ])
+    def test_l2_overflow_is_a_domain_error(self, fn, family, side, case, alpha, beta):
+        # Python-float powers overflow above shears of about 1.34e154
+        f_id = fid(family, NormKind.L2, side, case)
+        with pytest.raises(DomainError, match=r"bound function overflows double precision"):
+            fn(f_id, B11, ShearParams(alpha, beta))
+
+    def test_l2_keeps_large_finite_shears(self):
+        got = phi(fid(BoundFamily.GLOBAL, NormKind.L2, Side.LOWER), B11, ShearParams(1e154, 1.0))
+        assert got == 1e154
+
     def test_side_mismatch(self):
         with pytest.raises(DomainError):
             phi(fid(BoundFamily.GLOBAL, NormKind.L1, Side.UPPER), B11, POS11)

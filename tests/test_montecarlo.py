@@ -34,22 +34,32 @@ KERNEL_PARAMS = [(1.0, 1.0), (10.0, 10.0), (50.0, 50.0), (-3.0, 3.0), (-10.0, 10
 # ---------------------------------------------------------------- references
 # Straightforward loops, one matrix application at a time, that the pairwise
 # kernel must reproduce up to rounding.  They draw the same Philox streams,
-# each from its own numpy Generator.
+# each from its own numpy Philox and one coin at a time.
 
-def philox_generator(seed, stream):
-    """The generator of stream (seed, stream), built the documented way."""
-    return np.random.Generator(
-        np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,))))
+class ReferenceStream:
+    """Coins of stream (seed, e) in order, from a numpy Philox seeded the
+    documented way: coin c is bit c % 64, least significant first, of raw
+    word c // 64."""
+
+    def __init__(self, seed, stream, start=0):
+        self.bitgen = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(stream,)))
+        self.bitgen.random_raw(start // 64)
+        self.bits = []
+        self.draw(start % 64)
+
+    def draw(self, n):
+        while len(self.bits) < n:
+            word = int(self.bitgen.random_raw())
+            self.bits += [word >> j & 1 for j in range(64)]
+        out, self.bits = self.bits[:n], self.bits[n:]
+        return np.array(out, dtype=np.int8)
 
 
 def reference_coins(seed, streams, start, n):
-    """montecarlo._coins by one generator per stream that skips `start` coins."""
+    """montecarlo._coins by one reference stream per ensemble that skips `start` coins."""
     out = np.empty((n, len(streams)), dtype=np.int8)
     for j, e in enumerate(streams):
-        rng = philox_generator(seed, e)
-        if start:
-            rng.integers(0, 2, size=start)
-        out[:, j] = rng.integers(0, 2, size=n)
+        out[:, j] = ReferenceStream(seed, e, start).draw(n)
     return out
 
 
@@ -57,14 +67,14 @@ def reference_log_growth(params, cfg, traj_len):
     """Per-ensemble log |X_N| / |X_0| by one shear per step from X_0 = (0, 1)."""
     alpha, beta = params.alpha, params.beta
     E = cfg.n_ensembles
-    rngs = [philox_generator(cfg.seed, e) for e in range(E)]
+    rngs = [ReferenceStream(cfg.seed, e) for e in range(E)]
     u, v, acc = np.zeros(E), np.ones(E), np.zeros(E)
     done = step_in_cycle = 0
     while done < traj_len:
         n = min(montecarlo._COIN_CHUNK, traj_len - done)
         coins = np.empty((n, E))
         for e, r in enumerate(rngs):
-            coins[:, e] = r.integers(0, 2, size=n)
+            coins[:, e] = r.draw(n)
         for t in range(n):
             m = coins[t]
             u += beta * v * (1.0 - m)  # upper shear where the coin chose B
@@ -84,9 +94,9 @@ def reference_block_lambda(params, cfg):
     """block_oracle's lambda by one block matrix K(a, b) at a time."""
     per_stream = cfg.n_steps // cfg.n_ensembles
     a_streams, b_streams = [], []
-    for r in (philox_generator(cfg.seed, e) for e in range(cfg.n_ensembles)):
+    for r in (ReferenceStream(cfg.seed, e) for e in range(cfg.n_ensembles)):
         lengths, first_is_a = montecarlo._run_lengths(
-            r.integers(0, 2, size=per_stream).astype(bool))
+            r.draw(per_stream).astype(bool))
         if not first_is_a:
             lengths = lengths[1:]
         pairs = max(lengths.size // 2 - 1, 0)
@@ -111,11 +121,11 @@ def reference_sampled_bound(k, params, n_samples, seed):
     """Sampled E_k by multiplying both shears into every product at each step."""
     A = np.array([[1.0, 0.0], [params.alpha, 1.0]])
     B = np.array([[1.0, params.beta], [0.0, 1.0]])
-    rng = philox_generator(seed, 1 << 29)
+    rng = ReferenceStream(seed, 1 << 29)
     P = np.broadcast_to(np.eye(2), (n_samples, 2, 2)).copy()
     logacc = np.zeros(n_samples)
     for t in range(k):
-        coin = rng.integers(0, 2, size=n_samples).astype(bool)
+        coin = rng.draw(n_samples).astype(bool)
         PA = np.einsum("ij,njk->nik", A, P)
         PB = np.einsum("ij,njk->nik", B, P)
         P = np.where(coin[:, None, None], PA, PB)
@@ -212,10 +222,22 @@ class TestCoins:
         with pytest.raises(TypeError):
             montecarlo._philox_keys(1.0, [3])
 
+    @pytest.mark.parametrize("seed", [0, 2**64 + 1, 2**70])
+    @pytest.mark.parametrize("b0,nb", [(0, 1), (0, 3), (17, 2), (1000, 5)])
+    def test_words_match_random_raw(self, seed, b0, nb):
+        streams = [0, 1 << 29, 2**32 - 1]
+        got = montecarlo._philox_words(montecarlo._philox_keys(seed, streams), b0, b0 + nb)
+        assert got.dtype == np.uint64 and got.shape == (4 * nb, len(streams))
+        for j, e in enumerate(streams):
+            bitgen = np.random.Philox(np.random.SeedSequence(entropy=seed, spawn_key=(e,)))
+            bitgen.random_raw(4 * b0)
+            np.testing.assert_array_equal(got[:, j], bitgen.random_raw(4 * nb))
+
     @pytest.mark.parametrize("start,n", [(0, 1), (0, 1000), (1, 9), (3, 1), (5, 100),
-                                         (12, 31), (65_536, 300), (131_072 + 7, 77)])
-    @pytest.mark.parametrize("streams", [[0], [0, 1, 5, 1 << 29, 1 << 30]])
-    def test_coins_match_generator_integers(self, start, n, streams):
+                                         (12, 31), (63, 2), (255, 2), (65_536, 300),
+                                         (131_072 + 7, 77)])
+    @pytest.mark.parametrize("streams", [[0], [0, 1, 5, 1 << 29, 1 << 30, 2**32 - 1]])
+    def test_coins_match_reference_stream(self, start, n, streams):
         got = montecarlo._coins(17, streams, start, n)
         assert got.dtype == np.int8 and got.shape == (n, len(streams))
         np.testing.assert_array_equal(got, reference_coins(17, streams, start, n))
@@ -226,15 +248,26 @@ class TestCoins:
         np.testing.assert_array_equal(montecarlo._coins(2**64 + 1, streams, start, 1000),
                                       reference_coins(2**64 + 1, streams, start, 1000))
 
-    @pytest.mark.parametrize("budget", [1, 3, 8, 50])
-    def test_coins_in_small_tiles_and_groups(self, monkeypatch, budget):
-        # a budget of b raw words makes tiles of 8 * max(1, b // 4) coins and
-        # groups of streams sized to the budget
-        monkeypatch.setattr(montecarlo, "_COIN_RAW_BUDGET", budget)
-        streams = range(7)
-        for start, n in [(0, 64), (3, 101), (21, 8)]:
-            np.testing.assert_array_equal(montecarlo._coins(5, streams, start, n),
-                                          reference_coins(5, streams, start, n))
+    @pytest.mark.parametrize("seed", [0, 2**64 + 1, 2**70])
+    def test_coins_across_a_default_tile(self, seed):
+        # three streams make tiles of _COIN_TILE_WORDS // 12 blocks of 256 coins
+        streams = [0, 1 << 29, 2**32 - 1]
+        edge = 256 * (montecarlo._COIN_TILE_WORDS // 12)
+        np.testing.assert_array_equal(montecarlo._coins(seed, streams, edge - 300, 601),
+                                      reference_coins(seed, streams, edge - 300, 601))
+
+    @pytest.mark.parametrize("tile_words", [1, 4, 9, 50])
+    def test_coins_do_not_depend_on_tiles_or_other_streams(self, monkeypatch, tile_words):
+        # a tile of w words holds max(1, w // (4 * streams)) blocks: one block
+        # with all eight streams, up to 12 with one
+        monkeypatch.setattr(montecarlo, "_COIN_TILE_WORDS", tile_words)
+        streams = list(range(7)) + [1 << 29]
+        for start, n in [(0, 64), (3, 2000), (21, 8), (250, 520)]:
+            got = montecarlo._coins(5, streams, start, n)
+            np.testing.assert_array_equal(got, reference_coins(5, streams, start, n))
+            for j, e in enumerate(streams):
+                np.testing.assert_array_equal(montecarlo._coins(5, [e], start, n)[:, 0],
+                                              got[:, j])
 
     @settings(max_examples=40, deadline=None)
     @given(seed=st.integers(0, 2**130), start=st.integers(0, 3000), n=st.integers(1, 300),
@@ -246,25 +279,25 @@ class TestCoins:
 
 
 class TestSameResultsAsPerEnsembleGenerators:
-    """The estimators return exactly what they returned when every ensemble
-    drew from its own numpy Generator."""
+    """The estimators return exactly what they return when every ensemble
+    draws its coins from its own numpy Philox, one reference stream each."""
 
     @pytest.mark.filterwarnings("ignore:effective sample size")
     def test_pinned_values(self):
-        # values computed with one Generator per ensemble; 70 000 steps per
-        # trajectory cross one coin chunk
+        # values computed with reference_coins in place of montecarlo._coins;
+        # 70 000 steps per trajectory cross one coin chunk
         est = lyapunov_mc(POS11, McConfig(140_000, 2, seed=2**40 + 3))
-        assert (est.mean.hex(), est.std_error.hex()) == ("0x1.95ec841d1fa96p-2",
-                                                         "0x1.1e91c2630e000p-12")
+        assert (est.mean.hex(), est.std_error.hex()) == ("0x1.956e208ef73c0p-2",
+                                                         "0x1.b332602be8400p-13")
         est = gle_mc(2.0, POS11, McConfig(10**6, 5000, seed=8))
-        assert (est.mean.hex(), est.std_error.hex()) == ("0x1.a56ed01b2b25ap-1",
-                                                         "0x1.c0efb6a2026a6p-10")
+        assert (est.mean.hex(), est.std_error.hex()) == ("0x1.a5417a2336f57p-1",
+                                                         "0x1.acf5ad28f5e05p-10")
         stats = block_oracle(OPP33, McConfig(100_001, 3, seed=9))
         assert (stats.lambda_est.hex(), stats.mean_block_len.hex(), stats.n_blocks) == (
-            "0x1.8c5b29527046cp-1", "0x1.ff390a886a83dp+1", 25034)
+            "0x1.8bd2ebc733266p-1", "0x1.0039bb5211192p+2", 24974)
         got = standard_bound(100, ShearParams.infer(5.0, 5.0), mode="sampled", n_samples=1001,
                              seed=12)
-        assert got.hex() == "0x1.1323dd4bd84b6p+0"
+        assert got.hex() == "0x1.1339a6f817b70p+0"
 
     @pytest.mark.filterwarnings("ignore:effective sample size")
     @pytest.mark.parametrize("seed", [0, 3, 2**33])
@@ -434,6 +467,27 @@ class TestGleMc:
         a = gle_mc(1.5, POS11, cfg)
         b = gle_mc(1.5, POS11, cfg)
         assert a.mean == b.mean and a.std_error == b.std_error
+
+    @pytest.mark.filterwarnings("ignore:effective sample size")
+    @pytest.mark.parametrize("q", [-1.0, 1.0, 2.0])
+    def test_one_trajectory_has_no_standard_error(self, q):
+        # one trajectory gives no spread to estimate; a bootstrap of it reported
+        # rounding noise (5.6e-17 at q = 1, seed 3)
+        est = gle_mc(q, POS11, McConfig(n_steps=200, n_ensembles=1, seed=3))
+        assert math.isfinite(est.mean) and math.isnan(est.std_error)
+
+    @pytest.mark.filterwarnings("ignore:effective sample size")
+    @pytest.mark.parametrize("q", [-1.0, 1.0, 2.0])
+    def test_standard_error_agrees_with_bootstrap(self, q):
+        cfg = McConfig(n_steps=5000 * 200, n_ensembles=5000, seed=3)
+        z = q * montecarlo._iterate_log_growth(POS11, cfg, 200)
+        mx = z.max()
+        w = np.exp(z - mx)
+        rng = np.random.default_rng(17)
+        reps = [(mx + math.log(w[rng.integers(0, w.size, size=w.size)].mean())) / 200
+                for _ in range(200)]
+        est = gle_mc(q, POS11, cfg)
+        assert est.std_error == pytest.approx(np.std(reps, ddof=1), rel=0.25)
 
     def test_warns_on_weight_concentration(self):
         # long trajectories at large q concentrate the importance weights
