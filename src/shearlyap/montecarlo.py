@@ -6,17 +6,22 @@ key is what ``SeedSequence(entropy=seed, spawn_key=(e,))`` hands to
 ``np.random.Philox``, and coin c is bit c % 64, least significant first, of
 raw word c // 64 that ``random_raw`` returns from a Philox built with that
 key; the generator increments its counter before each block of four words,
-so block b comes from the counter (b + 1, 0, 0, 0).  ``_coins`` derives the
-keys of all streams at once and runs Philox4x64-10 in numpy over every
-(stream, block) of a tile, so no generator is built per ensemble.  Results
-are bit-for-bit reproducible for a fixed config and identical whether the
-ensembles run serially or in parallel.
+so block b comes from the counter (b + 1, 0, 0, 0).  Read little-endian, the
+words are the stream's bytes: byte j holds coins 8j..8j+7, coin 8j + i in
+bit i.  ``_coin_bytes`` derives the keys of all streams at once and runs
+Philox4x64-10 in numpy over every (stream, block) of a tile, so no
+generator is built per ensemble.  Results are bit-for-bit reproducible for a
+fixed config and identical whether the ensembles run serially or in
+parallel.
 
 Every random product goes through one kernel, ``_pairwise_product``: the
 textbook one-vector Lyapunov estimator (a fair coin picks the shear of each
 step), the block oracle and sampled E_k all multiply their step matrices
 pairwise in about log2(length) vectorized levels.  Products are held as
-four entry arrays, p11, p12, p21 and p22, one element per product.
+four entry arrays, p11, p12, p21 and p22, one element per product.  For coin
+steps the first three levels are a lookup: each byte of coins indexes a
+table of the 256 products of eight steps, built per call by the same levels
+from the coins of the bytes 0..255, so the products are the same doubles.
 Exhaustive E_k uses the same layout: one (4, 2^k) array is doubled in place
 at each level, B P into the upper half and then A P over the lower half,
 which reproduces a 2x2 matrix product bit for bit.  The moment estimator
@@ -45,7 +50,7 @@ RNG_ALGORITHM = ("philox4x64-10 (numpy random_raw), stream keyed by (seed, ensem
                  "64 coins per word, least significant bit first")
 
 _COIN_CHUNK = 1 << 16
-_COIN_TILE_WORDS = 1 << 16  # raw Philox words per tile of _coins
+_COIN_TILE_WORDS = 1 << 16  # raw Philox words per tile of _coin_bytes
 _EXHAUSTIVE_MAX_K = 22
 _GLE_TRAJ_CAP = 200  # applications per gle_mc trajectory
 _MAX_APPS = 10**10  # cost guard: matrix applications one estimator call may run
@@ -156,6 +161,8 @@ def _philox_keys(seed: int, streams) -> np.ndarray:
 _PHILOX_M0, _PHILOX_M1 = np.uint64(0xD2E7470EE14C6C93), np.uint64(0xCA5A826395121157)
 _PHILOX_W0, _PHILOX_W1 = np.uint64(0x9E3779B97F4A7C15), np.uint64(0xBB67AE8584CAA73B)
 _U32, _SHIFT32 = np.uint64(_M32), np.uint64(32)
+# (8, 256): row i holds bit i of each byte 0..255, the coins of its eight steps
+_BYTE_COINS = np.unpackbits(np.arange(256, dtype=np.uint8)[None], axis=0, bitorder="little")
 _BIT_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
 
 
@@ -186,47 +193,63 @@ def _philox_words(keys: np.ndarray, b0: int, b1: int) -> np.ndarray:
     return np.stack(x, axis=1).reshape(-1, len(keys))  # all (b1 - b0, S) from round 3 on
 
 
-def _coins(seed: int, streams, start: int, n: int) -> np.ndarray:
-    """(n, len(streams)) int8: coins start..start+n-1 of each stream (seed, e).
+def _coin_bytes(seed: int, streams, start: int, n: int, keys=None) -> np.ndarray:
+    """(n, len(streams)) uint8: bytes start..start+n-1 of each stream (seed, e).
 
-    Coin c of stream e is bit c % 64 (bit 0 the least significant) of raw
-    word c // 64 of np.random.Philox(key=k), where k is the key that
-    SeedSequence(seed, spawn_key=(e,)) hands to Philox.  A block of four
-    words holds 256 coins.  All streams are drawn at once, in tiles of whole
-    blocks of at most _COIN_TILE_WORDS words (one block a stream when the
-    streams alone need more), so a stream's coins do not depend on the
-    streams drawn beside it or on the tile size.
+    Byte j holds coins 8j..8j+7, coin 8j+i in bit i: it is byte j % 8 of raw
+    word j // 8 of np.random.Philox(key=k), read little-endian, where k is the
+    key that SeedSequence(seed, spawn_key=(e,)) hands to Philox.  A block of
+    four words holds 32 bytes.  All streams are drawn at once, in tiles of
+    whole blocks of at most _COIN_TILE_WORDS words (one block a stream when
+    the streams alone need more), so a stream's bytes do not depend on the
+    streams drawn beside it or on the tile size.  keys, when given, are
+    _philox_keys(seed, streams), for a caller that draws a stream in pieces.
     """
-    keys = _philox_keys(seed, streams)
-    out = np.empty((n, len(keys)), dtype=np.int8)
+    if keys is None:
+        keys = _philox_keys(seed, streams)
+    out = np.empty((n, len(keys)), dtype=np.uint8)
     stop = start + n
     per_tile = max(1, _COIN_TILE_WORDS // (4 * len(keys)))  # blocks per tile
-    b_stop = -(-stop // 256)
-    for b0 in range(start // 256, b_stop, per_tile):
+    b_stop = -(-stop // 32)
+    for b0 in range(start // 32, b_stop, per_tile):
         b1 = min(b0 + per_tile, b_stop)
         words = _philox_words(keys, b0, b1).astype("<u8", copy=False)
-        # each stream's bytes in order down axis 0, then the 8 bits of each byte
+        # each stream's bytes in order down axis 0
         by = words.view(np.uint8).reshape(len(words), len(keys), 8).transpose(0, 2, 1)
-        bits = np.ascontiguousarray(by).reshape(-1, 1, len(keys)) >> _BIT_SHIFTS
-        bits &= 1
-        lo, hi = max(start, 256 * b0), min(stop, 256 * b1)
-        out[lo - start:hi - start] = bits.reshape(-1, len(keys))[lo - 256 * b0:hi - 256 * b0]
+        lo, hi = max(start, 32 * b0), min(stop, 32 * b1)
+        out[lo - start:hi - start] = by.reshape(-1, len(keys))[lo - 32 * b0:hi - 32 * b0]
     return out
 
 
-def _pairwise_product(steps, n: int, width: int, bound: float):
+def _coins(seed: int, streams, start: int, n: int, keys=None) -> np.ndarray:
+    """(n, len(streams)) int8: coins start..start+n-1 of each stream (seed, e),
+    the bits of _coin_bytes (keys as there), least significant first."""
+    b0 = start // 8
+    by = _coin_bytes(seed, streams, b0, -(-(start + n) // 8) - b0, keys)
+    bits = np.unpackbits(by, axis=0, bitorder="little")
+    return bits[start - 8 * b0:start - 8 * b0 + n].view(np.int8)
+
+
+def _pairwise_product(steps, n: int, width: int, bound: float, params=None):
     """((p11, p12, p21, p22), log_scale) with M_{n-1} ... M_0 = exp(log_scale) p, max |p| = 1.
 
     steps(lo, hi) gives the entries (m11, m12, m21, m22) of steps lo..hi-1 as four
     (hi - lo, width) arrays; each step has determinant 1 and entries at most
-    bound.  Sub-chunks of 2^j rows are reduced in j levels that multiply
-    neighbouring rows, later times earlier.  A unit-determinant product has a
-    largest entry of at least 1/sqrt(2) and, from entries at most b, at most
-    2 b^2: levels run unscaled until that bound passes _UNSCALED_MAX, then each
-    divides its rows by their largest entry and sums the logs.  Entries 1e-308
-    below a row's largest are lost: above shears of about 10^79.3 the
-    one-vector estimator's log growth then drifts by more than 1e-10 relative
-    (10^-4 at 1e120), so the estimators refuse shears above _SHEAR_MAX (1e79).
+    bound.  Given params, step t is instead the shear that coin t picks
+    (_shear_steps), and steps(lo, hi) gives those coins packed as _coin_bytes
+    packs them: bytes lo // 8 .. (hi - 1) // 8 of each column, coin t in bit
+    t % 8 of byte t // 8.  Sub-chunks of 2^j rows are reduced in j levels that
+    multiply neighbouring rows, later times earlier.  A sub-chunk of 8 or more
+    coin steps starts at level 3, from a table of the 256 products of eight
+    steps, one per byte, made by the same three levels from the coins of the
+    bytes 0..255: every product is the same double as without the table.  A
+    unit-determinant product has a largest entry of at least 1/sqrt(2) and,
+    from entries at most b, at most 2 b^2: levels run unscaled until that
+    bound passes _UNSCALED_MAX, then each divides its rows by their largest
+    entry and sums the logs.  Entries 1e-308 below a row's largest are lost:
+    above shears of about 10^79.3 the one-vector estimator's log growth then
+    drifts by more than 1e-10 relative (10^-4 at 1e120), so the estimators
+    refuse shears above _SHEAR_MAX (1e79).
     """
     def mul(later, earlier):
         l11, l12, l21, l22 = later
@@ -239,13 +262,8 @@ def _pairwise_product(steps, n: int, width: int, bound: float):
                         np.maximum(np.abs(m[2]), np.abs(m[3])))
         return [x / mx for x in m], np.log(mx)
 
-    one, zero = np.ones(width), np.zeros(width)
-    total, log_scale = (one, zero, zero, one), zero
-    rows = 1 << max(1, (_PAIRWISE_BUDGET // width).bit_length() - 1)
-    lo = 0
-    while lo < n:
-        hi = lo + min(rows, 1 << ((n - lo).bit_length() - 1))
-        m, s, big = steps(lo, hi), 0.0, bound  # s: log scale of each row of m
+    def levels(m, s, big):
+        """Reduce m to one row; s is the log scale of each row, big bounds its entries."""
         while len(m[0]) > 1:
             if big > _UNSCALED_MAX:
                 m, ds = rescale(m)
@@ -254,6 +272,26 @@ def _pairwise_product(steps, n: int, width: int, bound: float):
             if isinstance(s, np.ndarray):
                 s = s[1::2] + s[0::2]
             big = 2.0 * big * big
+        return m, s, big
+
+    if params is not None:  # the products of the eight steps of each byte
+        table, table_s, table_big = levels(_shear_steps(params, _BYTE_COINS), 0.0, bound)
+    one, zero = np.ones(width), np.zeros(width)
+    total, log_scale = (one, zero, zero, one), zero
+    rows = 1 << max(1, (_PAIRWISE_BUDGET // width).bit_length() - 1)
+    lo = 0
+    while lo < n:
+        hi = lo + min(rows, 1 << ((n - lo).bit_length() - 1))
+        if params is None:
+            m, s, big = steps(lo, hi), 0.0, bound  # s: log scale of each row of m
+        elif hi - lo < 8:
+            coins = steps(lo, hi) >> _BIT_SHIFTS[lo % 8:hi - lo + lo % 8] & 1  # in one byte
+            m, s, big = _shear_steps(params, coins), 0.0, bound
+        else:
+            codes = steps(lo, hi)
+            m, big = [x[0][codes] for x in table], table_big
+            s = table_s[0][codes] if isinstance(table_s, np.ndarray) else 0.0
+        m, s, _ = levels(m, s, big)
         total, ds = rescale(mul([x[0] for x in m], total))
         log_scale = log_scale + ds + np.reshape(s, -1)
         lo = hi
@@ -314,9 +352,9 @@ def _iterate_log_growth(params: ShearParams, cfg: McConfig, traj_len: int) -> np
     u, v, acc = np.zeros(E), np.ones(E), np.zeros(E)
     for done in range(0, traj_len, _COIN_CHUNK):
         n = min(_COIN_CHUNK, traj_len - done)
-        coins = _coins(cfg.seed, range(E), done, n)
+        by = _coin_bytes(cfg.seed, range(E), done // 8, -(-n // 8))
         (p11, p12, p21, p22), scale = _pairwise_product(
-            lambda lo, hi: _shear_steps(params, coins[lo:hi]), n, E, bound)
+            lambda lo, hi: by[lo // 8:-(-hi // 8)], n, E, bound, params)
         u, v = p11 * u + p12 * v, p21 * u + p22 * v
         r2 = np.hypot(u, v)
         acc += scale + np.log(r2)
@@ -450,12 +488,15 @@ def standard_bound(
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     bound = _shear_bound(params)
+    keys = _philox_keys(seed, [1 << 29])  # hashed once, drawn a sub-chunk at a time
 
     def steps(lo, hi):  # one stream: coin t * n_samples + j picks step t of sample j
-        coins = _coins(seed, [1 << 29], lo * n_samples, (hi - lo) * n_samples)
-        return _shear_steps(params, coins.reshape(hi - lo, n_samples))
+        coins = _coins(seed, [1 << 29], lo * n_samples, (hi - lo) * n_samples, keys)
+        g = min(8, hi - lo)  # steps per byte; fewer than 8 lie in one byte, from bit lo % 8
+        bits = coins.view(np.uint8).reshape(-1, g, n_samples) << _BIT_SHIFTS[lo % 8:lo % 8 + g]
+        return bits.sum(axis=1, dtype=np.uint8)  # np.packbits(axis=0) took 10 times longer
 
-    prod, logacc = _pairwise_product(steps, k, n_samples, bound)
+    prod, logacc = _pairwise_product(steps, k, n_samples, bound, params)
     return _mean_log_norm(np.stack(prod), logacc, k)
 
 

@@ -63,6 +63,13 @@ def reference_coins(seed, streams, start, n):
     return out
 
 
+def reference_coin_bytes(seed, streams, start, n, keys=None):
+    """montecarlo._coin_bytes by packing reference_coins: byte j holds coins
+    8j..8j+7, coin 8j + i in bit i.  keys, the hashed streams, are not used."""
+    return np.packbits(reference_coins(seed, streams, 8 * start, 8 * n), axis=0,
+                       bitorder="little")
+
+
 def reference_log_growth(params, cfg, traj_len):
     """Per-ensemble log |X_N| / |X_0| by one shear per step from X_0 = (0, 1)."""
     alpha, beta = params.alpha, params.beta
@@ -186,6 +193,39 @@ class TestPairwiseKernel:
         want = reference_log_growth(p, cfg, traj_len)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
+    @pytest.mark.parametrize("alpha,beta", KERNEL_PARAMS)
+    @pytest.mark.parametrize("rows", [8, 16, 32])
+    @pytest.mark.parametrize("tail", range(1, 8))
+    def test_eight_step_table_with_short_tails(self, monkeypatch, alpha, beta, rows, tail):
+        # three ensembles and a budget of 3 * rows make sub-chunks of `rows`
+        # steps, each started from the table, then a tail of 4, 2 and 1 steps
+        monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", 3 * rows)
+        params = ShearParams.infer(alpha, beta)
+        traj_len = 3 * rows + tail
+        cfg = McConfig(3 * traj_len, 3, seed=45)
+        got = montecarlo._iterate_log_growth(params, cfg, traj_len)
+        want = reference_log_growth(params, cfg, traj_len)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("alpha,beta", KERNEL_PARAMS)
+    @pytest.mark.parametrize("width,n,budget", [(3, 1000, None), (1, 301, 40), (5, 77, 40),
+                                                (7, 8, 56), (300, 999, None)])
+    def test_eight_step_table_gives_the_same_doubles(self, monkeypatch, alpha, beta, width, n,
+                                                     budget):
+        # the kernel fed the four entry arrays of every step, without the table
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", budget)
+        params = ShearParams.infer(alpha, beta)
+        bound = montecarlo._shear_bound(params)
+        by = montecarlo._coin_bytes(46, range(width), 0, -(-n // 8))
+        coins = np.unpackbits(by, axis=0, count=n, bitorder="little")
+        got = montecarlo._pairwise_product(lambda lo, hi: by[lo // 8:-(-hi // 8)], n, width,
+                                           bound, params)
+        want = montecarlo._pairwise_product(
+            lambda lo, hi: montecarlo._shear_steps(params, coins[lo:hi]), n, width, bound)
+        for g, w in zip([*got[0], got[1]], [*want[0], want[1]]):
+            np.testing.assert_array_equal(g, w)
+
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (50.0, 50.0), (-3.0, 3.0)])
     @pytest.mark.parametrize("budget", [None, 40])
     def test_block_oracle_matches_per_block_loop(self, monkeypatch, alpha, beta, budget):
@@ -196,8 +236,16 @@ class TestPairwiseKernel:
         got = block_oracle(params, cfg).lambda_est
         assert got == pytest.approx(reference_block_lambda(params, cfg), rel=1e-10)
 
-    @pytest.mark.parametrize("k,n_samples,alpha", [(64, 500, 1.0), (1024, 4000, 5.0)])
-    def test_sampled_bound_matches_two_einsum_loop(self, k, n_samples, alpha):
+    @pytest.mark.parametrize("k,n_samples,alpha,budget", [
+        (64, 500, 1.0, None), (1024, 4000, 5.0, None),
+        # five samples and a budget of 5 * rows make sub-chunks of `rows` steps
+        # and tails of 1-7 steps; a sample's eight steps are packed from coins
+        # 5 apart, and a tail's first coin need not start a byte of the stream
+        *[(2 * rows + tail, 5, 5.0, 5 * rows) for rows in (8, 16, 32) for tail in (1, 3, 6, 7)]])
+    def test_sampled_bound_matches_two_einsum_loop(self, monkeypatch, k, n_samples, alpha,
+                                                   budget):
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", budget)
         params = ShearParams.infer(alpha, alpha)
         got = standard_bound(k, params, mode="sampled", n_samples=n_samples, seed=44)
         assert got == pytest.approx(reference_sampled_bound(k, params, n_samples, 44), rel=1e-12)
@@ -277,6 +325,35 @@ class TestCoins:
         np.testing.assert_array_equal(montecarlo._coins(seed, streams, start, n),
                                       reference_coins(seed, streams, start, n))
 
+    @pytest.mark.parametrize("start,n", [(0, 1), (1, 7), (3, 40), (31, 2), (33, 100),
+                                         (8191, 5)])
+    @pytest.mark.parametrize("streams", [[0], [0, 1, 1 << 29, 2**32 - 1]])
+    def test_bytes_match_packed_reference(self, start, n, streams):
+        got = montecarlo._coin_bytes(17, streams, start, n)
+        assert got.dtype == np.uint8 and got.shape == (n, len(streams))
+        np.testing.assert_array_equal(got, reference_coin_bytes(17, streams, start, n))
+        keys = montecarlo._philox_keys(17, streams)
+        np.testing.assert_array_equal(montecarlo._coin_bytes(17, streams, start, n, keys), got)
+
+    @pytest.mark.parametrize("seed", [0, 2**70])
+    def test_bytes_across_a_default_tile(self, seed):
+        # three streams make tiles of _COIN_TILE_WORDS // 12 blocks of 32 bytes
+        streams = [0, 1 << 29, 2**32 - 1]
+        edge = 32 * (montecarlo._COIN_TILE_WORDS // 12)
+        np.testing.assert_array_equal(montecarlo._coin_bytes(seed, streams, edge - 37, 75),
+                                      reference_coin_bytes(seed, streams, edge - 37, 75))
+
+    @pytest.mark.parametrize("tile_words", [1, 4, 9, 50])
+    def test_bytes_do_not_depend_on_tiles_or_other_streams(self, monkeypatch, tile_words):
+        monkeypatch.setattr(montecarlo, "_COIN_TILE_WORDS", tile_words)
+        streams = list(range(7)) + [1 << 29]
+        for start, n in [(0, 8), (3, 250), (21, 1), (31, 65)]:
+            got = montecarlo._coin_bytes(5, streams, start, n)
+            np.testing.assert_array_equal(got, reference_coin_bytes(5, streams, start, n))
+            for j, e in enumerate(streams):
+                np.testing.assert_array_equal(montecarlo._coin_bytes(5, [e], start, n)[:, 0],
+                                              got[:, j])
+
 
 class TestSameResultsAsPerEnsembleGenerators:
     """The estimators return exactly what they return when every ensemble
@@ -318,8 +395,18 @@ class TestSameResultsAsPerEnsembleGenerators:
                                    seed=seed))
 
         got = run()
-        monkeypatch.setattr(montecarlo, "_coins", reference_coins)
+        drawn = []
+
+        def counted_reference(*args):
+            drawn.append(args[1])
+            return reference_coin_bytes(*args)
+
+        monkeypatch.setattr(montecarlo, "_coin_bytes", counted_reference)
         assert got == run()
+        # every estimator drew through the substitute: the ensembles' streams
+        # (block_oracle one at a time) and sampled E_k's stream 1 << 29
+        streams = {e for s in drawn for e in s}
+        assert streams == set(range(n_ensembles)) | {1 << 29}
 
 
 class TestLyapunovMc:
@@ -355,7 +442,7 @@ class TestLyapunovMc:
         assert lo - 6 * est.std_error <= est.mean <= hi + 6 * est.std_error
 
     def test_non_finite_estimate_raises(self, monkeypatch):
-        def overflowing(steps, n, width, bound):
+        def overflowing(steps, n, width, bound, params=None):
             one, zero = np.ones(width), np.zeros(width)
             return (one, zero, zero, one), np.full(width, np.inf)
 
@@ -393,7 +480,7 @@ class TestCostGuard:
         def no_coins(*args):
             raise AssertionError("coins drawn")
 
-        monkeypatch.setattr(montecarlo, "_coins", no_coins)
+        monkeypatch.setattr(montecarlo, "_coin_bytes", no_coins)
         with pytest.raises(DomainError, match="exceed the cost guard"):
             estimator(POS11, McConfig(10**30, 2))
 
@@ -411,7 +498,7 @@ class TestCostGuard:
     def test_block_oracle_bounds_coins_per_stream(self, monkeypatch):
         monkeypatch.setattr(montecarlo, "_MAX_STREAM_COINS", 1000)
         block_oracle(POS11, McConfig(2001, 2))  # 1000 coins a stream, the remainder dropped
-        monkeypatch.setattr(montecarlo, "_coins", _no_coins)
+        monkeypatch.setattr(montecarlo, "_coin_bytes", _no_coins)
         with pytest.raises(DomainError, match="coins per stream exceed the memory guard"):
             block_oracle(POS11, McConfig(2002, 2))
 
@@ -432,7 +519,7 @@ class TestShearLimit:
     def test_refuses_larger_shears_before_drawing_coins(self, monkeypatch, estimator, alpha,
                                                         beta):
         assert montecarlo._SHEAR_MAX == 1e79  # the largest shear in KERNEL_PARAMS
-        monkeypatch.setattr(montecarlo, "_coins", _no_coins)
+        monkeypatch.setattr(montecarlo, "_coin_bytes", _no_coins)
         with pytest.raises(DomainError, match="shears above 1e[+]79 lose accuracy"):
             estimator(ShearParams.infer(alpha, beta))
 
