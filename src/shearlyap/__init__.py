@@ -15,31 +15,24 @@ from .linalg import (
     NormKind,
     Regime,
     ShearParams,
-    Vec2,
     k_ab,
     spectral_norm_batch,
-    vec_norm,
 )
 from .cones import (
-    BlockOrder,
     Cone,
     SlopeUndefinedError,
-    cone_negative,
-    cone_positive,
     gamma,
     gamma_mab,
-    image_slope,
-    improved_cone_negative,
-    improved_cone_positive,
+    improved_cone,
     invariant_cone,
     map_slope,
 )
 from .growth import (
-    BoundFunctionId,
     Side,
+    cases_for,
+    evaluator,
     growth_ratio,
-    phi,
-    psi,
+    norms_for,
 )
 from .series import (
     DEFAULT_SERIES,

@@ -7,48 +7,44 @@ shears the invariant cone is [0, 1/alpha].  For opposed shears it is
 block matrix K(1, 1).  Comparing the run lengths a and b of a block lets
 the next block start from a strictly smaller cone; those improved cones
 are what sharpen the bounds.
+
+One case key names an improved cone, and the improved bound functions of
+growth use the same key.  After a block K(a, b) the case is (1,), (2,) or
+(3,) for a < b, a = b or a > b in the positive regime, and
+(min(a, 2), min(b, 2)) in the opposed regime.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import BlockExponents, DomainError, Regime, ShearOverflowError, ShearParams, k_ab
+from .linalg import DomainError, Regime, ShearOverflowError, ShearParams
 
 __all__ = [
-    "SLOPE_TOL",
     "SlopeUndefinedError",
-    "BlockOrder",
     "Cone",
-    "cone_positive",
-    "cone_negative",
     "gamma",
     "gamma_mab",
     "map_slope",
-    "improved_cone_positive",
-    "improved_cone_negative",
+    "improved_cone",
     "invariant_cone",
-    "image_slope",
 ]
 
 # relative tolerance absorbing rounding at cone edges
 SLOPE_TOL = 1e-12
 
+# each regime's case keys, in the order the engine averages their bounds
+CASES = {
+    Regime.POSITIVE_PAIR: ((1,), (2,), (3,)),
+    Regime.OPPOSED_PAIR: ((1, 1), (1, 2), (2, 1), (2, 2)),
+}
+
 
 class SlopeUndefinedError(ZeroDivisionError):
     """Projective blow-up: the image (or input) direction has v = 0."""
-
-
-class BlockOrder(enum.Enum):
-    """Comparison of the run lengths within the previous block."""
-
-    A_LT_B = 1
-    A_EQ_B = 2
-    A_GT_B = 3
 
 
 @dataclass(frozen=True)
@@ -63,13 +59,6 @@ class Cone:
     def contains_slope(self, slope: float, tol: float = SLOPE_TOL) -> bool:
         pad = tol * max(1.0, abs(self.lo), abs(self.hi))
         return self.lo - pad <= slope <= self.hi + pad
-
-
-def cone_positive(params: ShearParams) -> Cone:
-    """Smallest cone [0, 1/alpha] invariant under every block (positive regime)."""
-    if params.regime is not Regime.POSITIVE_PAIR:
-        raise DomainError("cone_positive requires positive-regime parameters")
-    return Cone(0.0, 1.0 / params.alpha)
 
 
 def gamma(params: ShearParams) -> float:
@@ -104,11 +93,6 @@ def gamma(params: ShearParams) -> float:
     return g
 
 
-def cone_negative(params: ShearParams) -> Cone:
-    """Smallest invariant cone [Gamma, 0] for the opposed regime."""
-    return Cone(gamma(params), 0.0)
-
-
 def map_slope(m: np.ndarray, slope: float) -> float:
     """Image of a slope u/v under the projective action of the 2x2 matrix m."""
     (m11, m12), (m21, m22) = m.tolist()
@@ -119,65 +103,54 @@ def map_slope(m: np.ndarray, slope: float) -> float:
     return u / v
 
 
-def improved_cone_positive(case: BlockOrder, params: ShearParams) -> Cone:
-    """Cone reached after a block whose run lengths compare as `case`.
-
-    a < b leaves the cone unchanged; a = b and a > b shrink the upper
-    slope to (1+alpha*beta)/(2*alpha+alpha^2*beta) and
-    (1+alpha*beta)/(3*alpha+2*alpha^2*beta) respectively.
-    """
-    if params.regime is not Regime.POSITIVE_PAIR:
-        raise DomainError("improved_cone_positive requires positive-regime parameters")
-    al, be = params.alpha, params.beta
-    if case is BlockOrder.A_LT_B:
-        hi = 1.0 / al
-    elif case is BlockOrder.A_EQ_B:
-        hi = (1.0 + al * be) / (2.0 * al + al * al * be)
-    else:
-        hi = (1.0 + al * be) / (3.0 * al + 2.0 * al * al * be)
-    return Cone(0.0, hi)
-
-
 def gamma_mab(m_a: int, m_b: int, params: ShearParams) -> float:
     """Lower slope boundary of the cone reached after an opposed block.
 
     The case indices m_a, m_b in {1, 2} stand for "run length equal to 1"
     and "run length at least 2".  gamma_mab(1, 1) equals gamma itself.
+    The denominator is below -1 for alpha < -2, beta > 2.
     """
     if m_a not in (1, 2) or m_b not in (1, 2):
         raise DomainError(f"case indices must lie in {{1, 2}}, got ({m_a}, {m_b})")
     g = gamma(params)
     al, be = params.alpha, params.beta
-    den = m_a * al * g + m_a * m_b * al * be + 1.0
-    if den == 0.0:  # cannot occur for alpha < -2, beta > 2
-        raise ArithmeticError("degenerate cone-improvement denominator")
-    return (g + m_b * be) / den
+    return (g + m_b * be) / (m_a * al * g + m_a * m_b * al * be + 1.0)
 
 
-def improved_cone_negative(m_a: int, m_b: int, params: ShearParams) -> Cone:
-    """Cone reached after an opposed block of case (m_a, m_b).
+def improved_cone(case: tuple[int, ...], params: ShearParams) -> Cone:
+    """Cone reached after a block of the given case (see the module docstring).
 
-    Upper boundaries: beta/(1+alpha*beta) for (1,1); 1/alpha for (1,2);
-    0 for the two cases with a >= 2.
+    Positive regime: (1,) leaves [0, 1/alpha] unchanged; (2,) and (3,)
+    shrink the upper slope to (1+alpha*beta)/(2*alpha+alpha^2*beta) and
+    (1+alpha*beta)/(3*alpha+2*alpha^2*beta) respectively.  Opposed regime:
+    the lower slope is gamma_mab(m_a, m_b), and the upper slope is
+    beta/(1+alpha*beta) for (1, 1), 1/alpha for (1, 2) and 0 for the two
+    cases with a >= 2.  ShearOverflowError where a denominator overflows.
     """
-    lo = gamma_mab(m_a, m_b, params)
+    cases = CASES[params.regime]
+    if case not in cases:
+        raise DomainError(f"{params.regime.value} case must be one of {list(cases)}, got {case}")
     al, be = params.alpha, params.beta
-    if (m_a, m_b) == (1, 1):
-        hi = be / (1.0 + al * be)
-    elif (m_a, m_b) == (1, 2):
-        hi = 1.0 / al
+    if params.regime is Regime.OPPOSED_PAIR:
+        lo = gamma_mab(case[0], case[1], params)
+        if case == (1, 1):
+            return Cone(lo, be / (1.0 + al * be))
+        return Cone(lo, 1.0 / al if case == (1, 2) else 0.0)
+    if case == (1,):
+        return Cone(0.0, 1.0 / al)
+    if case == (2,):
+        den = 2.0 * al + al * al * be
     else:
-        hi = 0.0
-    return Cone(lo, hi)
+        den = 3.0 * al + 2.0 * al * al * be
+    if not math.isfinite(den):
+        raise ShearOverflowError(f"the improved cone of case {case} overflows double "
+                                 f"precision at alpha={al}, beta={be}")
+    return Cone(0.0, (1.0 + al * be) / den)
 
 
 def invariant_cone(params: ShearParams) -> Cone:
-    """The regime's global invariant cone."""
+    """The regime's global invariant cone: [0, 1/alpha] for positive shears,
+    [Gamma, 0] for opposed ones."""
     if params.regime is Regime.POSITIVE_PAIR:
-        return cone_positive(params)
-    return cone_negative(params)
-
-
-def image_slope(block: BlockExponents, params: ShearParams, slope: float) -> float:
-    """Convenience: slope image under the block matrix K(a, b)."""
-    return map_slope(k_ab(block, params), slope)
+        return Cone(0.0, 1.0 / params.alpha)
+    return Cone(gamma(params), 0.0)

@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import functools
 import math
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -122,7 +123,7 @@ def _require_finite(what: str, params: ShearParams, *values: float) -> None:
 # one parameter point's grids across both families, in the regime with more
 # of them (24 positive, 22 opposed)
 _GRID_CACHE_SIZE = max(
-    sum(len(cases_for(family, regime, side)) * len(norms_for(family, regime, side))
+    sum(len(cases_for(family, regime)) * len(norms_for(family, regime, side))
         for family in BoundFamily for side in Side)
     for regime in Regime
 )
@@ -166,7 +167,7 @@ def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearPar
         nonlocal table
         if table is None:
             grids = [_bound_grid(family, norm, side, c, params, limit)
-                     for c in cases_for(family, params.regime, side)]
+                     for c in cases_for(family, params.regime)]
             n = len(grids)
             # f^q overflows to inf at large |q|; the series layer reports that sum
             with np.errstate(over="ignore"):
@@ -185,9 +186,10 @@ def _report(params: ShearParams, family: BoundFamily, cfg: SeriesConfig,
         out = {}
         for norm in norms_for(family, params.regime, side):
             s = expect_block(_case_mean(family, norm, side, params, cfg, q), cfg)
-            if q is not None and s == 0.0:
+            # a subnormal sum has already lost bits, and a zero one has no log
+            if q is not None and s < sys.float_info.min:
                 raise NonConvergenceError(
-                    f"series sum is zero: the {side.value} {norm.value} moment sum at "
+                    f"series sum is {s!r}: the {side.value} {norm.value} moment sum at "
                     f"q = {q} underflows double precision, as terms f^q do at large "
                     "negative q; a larger max_index cannot help"
                 )

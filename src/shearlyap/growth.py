@@ -4,18 +4,15 @@ For a vector X inside the regime's invariant cone, the growth ratio
 ``|K(a,b) X| / |X|`` in a given norm is sandwiched between a lower
 function (phi flavour) and an upper function (psi flavour) that depend
 only on (a, b, alpha, beta).  Each function is keyed by its cone family
-(BoundFamily) and the regime, which the signs of (alpha, beta) decide:
+(BoundFamily) and the regime, which the signs of (alpha, beta) decide,
+and by a case key:
 
-* global, positive   - the global cone [0, 1/alpha];
-* improved, positive - the three sub-cones selected by comparing the
-                       previous block's run lengths (cases m = 1: a<b,
-                       2: a=b, 3: a>b), each holding 1/3 of the time;
-* global, opposed    - the global cone [Gamma, 0];
-* improved, opposed  - the four sub-cones selected by whether each
-                       previous run length was 1 or >= 2 (cases
-                       (m_a, m_b) in {1,2}^2, each 1/4 of the time).  Only
-                       the L-infinity norm has improved upper functions
-                       here, indexed m = 1..4.
+* global   - the regime's invariant cone, case ();
+* improved - the sub-cones of cones.improved_cone, with its case keys:
+             (1,), (2,), (3,) in the positive regime, each holding 1/3
+             of the time, and (1, 1), (1, 2), (2, 1), (2, 2) in the
+             opposed regime, each 1/4 of the time.  The improved opposed
+             family has upper functions only for the L-infinity norm.
 
 Formulas are kept in their published two-branch / rational form rather
 than algebraically simplified; every value is positive, and at least 1 in
@@ -28,12 +25,12 @@ real a, b >= 1, not just integers.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+import math
 from typing import Callable
 
 import numpy as np
 
-from .cones import gamma, gamma_mab, invariant_cone
+from .cones import CASES, gamma, gamma_mab, invariant_cone
 from .linalg import (
     BlockExponents,
     DomainError,
@@ -41,19 +38,15 @@ from .linalg import (
     Regime,
     ShearOverflowError,
     ShearParams,
-    Vec2,
     k_ab,
-    vec_norm,
 )
 
 __all__ = [
     "BoundFamily",
     "Side",
-    "BoundFunctionId",
     "cases_for",
+    "norms_for",
     "evaluator",
-    "phi",
-    "psi",
     "growth_ratio",
 ]
 
@@ -68,13 +61,6 @@ class BoundFamily(enum.Enum):
 class Side(enum.Enum):
     LOWER = "lower"
     UPPER = "upper"
-
-
-def c_value(a, b, alpha: float, beta: float):
-    """(a*alpha + b*beta)^2 + (a*alpha*b*beta)^2, the L2 upper-bound constant."""
-    x = a * alpha
-    y = b * beta
-    return (x + y) ** 2 + (x * y) ** 2
 
 
 # --------------------------------------------------------------------------
@@ -102,7 +88,9 @@ def _psi_l1(a, b, al, be):
 
 
 def _psi_l2(a, b, al, be):
-    c = c_value(a, b, al, be)
+    x = a * al
+    y = b * be
+    c = (x + y) ** 2 + (x * y) ** 2
     return np.sqrt(0.5 * (2.0 + c + np.sqrt(c * (c + 4.0))))
 
 
@@ -111,26 +99,26 @@ def _psi_linf(a, b, al, be):
 
 
 # --------------------------------------------------------------------------
-# positive regime, improved cones.  The sub-cone for case m has upper slope
-# (1 + al*be) / (al * s_m) with s_2 = 2 + al*be and s_3 = 3 + 2*al*be.
+# positive regime, improved cones.  The sub-cone for case (m,) has upper
+# slope (1 + al*be) / (al * s_m) with s_2 = 2 + al*be and s_3 = 3 + 2*al*be.
 
-def _case_factor(m: int, al: float, be: float) -> float:
-    return 2.0 + al * be if m == 2 else 3.0 + 2.0 * al * be
+def _case_factor(case, al: float, be: float) -> float:
+    return 2.0 + al * be if case == (2,) else 3.0 + 2.0 * al * be
 
 
-def _phi_hat_l1(m, a, b, al, be):
-    if m == 1:
+def _phi_hat_l1(case, a, b, al, be):
+    if case == (1,):
         return _phi_l1(a, b, al, be)
-    s = _case_factor(m, al, be)
+    s = _case_factor(case, al, be)
     num = al * s * (a * al * b * be + b * be + 1.0) + (a * al + 1.0) * (al * be + 1.0)
     den = al * (s + be) + 1.0
     return num / den
 
 
-def _phi_hat_l2(m, a, b, al, be):
-    if m == 1:
+def _phi_hat_l2(case, a, b, al, be):
+    if case == (1,):
         return _phi_l2(a, b, al, be)
-    s = _case_factor(m, al, be)
+    s = _case_factor(case, al, be)
     w = a * al * b * be
     ab1 = 1.0 + al * be
     branch1 = np.sqrt((1.0 + w) ** 2 + (b * be) ** 2)
@@ -139,16 +127,16 @@ def _phi_hat_l2(m, a, b, al, be):
     return np.minimum(branch1, np.sqrt(num / den))
 
 
-def _psi_hat_linf(m, a, b, al, be):
-    if m == 1:
+def _psi_hat_linf(case, a, b, al, be):
+    if case == (1,):
         return _psi_linf(a, b, al, be)
-    s = _case_factor(m, al, be)
+    s = _case_factor(case, al, be)
     return 1.0 + a * al * b * be + a * (1.0 + al * be) / s
 
 
 # --------------------------------------------------------------------------
 # opposed regime.  g is the lower cone boundary (Gamma, or Gamma_{m_a,m_b}
-# for the improved sub-cones).
+# for the improved sub-cone of case (m_a, m_b)).
 
 def _phi_t_l1(a, b, al, be, g):
     return (b * be + g - a * al * b * be - 1.0 - a * al * g) / (1.0 - g)
@@ -176,11 +164,11 @@ def _psi_t_linf(a, b, al, be):
     return -a * al * b * be - 1.0
 
 
-def _psi_hat_t_linf(m, a, b, al, be):
+def _psi_hat_t_linf(case, a, b, al, be):
     w = a * al * b * be
-    if m == 1:
+    if case == (1, 1):
         return -w - 1.0 - a * al * be / (1.0 + al * be)
-    if m == 2:
+    if case == (1, 2):
         return -w - 1.0 - a
     return -w - 1.0
 
@@ -188,32 +176,10 @@ def _psi_hat_t_linf(m, a, b, al, be):
 # --------------------------------------------------------------------------
 # dispatch
 
-@dataclass(frozen=True)
-class BoundFunctionId:
-    """Identifier of one bound function: family, norm, side and case index.
-
-    Case conventions: () for the global families; (m,) with m in 1..3 for
-    the improved positive family; (m_a, m_b) in {1,2}^2 for the improved
-    opposed lower functions; (m,) with m in 1..4 for the improved opposed
-    upper functions, which exist only for the L-infinity norm.  evaluator
-    checks the combination against the parameters' regime.
-    """
-
-    family: BoundFamily
-    norm: NormKind
-    side: Side
-    case: tuple[int, ...] = ()
-
-
-def cases_for(family: BoundFamily, regime: Regime, side: Side) -> list[tuple[int, ...]]:
-    """Case indices averaged together in the given family/regime/side."""
-    if family is BoundFamily.GLOBAL:
-        return [()]
-    if regime is Regime.POSITIVE_PAIR:
-        return [(1,), (2,), (3,)]
-    if side is Side.LOWER:
-        return [(1, 1), (1, 2), (2, 1), (2, 2)]
-    return [(1,), (2,), (3,), (4,)]
+def cases_for(family: BoundFamily, regime: Regime) -> list[tuple[int, ...]]:
+    """Case keys averaged together in the given family and regime: () for
+    the global family, cones.CASES[regime] for the improved one."""
+    return [()] if family is BoundFamily.GLOBAL else list(CASES[regime])
 
 
 def norms_for(family: BoundFamily, regime: Regime, side: Side) -> list[NormKind]:
@@ -227,8 +193,8 @@ def _plain(fn):
 
 
 def _cased(fn):
-    """Table entry for a function that also takes the case index m = case[0]."""
-    return lambda case, p: lambda a, b: fn(case[0], a, b, p.alpha, p.beta)
+    """Table entry for a function that also takes the case key."""
+    return lambda case, p: lambda a, b: fn(case, a, b, p.alpha, p.beta)
 
 
 def _coned(fn):
@@ -288,7 +254,7 @@ def evaluator(
     norms = norms_for(family, params.regime, side)
     if norm not in norms:
         raise DomainError(f"{what} bounds exist only for the norms {[n.value for n in norms]}")
-    cases = cases_for(family, params.regime, side)
+    cases = cases_for(family, params.regime)
     if case not in cases:
         raise DomainError(f"{what} case must be one of {cases}, got {case}")
     f = _EVALUATORS[(family, params.regime, norm, side)](case, params)
@@ -304,29 +270,22 @@ def evaluator(
     return checked
 
 
-def phi(id_: BoundFunctionId, block: BlockExponents, params: ShearParams) -> float:
-    """Lower growth-ratio bound for one block."""
-    if id_.side is not Side.LOWER:
-        raise DomainError("phi requires a lower-side identifier")
-    f = evaluator(id_.family, id_.norm, id_.side, id_.case, params)
-    return float(f(float(block.a), float(block.b)))
-
-
-def psi(id_: BoundFunctionId, block: BlockExponents, params: ShearParams) -> float:
-    """Upper growth-ratio bound for one block."""
-    if id_.side is not Side.UPPER:
-        raise DomainError("psi requires an upper-side identifier")
-    f = evaluator(id_.family, id_.norm, id_.side, id_.case, params)
-    return float(f(float(block.a), float(block.b)))
+# norm of the vector (u, v)
+_VECTOR_NORMS = {
+    NormKind.L1: lambda u, v: abs(u) + abs(v),
+    NormKind.L2: math.hypot,
+    NormKind.LINF: lambda u, v: max(abs(u), abs(v)),
+}
 
 
 def growth_ratio(
-    block: BlockExponents, params: ShearParams, x: Vec2, kind: NormKind
+    block: BlockExponents, params: ShearParams, x: tuple[float, float], kind: NormKind
 ) -> float:
-    """|K(a,b) x| / |x| in the given norm, for x inside the invariant cone."""
-    if x.v == 0.0:
+    """|K(a,b) x| / |x| in the given norm, for x = (u, v) inside the invariant cone."""
+    u, v = x
+    if v == 0.0:
         raise DomainError("direction with v = 0 lies outside both invariant cones")
-    slope = x.u / x.v
+    slope = u / v
     cone = invariant_cone(params)
     if not cone.contains_slope(slope):
         raise DomainError(
@@ -334,5 +293,5 @@ def growth_ratio(
             "the growth bounds are only claimed there"
         )
     (m11, m12), (m21, m22) = k_ab(block, params).tolist()
-    image = Vec2(m11 * x.u + m12 * x.v, m21 * x.u + m22 * x.v)
-    return vec_norm(image, kind) / vec_norm(x, kind)
+    norm = _VECTOR_NORMS[kind]
+    return norm(m11 * u + m12 * v, m21 * u + m22 * v) / norm(u, v)

@@ -7,9 +7,9 @@ followed by a run of B's gives the block matrix
     K(a, b) = A^a B^b = [[1, b*beta], [a*alpha, 1 + a*alpha*b*beta]]
 
 which has unit determinant.  Matrices are numpy arrays of shape (2, 2),
-or stacks of them of shape (..., 2, 2); vectors are Vec2.  Everything here
-is closed-form double precision; no general-purpose linear algebra is
-needed.
+or stacks of them of shape (..., 2, 2); a tangent vector is a plain pair
+(u, v) of floats, and cones hold its slope u/v.  Everything here is
+closed-form double precision; no general-purpose linear algebra is needed.
 """
 
 from __future__ import annotations
@@ -25,10 +25,8 @@ __all__ = [
     "Regime",
     "NormKind",
     "ShearParams",
-    "Vec2",
     "BlockExponents",
     "k_ab",
-    "vec_norm",
     "spectral_norm_batch",
 ]
 
@@ -91,12 +89,6 @@ class ShearParams:
 
 
 @dataclass(frozen=True)
-class Vec2:
-    u: float
-    v: float
-
-
-@dataclass(frozen=True)
 class BlockExponents:
     """Run lengths (a, b) of one A-run followed by one B-run."""
 
@@ -113,14 +105,6 @@ def k_ab(block: BlockExponents, params: ShearParams) -> np.ndarray:
     x = block.a * params.alpha
     y = block.b * params.beta
     return np.array([[1.0, y], [x, 1.0 + x * y]])
-
-
-def vec_norm(x: Vec2, kind: NormKind) -> float:
-    if kind is NormKind.L1:
-        return abs(x.u) + abs(x.v)
-    if kind is NormKind.L2:
-        return math.hypot(x.u, x.v)
-    return max(abs(x.u), abs(x.v))
 
 
 def spectral_norm_batch(mats: np.ndarray) -> np.ndarray:

@@ -53,8 +53,8 @@ _SUM_BINS = 2 * _SUM_EMAX + 27  # exponents -_SUM_EMAX.._SUM_EMAX, 26 more for i
 
 class NonConvergenceError(RuntimeError):
     """Doubling the truncation moved the sum by more than the tail tolerance,
-    or the sum is not finite, or a moment sum underflows to zero so that its
-    log is undefined."""
+    or the sum is not finite, or a moment sum underflows below the normal
+    doubles (to zero its log is undefined; subnormal it has lost bits)."""
 
 
 @dataclass(frozen=True)

@@ -24,32 +24,28 @@ import numpy as np
 
 from shearlyap import (
     BlockExponents,
-    BlockOrder,
     BoundFamily,
     McConfig,
     NormKind,
     ShearParams,
-    Vec2,
+    Side,
     block_oracle,
-    cone_negative,
-    cone_positive,
     entropy_bounds,
+    evaluator,
     gle_bounds,
     gle_bounds_report,
     gle_curve,
     gle_exact_integer,
     growth_ratio,
-    image_slope,
-    improved_cone_negative,
-    improved_cone_positive,
+    improved_cone,
+    invariant_cone,
+    k_ab,
     kappa,
     lyapunov_bounds,
     lyapunov_mc,
-    phi,
-    psi,
+    map_slope,
     standard_bound,
 )
-from shearlyap.growth import BoundFamily, BoundFunctionId, Side
 
 POS11 = ShearParams.infer(1.0, 1.0)
 NORMS = (NormKind.L1, NormKind.L2, NormKind.LINF)
@@ -182,20 +178,18 @@ def _sandwich_violations(regime: str, n: int, seed: int) -> int:
     for _ in range(n):
         if regime == "positive":
             p = ShearParams.infer(rng.uniform(1, 10), rng.uniform(1, 10))
-            cone = cone_positive(p)
-            family = BoundFamily.GLOBAL
         else:
             p = ShearParams.infer(rng.uniform(-10, -2.1), rng.uniform(2.1, 10))
-            cone = cone_negative(p)
-            family = BoundFamily.GLOBAL
+        cone = invariant_cone(p)
+        family = BoundFamily.GLOBAL
         block = BlockExponents(int(rng.integers(1, 31)), int(rng.integers(1, 31)))
         slope = rng.uniform(cone.lo, cone.hi)
         scale = rng.uniform(0.5, 2.0) * (1.0 if rng.random() < 0.5 else -1.0)
-        x = Vec2(slope * scale, scale)
+        x = (slope * scale, scale)
         for norm in NORMS:
             r = growth_ratio(block, p, x, norm)
-            lo = phi(BoundFunctionId(family, norm, Side.LOWER), block, p)
-            hi = psi(BoundFunctionId(family, norm, Side.UPPER), block, p)
+            lo = evaluator(family, norm, Side.LOWER, (), p)(block.a, block.b)
+            hi = evaluator(family, norm, Side.UPPER, (), p)(block.a, block.b)
             tol = 1e-10 * max(1.0, abs(r))
             if not (lo <= r + tol and r <= hi + tol):
                 violations += 1
@@ -223,23 +217,20 @@ def check_cone_invariance():
         positive = rng.random() < 0.5
         if positive:
             p = ShearParams.infer(rng.uniform(1, 10), rng.uniform(1, 10))
-            cone = cone_positive(p)
         else:
             p = ShearParams.infer(rng.uniform(-10, -2.1), rng.uniform(2.1, 10))
-            cone = cone_negative(p)
+        cone = invariant_cone(p)
         a, b = (int(v) for v in rng.integers(1, 31, size=2))
         block = BlockExponents(a, b)
         slope = float(rng.uniform(cone.lo, cone.hi))
-        img = image_slope(block, p, slope)
+        img = map_slope(k_ab(block, p), slope)
         if not cone.contains_slope(img, tol=1e-9):
             violations += 1
         if positive:
-            order = BlockOrder.A_LT_B if a < b else (
-                BlockOrder.A_EQ_B if a == b else BlockOrder.A_GT_B
-            )
-            sub = improved_cone_positive(order, p)
+            case = (1,) if a < b else (2,) if a == b else (3,)
         else:
-            sub = improved_cone_negative(min(a, 2), min(b, 2), p)
+            case = (min(a, 2), min(b, 2))
+        sub = improved_cone(case, p)
         if not sub.contains_slope(img, tol=1e-9):
             violations += 1
     assert violations == 0, f"{violations} cone-containment violations"

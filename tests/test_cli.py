@@ -1,4 +1,5 @@
 import csv
+import importlib
 import io
 import json
 import math
@@ -514,6 +515,8 @@ class TestExtremeShears:
          "moment sum at q = -400.0 underflows double precision"),
         ("sweep --mode gle --alpha 1 --q -700 --family global", 3,
          "moment sum at q = -700.0 underflows double precision"),
+        ("sweep --mode gle --alpha 1 --q -670 --family global", 3,
+         "series sum is 5.33e-321: the upper l1 moment sum at q = -670.0 underflows"),
     ])
     def test_one_error_line_and_exit_code(self, runner, args, code, message):
         result = runner.invoke(main, args.split())
@@ -666,3 +669,12 @@ def test_no_undeclared_imports():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                          env=env, check=True).stdout
     assert out.strip() == "[]"
+
+
+@pytest.mark.parametrize("module", ["linalg", "cones", "growth", "series", "engine", "montecarlo"])
+def test_module_exports_are_reexported(module):
+    mod = importlib.import_module(f"shearlyap.{module}")
+    missing = [name for name in mod.__all__ if not hasattr(mod, name)]
+    not_reexported = [name for name in mod.__all__
+                      if getattr(shearlyap, name, None) is not getattr(mod, name, None)]
+    assert (missing, not_reexported) == ([], [])

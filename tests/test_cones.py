@@ -7,22 +7,19 @@ from hypothesis import given, settings, strategies as st
 
 from shearlyap import (
     BlockExponents,
-    BlockOrder,
     Cone,
     DomainError,
     Regime,
     ShearParams,
     SlopeUndefinedError,
-    cone_negative,
-    cone_positive,
     gamma,
     gamma_mab,
-    image_slope,
-    improved_cone_negative,
-    improved_cone_positive,
+    improved_cone,
+    invariant_cone,
     k_ab,
     map_slope,
 )
+from shearlyap.linalg import ShearOverflowError
 
 OPPOSED = ShearParams.infer(-3.0, 3.0)
 GAMMA_33 = -1.5 + math.sqrt(1.25)  # alpha = -3, beta = 3
@@ -31,13 +28,9 @@ GAMMA_33 = -1.5 + math.sqrt(1.25)  # alpha = -3, beta = 3
 class TestPositiveCone:
     @pytest.mark.parametrize("alpha,hi", [(1.0, 1.0), (2.0, 0.5), (10.0, 0.1)])
     def test_interval(self, alpha, hi):
-        c = cone_positive(ShearParams.infer(alpha, 1.0))
+        c = invariant_cone(ShearParams.infer(alpha, 1.0))
         assert c.lo == 0.0
         assert c.hi == pytest.approx(hi, abs=1e-15)
-
-    def test_rejects_opposed(self):
-        with pytest.raises(DomainError):
-            cone_positive(OPPOSED)
 
     def test_invariance_sampled(self):
         # 1000 random blocks, 100 directions each, image stays inside
@@ -56,10 +49,10 @@ class TestPositiveCone:
         params = ShearParams.infer(1.5, 2.0)
         hi = 1.0 / params.alpha
         # long B-runs push slopes to the top of the cone ...
-        s_top = image_slope(BlockExponents(1, 10_000), params, 0.0)
+        s_top = map_slope(k_ab(BlockExponents(1, 10_000), params), 0.0)
         assert abs(s_top - hi) < 1e-3
         # ... long A-runs push them to the bottom
-        s_bot = image_slope(BlockExponents(10_000, 1), params, hi)
+        s_bot = map_slope(k_ab(BlockExponents(10_000, 1), params), hi)
         assert abs(s_bot) < 1e-3
 
 
@@ -127,13 +120,36 @@ class TestMapSlope:
 class TestImprovedPositive:
     def test_cases_unit(self):
         p = ShearParams.infer(1, 1)
-        assert improved_cone_positive(BlockOrder.A_LT_B, p).hi == pytest.approx(1.0)
-        assert improved_cone_positive(BlockOrder.A_EQ_B, p).hi == pytest.approx(2.0 / 3.0)
-        assert improved_cone_positive(BlockOrder.A_GT_B, p).hi == pytest.approx(0.4)
+        assert improved_cone((1,), p).hi == pytest.approx(1.0)
+        assert improved_cone((2,), p).hi == pytest.approx(2.0 / 3.0)
+        assert improved_cone((3,), p).hi == pytest.approx(0.4)
 
     def test_rejects_opposed(self):
         with pytest.raises(DomainError):
-            improved_cone_positive(BlockOrder.A_EQ_B, OPPOSED)
+            improved_cone((2,), OPPOSED)
+
+    @pytest.mark.parametrize("params,case,cases", [
+        (ShearParams.infer(1, 1), (1, 1), "[(1,), (2,), (3,)]"),
+        (ShearParams.infer(1, 1), (4,), "[(1,), (2,), (3,)]"),
+        (OPPOSED, (1,), "[(1, 1), (1, 2), (2, 1), (2, 2)]"),
+        (OPPOSED, (1, 3), "[(1, 1), (1, 2), (2, 1), (2, 2)]"),
+        (OPPOSED, (), "[(1, 1), (1, 2), (2, 1), (2, 2)]"),
+    ])
+    def test_rejects_unknown_cases(self, params, case, cases):
+        with pytest.raises(DomainError) as info:
+            improved_cone(case, params)
+        assert str(info.value) == f"{params.regime.value} case must be one of {cases}, got {case}"
+
+    @pytest.mark.parametrize("alpha,case", [(1e200, (2,)), (1e200, (3,)), (1e160, (2,)),
+                                            (1e160, (3,)), (1e154, (3,))])
+    def test_overflow_is_a_domain_error(self, alpha, case):
+        # alpha^2 beta overflows: the published formula would give Cone(0.0, 0.0)
+        with pytest.raises(ShearOverflowError, match="overflows double precision"):
+            improved_cone(case, ShearParams(alpha, 1.0))
+
+    def test_keeps_large_finite_shears(self):
+        # 2 * alpha^2 beta is 2e308 at alpha = 1e154, but alpha^2 beta is finite
+        assert improved_cone((2,), ShearParams(1e154, 1.0)).hi == 1e-154
 
     def test_image_containment(self):
         # image of the global cone under K(a, b) lies inside the matching case cone
@@ -142,18 +158,16 @@ class TestImprovedPositive:
             alpha, beta = rng.uniform(1, 10, size=2)
             params = ShearParams.infer(alpha, beta)
             a, b = (int(v) for v in rng.integers(1, 31, size=2))
-            case = (
-                BlockOrder.A_LT_B if a < b else BlockOrder.A_EQ_B if a == b else BlockOrder.A_GT_B
-            )
-            sub = improved_cone_positive(case, params)
+            case = (1,) if a < b else (2,) if a == b else (3,)
+            sub = improved_cone(case, params)
             for s in np.linspace(0.0, 1.0 / alpha, 20):
-                img = image_slope(BlockExponents(a, b), params, float(s))
+                img = map_slope(k_ab(BlockExponents(a, b), params), float(s))
                 assert sub.contains_slope(img, tol=1e-9)
 
 
 class TestOpposedCone:
     def test_interval(self):
-        c = cone_negative(OPPOSED)
+        c = invariant_cone(OPPOSED)
         assert c.lo == pytest.approx(GAMMA_33, abs=1e-12)
         assert c.hi == 0.0
 
@@ -174,8 +188,8 @@ class TestOpposedCone:
     def test_minimality(self):
         params = OPPOSED
         g = gamma(params)
-        assert image_slope(BlockExponents(1, 1), params, g) == pytest.approx(g, abs=1e-12)
-        assert abs(image_slope(BlockExponents(10_000, 1), params, g)) < 1e-3
+        assert map_slope(k_ab(BlockExponents(1, 1), params), g) == pytest.approx(g, abs=1e-12)
+        assert abs(map_slope(k_ab(BlockExponents(10_000, 1), params), g)) < 1e-3
 
 
 class TestGammaMab:
@@ -214,20 +228,22 @@ class TestGammaMab:
         for a in a_range:
             for b in b_range:
                 for s in np.linspace(g, 0.0, 15):
-                    img = image_slope(BlockExponents(a, b), params, float(s))
+                    img = map_slope(k_ab(BlockExponents(a, b), params), float(s))
                     worst = min(worst, img)
                     assert img >= bound - 1e-12
         # the bound is attained (at the smallest block of the case, from slope Gamma)
         assert worst == pytest.approx(bound, abs=1e-12)
 
-    def test_improved_cone_negative_intervals(self):
-        c11 = improved_cone_negative(1, 1, OPPOSED)
+    def test_improved_cone_intervals(self):
+        c11 = improved_cone((1, 1), OPPOSED)
         assert c11.lo == pytest.approx(GAMMA_33, abs=1e-12)
         assert c11.hi == pytest.approx(3.0 / (1.0 - 9.0), abs=1e-14)
-        c12 = improved_cone_negative(1, 2, OPPOSED)
+        c12 = improved_cone((1, 2), OPPOSED)
         assert c12.hi == pytest.approx(-1.0 / 3.0, abs=1e-14)
-        assert improved_cone_negative(2, 1, OPPOSED).hi == 0.0
-        assert improved_cone_negative(2, 2, OPPOSED).hi == 0.0
+        assert improved_cone((2, 1), OPPOSED).hi == 0.0
+        assert improved_cone((2, 2), OPPOSED).hi == 0.0
+        for case in ((1, 2), (2, 1), (2, 2)):
+            assert improved_cone(case, OPPOSED).lo == gamma_mab(*case, OPPOSED)
 
     def test_image_containment_negative(self):
         rng = np.random.default_rng(55)
@@ -237,18 +253,18 @@ class TestGammaMab:
             params = ShearParams.infer(alpha, beta)
             g = gamma(params)
             a, b = (int(v) for v in rng.integers(1, 21, size=2))
-            sub = improved_cone_negative(min(a, 2), min(b, 2), params)
+            sub = improved_cone((min(a, 2), min(b, 2)), params)
             for s in np.linspace(g, 0.0, 12):
-                img = image_slope(BlockExponents(a, b), params, float(s))
+                img = map_slope(k_ab(BlockExponents(a, b), params), float(s))
                 assert sub.contains_slope(img, tol=1e-9)
 
 
 class TestConeContainsSlope:
     def test_examples(self):
-        pos = cone_positive(ShearParams.infer(1, 1))
+        pos = invariant_cone(ShearParams.infer(1, 1))
         assert pos.contains_slope(0.5)
         assert not pos.contains_slope(2.0)
-        assert cone_negative(OPPOSED).contains_slope(-0.2)
+        assert invariant_cone(OPPOSED).contains_slope(-0.2)
 
     def test_cone_validation(self):
         with pytest.raises(DomainError):

@@ -314,9 +314,11 @@ class TestGleBounds:
             gle_bounds_report(200.0, POS11)
 
     @pytest.mark.filterwarnings("error")
-    @pytest.mark.parametrize("q,params", [(-700.0, POS11), (-400.0, OPP33)], ids=["pos", "opp"])
+    @pytest.mark.parametrize("q,params", [(-700.0, POS11), (-400.0, OPP33), (-670.0, POS11)],
+                             ids=["pos", "opp", "pos-subnormal"])
     def test_underflowing_moment_sums_raise(self, q, params):
-        # f^q underflows to 0 at every term: no log of zero, and no -inf bound
+        # f^q underflows to 0 at every term: no log of zero, and no -inf bound;
+        # at q = -670 the sum is subnormal (5.33e-321) and has lost bits
         with pytest.raises(NonConvergenceError, match="underflows double precision"):
             gle_bounds_report(q, params)
 
@@ -359,7 +361,7 @@ def _pointwise_case_mean(ff, norm, side, params, cfg, q=None):
     """The integrand as built before the grid cache: every case's bound
     function evaluated afresh on each block, raised to q, averaged."""
     fns = [engine.evaluator(ff, norm, side, c, params)
-           for c in engine.cases_for(ff, params.regime, side)]
+           for c in engine.cases_for(ff, params.regime)]
     n = len(fns)
     if q is None:
         def f(a, b):
@@ -443,7 +445,7 @@ class TestGridCache:
         ff = BoundFamily.IMPROVED
         for side in engine.Side:
             for norm in engine.norms_for(ff, params.regime, side):
-                for case in engine.cases_for(ff, params.regime, side):
+                for case in engine.cases_for(ff, params.regime):
                     grid = engine._bound_grid(ff, norm, side, case, params, 128)
                     assert not grid.flags.writeable
                     fresh = engine.evaluator(ff, norm, side, case, params)(aa, bb)

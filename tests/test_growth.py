@@ -5,24 +5,18 @@ import pytest
 
 from shearlyap import (
     BlockExponents,
-    BoundFunctionId,
+    BoundFamily,
     DomainError,
     NormKind,
     ShearParams,
     Side,
-    Vec2,
-    cone_negative,
-    cone_positive,
+    cases_for,
+    evaluator,
     gamma,
     growth_ratio,
-    improved_cone_negative,
-    improved_cone_positive,
+    improved_cone,
     k_ab,
-    phi,
-    psi,
 )
-from shearlyap.cones import BlockOrder
-from shearlyap.growth import BoundFamily, evaluator
 
 POS11 = ShearParams.infer(1.0, 1.0)
 OPP33 = ShearParams.infer(-3.0, 3.0)
@@ -30,11 +24,8 @@ B11 = BlockExponents(1, 1)
 GAMMA_33 = -1.5 + math.sqrt(1.25)
 
 NORMS = (NormKind.L1, NormKind.L2, NormKind.LINF)
-
-
-def fid(family, norm, side, case=()):
-    return BoundFunctionId(family, norm, side, case)
-
+GLOBAL, IMPROVED = BoundFamily.GLOBAL, BoundFamily.IMPROVED
+LOWER, UPPER = Side.LOWER, Side.UPPER
 
 ORD = {NormKind.L1: 1, NormKind.L2: 2, NormKind.LINF: np.inf}
 
@@ -47,14 +38,14 @@ def ratio_at_slope(block, params, slope, norm):
 
 class TestExamples:
     def test_phi_linf_unit(self):
-        assert phi(fid(BoundFamily.GLOBAL, NormKind.LINF, Side.LOWER), B11, POS11) == 2.0
+        assert evaluator(GLOBAL, NormKind.LINF, LOWER, (), POS11)(1, 1) == 2.0
 
     def test_phi_l1_unit(self):
-        got = phi(fid(BoundFamily.GLOBAL, NormKind.L1, Side.LOWER), B11, POS11)
+        got = evaluator(GLOBAL, NormKind.L1, LOWER, (), POS11)(1, 1)
         assert got == pytest.approx(2.5, abs=1e-15)
 
     def test_phi_l2_unit_two_branches(self):
-        got = phi(fid(BoundFamily.GLOBAL, NormKind.L2, Side.LOWER), B11, POS11)
+        got = evaluator(GLOBAL, NormKind.L2, LOWER, (), POS11)(1, 1)
         assert got == pytest.approx(math.sqrt(5.0), abs=1e-14)
         # oracle: direct minimization of the L2 ratio over the cone
         slopes = np.linspace(0.0, 1.0, 20001)
@@ -62,20 +53,20 @@ class TestExamples:
         assert got == pytest.approx(min(ratios), abs=1e-7)
 
     def test_psi_linf_unit(self):
-        assert psi(fid(BoundFamily.GLOBAL, NormKind.LINF, Side.UPPER), B11, POS11) == 3.0
+        assert evaluator(GLOBAL, NormKind.LINF, UPPER, (), POS11)(1, 1) == 3.0
 
     def test_psi_l2_is_spectral_norm(self):
-        got = psi(fid(BoundFamily.GLOBAL, NormKind.L2, Side.UPPER), B11, POS11)
+        got = evaluator(GLOBAL, NormKind.L2, UPPER, (), POS11)(1, 1)
         want = math.sqrt((7.0 + math.sqrt(45.0)) / 2.0)
         assert got == pytest.approx(want, abs=1e-14)
         assert got == pytest.approx(np.linalg.norm(k_ab(B11, POS11), 2), abs=1e-12)
 
     def test_improved_psi_linf_case2(self):
-        got = psi(fid(BoundFamily.IMPROVED, NormKind.LINF, Side.UPPER, (2,)), B11, POS11)
+        got = evaluator(IMPROVED, NormKind.LINF, UPPER, (2,), POS11)(1, 1)
         assert got == pytest.approx(8.0 / 3.0, abs=1e-15)
 
     def test_tilde_phi_linf(self):
-        got = phi(fid(BoundFamily.GLOBAL, NormKind.LINF, Side.LOWER), B11, OPP33)
+        got = evaluator(GLOBAL, NormKind.LINF, LOWER, (), OPP33)(1, 1)
         assert got == pytest.approx(8.0 + 3.0 * GAMMA_33, abs=1e-12)
         # oracle: ratio at the cone boundary direction (Gamma, 1)
         assert got == pytest.approx(
@@ -83,28 +74,29 @@ class TestExamples:
         )
 
     def test_tilde_psi_linf(self):
-        got = psi(fid(BoundFamily.GLOBAL, NormKind.LINF, Side.UPPER), B11, OPP33)
+        got = evaluator(GLOBAL, NormKind.LINF, UPPER, (), OPP33)(1, 1)
         assert got == 8.0
 
 
 class TestGrowthRatio:
     def test_unit_examples(self):
-        assert growth_ratio(B11, POS11, Vec2(0, 1), NormKind.LINF) == 2.0
-        assert growth_ratio(B11, POS11, Vec2(0, 1), NormKind.L1) == 3.0
+        assert growth_ratio(B11, POS11, (0, 1), NormKind.LINF) == 2.0
+        assert growth_ratio(B11, POS11, (0, 1), NormKind.L1) == 3.0
+        assert growth_ratio(B11, POS11, (0, 1), NormKind.L2) == math.sqrt(5.0)
 
     def test_hand_applied_block(self):
-        got = growth_ratio(BlockExponents(2, 3), POS11, Vec2(1, 2), NormKind.L1)
+        got = growth_ratio(BlockExponents(2, 3), POS11, (1, 2), NormKind.L1)
         assert got == pytest.approx(23.0 / 3.0, abs=1e-14)
 
     def test_outside_cone_rejected(self):
         with pytest.raises(DomainError):
-            growth_ratio(B11, POS11, Vec2(2, 1), NormKind.L2)
+            growth_ratio(B11, POS11, (2, 1), NormKind.L2)
         with pytest.raises(DomainError):
-            growth_ratio(B11, OPP33, Vec2(0.5, 1), NormKind.L2)
+            growth_ratio(B11, OPP33, (0.5, 1), NormKind.L2)
 
     def test_v_zero_rejected(self):
         with pytest.raises(DomainError):
-            growth_ratio(B11, POS11, Vec2(1, 0), NormKind.L2)
+            growth_ratio(B11, POS11, (1, 0), NormKind.L2)
 
 
 class TestIdValidation:
@@ -119,7 +111,9 @@ class TestIdValidation:
     def test_improved_neg_upper_linf_only(self):
         with pytest.raises(DomainError):
             evaluator(BoundFamily.IMPROVED, NormKind.L1, Side.UPPER, (1,), OPP33)
-        evaluator(BoundFamily.IMPROVED, NormKind.LINF, Side.UPPER, (4,), OPP33)
+        evaluator(BoundFamily.IMPROVED, NormKind.LINF, Side.UPPER, (2, 2), OPP33)
+        with pytest.raises(DomainError):
+            evaluator(BoundFamily.IMPROVED, NormKind.LINF, Side.UPPER, (4,), OPP33)
 
     def test_improved_neg_lower_pairs(self):
         with pytest.raises(DomainError):
@@ -145,26 +139,20 @@ class TestIdValidation:
             evaluator(family, norm, side, case, params)
         assert str(info.value) == message
 
-    @pytest.mark.parametrize("fn,family,side,case,alpha,beta", [
-        (phi, BoundFamily.GLOBAL, Side.LOWER, (), 1e200, 1.0),  # alpha**2 in _phi_l2
-        (phi, BoundFamily.IMPROVED, Side.LOWER, (2,), 1.0, 1e200),
-        (psi, BoundFamily.GLOBAL, Side.UPPER, (), -3.0, 1e200),
+    @pytest.mark.parametrize("family,side,case,alpha,beta", [
+        (BoundFamily.GLOBAL, Side.LOWER, (), 1e200, 1.0),  # alpha**2 in _phi_l2
+        (BoundFamily.IMPROVED, Side.LOWER, (2,), 1.0, 1e200),
+        (BoundFamily.GLOBAL, Side.UPPER, (), -3.0, 1e200),
     ])
-    def test_l2_overflow_is_a_domain_error(self, fn, family, side, case, alpha, beta):
+    def test_l2_overflow_is_a_domain_error(self, family, side, case, alpha, beta):
         # Python-float powers overflow above shears of about 1.34e154
-        f_id = fid(family, NormKind.L2, side, case)
+        f = evaluator(family, NormKind.L2, side, case, ShearParams(alpha, beta))
         with pytest.raises(DomainError, match=r"bound function overflows double precision"):
-            fn(f_id, B11, ShearParams(alpha, beta))
+            f(1, 1)
 
     def test_l2_keeps_large_finite_shears(self):
-        got = phi(fid(BoundFamily.GLOBAL, NormKind.L2, Side.LOWER), B11, ShearParams(1e154, 1.0))
+        got = evaluator(GLOBAL, NormKind.L2, LOWER, (), ShearParams(1e154, 1.0))(1, 1)
         assert got == 1e154
-
-    def test_side_mismatch(self):
-        with pytest.raises(DomainError):
-            phi(fid(BoundFamily.GLOBAL, NormKind.L1, Side.UPPER), B11, POS11)
-        with pytest.raises(DomainError):
-            psi(fid(BoundFamily.GLOBAL, NormKind.L1, Side.LOWER), B11, POS11)
 
 
 def _sample_positive(rng, n):
@@ -229,33 +217,30 @@ class TestSandwich:
     def test_improved_positive_cases(self):
         # vectors inside the case-m sub-cone obey the hat sandwich for any block
         rng = np.random.default_rng(105)
-        cases = {1: BlockOrder.A_LT_B, 2: BlockOrder.A_EQ_B, 3: BlockOrder.A_GT_B}
         for _ in range(150):
             p = ShearParams.infer(rng.uniform(1, 8), rng.uniform(1, 8))
             a, b = (int(x) for x in rng.integers(1, 25, size=2))
             block = BlockExponents(a, b)
-            for m, order in cases.items():
-                sub = improved_cone_positive(order, p)
+            for case in cases_for(IMPROVED, p.regime):
+                sub = improved_cone(case, p)
                 for s in np.linspace(sub.lo, sub.hi, 7):
-                    x = Vec2(float(s), 1.0)
+                    x = (float(s), 1.0)
                     for norm in NORMS:
                         r = growth_ratio(block, p, x, norm)
-                        lo = phi(fid(BoundFamily.IMPROVED, norm, Side.LOWER, (m,)), block, p)
-                        hi = psi(fid(BoundFamily.IMPROVED, norm, Side.UPPER, (m,)), block, p)
+                        lo = evaluator(IMPROVED, norm, LOWER, case, p)(a, b)
+                        hi = evaluator(IMPROVED, norm, UPPER, case, p)(a, b)
                         tol = 1e-10 * max(1.0, r)
                         assert lo <= r + tol and r <= hi + tol
 
     def test_improved_opposed_cases(self):
         # case (m_a, m_b) sub-cones: hat lower bounds for every norm, hat
-        # upper bounds for the L-infinity norm (index pairing below)
+        # upper bounds for the L-infinity norm
         rng = np.random.default_rng(107)
-        psi_case = {(1, 1): 1, (1, 2): 2, (2, 1): 3, (2, 2): 4}
         for _ in range(150):
             p = ShearParams.infer(rng.uniform(-8, -2.2), rng.uniform(2.2, 8))
             a, b = (int(x) for x in rng.integers(1, 25, size=2))
-            block = BlockExponents(a, b)
-            for (ma, mb), mpsi in psi_case.items():
-                sub = improved_cone_negative(ma, mb, p)
+            for case in cases_for(IMPROVED, p.regime):
+                sub = improved_cone(case, p)
                 for s in np.linspace(sub.lo, sub.hi, 7):
                     up = s + b * p.beta
                     vp = a * p.alpha * s + 1.0 + a * p.alpha * b * p.beta
@@ -266,17 +251,11 @@ class TestSandwich:
                             r = math.hypot(up, vp) / math.hypot(s, 1.0)
                         else:
                             r = max(abs(up), abs(vp)) / max(abs(s), 1.0)
-                        lo = phi(
-                            fid(BoundFamily.IMPROVED, norm, Side.LOWER, (ma, mb)),
-                            block, p,
-                        )
+                        lo = evaluator(IMPROVED, norm, LOWER, case, p)(a, b)
                         tol = 1e-10 * max(1.0, r)
                         assert lo <= r + tol
                         if norm is NormKind.LINF:
-                            hi = psi(
-                                fid(BoundFamily.IMPROVED, norm, Side.UPPER, (mpsi,)),
-                                block, p,
-                            )
+                            hi = evaluator(IMPROVED, norm, UPPER, case, p)(a, b)
                             assert r <= hi + tol
 
     def test_all_bounds_at_least_one(self):
@@ -301,10 +280,10 @@ class TestSandwich:
         for _ in range(200):
             p = ShearParams.infer(rng.uniform(1, 10), rng.uniform(1, 10))
             block = BlockExponents(int(rng.integers(1, 25)), int(rng.integers(1, 25)))
-            lo = phi(fid(BoundFamily.GLOBAL, NormKind.LINF, Side.LOWER), block, p)
-            hi = psi(fid(BoundFamily.GLOBAL, NormKind.LINF, Side.UPPER), block, p)
-            at_zero = growth_ratio(block, p, Vec2(0.0, 1.0), NormKind.LINF)
-            at_top = growth_ratio(block, p, Vec2(1.0, p.alpha), NormKind.LINF)
+            lo = evaluator(GLOBAL, NormKind.LINF, LOWER, (), p)(block.a, block.b)
+            hi = evaluator(GLOBAL, NormKind.LINF, UPPER, (), p)(block.a, block.b)
+            at_zero = growth_ratio(block, p, (0.0, 1.0), NormKind.LINF)
+            at_top = growth_ratio(block, p, (1.0, p.alpha), NormKind.LINF)
             assert at_zero == pytest.approx(lo, rel=1e-9)
             assert at_top == pytest.approx(hi, rel=1e-9)
 
@@ -319,10 +298,11 @@ class TestFormulaOracle:
             block = BlockExponents(int(rng.integers(1, 25)), int(rng.integers(1, 25)))
             hi_slope = 1.0 / p.alpha
             # L1: lower attained at the steep boundary, upper at slope 0
-            assert phi(fid(BoundFamily.GLOBAL, NormKind.L1, Side.LOWER), block, p) == (
+            ab = (block.a, block.b)
+            assert evaluator(GLOBAL, NormKind.L1, LOWER, (), p)(*ab) == (
                 pytest.approx(ratio_at_slope(block, p, hi_slope, NormKind.L1), rel=1e-12)
             )
-            assert psi(fid(BoundFamily.GLOBAL, NormKind.L1, Side.UPPER), block, p) == (
+            assert evaluator(GLOBAL, NormKind.L1, UPPER, (), p)(*ab) == (
                 pytest.approx(ratio_at_slope(block, p, 0.0, NormKind.L1), rel=1e-12)
             )
             # L2: lower is the smaller boundary ratio, upper the spectral norm
@@ -330,32 +310,32 @@ class TestFormulaOracle:
                 ratio_at_slope(block, p, 0.0, NormKind.L2),
                 ratio_at_slope(block, p, hi_slope, NormKind.L2),
             )
-            assert phi(fid(BoundFamily.GLOBAL, NormKind.L2, Side.LOWER), block, p) == (
+            assert evaluator(GLOBAL, NormKind.L2, LOWER, (), p)(*ab) == (
                 pytest.approx(b_lo, rel=1e-12)
             )
-            assert psi(fid(BoundFamily.GLOBAL, NormKind.L2, Side.UPPER), block, p) == (
+            assert evaluator(GLOBAL, NormKind.L2, UPPER, (), p)(*ab) == (
                 pytest.approx(np.linalg.norm(k_ab(block, p), 2), rel=1e-12)
             )
 
     def test_positive_improved_formulas(self):
         rng = np.random.default_rng(115)
-        orders = {2: BlockOrder.A_EQ_B, 3: BlockOrder.A_GT_B}
         for _ in range(250):
             p = ShearParams.infer(rng.uniform(1, 10), rng.uniform(1, 10))
             block = BlockExponents(int(rng.integers(1, 25)), int(rng.integers(1, 25)))
-            for m, order in orders.items():
-                sub = improved_cone_positive(order, p)
-                got1 = phi(fid(BoundFamily.IMPROVED, NormKind.L1, Side.LOWER, (m,)), block, p)
+            ab = (block.a, block.b)
+            for case in ((2,), (3,)):
+                sub = improved_cone(case, p)
+                got1 = evaluator(IMPROVED, NormKind.L1, LOWER, case, p)(*ab)
                 assert got1 == pytest.approx(
                     ratio_at_slope(block, p, sub.hi, NormKind.L1), rel=1e-12
                 )
-                got2 = phi(fid(BoundFamily.IMPROVED, NormKind.L2, Side.LOWER, (m,)), block, p)
+                got2 = evaluator(IMPROVED, NormKind.L2, LOWER, case, p)(*ab)
                 want2 = min(
                     ratio_at_slope(block, p, 0.0, NormKind.L2),
                     ratio_at_slope(block, p, sub.hi, NormKind.L2),
                 )
                 assert got2 == pytest.approx(want2, rel=1e-12)
-                goti = psi(fid(BoundFamily.IMPROVED, NormKind.LINF, Side.UPPER, (m,)), block, p)
+                goti = evaluator(IMPROVED, NormKind.LINF, UPPER, case, p)(*ab)
                 assert goti == pytest.approx(
                     ratio_at_slope(block, p, sub.hi, NormKind.LINF), rel=1e-12
                 )
@@ -375,32 +355,22 @@ class TestFormulaOracle:
                 (NormKind.LINF, Side.UPPER, 0.0),
             ]
             for norm, side, slope in pairs:
-                f = phi if side is Side.LOWER else psi
-                got = f(fid(BoundFamily.GLOBAL, norm, side), block, p)
+                got = evaluator(GLOBAL, norm, side, (), p)(block.a, block.b)
                 assert got == pytest.approx(ratio_at_slope(block, p, slope, norm), rel=1e-12)
 
     def test_opposed_improved_formulas(self):
         rng = np.random.default_rng(119)
-        psi_boundary = {1: (1, 1), 2: (1, 2), 3: (2, 1), 4: (2, 2)}
         for _ in range(200):
             p = ShearParams.infer(rng.uniform(-9, -2.2), rng.uniform(2.2, 9))
             block = BlockExponents(int(rng.integers(1, 25)), int(rng.integers(1, 25)))
-            for ma in (1, 2):
-                for mb in (1, 2):
-                    sub = improved_cone_negative(ma, mb, p)
-                    for norm in NORMS:
-                        got = phi(
-                            fid(BoundFamily.IMPROVED, norm, Side.LOWER, (ma, mb)),
-                            block, p,
-                        )
-                        assert got == pytest.approx(
-                            ratio_at_slope(block, p, sub.lo, norm), rel=1e-12
-                        )
-            for m, (ma, mb) in psi_boundary.items():
-                sub = improved_cone_negative(ma, mb, p)
-                got = psi(
-                    fid(BoundFamily.IMPROVED, NormKind.LINF, Side.UPPER, (m,)), block, p
-                )
+            for case in cases_for(IMPROVED, p.regime):
+                sub = improved_cone(case, p)
+                for norm in NORMS:
+                    got = evaluator(IMPROVED, norm, LOWER, case, p)(block.a, block.b)
+                    assert got == pytest.approx(
+                        ratio_at_slope(block, p, sub.lo, norm), rel=1e-12
+                    )
+                got = evaluator(IMPROVED, NormKind.LINF, UPPER, case, p)(block.a, block.b)
                 assert got == pytest.approx(
                     ratio_at_slope(block, p, sub.hi, NormKind.LINF), rel=1e-12
                 )

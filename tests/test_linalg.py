@@ -9,13 +9,10 @@ from hypothesis import given, strategies as st
 from shearlyap import (
     BlockExponents,
     DomainError,
-    NormKind,
     Regime,
     ShearParams,
-    Vec2,
     k_ab,
     spectral_norm_batch,
-    vec_norm,
 )
 
 GOLDEN = (1.0 + math.sqrt(5.0)) / 2.0
@@ -144,29 +141,6 @@ class TestKab:
             BlockExponents(0, 1)
         with pytest.raises(DomainError):
             BlockExponents(1, -2)
-
-
-class TestNorms:
-    def test_vec_norm_values(self):
-        x = Vec2(3.0, -4.0)
-        assert vec_norm(x, NormKind.L2) == 5.0
-        assert vec_norm(x, NormKind.L1) == 7.0
-        assert vec_norm(x, NormKind.LINF) == 4.0
-
-    def test_zero_iff_zero(self):
-        assert vec_norm(Vec2(0.0, 0.0), NormKind.L2) == 0.0
-        assert vec_norm(Vec2(1e-300, 0.0), NormKind.L1) > 0.0
-
-    @given(
-        st.floats(-1e6, 1e6, allow_nan=False),
-        st.floats(-1e6, 1e6, allow_nan=False),
-    )
-    def test_norm_chain(self, u, v):
-        x = Vec2(u, v)
-        linf = vec_norm(x, NormKind.LINF)
-        l2 = vec_norm(x, NormKind.L2)
-        l1 = vec_norm(x, NormKind.L1)
-        assert linf <= l2 * (1 + 1e-15) and l2 <= l1 * (1 + 1e-15)
 
 
 class TestSpectralNorm:
