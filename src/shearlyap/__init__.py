@@ -14,6 +14,7 @@ from .linalg import (
     DomainError,
     NormKind,
     Regime,
+    ShearOverflowError,
     ShearParams,
     k_ab,
     spectral_norm_batch,

@@ -22,6 +22,7 @@ import numpy as np
 
 __all__ = [
     "DomainError",
+    "ShearOverflowError",
     "Regime",
     "NormKind",
     "ShearParams",

@@ -3,13 +3,15 @@
 Block run lengths (a, b) are i.i.d. geometric with weight 2^-(a+b), so
 every quantity of interest is a double series  sum 2^-(a+b) f(a, b).
 A truncated sum calls a vectorized f once, on the whole grid, and is
-exact: the terms are split into integer pieces (an integer part by
-np.trunc, and a fraction by a subtraction that does not round) binned by
-binary exponent in one numpy pass, whose per-bin sums involve no rounding,
-and only the few hundred bin totals are rounded together by math.fsum.  The
-result is the correctly rounded exact sum, the same double math.fsum returns
-for the terms themselves, whatever their order (above 2^25 terms, math.fsum
-sums them itself).  Sums are checked by doubling the truncation index.
+exact: the result is the correctly rounded exact sum of the terms, the same
+double math.fsum returns for them, whatever their order.  Error-free
+extraction gets it in two or three whole-array passes: each pass rounds
+every remaining term to a power-of-two grid, sums the rounded parts exactly
+and keeps the exact remainders, whose sum is then bounded; the bound proves
+which double the exact sum rounds to.  Where it does not (a sum near a
+rounding midpoint, zero, huge or near-subnormal sums, non-finite terms, or
+more than 2^25 terms), math.fsum sums the terms itself.  Sums are checked
+by doubling the truncation index.
 Moments of the form  sum 2^-a a^n  are integers and are computed exactly
 by recurrence, which gives exact values for integer-q moment expansions.
 
@@ -46,9 +48,10 @@ __all__ = [
 
 _MAX_INDEX = 1024  # engine's cache holds 24 grids of (2N)^2 doubles: 0.8 GB at N = 1024
 _POLYLOG_MAX = 12
-_SUM_MAX_TERMS = 1 << 25  # terms binned at most: each bin stays below 2^52
-_SUM_EMAX = 900  # binned exponents; rescaled bin totals then stay normal and finite
-_SUM_BINS = 2 * _SUM_EMAX + 27  # exponents -_SUM_EMAX.._SUM_EMAX, 26 more for integer parts
+_SUM_MAX_TERMS = 1 << 25  # terms extracted at most: 2^M stays far below 2^53
+_EXTRACT_EMAX = 1000  # largest extraction sigma: below it no partial sum of the terms overflows
+_EXTRACT_EMIN = -900  # smallest remainder bound: the taus and the bound stay normal doubles
+_REBUILD_BLOCK = 8192  # terms per block when the third pass rebuilds the remainder
 
 
 class NonConvergenceError(RuntimeError):
@@ -101,60 +104,88 @@ def _grid(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return aa, bb, weights
 
 
+def _extract(r: np.ndarray, sigma: float, out: np.ndarray) -> float:
+    """Leaves q = (sigma + r) - sigma in out (which may be r) and returns its sum."""
+    np.add(r, sigma, out=out)
+    out -= sigma
+    return float(out.sum())
+
+
+def _certified(taus: list[float], b: float) -> float | None:
+    """The double every sum within b of sum(taus) rounds to, if one non-zero
+    double takes them all (rounding is monotone); otherwise None."""
+    total = math.fsum(taus + [-b])
+    return total if total == math.fsum(taus + [b]) != 0.0 else None
+
+
+def _extracted_sum(flat: np.ndarray) -> float | None:
+    """math.fsum(flat.tolist()) certified in two or three whole-array passes,
+    or None where the certificate does not decide it.
+
+    Error-free vector extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
+    31, 2008): take n terms r, 2^M >= n + 2, and a power of two sigma with
+    every |r_i| <= 2^-M sigma.  Then q = (sigma + r) - sigma is computed
+    without error, is a multiple of 2^-53 sigma and at most 2^-M sigma in
+    size, so tau = q.sum() is exact in any order; and r - q is exact and at
+    most 2^-53 sigma.  Each pass takes one tau out of the remainder and
+    moves sigma to 2^(M-53) sigma, so after it the remainder sums to less
+    than b = 2^(M-53) sigma_last.  If the taus minus b and the taus plus b
+    round (math.fsum) to the same non-zero double, the exact sum rounds to
+    it too.  The remainder after one pass lives in the buffer of q, which
+    the second pass overwrites, so a third pass rebuilds the remainder
+    after two.
+
+    None for no terms or more than _SUM_MAX_TERMS, for a largest |term| that
+    is zero or not finite (nan, inf and signed zeros stay fsum's), for sigma
+    above 2^_EXTRACT_EMAX (where fsum's partial sums may overflow, and its
+    OverflowError stays) or b below 2^_EXTRACT_EMIN (near the subnormals),
+    and after three undecided passes.
+    """
+    if not 0 < flat.size <= _SUM_MAX_TERMS:
+        return None
+    mu = max(flat.max(), -flat.min())
+    if not 0.0 < mu < math.inf:
+        return None
+    m = (flat.size + 1).bit_length()  # M
+    exp = math.frexp(mu)[1] + m  # mu < 2^-M sigma
+    if exp > _EXTRACT_EMAX or exp + 2 * (m - 53) < _EXTRACT_EMIN:
+        return None
+    # sigma of passes 1-3; sigma[j] also bounds the remainder after pass j
+    sigma = [math.ldexp(1.0, exp + j * (m - 53)) for j in range(4)]
+    q = np.empty_like(flat)
+    taus = [_extract(flat, sigma[0], q)]
+    np.subtract(flat, q, out=q)
+    taus.append(_extract(q, sigma[1], q))
+    total = _certified(taus, sigma[2])
+    if total is not None or exp + 3 * (m - 53) < _EXTRACT_EMIN:
+        return total
+    # the remainder after two passes, rebuilt into q block by block: a second
+    # whole-array buffer would be faulted in afresh on every call
+    scratch = np.empty(_REBUILD_BLOCK)
+    for i in range(0, flat.size, _REBUILD_BLOCK):
+        block, q_block = flat[i:i + _REBUILD_BLOCK], q[i:i + _REBUILD_BLOCK]
+        r = scratch[:block.size]
+        _extract(block, sigma[0], r)
+        np.subtract(block, r, out=r)
+        np.subtract(r, q_block, out=q_block)
+    taus.append(_extract(q, sigma[2], q))
+    return _certified(taus, sigma[3])
+
+
 def _exact_sum(terms: np.ndarray) -> float:
-    """math.fsum(terms.ravel().tolist()), bit for bit, in one numpy pass.
+    """math.fsum(terms.ravel().tolist()), bit for bit, whatever the order.
 
-    Each finite term is m 2^e with 1/2 <= |m| < 1, and m 2^27 splits
-    exactly into an integer part below 2^27 (np.trunc) and a fraction that
-    is a multiple of 2^-26 (m 2^27 minus that part, a subtraction that does
-    not round).  Counted in units of 2^(k-53) in bin k, both pieces
-    are integers: the fraction times 2^26 in bin e, the integer part in bin
-    e + 26.  np.bincount adds the pieces bin by bin, and a few adjacent bins
-    are then folded into one with power-of-two weights.  At most
-    _SUM_MAX_TERMS terms are binned and the fold width shrinks as the term
-    count grows, so every addition is between integers below 2^53 and none
-    rounds, in any order.  math.fsum of the rescaled bin totals (and of any
-    term with e < -_SUM_EMAX, passed through as it is) then rounds the exact
-    sum once, like math.fsum of the terms themselves: fsum rounds correctly
-    whenever no partial sum overflows, which magnitudes below 2^_SUM_EMAX
-    rule out.
-
-    No terms or more than _SUM_MAX_TERMS, non-finite terms, terms of
-    2^_SUM_EMAX or more, and an exact sum of zero (whose sign is fsum's to
-    choose) are left to math.fsum of the list itself, so values, inf or nan
-    results and its ValueError or OverflowError stay those of fsum.
+    _extracted_sum decides almost every series sum in two passes, and most
+    of the rest in three: its certificate is a bound b on the terms left
+    after the passes, and two math.fsum calls show that every value within
+    b of the extracted part rounds to one double.  Where they do not agree,
+    and for inputs the extraction declines (no terms, too many, zero,
+    non-finite or huge ones, sums near the subnormals), math.fsum sums the
+    list itself, so its values, signed zeros and exceptions stay.
     """
     flat = terms.ravel()
-    if not 0 < flat.size <= _SUM_MAX_TERMS:
-        return math.fsum(flat.tolist())
-    # intp exponents: np.bincount would copy int32 ones for each of its two calls
-    m, e = np.frexp(flat, out=(None, np.empty(flat.size, dtype=np.intp)))
-    if e.max() > _SUM_EMAX:
-        return math.fsum(flat.tolist())
-    parts: list[float] = []
-    if e.min() < -_SUM_EMAX:
-        tiny = e < -_SUM_EMAX
-        parts = flat[tiny].tolist()
-        m[tiny] = 0.0
-        e[tiny] = -_SUM_EMAX
-    e += _SUM_EMAX
-    m *= 2.0 ** 27
-    w = np.trunc(m)
-    # n terms put less than n 2^27 in a bin; folding w bins multiplies
-    # that by less than 2^w, which stays within 2^53
-    width = 26 - (flat.size - 1).bit_length()
-    nbins = -(-_SUM_BINS // width) * width
-    with np.errstate(invalid="ignore"):  # inf - trunc(inf) is nan; caught below
-        m -= w  # exact: the fraction of a double
-        bins = np.bincount(e, weights=m, minlength=nbins) * 2.0 ** 26
-        bins[26:] += np.bincount(e, weights=w, minlength=nbins)[:-26]
-    if not np.isfinite(bins).all():
-        return math.fsum(flat.tolist())
-    folded = bins.reshape(-1, width) @ np.exp2(np.arange(width))
-    nonzero = np.flatnonzero(folded)
-    parts += np.ldexp(folded[nonzero], nonzero * width - _SUM_EMAX - 53).tolist()
-    total = math.fsum(parts)
-    return total if total != 0.0 else math.fsum(flat.tolist())
+    total = _extracted_sum(flat)
+    return math.fsum(flat.tolist()) if total is None else total
 
 
 def truncated_sum(f: Callable, limit: int) -> float:

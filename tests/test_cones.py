@@ -10,6 +10,7 @@ from shearlyap import (
     Cone,
     DomainError,
     Regime,
+    ShearOverflowError,
     ShearParams,
     SlopeUndefinedError,
     gamma,
@@ -19,7 +20,6 @@ from shearlyap import (
     k_ab,
     map_slope,
 )
-from shearlyap.linalg import ShearOverflowError
 
 OPPOSED = ShearParams.infer(-3.0, 3.0)
 GAMMA_33 = -1.5 + math.sqrt(1.25)  # alpha = -3, beta = 3

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 from shearlyap import series
@@ -16,6 +17,7 @@ from shearlyap import (
     polylog_half,
     truncated_sum,
 )
+from shearlyap.cli import main
 
 KNOWN_POLYLOG = [1, 2, 6, 26, 150, 1082, 9366]
 
@@ -200,27 +202,19 @@ class TestExactSum:
         assert _matches_fsum(np.array(values, dtype=np.float64))
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize("size,binned", [(999, True), (1000, True), (1001, False)])
-    def test_term_cap(self, monkeypatch, seed, size, binned):
-        # a cap of 1000 terms folds 16 bins into one; a term more goes to math.fsum
+    @pytest.mark.parametrize("size,extracted", [(999, True), (1000, True), (1001, False)])
+    def test_term_cap(self, monkeypatch, seed, size, extracted):
+        # a cap of 1000 terms gives M = 10; a term more goes to math.fsum
         monkeypatch.setattr(series, "_SUM_MAX_TERMS", 1000)
-        calls = []
-        bincount = np.bincount
-
-        def counting_bincount(*args, **kwargs):
-            calls.append(args)
-            return bincount(*args, **kwargs)
-
-        monkeypatch.setattr(np, "bincount", counting_bincount)
         rng = np.random.default_rng(seed)
         wide = rng.standard_normal(size) * np.exp2(rng.integers(-950, 890, size))
-        full = np.where(rng.random(size) < 0.3, -1.0, 1.0) * (1.0 - 2.0**-53)  # one bin, full
+        full = np.where(rng.random(size) < 0.3, -1.0, 1.0) * (1.0 - 2.0**-53)
         for x in (wide, full):
+            assert (series._extracted_sum(x) is not None) == extracted
             assert _matches_fsum(x)
-        assert len(calls) == (4 if binned else 0)
 
     def test_grid_shapes_and_exact_bins(self):
-        # 16 384 terms of 2^53 - 1 in one bin: the largest bin load at limit 128
+        # 16 384 equal terms at limit 128, then mixed signs
         x = np.full((128, 128), 1.0 - 2.0**-53)
         assert _matches_fsum(x)
         x[::2, ::3] *= -3.0
@@ -232,7 +226,7 @@ class TestExactSum:
         [1.0, math.nan],
         [math.inf, math.nan],
     ])
-    @pytest.mark.filterwarnings("error")  # inf - trunc(inf) must not warn
+    @pytest.mark.filterwarnings("error")  # no numpy warning on the way to math.fsum
     def test_non_finite_terms_give_fsums_value(self, values):
         assert _matches_fsum(np.array(values))
 
@@ -249,3 +243,121 @@ class TestExactSum:
                                         [3.5, -3.5]])
     def test_zero_sums_keep_fsums_sign(self, values):
         assert _matches_fsum(np.array(values, dtype=np.float64))
+
+
+@st.composite
+def series_terms(draw):
+    """Integrand grids as the engine sums them: _grid weights times f^q or
+    log f for a growth-like f >= 1, with signs that are mixed in a drawn way."""
+    limit = draw(st.sampled_from([8, 16, 40, 64, 128]))
+    aa, bb, weights = series._grid(limit)
+    c = draw(st.floats(1.0, 50.0))
+    f = (np.sqrt((1.0 + c * c * aa * bb) ** 2 + (c * bb) ** 2) if draw(st.booleans())
+         else 1.0 + c * aa + c * c * aa * bb)
+    g = f ** draw(st.floats(-3.0, 3.0)) if draw(st.booleans()) else np.log(f)
+    signs = draw(st.sampled_from(["none", "checker", "random", "shift"]))
+    if signs == "checker":
+        g = np.where((aa + bb) % 2 == 0, g, -g)
+    elif signs == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = np.where(rng.random(g.shape) < 0.5, g, -g)
+    elif signs == "shift":  # a constant inside the range of g: the sum may nearly cancel
+        g = g - np.quantile(g, draw(st.floats(0.0, 1.0)))
+    return weights * g
+
+
+def _tie_after_two_passes(sign, unit):
+    """14 terms: 1, 2^-53, -10 unit and 11 terms just under unit.  The sum
+    lies about unit above the midpoint 1 + 2^-53, so fsum rounds it up to
+    1 + 2^-52.  14 terms give M = 4, and with mu = 1 the remainder bound
+    after two passes is b = 2^-93: two passes decide the sum only for a
+    unit above b, and a third pass, whose bound is 2^-49 b, the rest."""
+    x = [1.0, 2.0**-53, -10 * unit] + [unit * (1.0 - 2.0**-53)] * 11
+    return sign * np.array(x)
+
+
+def _count_certificates(monkeypatch):
+    """A list that gets one entry per series._certified call from now on:
+    one for a sum decided in two passes, two for one that took three."""
+    certificates = []
+    certified = series._certified
+
+    def counting_certified(*args):
+        certificates.append(args)
+        return certified(*args)
+
+    monkeypatch.setattr(series, "_certified", counting_certified)
+    return certificates
+
+
+class TestExtractedSum:
+    @settings(deadline=None)
+    @given(series_terms())
+    def test_equals_fsum_on_series_terms(self, terms):
+        got = series._extracted_sum(terms.ravel())
+        assert got is None or got.hex() == math.fsum(terms.ravel().tolist()).hex()
+        assert _matches_fsum(terms)
+
+    @pytest.mark.parametrize("tiny", [2.0**-200, -(2.0**-200)])
+    def test_midpoint_is_declined(self, tiny):
+        # 1 + 2^-53 is a midpoint between doubles, and tiny decides the rounding
+        # below every remainder bound of three passes
+        for x in ([1.0, 2.0**-53, tiny], [tiny, 2.0**-53, 1.0] + [0.0] * 20):
+            x = np.array(x)
+            assert series._extracted_sum(x) is None
+            assert _matches_fsum(x)
+            assert series._exact_sum(x) == (1.0 + 2.0**-52 if tiny > 0 else 1.0)
+
+    @pytest.mark.parametrize("block", [8192, 5])  # 5: three blocks rebuild the 14 terms
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    @pytest.mark.parametrize("e", range(90, 101))
+    def test_tie_within_b_is_decided_on_the_third_pass(self, sign, e, block, monkeypatch):
+        monkeypatch.setattr(series, "_REBUILD_BLOCK", block)
+        certificates = _count_certificates(monkeypatch)
+        x = _tie_after_two_passes(sign, 2.0**-e)
+        assert math.fsum(x.tolist()) == sign * (1.0 + 2.0**-52)
+        assert series._extracted_sum(x) == sign * (1.0 + 2.0**-52)
+        assert len(certificates) == (1 if 2.0**-e > 2.0**-93 else 2)
+
+    def test_third_pass_on_a_256_grid(self, monkeypatch):
+        # 65 536 terms, eight blocks: two passes leave this sum within b of a midpoint
+        certificates = _count_certificates(monkeypatch)
+        idx = np.arange(1, 257, dtype=np.float64)
+        aa, bb = np.meshgrid(idx, idx, indexing="ij")
+        x = np.exp2(-(aa + bb)) * np.sqrt((1.0 + aa * bb) ** 2 + bb * bb) ** -1.7
+        assert series._extracted_sum(x.ravel()) == math.fsum(x.ravel().tolist())
+        assert len(certificates) == 2
+
+    @pytest.mark.parametrize("values", [[0.0, -0.0], [-0.0] * 3, [3.5, -3.5], [2.0**-880, -(2.0**-882)]])
+    def test_zero_or_tiny_sums_are_declined(self, values):
+        # a zero sum's sign is fsum's; below 2^-900 the remainder bound would be subnormal
+        x = np.array(values)
+        assert series._extracted_sum(x) is None
+        assert _matches_fsum(x)
+
+    @pytest.mark.parametrize("values", [[2.0**998, 1.0], [math.inf, 1.0], [math.nan], []])
+    def test_huge_or_non_finite_terms_are_declined(self, values):
+        assert series._extracted_sum(np.array(values, dtype=np.float64)) is None
+
+    def test_figure_sweeps_never_fall_back(self, monkeypatch):
+        # a fast path that declined, or that took three passes where two
+        # decide, would still be correct, only slow
+        counts = {"sums": 0, "fallbacks": 0}
+        extracted_sum = series._extracted_sum
+
+        def counting_sum(flat):
+            total = extracted_sum(flat)
+            counts["sums"] += 1
+            counts["fallbacks"] += total is None
+            return total
+
+        monkeypatch.setattr(series, "_extracted_sum", counting_sum)
+        certificates = _count_certificates(monkeypatch)
+        runner = CliRunner()
+        for argv in (["--mode", "gle", "--alpha", "1", "--beta", "1", "--q", "-3:3:0.1"],
+                     ["--mode", "lyap-bounds", "--alpha", "1:10:0.25"]):
+            result = runner.invoke(main, ["sweep", *argv, "--format", "csv"])
+            assert result.exit_code == 0, result.output
+        assert counts["sums"] > 0 and counts["fallbacks"] == 0, counts
+        third_passes = len(certificates) - counts["sums"]
+        assert 0 <= third_passes <= counts["sums"] // 100, (counts, third_passes)
