@@ -117,15 +117,20 @@ def gamma_mab(m_a: int, m_b: int, params: ShearParams) -> float:
     return (g + m_b * be) / (m_a * al * g + m_a * m_b * al * be + 1.0)
 
 
+def slope_factor(case: tuple[int, ...], al: float, be: float) -> float:
+    """s_m of the positive improved cone of case (m,), m = 2 or 3, whose upper slope
+    is (1 + al*be) / (al * s_m): s_2 = 2 + al*be and s_3 = 3 + 2*al*be."""
+    return 2.0 + al * be if case == (2,) else 3.0 + 2.0 * al * be
+
+
 def improved_cone(case: tuple[int, ...], params: ShearParams) -> Cone:
     """Cone reached after a block of the given case (see the module docstring).
 
     Positive regime: (1,) leaves [0, 1/alpha] unchanged; (2,) and (3,)
-    shrink the upper slope to (1+alpha*beta)/(2*alpha+alpha^2*beta) and
-    (1+alpha*beta)/(3*alpha+2*alpha^2*beta) respectively.  Opposed regime:
-    the lower slope is gamma_mab(m_a, m_b), and the upper slope is
-    beta/(1+alpha*beta) for (1, 1), 1/alpha for (1, 2) and 0 for the two
-    cases with a >= 2.  ShearOverflowError where a denominator overflows.
+    shrink the upper slope to (1+alpha*beta)/(alpha*s_m), s_m = slope_factor.
+    Opposed regime: the lower slope is gamma_mab(m_a, m_b), and the upper
+    slope is beta/(1+alpha*beta) for (1, 1), 1/alpha for (1, 2) and 0 for the
+    two cases with a >= 2.  ShearOverflowError where a denominator overflows.
     """
     cases = CASES[params.regime]
     if case not in cases:
@@ -138,10 +143,7 @@ def improved_cone(case: tuple[int, ...], params: ShearParams) -> Cone:
         return Cone(lo, 1.0 / al if case == (1, 2) else 0.0)
     if case == (1,):
         return Cone(0.0, 1.0 / al)
-    if case == (2,):
-        den = 2.0 * al + al * al * be
-    else:
-        den = 3.0 * al + 2.0 * al * al * be
+    den = al * slope_factor(case, al, be)
     if not math.isfinite(den):
         raise ShearOverflowError(f"the improved cone of case {case} overflows double "
                                  f"precision at alpha={al}, beta={be}")

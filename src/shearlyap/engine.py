@@ -47,7 +47,6 @@ from .series import (
     DEFAULT_SERIES,
     NonConvergenceError,
     SeriesConfig,
-    _grid,
     expect_block,
     expect_block_exact_poly,
     kappa,
@@ -106,7 +105,6 @@ class GLECurve:
 class ExactGleBounds:
     """Integer-q moment bounds with the exact arguments of (1/4) log."""
 
-    q: int
     lower_arg: float
     upper_arg: float
     lower: float
@@ -132,14 +130,13 @@ _GRID_CACHE_SIZE = max(
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _bound_grid(family: BoundFamily, norm: NormKind, side: Side, case: tuple,
                 params: ShearParams, limit: int) -> np.ndarray:
-    """One bound function on the series layer's grid 1..limit x 1..limit,
-    read-only.  It does not depend on q, so every moment order at the point
-    reuses it."""
-    aa, bb, _ = _grid(limit)
+    """One bound function on the grid 1..limit x 1..limit, read-only.  It does
+    not depend on q, so every moment order at the point reuses it."""
+    idx = np.arange(1, limit + 1, dtype=np.float64)
     try:
         # numpy overflow gives inf or nan terms, whose sum the series layer reports
         with np.errstate(over="ignore", invalid="ignore"):
-            grid = evaluator(family, norm, side, case, params)(aa, bb)
+            grid = evaluator(family, norm, side, case, params)(idx[:, None], idx[None, :])
     except OverflowError:  # from a power of Python floats
         raise NonConvergenceError(
             f"series terms are not finite: the {family.value} {params.regime.value} "
@@ -150,30 +147,17 @@ def _bound_grid(family: BoundFamily, norm: NormKind, side: Side, case: tuple,
     return grid
 
 
-def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearParams,
-               cfg: SeriesConfig, q=None):
-    """Integrand over (a, b): case mean of the bound functions (of their q-th
-    powers, or the log of the mean when q is None).
-
-    Its first call tabulates the mean on the doubling grid 1..2N x 1..2N
-    (N = cfg.max_index) from the cached grids, raising each case's grid to q
-    and adding the cases in table order as pointwise evaluation would; each
-    call returns the table's corner of the shape of a.
-    """
-    limit = 2 * cfg.max_index
-    table = None
-
+def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearParams, q=None):
+    """Integrand over the series layer's grid (a, b): the case mean of the cached
+    bound-function grids of its size (of their q-th powers, or the log of the
+    mean when q is None), added in table order as pointwise evaluation would."""
     def f(a, b):
-        nonlocal table
-        if table is None:
-            grids = [_bound_grid(family, norm, side, c, params, limit)
-                     for c in cases_for(family, params.regime)]
-            n = len(grids)
-            # f^q overflows to inf at large |q|; the series layer reports that sum
-            with np.errstate(over="ignore"):
-                total = functools.reduce(np.add, grids if q is None else (g ** q for g in grids))
-                table = np.log(total / n) if q is None else total / n
-        return table[:a.shape[0], :a.shape[1]]
+        grids = [_bound_grid(family, norm, side, c, params, len(a))
+                 for c in cases_for(family, params.regime)]
+        # f^q overflows to inf at large |q|; the series layer reports that sum
+        with np.errstate(over="ignore"):
+            total = functools.reduce(np.add, grids if q is None else (g ** q for g in grids))
+        return np.log(total / len(grids)) if q is None else total / len(grids)
     return f
 
 
@@ -185,7 +169,7 @@ def _report(params: ShearParams, family: BoundFamily, cfg: SeriesConfig,
     def values(side: Side) -> dict[NormKind, float]:
         out = {}
         for norm in norms_for(family, params.regime, side):
-            s = expect_block(_case_mean(family, norm, side, params, cfg, q), cfg)
+            s = expect_block(_case_mean(family, norm, side, params, q), cfg)
             # a subnormal sum has already lost bits, and a zero one has no log
             if q is not None and s < sys.float_info.min:
                 raise NonConvergenceError(
@@ -283,8 +267,7 @@ def gle_exact_integer(q: int, params: ShearParams) -> ExactGleBounds:
     upper_arg = expect_block_exact_poly(upper_coeffs)
     lower, upper = math.log(lower_arg) / 4.0, math.log(upper_arg) / 4.0
     _require_finite(f"exact q = {q} moment bounds", params, lower, upper)
-    return ExactGleBounds(q=q, lower_arg=lower_arg, upper_arg=upper_arg, lower=lower,
-                          upper=upper)
+    return ExactGleBounds(lower_arg=lower_arg, upper_arg=upper_arg, lower=lower, upper=upper)
 
 
 def entropy_bounds(params: ShearParams) -> Bounds:

@@ -30,7 +30,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cones import CASES, gamma, gamma_mab, invariant_cone
+from .cones import CASES, gamma, gamma_mab, invariant_cone, slope_factor
 from .linalg import (
     BlockExponents,
     DomainError,
@@ -99,17 +99,12 @@ def _psi_linf(a, b, al, be):
 
 
 # --------------------------------------------------------------------------
-# positive regime, improved cones.  The sub-cone for case (m,) has upper
-# slope (1 + al*be) / (al * s_m) with s_2 = 2 + al*be and s_3 = 3 + 2*al*be.
-
-def _case_factor(case, al: float, be: float) -> float:
-    return 2.0 + al * be if case == (2,) else 3.0 + 2.0 * al * be
-
+# positive regime, improved cones; s is the cone's slope factor s_m (cones.slope_factor)
 
 def _phi_hat_l1(case, a, b, al, be):
     if case == (1,):
         return _phi_l1(a, b, al, be)
-    s = _case_factor(case, al, be)
+    s = slope_factor(case, al, be)
     num = al * s * (a * al * b * be + b * be + 1.0) + (a * al + 1.0) * (al * be + 1.0)
     den = al * (s + be) + 1.0
     return num / den
@@ -118,7 +113,7 @@ def _phi_hat_l1(case, a, b, al, be):
 def _phi_hat_l2(case, a, b, al, be):
     if case == (1,):
         return _phi_l2(a, b, al, be)
-    s = _case_factor(case, al, be)
+    s = slope_factor(case, al, be)
     w = a * al * b * be
     ab1 = 1.0 + al * be
     branch1 = np.sqrt((1.0 + w) ** 2 + (b * be) ** 2)
@@ -130,7 +125,7 @@ def _phi_hat_l2(case, a, b, al, be):
 def _psi_hat_linf(case, a, b, al, be):
     if case == (1,):
         return _psi_linf(a, b, al, be)
-    s = _case_factor(case, al, be)
+    s = slope_factor(case, al, be)
     return 1.0 + a * al * b * be + a * (1.0 + al * be) / s
 
 

@@ -56,6 +56,7 @@ _GLE_TRAJ_CAP = 200  # applications per gle_mc trajectory
 _MAX_APPS = 10**10  # cost guard: matrix applications one estimator call may run
 # block_oracle holds a stream's coins and run lengths at once, about 19 bytes a coin: 1 GB
 _MAX_STREAM_COINS = 5 * 10**7
+_MAX_WIDTH = 4 * 10**6  # ensembles or samples side by side, up to 210 bytes each: 1 GB
 _PAIRWISE_BUDGET = 1 << 16  # step-matrix elements per sub-chunk of _pairwise_product
 _SHEAR_MAX = 1e79  # largest |alpha|, |beta| at which _pairwise_product keeps its accuracy
 _SLICE_MATRICES = 1 << 16  # products per slice of exhaustive standard_bound's in-place levels
@@ -336,10 +337,13 @@ def _exhaustive_finite(k: int, params: ShearParams) -> bool:
         return all(map(math.isfinite, (1.0 + be * al, al + al, be + be)))
 
 
-def _check_cost(n_apps: int) -> int:
+def _check_cost(n_apps: int, width: int) -> int:
     if n_apps > _MAX_APPS:
         raise DomainError(f"{n_apps:.3g} matrix applications exceed the cost guard "
                           f"{_MAX_APPS:.0e}; lower n_steps")
+    if width > _MAX_WIDTH:
+        raise DomainError(f"{width:.3g} ensembles or samples exceed the memory guard "
+                          f"{_MAX_WIDTH:.0e}")
     return n_apps
 
 
@@ -370,13 +374,13 @@ def lyapunov_mc(params: ShearParams, cfg: McConfig) -> McEstimate:
 
     Returns the mean per-step log growth over all trajectories and the
     standard error across the independent ensemble members (nan for one
-    member).  Raises DomainError, before drawing any coin, if it would run more
-    than _MAX_APPS (10^10) applications or a shear exceeds _SHEAR_MAX (1e79),
+    member).  Raises DomainError, before drawing any coin, above _MAX_APPS (10^10)
+    applications, _MAX_WIDTH (4 * 10^6) ensembles or shears of _SHEAR_MAX (1e79),
     and if the log growth is not finite.
     """
     E = cfg.n_ensembles
     traj_len = cfg.n_steps // E
-    n_apps = _check_cost(E * traj_len)
+    n_apps = _check_cost(E * traj_len, E)
     means = _iterate_log_growth(params, cfg, traj_len) / traj_len
     mean = float(means.mean())
     se = float(means.std(ddof=1) / math.sqrt(E)) if E > 1 else math.nan
@@ -395,10 +399,10 @@ def gle_mc(q: float, params: ShearParams, cfg: McConfig) -> McEstimate:
     on too few trajectories (small effective sample size), the telltale of
     the moment estimator's exponential variance problem.  Raises DomainError
     if the log growth is not finite (or, like lyapunov_mc, beyond the cost
-    guard or above shears of 1e79).
+    and width guards or above shears of 1e79).
     """
     traj_len = min(cfg.n_steps // cfg.n_ensembles, _GLE_TRAJ_CAP)
-    n_apps = _check_cost(cfg.n_ensembles * traj_len)
+    n_apps = _check_cost(cfg.n_ensembles * traj_len, cfg.n_ensembles)
     acc = _iterate_log_growth(params, cfg, traj_len)
 
     z = q * acc
@@ -434,7 +438,7 @@ def standard_bound(
     "exhaustive" averages over all 2^k products of length k (k <= 22 cost
     guard) and refuses with DomainError the shears at which E_k overflows;
     "sampled" draws n_samples uniform products from a non-negative
-    seed; it refuses shears above _SHEAR_MAX (1e79) with DomainError.  E_k
+    seed; it refuses too costly or wide calls and shears as lyapunov_mc does.  E_k
     decreases to the Lyapunov exponent as k grows.  k must be a positive
     integer; anything else raises DomainError.
     """
@@ -487,6 +491,7 @@ def standard_bound(
         raise DomainError(f"sampled mode needs n_samples >= 1, got {n_samples}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
+    _check_cost(k * n_samples, n_samples)
     bound = _shear_bound(params)
     keys = _philox_keys(seed, [1 << 29])  # hashed once, drawn a sub-chunk at a time
 
@@ -514,12 +519,12 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     Checks the geometric block law empirically: mean block length 4, the
     three order comparisons P(a=b), P(a>b), P(a<b) each 1/3, and a Lyapunov
     estimate from the block products that must agree with lyapunov_mc.
-    Raises DomainError, before drawing any coin, if the streams hold more
-    than _MAX_APPS (10^10) coins, one stream more than _MAX_STREAM_COINS
-    (5 * 10^7), or a shear exceeds _SHEAR_MAX (1e79).
+    Raises DomainError, before drawing any coin, above _MAX_APPS (10^10) coins,
+    _MAX_WIDTH (4 * 10^6) streams, _MAX_STREAM_COINS (5 * 10^7) coins in one
+    stream or shears of _SHEAR_MAX (1e79).
     """
     per_stream = cfg.n_steps // cfg.n_ensembles
-    _check_cost(cfg.n_ensembles * per_stream)
+    _check_cost(cfg.n_ensembles * per_stream, cfg.n_ensembles)
     if per_stream > _MAX_STREAM_COINS:
         raise DomainError(f"{per_stream:.3g} coins per stream exceed the memory guard "
                           f"{_MAX_STREAM_COINS:.0e}; add ensembles or lower n_steps")

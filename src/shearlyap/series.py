@@ -10,8 +10,8 @@ every remaining term to a power-of-two grid, sums the rounded parts exactly
 and keeps the exact remainders, whose sum is then bounded; the bound proves
 which double the exact sum rounds to.  Where it does not (a sum near a
 rounding midpoint, zero, huge or near-subnormal sums, non-finite terms, or
-more than 2^25 terms), math.fsum sums the terms itself.  Sums are checked
-by doubling the truncation index.
+more than 2^25 terms), math.fsum sums the terms itself.  The doubling check
+sums one evaluation of the integrand, on the doubled grid, and its corner.
 Moments of the form  sum 2^-a a^n  are integers and are computed exactly
 by recurrence, which gives exact values for integer-q moment expansions.
 
@@ -200,9 +200,20 @@ def truncated_sum(f: Callable, limit: int) -> float:
 
 
 def expect_block_report(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:
-    """Expectation of f(a, b) under the 2^-(a+b) weights, with tail estimate."""
-    s1 = truncated_sum(f, cfg.max_index)
-    s2 = truncated_sum(f, 2 * cfg.max_index)
+    """Expectation of f(a, b) under the 2^-(a+b) weights, with tail estimate.
+    f is called once, on the 2N grid (N = cfg.max_index); the N sum reads its corner."""
+    table = None
+
+    def tabulated(a, b):
+        nonlocal table
+        if table is None:
+            table = f(a, b)
+            if np.shape(table) != a.shape:  # a scalar; broadcasting every table slowed sweeps 3 %
+                table = np.broadcast_to(table, a.shape)
+        return table[:a.shape[0], :a.shape[1]]
+
+    s2 = truncated_sum(tabulated, 2 * cfg.max_index)
+    s1 = truncated_sum(tabulated, cfg.max_index)
     if not math.isfinite(s2):
         raise NonConvergenceError(
             f"series sum is not finite ({s2}): its terms overflow double precision, "

@@ -12,7 +12,7 @@ import pytest
 from click.testing import CliRunner
 
 import shearlyap
-from shearlyap import RNG_ALGORITHM, cli
+from shearlyap import RNG_ALGORITHM, cli, montecarlo
 from shearlyap.cli import main, parse_range
 
 
@@ -398,6 +398,31 @@ class TestMcCommand:
                                       "--ensembles", "2"])
         assert result.exit_code == 2
         assert "exceed the cost guard" in result.output
+
+    @pytest.mark.parametrize("args,message", [
+        ("standard-bound --k 100000000000 --alpha 1 --beta 1 --mode sampled --samples 1",
+         "1e+11 matrix applications exceed the cost guard"),
+        ("sweep --mode lyap-bounds --alpha 1 --standard-k 100000000000 --standard-samples 1",
+         "1e+11 matrix applications exceed the cost guard"),
+        ("mc --alpha 1 --beta 1 --steps 1e9 --ensembles 100000000",
+         "1e+08 ensembles or samples exceed the memory guard"),
+        ("mc --alpha 1 --beta 1 --q 2 --steps 1e9 --ensembles 100000000",
+         "1e+08 ensembles or samples exceed the memory guard"),
+        ("standard-bound --k 20 --alpha 1 --beta 1 --mode sampled --samples 100000000",
+         "1e+08 ensembles or samples exceed the memory guard"),
+    ])
+    def test_guards_refuse_before_any_coin(self, runner, monkeypatch, deadline, args, message):
+        # a missing guard fails on the patched functions, before drawing coins
+        # or allocating arrays of the refused width
+        def refused(*args):
+            raise AssertionError("coins drawn")
+
+        for name in ("_philox_keys", "_coin_bytes", "_iterate_log_growth"):
+            monkeypatch.setattr(montecarlo, name, refused)
+        result = runner.invoke(main, args.split())
+        assert result.exit_code == 2, result.output
+        [line] = result.output.splitlines()
+        assert line.startswith("error: ") and message in line
 
     @pytest.mark.filterwarnings("ignore:effective sample size")
     def test_capped_moment_estimate_accepts_any_steps(self, runner, deadline):

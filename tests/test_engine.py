@@ -357,7 +357,7 @@ class TestSeriesConfigPlumbing:
         assert abs(rep.per_norm[NormKind.L1].lower - 0.3688682) < 1e-6
 
 
-def _pointwise_case_mean(ff, norm, side, params, cfg, q=None):
+def _pointwise_case_mean(ff, norm, side, params, q=None):
     """The integrand as built before the grid cache: every case's bound
     function evaluated afresh on each block, raised to q, averaged."""
     fns = [engine.evaluator(ff, norm, side, c, params)
@@ -405,13 +405,12 @@ class TestGridCache:
     @pytest.mark.parametrize("params", [ShearParams.infer(2.0, 3.0), OPP33], ids=["pos", "opp"])
     @pytest.mark.parametrize("family", list(BoundFamily))
     def test_integrand_terms_bit_identical(self, max_index, params, family):
-        # the values the sums see: the whole grid at both truncations
-        cfg = SeriesConfig(max_index=max_index)
+        # the values on the whole grid, at both truncations
         for side in engine.Side:
             for norm in engine.norms_for(family, params.regime, side):
                 for q in (None, -2.5, -1.0, 0.5, 3.0):
-                    cached = engine._case_mean(family, norm, side, params, cfg, q)
-                    pointwise = _pointwise_case_mean(family, norm, side, params, cfg, q)
+                    cached = engine._case_mean(family, norm, side, params, q)
+                    pointwise = _pointwise_case_mean(family, norm, side, params, q)
                     for limit in (max_index, 2 * max_index):
                         aa, bb, _ = series._grid(limit)
                         assert np.array_equal(cached(aa, bb), pointwise(aa, bb))
@@ -453,10 +452,9 @@ class TestGridCache:
         # every grid was already cached by the bound computation
         assert engine._bound_grid.cache_info().misses == engine._bound_grid.cache_info().currsize
 
-    def test_integrand_serves_only_its_grid(self):
-        args = (BoundFamily.GLOBAL, NormKind.L1, engine.Side.LOWER, POS11,
-                SeriesConfig(max_index=8))
+    def test_integrand_is_a_function_of_its_grid(self):
+        args = (BoundFamily.GLOBAL, NormKind.L1, engine.Side.LOWER, POS11)
         f = engine._case_mean(*args)
-        assert series.truncated_sum(f, 16) == series.truncated_sum(_pointwise_case_mean(*args), 16)
-        with pytest.raises(ValueError, match="broadcast"):
-            series.truncated_sum(f, 17)
+        for limit in (16, 17):
+            assert series.truncated_sum(f, limit) == series.truncated_sum(
+                _pointwise_case_mean(*args), limit)

@@ -474,8 +474,19 @@ class TestLyapunovMc:
             McConfig(n_steps=10, n_ensembles=4, seed=-1)
 
 
+def sampled_bound(params, cfg):
+    """Sampled E_k called like the estimators: k = n_steps // n_ensembles, one
+    sample per ensemble."""
+    return standard_bound(cfg.n_steps // cfg.n_ensembles, params, mode="sampled",
+                          n_samples=cfg.n_ensembles)
+
+
+def zeroth_moment_mc(params, cfg):
+    return gle_mc(0.0, params, cfg)
+
+
 class TestCostGuard:
-    @pytest.mark.parametrize("estimator", [lyapunov_mc, block_oracle])
+    @pytest.mark.parametrize("estimator", [lyapunov_mc, block_oracle, sampled_bound])
     def test_refuses_before_drawing_coins(self, monkeypatch, deadline, estimator):
         def no_coins(*args):
             raise AssertionError("coins drawn")
@@ -484,7 +495,7 @@ class TestCostGuard:
         with pytest.raises(DomainError, match="exceed the cost guard"):
             estimator(POS11, McConfig(10**30, 2))
 
-    @pytest.mark.parametrize("estimator", [lyapunov_mc, block_oracle])
+    @pytest.mark.parametrize("estimator", [lyapunov_mc, block_oracle, sampled_bound])
     def test_guard_bounds_applications_run(self, monkeypatch, estimator):
         monkeypatch.setattr(montecarlo, "_MAX_APPS", 2000)
         estimator(POS11, McConfig(2001, 2))  # 2000 applications run, the remainder dropped
@@ -501,6 +512,29 @@ class TestCostGuard:
         monkeypatch.setattr(montecarlo, "_coin_bytes", _no_coins)
         with pytest.raises(DomainError, match="coins per stream exceed the memory guard"):
             block_oracle(POS11, McConfig(2002, 2))
+
+    @pytest.mark.parametrize("estimator",
+                             [lyapunov_mc, block_oracle, zeroth_moment_mc, sampled_bound])
+    def test_width_guard_refuses_before_allocating(self, monkeypatch, deadline, estimator):
+        # one past the guard would allocate about 1 GB; without the guard the
+        # patched functions fail first
+        for name in ("_philox_keys", "_coin_bytes", "_iterate_log_growth"):
+            monkeypatch.setattr(montecarlo, name, _no_coins)
+        width = montecarlo._MAX_WIDTH + 1
+        with pytest.raises(DomainError, match="exceed the memory guard 4e[+]06"):
+            estimator(POS11, McConfig(width, width))
+
+    @pytest.mark.parametrize("estimator",
+                             [lyapunov_mc, block_oracle, zeroth_moment_mc, sampled_bound])
+    def test_width_guard_bounds_ensembles_and_samples(self, monkeypatch, estimator):
+        monkeypatch.setattr(montecarlo, "_MAX_WIDTH", 4)
+        estimator(POS11, McConfig(64, 4))
+        with pytest.raises(DomainError, match="5 ensembles or samples exceed"):
+            estimator(POS11, McConfig(64, 5))
+
+    def test_width_guard_admits_the_default_widths(self):
+        # the CLI's default sample count; tests and the benchmark run at most 40 000
+        assert montecarlo._MAX_WIDTH >= 100_000
 
 
 def _no_coins(*args):

@@ -69,6 +69,20 @@ class TestExpectBlock:
         assert rep.tail_estimate < 1e-12
         assert rep.value == pytest.approx(4.0, abs=1e-12)
 
+    @pytest.mark.parametrize("value", [lambda a, b: a * b, lambda a, b: 1.0],
+                             ids=["grid", "scalar"])
+    def test_integrand_is_called_once_on_the_doubled_grid(self, value):
+        shapes = []
+
+        def f(a, b):
+            shapes.append(a.shape)
+            return value(a, b)
+
+        rep = expect_block_report(f, SeriesConfig(max_index=8, tail_tol=1.0))
+        assert shapes == [(16, 16)]
+        assert rep.value == truncated_sum(value, 16)
+        assert rep.tail_estimate == abs(truncated_sum(value, 16) - truncated_sum(value, 8))
+
     def test_matches_exact_poly(self):
         for i in range(5):
             for j in range(5):
