@@ -63,14 +63,22 @@ class ShearParams:
     POSITIVE_PAIR is alpha >= 1 and beta >= 1.  OPPOSED_PAIR is alpha < -2
     and beta > 2, which guarantees |alpha*beta| > 4 and hence hyperbolicity
     of every block matrix.  Any other pair, or a non-finite one, raises
-    DomainError.
+    DomainError.  Both are stored as Python floats, so integer shears compute
+    with the same doubles as the floats they equal; an integer beyond the
+    range of a double raises DomainError.
     """
 
     alpha: float
     beta: float
 
     def __post_init__(self):
-        a, b = self.alpha, self.beta
+        try:
+            a, b = float(self.alpha), float(self.beta)
+        except OverflowError:
+            raise DomainError("alpha and beta must be finite, got an integer beyond the "
+                              "range of a double") from None
+        object.__setattr__(self, "alpha", a)
+        object.__setattr__(self, "beta", b)
         if not (math.isfinite(a) and math.isfinite(b)):
             raise DomainError(f"alpha and beta must be finite, got alpha={a}, beta={b}")
         if not (a >= 1.0 and b >= 1.0) and not (a < -2.0 and b > 2.0):

@@ -22,6 +22,10 @@ four entry arrays, p11, p12, p21 and p22, one element per product.  For coin
 steps the first three levels are a lookup: each byte of coins indexes a
 table of the 256 products of eight steps, built per call by the same levels
 from the coins of the bytes 0..255, so the products are the same doubles.
+A coin sub-chunk holds at least one byte of every stream, however wide the
+ensemble, so only the last length % 8 steps skip the table.  Sampled E_k
+draws its one stream in tiles of _COIN_TILE_WORDS words that span several
+sub-chunks.
 Exhaustive E_k uses the same layout: one (4, 2^k) array is doubled in place
 at each level, B P into the upper half and then A P over the lower half,
 which reproduces a 2x2 matrix product bit for bit.  The moment estimator
@@ -57,7 +61,8 @@ _MAX_APPS = 10**10  # cost guard: matrix applications one estimator call may run
 # block_oracle holds a stream's coins and run lengths at once, about 19 bytes a coin: 1 GB
 _MAX_STREAM_COINS = 5 * 10**7
 _MAX_WIDTH = 4 * 10**6  # ensembles or samples side by side, up to 210 bytes each: 1 GB
-_PAIRWISE_BUDGET = 1 << 16  # step-matrix elements per sub-chunk of _pairwise_product
+# step-matrix elements per sub-chunk of _pairwise_product; coin sub-chunks keep 8 rows
+_PAIRWISE_BUDGET = 1 << 16
 _SHEAR_MAX = 1e79  # largest |alpha|, |beta| at which _pairwise_product keeps its accuracy
 _SLICE_MATRICES = 1 << 16  # products per slice of exhaustive standard_bound's in-place levels
 _UNSCALED_MAX = 1e150  # 2 * _UNSCALED_MAX**2 does not overflow
@@ -239,11 +244,14 @@ def _pairwise_product(steps, n: int, width: int, bound: float, params=None):
     bound.  Given params, step t is instead the shear that coin t picks
     (_shear_steps), and steps(lo, hi) gives those coins packed as _coin_bytes
     packs them: bytes lo // 8 .. (hi - 1) // 8 of each column, coin t in bit
-    t % 8 of byte t // 8.  Sub-chunks of 2^j rows are reduced in j levels that
-    multiply neighbouring rows, later times earlier.  A sub-chunk of 8 or more
-    coin steps starts at level 3, from a table of the 256 products of eight
-    steps, one per byte, made by the same three levels from the coins of the
-    bytes 0..255: every product is the same double as without the table.  A
+    t % 8 of byte t // 8.  Sub-chunks of 2^j rows, at most _PAIRWISE_BUDGET
+    elements but at least 8 coin steps (a byte of every stream) or 2 other
+    steps, are reduced in j levels that multiply neighbouring rows, later times
+    earlier.  A sub-chunk of 8 or more coin steps starts at level 3, from a
+    table of the 256 products of eight steps, one per byte, made by the same
+    three levels from the coins of the bytes 0..255: every product is the same
+    double as without the table.  Only the tail of a trajectory, the last n % 8
+    coin steps, is multiplied from its steps.  A
     unit-determinant product has a largest entry of at least 1/sqrt(2) and,
     from entries at most b, at most 2 b^2: levels run unscaled until that
     bound passes _UNSCALED_MAX, then each divides its rows by their largest
@@ -279,7 +287,7 @@ def _pairwise_product(steps, n: int, width: int, bound: float, params=None):
         table, table_s, table_big = levels(_shear_steps(params, _BYTE_COINS), 0.0, bound)
     one, zero = np.ones(width), np.zeros(width)
     total, log_scale = (one, zero, zero, one), zero
-    rows = 1 << max(1, (_PAIRWISE_BUDGET // width).bit_length() - 1)
+    rows = 1 << max(1 if params is None else 3, (_PAIRWISE_BUDGET // width).bit_length() - 1)
     lo = 0
     while lo < n:
         hi = lo + min(rows, 1 << ((n - lo).bit_length() - 1))
@@ -409,7 +417,7 @@ def gle_mc(q: float, params: ShearParams, cfg: McConfig) -> McEstimate:
     mx = z.max()
     w = np.exp(z - mx)
     mean_w = w.mean()
-    est = (mx + math.log(mean_w)) / traj_len
+    est = float((mx + math.log(mean_w)) / traj_len)
     ess = float(w.sum() ** 2 / (w * w).sum())
     threshold = max(8.0, 0.02 * cfg.n_ensembles)
     if q != 0 and ess < threshold:
@@ -493,10 +501,16 @@ def standard_bound(
         raise DomainError(f"seed must be non-negative, got {seed}")
     _check_cost(k * n_samples, n_samples)
     bound = _shear_bound(params)
-    keys = _philox_keys(seed, [1 << 29])  # hashed once, drawn a sub-chunk at a time
+    keys = _philox_keys(seed, [1 << 29])  # hashed once, drawn a tile at a time
+    tile_steps = 64 * _COIN_TILE_WORDS // n_samples  # steps whose coins fill a tile's words
+    tile, tile_lo, tile_hi = None, 0, 0  # the coins drawn last, of steps tile_lo..tile_hi-1
 
     def steps(lo, hi):  # one stream: coin t * n_samples + j picks step t of sample j
-        coins = _coins(seed, [1 << 29], lo * n_samples, (hi - lo) * n_samples, keys)
+        nonlocal tile_lo, tile_hi, tile
+        if hi > tile_hi:  # the coins of the next sub-chunks, or of one larger than a tile
+            tile_lo, tile_hi = lo, min(k, lo + max(hi - lo, tile_steps))
+            tile = _coins(seed, [1 << 29], lo * n_samples, (tile_hi - lo) * n_samples, keys)
+        coins = tile[(lo - tile_lo) * n_samples:(hi - tile_lo) * n_samples]
         g = min(8, hi - lo)  # steps per byte; fewer than 8 lie in one byte, from bit lo % 8
         bits = coins.view(np.uint8).reshape(-1, g, n_samples) << _BIT_SHIFTS[lo % 8:lo % 8 + g]
         return bits.sum(axis=1, dtype=np.uint8)  # np.packbits(axis=0) took 10 times longer

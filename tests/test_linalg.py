@@ -62,6 +62,20 @@ class TestShearParams:
         with pytest.raises(DomainError, match="finite"):
             ShearParams(alpha, beta)
 
+    @pytest.mark.parametrize("alpha,beta", [(5, 5), (2, 3), (-3, 3), (300, 1), (10**10, 1),
+                                            (np.float64(2.5), np.int64(4))])
+    def test_stores_floats(self, alpha, beta):
+        p = ShearParams(alpha, beta)
+        assert type(p.alpha) is float and type(p.beta) is float
+        assert (p.alpha, p.beta) == (float(alpha), float(beta))
+        assert p == ShearParams(float(alpha), float(beta))
+
+    @pytest.mark.parametrize("alpha,beta", [(10**400, 1), (2, -(10**400))],
+                             ids=["alpha", "beta"])
+    def test_rejects_integers_beyond_a_double(self, alpha, beta):
+        with pytest.raises(DomainError, match="finite"):
+            ShearParams(alpha, beta)
+
     def test_fields_are_the_shears(self):
         assert [f.name for f in dataclasses.fields(ShearParams)] == ["alpha", "beta"]
 

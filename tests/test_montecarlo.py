@@ -171,18 +171,52 @@ def tightest_envelope(params):
 
 class TestPairwiseKernel:
     @pytest.mark.parametrize("alpha,beta", KERNEL_PARAMS)
-    @pytest.mark.parametrize("n_ensembles,traj_len", [(1, 600), (6, 1001), (5, 512)])
-    @pytest.mark.parametrize("budget", [None, 40])
+    @pytest.mark.parametrize("n_ensembles,traj_len", [(1, 600), (6, 1001), (5, 512),
+                                                      (6, 8 * 7 + 3)])
+    @pytest.mark.parametrize("budget", [None, 40, 12])
     def test_matches_per_step_loop(self, monkeypatch, alpha, beta, n_ensembles, traj_len,
                                    budget):
-        # budget 40 makes sub-chunks of 32, 4 and 8 rows: many full ones and,
-        # for lengths that are not a multiple, shorter power-of-two tails
+        # budget 40 makes sub-chunks of 32 rows for one ensemble and 8 rows, a
+        # byte of coins, for 6 and 5; budget 12 leaves 6 and 5 ensembles 2
+        # elements each, and their sub-chunks still hold 8 rows.  Lengths that
+        # are not a multiple end in shorter power-of-two tails
         if budget is not None:
             monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", budget)
         params = ShearParams.infer(alpha, beta)
         cfg = McConfig(n_ensembles * traj_len, n_ensembles, seed=41)
         got = montecarlo._iterate_log_growth(params, cfg, traj_len)
         want = reference_log_growth(params, cfg, traj_len)
+        np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
+
+    @pytest.mark.parametrize("width,budget", [(9000, None), (6, 12), (20_000, None)])
+    def test_sub_chunk_rows(self, monkeypatch, width, budget):
+        # above budget // 8 streams, coin sub-chunks hold 8 rows and other
+        # steps 2 (or 4); only the last n % 8 coin steps go without the table
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", budget)
+        spans = []
+
+        def coin_bytes(lo, hi):
+            spans.append(hi - lo)
+            return np.zeros((-(-hi // 8) - lo // 8, width), dtype=np.uint8)
+
+        def steps(lo, hi):
+            spans.append(hi - lo)
+            return montecarlo._shear_steps(POS11, np.zeros((hi - lo, width), dtype=np.int8))
+
+        montecarlo._pairwise_product(coin_bytes, 8 * 5 + 7, width, 1.0, POS11)
+        assert spans == [8] * 5 + [4, 2, 1]
+        spans.clear()
+        montecarlo._pairwise_product(steps, 8, width, 1.0)
+        other = 1 << max(1, (montecarlo._PAIRWISE_BUDGET // width).bit_length() - 1)
+        assert other < 8 and spans == [other] * (8 // other)
+
+    def test_matches_above_the_byte_width(self):
+        # 9000 ensembles: 2^16 // 9000 = 7 elements a stream, under a byte
+        params = ShearParams.infer(10.0, 10.0)
+        cfg = McConfig(9000 * 40, 9000, seed=48)
+        got = montecarlo._iterate_log_growth(params, cfg, 40)
+        want = reference_log_growth(params, cfg, 40)
         np.testing.assert_allclose(got, want, rtol=1e-10, atol=0)
 
     def test_matches_beyond_one_coin_chunk(self):
@@ -227,8 +261,9 @@ class TestPairwiseKernel:
             np.testing.assert_array_equal(g, w)
 
     @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (50.0, 50.0), (-3.0, 3.0)])
-    @pytest.mark.parametrize("budget", [None, 40])
+    @pytest.mark.parametrize("budget", [None, 40, 14])
     def test_block_oracle_matches_per_block_loop(self, monkeypatch, alpha, beta, budget):
+        # seven streams: budget 40 makes sub-chunks of 4 blocks, budget 14 of 2
         if budget is not None:
             monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", budget)
         params = ShearParams.infer(alpha, beta)
@@ -558,6 +593,30 @@ class TestShearLimit:
             estimator(ShearParams.infer(alpha, beta))
 
 
+class TestIntegerShears:
+    # ShearParams stores floats, so no integer shear meets the uint8 coins or
+    # int32 run lengths in numpy arithmetic, where it would overflow
+    @pytest.mark.filterwarnings("ignore:effective sample size")
+    @pytest.mark.parametrize("estimator", [
+        lambda p: lyapunov_mc(p, McConfig(1000, 2, seed=5)).mean,
+        lambda p: gle_mc(1.0, p, McConfig(1000, 2, seed=5)).mean,
+        lambda p: standard_bound(20, p, mode="sampled", n_samples=10, seed=5),
+        lambda p: block_oracle(p, McConfig(1000, 2, seed=5)).lambda_est,
+    ], ids=["lyapunov_mc", "gle_mc", "sampled", "block_oracle"])
+    @pytest.mark.parametrize("alpha,beta", [(-3, 3), (300, 1), (10**10, 1)])
+    def test_give_the_floats_values(self, estimator, alpha, beta):
+        got = estimator(ShearParams(alpha, beta))
+        assert math.isfinite(got)
+        assert got == estimator(ShearParams(float(alpha), float(beta)))
+
+    @pytest.mark.parametrize("alpha,beta", [(5, 5), (2, 3)])
+    def test_lyapunov_mc_bits(self, alpha, beta):
+        cfg = McConfig(20_000, 4, seed=6)
+        got = lyapunov_mc(ShearParams(alpha, beta), cfg)
+        want = lyapunov_mc(ShearParams(float(alpha), float(beta)), cfg)
+        assert (got.mean.hex(), got.std_error.hex()) == (want.mean.hex(), want.std_error.hex())
+
+
 class TestGleMc:
     def test_zero_exactly(self):
         est = gle_mc(0.0, POS11, McConfig(n_steps=50_000, n_ensembles=100, seed=2))
@@ -609,6 +668,10 @@ class TestGleMc:
                 for _ in range(200)]
         est = gle_mc(q, POS11, cfg)
         assert est.std_error == pytest.approx(np.std(reps, ddof=1), rel=0.25)
+
+    def test_mean_is_a_python_float(self):
+        est = gle_mc(1.0, POS11, McConfig(n_steps=20_000, n_ensembles=100, seed=3))
+        assert type(est.mean) is float and type(est.std_error) is float
 
     def test_warns_on_weight_concentration(self):
         # long trajectories at large q concentrate the importance weights
@@ -724,6 +787,33 @@ class TestStandardBound:
 
     def test_numpy_integer_k(self):
         assert standard_bound(np.int64(5), POS11) == standard_bound(5, POS11)
+
+    def test_sampled_draws_its_coins_in_tiles(self, monkeypatch):
+        # the 4 096 000 coins of E_1024 over 4000 samples fit one tile of words
+        calls = []
+        coin_bytes = montecarlo._coin_bytes
+
+        def counted(*args):
+            calls.append(args)
+            return coin_bytes(*args)
+
+        p = ShearParams.infer(5.0, 5.0)
+        want = standard_bound(1024, p, mode="sampled", n_samples=4000, seed=12)
+        monkeypatch.setattr(montecarlo, "_coin_bytes", counted)
+        assert standard_bound(1024, p, mode="sampled", n_samples=4000, seed=12) == want
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("tile_words", [1, 3, 40])
+    @pytest.mark.parametrize("k,budget", [(100, None), (2 * 16 + 7, 5 * 16), (8 * 8 + 3, 40)])
+    def test_sampled_does_not_depend_on_tiles(self, monkeypatch, tile_words, k, budget):
+        # a tile of 1 or 3 words holds 12 or 38 steps of five samples, fewer
+        # than a sub-chunk of 16 steps or more; 40 words hold 512 steps
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", budget)
+        p = ShearParams.infer(5.0, 5.0)
+        want = standard_bound(k, p, mode="sampled", n_samples=5, seed=44)
+        monkeypatch.setattr(montecarlo, "_COIN_TILE_WORDS", tile_words)
+        assert standard_bound(k, p, mode="sampled", n_samples=5, seed=44) == want
 
     def test_sampled_deterministic(self):
         a = standard_bound(64, POS11, mode="sampled", n_samples=500, seed=17)
