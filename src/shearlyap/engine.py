@@ -41,7 +41,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .growth import BoundFamily, Side, cases_for, evaluator, norms_for
+from .growth import BoundFamily, Side, cases_for, evaluator, function_case, norms_for
 from .linalg import DomainError, NormKind, Regime, ShearParams
 from .series import (
     DEFAULT_SERIES,
@@ -118,20 +118,22 @@ def _require_finite(what: str, params: ShearParams, *values: float) -> None:
                           f"beta={params.beta}: got {list(values)}")
 
 
-# one parameter point's grids across both families, in the regime with more
-# of them (24 positive, 22 opposed)
+# one parameter point's distinct bound functions across both families, in the
+# regime with more of them (12 positive, 20 opposed)
 _GRID_CACHE_SIZE = max(
-    sum(len(cases_for(family, regime)) * len(norms_for(family, regime, side))
-        for family in BoundFamily for side in Side)
+    len({(norm, side, function_case(regime, norm, side, case))
+         for family in BoundFamily for side in Side
+         for norm in norms_for(family, regime, side) for case in cases_for(family, regime)})
     for regime in Regime
 )
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
-def _bound_grid(family: BoundFamily, norm: NormKind, side: Side, case: tuple,
-                params: ShearParams, limit: int) -> np.ndarray:
-    """One bound function on the grid 1..limit x 1..limit, read-only.  It does
-    not depend on q, so every moment order at the point reuses it."""
+def _bound_grid(norm: NormKind, side: Side, case: tuple, params: ShearParams,
+                limit: int) -> np.ndarray:
+    """The bound function of a growth.function_case on the grid 1..limit x 1..limit,
+    read-only.  It does not depend on q, so every moment order at the point reuses it."""
+    family = BoundFamily.IMPROVED if case else BoundFamily.GLOBAL
     idx = np.arange(1, limit + 1, dtype=np.float64)
     try:
         # numpy overflow gives inf or nan terms, whose sum the series layer reports
@@ -149,11 +151,12 @@ def _bound_grid(family: BoundFamily, norm: NormKind, side: Side, case: tuple,
 
 def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearParams, q=None):
     """Integrand over the series layer's grid (a, b): the case mean of the cached
-    bound-function grids of its size (of their q-th powers, or the log of the
-    mean when q is None), added in table order as pointwise evaluation would."""
+    grids of the cases' functions (of their q-th powers, or the log of the mean when
+    q is None), one term per case in table order, as pointwise evaluation adds them."""
     def f(a, b):
-        grids = [_bound_grid(family, norm, side, c, params, len(a))
+        cases = [function_case(params.regime, norm, side, c)
                  for c in cases_for(family, params.regime)]
+        grids = [_bound_grid(norm, side, c, params, len(a)) for c in cases]
         # f^q overflows to inf at large |q|; the series layer reports that sum
         with np.errstate(over="ignore"):
             total = functools.reduce(np.add, grids if q is None else (g ** q for g in grids))

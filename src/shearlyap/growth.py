@@ -3,9 +3,9 @@
 For a vector X inside the regime's invariant cone, the growth ratio
 ``|K(a,b) X| / |X|`` in a given norm is sandwiched between a lower
 function (phi flavour) and an upper function (psi flavour) that depend
-only on (a, b, alpha, beta).  Each function is keyed by its cone family
-(BoundFamily) and the regime, which the signs of (alpha, beta) decide,
-and by a case key:
+only on (a, b, alpha, beta).  Each function is keyed by the regime, which
+the signs of (alpha, beta) decide, the norm and the side, and takes a case
+key:
 
 * global   - the regime's invariant cone, case ();
 * improved - the sub-cones of cones.improved_cone, with its case keys:
@@ -13,6 +13,13 @@ and by a case key:
              of the time, and (1, 1), (1, 2), (2, 1), (2, 2) in the
              opposed regime, each 1/4 of the time.  The improved opposed
              family has upper functions only for the L-infinity norm.
+
+An improved case has a function of its own only where its sub-cone changes
+it, and otherwise uses the global one, case () (function_case).  Positive
+case (1,) is the global cone, and the L-infinity lower, L1 upper and L2
+upper functions do not depend on the upper slope that (2,) and (3,) lower.
+Every opposed case moves the lower slope (Gamma_{1,1} equals Gamma only in
+exact arithmetic); (2, 1) and (2, 2) keep the global upper slope 0.
 
 Formulas are kept in their published two-branch / rational form rather
 than algebraically simplified; every value is positive, and at least 1 in
@@ -64,19 +71,29 @@ class Side(enum.Enum):
 
 
 # --------------------------------------------------------------------------
-# positive regime, global cone
+# positive regime.  Case () is the global cone [0, 1/alpha]; the improved
+# cases (2,) and (3,) have the slope factor s = s_m of cones.slope_factor.
 
-def _phi_l1(a, b, al, be):
-    return 1.0 + al / (1.0 + al) * (a + b * be + a * al * b * be)
+def _phi_l1(case, a, b, al, be):
+    if not case:
+        return 1.0 + al / (1.0 + al) * (a + b * be + a * al * b * be)
+    s = slope_factor(case, al, be)
+    num = al * s * (a * al * b * be + b * be + 1.0) + (a * al + 1.0) * (al * be + 1.0)
+    den = al * (s + be) + 1.0
+    return num / den
 
 
-def _phi_l2(a, b, al, be):
+def _phi_l2(case, a, b, al, be):
     w = a * al * b * be
     branch1 = np.sqrt((1.0 + w) ** 2 + (b * be) ** 2)
-    branch2 = np.sqrt(
-        (al**2 * (1.0 + a + w) ** 2 + (1.0 + al * b * be) ** 2) / (1.0 + al**2)
-    )
-    return np.minimum(branch1, branch2)
+    if not case:
+        return np.minimum(branch1, np.sqrt(
+            (al**2 * (1.0 + a + w) ** 2 + (1.0 + al * b * be) ** 2) / (1.0 + al**2)))
+    s = slope_factor(case, al, be)
+    ab1 = 1.0 + al * be
+    num = (ab1 + al * b * be * s) ** 2 + (a * al * ab1 + al * s * (1.0 + w)) ** 2
+    den = ab1**2 + al**2 * s**2
+    return np.minimum(branch1, np.sqrt(num / den))
 
 
 def _phi_linf(a, b, al, be):
@@ -94,37 +111,9 @@ def _psi_l2(a, b, al, be):
     return np.sqrt(0.5 * (2.0 + c + np.sqrt(c * (c + 4.0))))
 
 
-def _psi_linf(a, b, al, be):
-    return 1.0 + a + a * al * b * be
-
-
-# --------------------------------------------------------------------------
-# positive regime, improved cones; s is the cone's slope factor s_m (cones.slope_factor)
-
-def _phi_hat_l1(case, a, b, al, be):
-    if case == (1,):
-        return _phi_l1(a, b, al, be)
-    s = slope_factor(case, al, be)
-    num = al * s * (a * al * b * be + b * be + 1.0) + (a * al + 1.0) * (al * be + 1.0)
-    den = al * (s + be) + 1.0
-    return num / den
-
-
-def _phi_hat_l2(case, a, b, al, be):
-    if case == (1,):
-        return _phi_l2(a, b, al, be)
-    s = slope_factor(case, al, be)
-    w = a * al * b * be
-    ab1 = 1.0 + al * be
-    branch1 = np.sqrt((1.0 + w) ** 2 + (b * be) ** 2)
-    num = (ab1 + al * b * be * s) ** 2 + (a * al * ab1 + al * s * (1.0 + w)) ** 2
-    den = ab1**2 + al**2 * s**2
-    return np.minimum(branch1, np.sqrt(num / den))
-
-
-def _psi_hat_linf(case, a, b, al, be):
-    if case == (1,):
-        return _psi_linf(a, b, al, be)
+def _psi_linf(case, a, b, al, be):
+    if not case:
+        return 1.0 + a + a * al * b * be
     s = slope_factor(case, al, be)
     return 1.0 + a * al * b * be + a * (1.0 + al * be) / s
 
@@ -155,11 +144,7 @@ def _psi_t_l2(a, b, al, be):
     return np.sqrt((1.0 + a * al * b * be) ** 2 + (b * be) ** 2)
 
 
-def _psi_t_linf(a, b, al, be):
-    return -a * al * b * be - 1.0
-
-
-def _psi_hat_t_linf(case, a, b, al, be):
+def _psi_t_linf(case, a, b, al, be):
     w = a * al * b * be
     if case == (1, 1):
         return -w - 1.0 - a * al * be / (1.0 + al * be)
@@ -179,7 +164,14 @@ def cases_for(family: BoundFamily, regime: Regime) -> list[tuple[int, ...]]:
 
 def norms_for(family: BoundFamily, regime: Regime, side: Side) -> list[NormKind]:
     """Norms for which the family provides a bound on the given side."""
-    return [n for (f, r, n, s) in _EVALUATORS if (f, r, s) == (family, regime, side)]
+    return [n for (r, n, s), (_, own) in _TABLE.items()
+            if (r, s) == (regime, side) and (family is BoundFamily.GLOBAL or own is not None)]
+
+
+def function_case(regime: Regime, norm: NormKind, side: Side, case: tuple) -> tuple:
+    """The case whose function bounds the given case: the case itself where
+    its sub-cone changes the function, else () for the global one."""
+    return case if case in (_TABLE[(regime, norm, side)][1] or ()) else ()
 
 
 def _plain(fn):
@@ -194,7 +186,7 @@ def _cased(fn):
 
 def _coned(fn):
     """Table entry for an opposed lower function of the cone's lower slope g:
-    Gamma for the global family (case ()), Gamma_{m_a,m_b} for the improved one."""
+    Gamma for case (), Gamma_{m_a,m_b} for the improved case (m_a, m_b)."""
 
     def entry(case, p):
         g = gamma_mab(case[0], case[1], p) if case else gamma(p)
@@ -203,34 +195,26 @@ def _coned(fn):
     return entry
 
 
-_GLOBAL, _IMPROVED = BoundFamily.GLOBAL, BoundFamily.IMPROVED
 _POS, _OPP = Regime.POSITIVE_PAIR, Regime.OPPOSED_PAIR
 _L1, _L2, _LINF = NormKind.L1, NormKind.L2, NormKind.LINF
+_NARROWED = CASES[_POS][1:]  # (2,) and (3,): the upper slope below 1/alpha
 
-# (family, regime, norm, side) -> entry(case, params) returning f(a, b)
-_EVALUATORS = {
-    (_GLOBAL, _POS, _L1, Side.LOWER): _plain(_phi_l1),
-    (_GLOBAL, _POS, _L2, Side.LOWER): _plain(_phi_l2),
-    (_GLOBAL, _POS, _LINF, Side.LOWER): _plain(_phi_linf),
-    (_GLOBAL, _POS, _L1, Side.UPPER): _plain(_psi_l1),
-    (_GLOBAL, _POS, _L2, Side.UPPER): _plain(_psi_l2),
-    (_GLOBAL, _POS, _LINF, Side.UPPER): _plain(_psi_linf),
-    (_IMPROVED, _POS, _L1, Side.LOWER): _cased(_phi_hat_l1),
-    (_IMPROVED, _POS, _L2, Side.LOWER): _cased(_phi_hat_l2),
-    (_IMPROVED, _POS, _LINF, Side.LOWER): _plain(_phi_linf),
-    (_IMPROVED, _POS, _L1, Side.UPPER): _plain(_psi_l1),
-    (_IMPROVED, _POS, _L2, Side.UPPER): _plain(_psi_l2),
-    (_IMPROVED, _POS, _LINF, Side.UPPER): _cased(_psi_hat_linf),
-    (_GLOBAL, _OPP, _L1, Side.LOWER): _coned(_phi_t_l1),
-    (_GLOBAL, _OPP, _L2, Side.LOWER): _coned(_phi_t_l2),
-    (_GLOBAL, _OPP, _LINF, Side.LOWER): _coned(_phi_t_linf),
-    (_GLOBAL, _OPP, _L1, Side.UPPER): _plain(_psi_t_l1),
-    (_GLOBAL, _OPP, _L2, Side.UPPER): _plain(_psi_t_l2),
-    (_GLOBAL, _OPP, _LINF, Side.UPPER): _plain(_psi_t_linf),
-    (_IMPROVED, _OPP, _L1, Side.LOWER): _coned(_phi_t_l1),
-    (_IMPROVED, _OPP, _L2, Side.LOWER): _coned(_phi_t_l2),
-    (_IMPROVED, _OPP, _LINF, Side.LOWER): _coned(_phi_t_linf),
-    (_IMPROVED, _OPP, _LINF, Side.UPPER): _cased(_psi_hat_t_linf),
+# (regime, norm, side) -> (entry(case, params) returning f(a, b), the improved
+# cases with a function of their own, or None where the improved family has
+# no such bound); every other improved case uses the global function, case ()
+_TABLE = {
+    (_POS, _L1, Side.LOWER): (_cased(_phi_l1), _NARROWED),
+    (_POS, _L2, Side.LOWER): (_cased(_phi_l2), _NARROWED),
+    (_POS, _LINF, Side.LOWER): (_plain(_phi_linf), ()),
+    (_POS, _L1, Side.UPPER): (_plain(_psi_l1), ()),
+    (_POS, _L2, Side.UPPER): (_plain(_psi_l2), ()),
+    (_POS, _LINF, Side.UPPER): (_cased(_psi_linf), _NARROWED),
+    (_OPP, _L1, Side.LOWER): (_coned(_phi_t_l1), CASES[_OPP]),
+    (_OPP, _L2, Side.LOWER): (_coned(_phi_t_l2), CASES[_OPP]),
+    (_OPP, _LINF, Side.LOWER): (_coned(_phi_t_linf), CASES[_OPP]),
+    (_OPP, _L1, Side.UPPER): (_plain(_psi_t_l1), None),
+    (_OPP, _L2, Side.UPPER): (_plain(_psi_t_l2), None),
+    (_OPP, _LINF, Side.UPPER): (_cased(_psi_t_linf), ((1, 1), (1, 2))),
 }
 
 
@@ -252,7 +236,8 @@ def evaluator(
     cases = cases_for(family, params.regime)
     if case not in cases:
         raise DomainError(f"{what} case must be one of {cases}, got {case}")
-    f = _EVALUATORS[(family, params.regime, norm, side)](case, params)
+    entry = _TABLE[(params.regime, norm, side)][0]
+    f = entry(function_case(params.regime, norm, side, case), params)
 
     def checked(a, b):
         try:

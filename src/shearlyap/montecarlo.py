@@ -46,6 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .linalg import DomainError, ShearParams, spectral_norm_batch
+from .series import NonConvergenceError
 
 __all__ = ["McConfig", "McEstimate", "BlockStats", "RNG_ALGORITHM", "lyapunov_mc", "gle_mc",
            "standard_bound", "block_oracle"]
@@ -60,6 +61,7 @@ _GLE_TRAJ_CAP = 200  # applications per gle_mc trajectory
 _MAX_APPS = 10**10  # cost guard: matrix applications one estimator call may run
 # block_oracle holds a stream's coins and run lengths at once, about 19 bytes a coin: 1 GB
 _MAX_STREAM_COINS = 5 * 10**7
+_MAX_TOTAL_COINS = 10**8  # and all its run lengths, 6 (32 streams) to 11.5 (2) B a coin: 1 GB
 _MAX_WIDTH = 4 * 10**6  # ensembles or samples side by side, up to 210 bytes each: 1 GB
 # step-matrix elements per sub-chunk of _pairwise_product; coin sub-chunks keep 8 rows
 _PAIRWISE_BUDGET = 1 << 16
@@ -407,7 +409,8 @@ def gle_mc(q: float, params: ShearParams, cfg: McConfig) -> McEstimate:
     on too few trajectories (small effective sample size), the telltale of
     the moment estimator's exponential variance problem.  Raises DomainError
     if the log growth is not finite (or, like lyapunov_mc, beyond the cost
-    and width guards or above shears of 1e79).
+    and width guards or above shears of 1e79), and NonConvergenceError for an
+    estimate below -log 2, which no moment rate of these products reaches.
     """
     traj_len = min(cfg.n_steps // cfg.n_ensembles, _GLE_TRAJ_CAP)
     n_apps = _check_cost(cfg.n_ensembles * traj_len, cfg.n_ensembles)
@@ -419,6 +422,10 @@ def gle_mc(q: float, params: ShearParams, cfg: McConfig) -> McEstimate:
     mean_w = w.mean()
     est = float((mx + math.log(mean_w)) / traj_len)
     ess = float(w.sum() ** 2 / (w * w).sum())
+    if est < -math.log(2.0):  # the all-A coins keep |X_N| = 1 with probability 2^-N
+        raise NonConvergenceError(
+            f"moment estimate {est:.6f} lies below -log 2 = -0.693147, the least moment rate: "
+            f"effective sample size {ess:.1f} of {cfg.n_ensembles} trajectories")
     threshold = max(8.0, 0.02 * cfg.n_ensembles)
     if q != 0 and ess < threshold:
         warnings.warn(
@@ -535,13 +542,16 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     estimate from the block products that must agree with lyapunov_mc.
     Raises DomainError, before drawing any coin, above _MAX_APPS (10^10) coins,
     _MAX_WIDTH (4 * 10^6) streams, _MAX_STREAM_COINS (5 * 10^7) coins in one
-    stream or shears of _SHEAR_MAX (1e79).
+    stream, _MAX_TOTAL_COINS (10^8) coins in all or shears of _SHEAR_MAX (1e79).
     """
     per_stream = cfg.n_steps // cfg.n_ensembles
-    _check_cost(cfg.n_ensembles * per_stream, cfg.n_ensembles)
+    total = _check_cost(cfg.n_ensembles * per_stream, cfg.n_ensembles)
     if per_stream > _MAX_STREAM_COINS:
         raise DomainError(f"{per_stream:.3g} coins per stream exceed the memory guard "
                           f"{_MAX_STREAM_COINS:.0e}; add ensembles or lower n_steps")
+    if total > _MAX_TOTAL_COINS:
+        raise DomainError(f"{total:.3g} coins in all exceed the memory guard "
+                          f"{_MAX_TOTAL_COINS:.0e}; lower n_steps")
     _shear_bound(params)  # refuses shears above _SHEAR_MAX
     a_streams, b_streams = [], []
     for e in range(cfg.n_ensembles):

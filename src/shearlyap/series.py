@@ -46,7 +46,7 @@ __all__ = [
     "expect_block_exact_poly",
 ]
 
-_MAX_INDEX = 1024  # engine's cache holds 24 grids of (2N)^2 doubles: 0.8 GB at N = 1024
+_MAX_INDEX = 1024  # engine's cache holds 20 grids of (2N)^2 doubles: 0.7 GB at N = 1024
 _POLYLOG_MAX = 12
 _SUM_MAX_TERMS = 1 << 25  # terms extracted at most: 2^M stays far below 2^53
 _EXTRACT_EMAX = 1000  # largest extraction sigma: below it no partial sum of the terms overflows

@@ -375,6 +375,13 @@ class TestMcCommand:
         result = runner.invoke(main, ["mc", "--alpha", "-1", "--beta", "1"])
         assert result.exit_code == 2
 
+    def test_moment_estimate_below_minus_log_2_exits_3(self, runner):
+        # its estimate, -1.839180, lies below -log 2, which no moment rate does
+        result = runner.invoke(main, ["mc", "--alpha", "5", "--beta", "5", "--q", "-2"])
+        assert result.exit_code == 3
+        assert "below -log 2 = -0.693147" in result.output
+        assert "effective sample size 1.0 of 32 trajectories" in result.output
+
     @pytest.mark.filterwarnings("ignore:effective sample size")
     def test_reports_applications_run(self, runner):
         # the moment estimator caps trajectories at 200: 32 x 200 of 10^6 run

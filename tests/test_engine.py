@@ -415,9 +415,9 @@ class TestGridCache:
                         aa, bb, _ = series._grid(limit)
                         assert np.array_equal(cached(aa, bb), pointwise(aa, bb))
 
-    @pytest.mark.parametrize("params,misses", [(POS11, 24), (OPP33, 22)], ids=["pos", "opp"])
+    @pytest.mark.parametrize("params,misses", [(POS11, 12), (OPP33, 20)], ids=["pos", "opp"])
     def test_one_miss_per_grid_of_a_point(self, params, misses):
-        # a both-family q-sweep tabulates each bound function once
+        # a both-family q-sweep tabulates each distinct bound function once
         engine._bound_grid.cache_clear()
         for q in (-1.0, 0.5, 2.0):
             for family in BoundFamily:
@@ -426,7 +426,7 @@ class TestGridCache:
             lyapunov_bounds(params, family)
         info = engine._bound_grid.cache_info()
         assert (info.misses, info.currsize) == (misses, misses)
-        assert info.maxsize == engine._GRID_CACHE_SIZE == 24
+        assert info.maxsize == engine._GRID_CACHE_SIZE == 20
 
     def test_holds_at_most_its_size(self):
         engine._bound_grid.cache_clear()
@@ -434,7 +434,7 @@ class TestGridCache:
             lyapunov_bounds(ShearParams.infer(a, a), BoundFamily.IMPROVED)
             lyapunov_bounds(ShearParams.infer(-a - 2.0, a + 2.0), BoundFamily.IMPROVED)
             assert engine._bound_grid.cache_info().currsize <= engine._GRID_CACHE_SIZE
-        assert engine._bound_grid.cache_info().misses == 2 * (18 + 16)
+        assert engine._bound_grid.cache_info().misses == 2 * (12 + 15)
 
     @pytest.mark.parametrize("params", [POS11, OPP33], ids=["pos", "opp"])
     def test_grids_are_read_only_evaluator_output(self, params):
@@ -445,7 +445,8 @@ class TestGridCache:
         for side in engine.Side:
             for norm in engine.norms_for(ff, params.regime, side):
                 for case in engine.cases_for(ff, params.regime):
-                    grid = engine._bound_grid(ff, norm, side, case, params, 128)
+                    fc = engine.function_case(params.regime, norm, side, case)
+                    grid = engine._bound_grid(norm, side, fc, params, 128)
                     assert not grid.flags.writeable
                     fresh = engine.evaluator(ff, norm, side, case, params)(aa, bb)
                     assert np.array_equal(grid, fresh)

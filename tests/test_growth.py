@@ -8,6 +8,7 @@ from shearlyap import (
     BoundFamily,
     DomainError,
     NormKind,
+    Regime,
     ShearParams,
     Side,
     cases_for,
@@ -16,7 +17,9 @@ from shearlyap import (
     growth_ratio,
     improved_cone,
     k_ab,
+    norms_for,
 )
+from shearlyap.growth import function_case
 
 POS11 = ShearParams.infer(1.0, 1.0)
 OPP33 = ShearParams.infer(-3.0, 3.0)
@@ -153,6 +156,38 @@ class TestIdValidation:
     def test_l2_keeps_large_finite_shears(self):
         got = evaluator(GLOBAL, NormKind.L2, LOWER, (), ShearParams(1e154, 1.0))(1, 1)
         assert got == 1e154
+
+
+class TestSharedFunctions:
+    """An improved case shares the global function exactly where the table says."""
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (2.0, 3.0), (-3.0, 3.0), (-5.0, 2.5)])
+    def test_sharing_premise_both_ways(self, alpha, beta):
+        p = ShearParams.infer(alpha, beta)
+        aa, bb = np.meshgrid(np.arange(1.0, 129.0), np.arange(1.0, 129.0), indexing="ij")
+        own = []
+        for side in Side:
+            for norm in norms_for(IMPROVED, p.regime, side):
+                glob = evaluator(GLOBAL, norm, side, (), p)(aa, bb)
+                for case in cases_for(IMPROVED, p.regime):
+                    got = evaluator(IMPROVED, norm, side, case, p)(aa, bb)
+                    if function_case(p.regime, norm, side, case) == ():
+                        assert np.array_equal(got, glob), (norm, side, case)
+                    else:
+                        # a case listed as its own must not be a copy of the global one
+                        assert not np.array_equal(got, glob), (norm, side, case)
+                        own.append((norm, side, case))
+        # positive: (2,) and (3,) of L1 and L2 lower and L-infinity upper; opposed: all
+        # four cases of each lower function and (1, 1), (1, 2) of L-infinity upper
+        assert len(own) == (6 if p.regime is Regime.POSITIVE_PAIR else 14)
+
+    def test_function_case_is_a_case_of_the_family_or_global(self):
+        for regime in Regime:
+            for side in Side:
+                for norm in norms_for(IMPROVED, regime, side):
+                    assert function_case(regime, norm, side, ()) == ()
+                    for case in cases_for(IMPROVED, regime):
+                        assert function_case(regime, norm, side, case) in ((), case)
 
 
 def _sample_positive(rng, n):

@@ -8,6 +8,7 @@ from shearlyap import (
     BoundFamily,
     DomainError,
     McConfig,
+    NonConvergenceError,
     ShearParams,
     block_oracle,
     entropy_bounds,
@@ -548,6 +549,22 @@ class TestCostGuard:
         with pytest.raises(DomainError, match="coins per stream exceed the memory guard"):
             block_oracle(POS11, McConfig(2002, 2))
 
+    def test_block_oracle_bounds_coins_in_all(self, monkeypatch, deadline):
+        # 5 * 10^7 coins in each of 200 streams pass the other guards; their run
+        # lengths alone would take tens of GB
+        monkeypatch.setattr(montecarlo, "_coin_bytes", _no_coins)
+        with pytest.raises(DomainError, match="coins in all exceed the memory guard 1e[+]08"):
+            block_oracle(POS11, McConfig(10**10, 200))
+
+    def test_block_oracle_total_guard_admits_criterion_8(self, monkeypatch):
+        # criterion 8 draws 4.2 * 10^7 coins over 32 streams, mc-long 10^7 over 32
+        assert montecarlo._MAX_TOTAL_COINS >= 42_000_000
+        monkeypatch.setattr(montecarlo, "_MAX_TOTAL_COINS", 2000)
+        block_oracle(POS11, McConfig(2001, 2))  # 2000 coins drawn, the remainder dropped
+        monkeypatch.setattr(montecarlo, "_coin_bytes", _no_coins)
+        with pytest.raises(DomainError, match="coins in all exceed the memory guard"):
+            block_oracle(POS11, McConfig(2002, 2))
+
     @pytest.mark.parametrize("estimator",
                              [lyapunov_mc, block_oracle, zeroth_moment_mc, sampled_bound])
     def test_width_guard_refuses_before_allocating(self, monkeypatch, deadline, estimator):
@@ -672,6 +689,24 @@ class TestGleMc:
     def test_mean_is_a_python_float(self):
         est = gle_mc(1.0, POS11, McConfig(n_steps=20_000, n_ensembles=100, seed=3))
         assert type(est.mean) is float and type(est.std_error) is float
+
+    @pytest.mark.parametrize("alpha,beta,q,mean", [
+        (5.0, 5.0, -2.0, "-1.787552"), (5.0, 5.0, -1.0, "-0.917049"),
+        (-3.0, 3.0, -1.0, "-0.699958"), (1.0, 1.0, -2.0, "-0.734035"),
+    ])
+    def test_refuses_estimate_below_minus_log_2(self, alpha, beta, q, mean):
+        # the all-A coins keep |X_N| = 1 with probability 2^-N, so no moment rate
+        # lies below -log 2; 20 000 trajectories miss the ones that dominate
+        cfg = McConfig(n_steps=4 * 10**6, n_ensembles=20_000, seed=0)
+        with pytest.raises(NonConvergenceError,
+                           match=rf"estimate {mean} lies below -log 2 = -0.693147.*"
+                                 r"effective sample size \d+\.\d of 20000 trajectories"):
+            gle_mc(q, ShearParams.infer(alpha, beta), cfg)
+
+    @pytest.mark.filterwarnings("ignore:effective sample size")
+    def test_keeps_estimate_above_minus_log_2(self):
+        cfg = McConfig(n_steps=4 * 10**6, n_ensembles=20_000, seed=0)
+        assert -math.log(2.0) < gle_mc(-1.0, POS11, cfg).mean < 0.0
 
     def test_warns_on_weight_concentration(self):
         # long trajectories at large q concentrate the importance weights
