@@ -49,6 +49,7 @@ from .series import (
     SeriesConfig,
     expect_block,
     expect_block_exact_poly,
+    grid,
     kappa,
 )
 
@@ -131,22 +132,22 @@ _GRID_CACHE_SIZE = max(
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _bound_grid(norm: NormKind, side: Side, case: tuple, params: ShearParams,
                 limit: int) -> np.ndarray:
-    """The bound function of a growth.function_case on the grid 1..limit x 1..limit,
-    read-only.  It does not depend on q, so every moment order at the point reuses it."""
+    """The bound function of a growth.function_case on series.grid(limit), read-only.
+    It does not depend on q, so every moment order at the point reuses it."""
     family = BoundFamily.IMPROVED if case else BoundFamily.GLOBAL
-    idx = np.arange(1, limit + 1, dtype=np.float64)
+    aa, bb, _ = grid(limit)
     try:
         # numpy overflow gives inf or nan terms, whose sum the series layer reports
         with np.errstate(over="ignore", invalid="ignore"):
-            grid = evaluator(family, norm, side, case, params)(idx[:, None], idx[None, :])
+            values = evaluator(family, norm, side, case, params)(aa, bb)
     except OverflowError:  # from a power of Python floats
         raise NonConvergenceError(
             f"series terms are not finite: the {family.value} {params.regime.value} "
             f"{side.value} {norm.value} bound function overflows double precision at "
             f"alpha={params.alpha}, beta={params.beta}"
         ) from None
-    grid.flags.writeable = False
-    return grid
+    values.flags.writeable = False
+    return values
 
 
 def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearParams, q=None):

@@ -70,15 +70,22 @@ _SLICE_MATRICES = 1 << 16  # products per slice of exhaustive standard_bound's i
 _UNSCALED_MAX = 1e150  # 2 * _UNSCALED_MAX**2 does not overflow
 
 
+def _integer(name: str, value) -> int:
+    try:
+        return operator.index(value)  # numpy integers too
+    except TypeError:
+        raise DomainError(f"{name} must be an integer, got {value!r}") from None
+
+
 @dataclass(frozen=True)
 class McConfig:
     """Monte Carlo effort and reproducibility knobs.
 
     n_steps counts matrix applications in total, split evenly across the
     n_ensembles independent trajectories (remainder dropped).  The
-    standard error is estimated from the spread across ensembles.  seed is
-    a non-negative integer.  renorm_every has no numerical effect (products
-    are rescaled by magnitude).
+    standard error is estimated from the spread across ensembles.  Every
+    field is an integer; seed is non-negative.  renorm_every has no numerical
+    effect (products are rescaled by magnitude).
     """
 
     n_steps: int
@@ -87,6 +94,8 @@ class McConfig:
     renorm_every: int = 1
 
     def __post_init__(self):
+        for name in ("n_steps", "n_ensembles", "seed", "renorm_every"):  # stored as ints
+            object.__setattr__(self, name, _integer(name, getattr(self, name)))
         if self.n_steps < 1 or self.n_ensembles < 1 or self.renorm_every < 1:
             raise DomainError("n_steps, n_ensembles and renorm_every must be positive")
         if self.renorm_every > self.n_steps:
@@ -201,7 +210,7 @@ def _philox_words(keys: np.ndarray, b0: int, b1: int) -> np.ndarray:
     return np.stack(x, axis=1).reshape(-1, len(keys))  # all (b1 - b0, S) from round 3 on
 
 
-def _coin_bytes(seed: int, streams, start: int, n: int, keys=None) -> np.ndarray:
+def _coin_bytes(seed: int, streams, start: int, n: int) -> np.ndarray:
     """(n, len(streams)) uint8: bytes start..start+n-1 of each stream (seed, e).
 
     Byte j holds coins 8j..8j+7, coin 8j+i in bit i: it is byte j % 8 of raw
@@ -210,11 +219,9 @@ def _coin_bytes(seed: int, streams, start: int, n: int, keys=None) -> np.ndarray
     four words holds 32 bytes.  All streams are drawn at once, in tiles of
     whole blocks of at most _COIN_TILE_WORDS words (one block a stream when
     the streams alone need more), so a stream's bytes do not depend on the
-    streams drawn beside it or on the tile size.  keys, when given, are
-    _philox_keys(seed, streams), for a caller that draws a stream in pieces.
+    streams drawn beside it or on the tile size.
     """
-    if keys is None:
-        keys = _philox_keys(seed, streams)
+    keys = _philox_keys(seed, streams)
     out = np.empty((n, len(keys)), dtype=np.uint8)
     stop = start + n
     per_tile = max(1, _COIN_TILE_WORDS // (4 * len(keys)))  # blocks per tile
@@ -229,11 +236,11 @@ def _coin_bytes(seed: int, streams, start: int, n: int, keys=None) -> np.ndarray
     return out
 
 
-def _coins(seed: int, streams, start: int, n: int, keys=None) -> np.ndarray:
+def _coins(seed: int, streams, start: int, n: int) -> np.ndarray:
     """(n, len(streams)) int8: coins start..start+n-1 of each stream (seed, e),
-    the bits of _coin_bytes (keys as there), least significant first."""
+    the bits of _coin_bytes, least significant first."""
     b0 = start // 8
-    by = _coin_bytes(seed, streams, b0, -(-(start + n) // 8) - b0, keys)
+    by = _coin_bytes(seed, streams, b0, -(-(start + n) // 8) - b0)
     bits = np.unpackbits(by, axis=0, bitorder="little")
     return bits[start - 8 * b0:start - 8 * b0 + n].view(np.int8)
 
@@ -300,8 +307,8 @@ def _pairwise_product(steps, n: int, width: int, bound: float, params=None):
             m, s, big = _shear_steps(params, coins), 0.0, bound
         else:
             codes = steps(lo, hi)
-            m, big = [x[0][codes] for x in table], table_big
-            s = table_s[0][codes] if isinstance(table_s, np.ndarray) else 0.0
+            m, big = [np.take(x[0], codes) for x in table], table_big
+            s = np.take(table_s[0], codes) if isinstance(table_s, np.ndarray) else 0.0
         m, s, _ = levels(m, s, big)
         total, ds = rescale(mul([x[0] for x in m], total))
         log_scale = log_scale + ds + np.reshape(s, -1)
@@ -332,19 +339,6 @@ def _shear_bound(params: ShearParams) -> float:
         raise DomainError(f"shears above {_SHEAR_MAX:.0e} lose accuracy in the Monte Carlo "
                           f"products; got alpha={params.alpha}, beta={params.beta}")
     return bound
-
-
-def _exhaustive_finite(k: int, params: ShearParams) -> bool:
-    """Whether exhaustive E_k is finite.  Only unscaled products can overflow:
-    A and B themselves when k = 1, through their norms; else the products of
-    length 2, through the entries 1 + alpha*beta, 2*alpha and 2*beta.  Every
-    later level starts from products divided by their largest entry."""
-    al, be = params.alpha, params.beta
-    with np.errstate(over="ignore"):
-        if k == 1:
-            ab = np.array([[[1.0, 0.0], [al, 1.0]], [[1.0, be], [0.0, 1.0]]])
-            return bool(np.isfinite(spectral_norm_batch(ab)).all())
-        return all(map(math.isfinite, (1.0 + be * al, al + al, be + be)))
 
 
 def _check_cost(n_apps: int, width: int) -> int:
@@ -441,6 +435,38 @@ def gle_mc(q: float, params: ShearParams, cfg: McConfig) -> McEstimate:
     return McEstimate(mean=est, std_error=se, n_samples=E, n_apps=n_apps)
 
 
+@np.errstate(over="ignore", invalid="ignore")  # at huge shears; standard_bound refuses them
+def _exhaustive_bound(k: int, params: ShearParams) -> float:
+    """E_k over all 2^k products, which each level doubles in place."""
+    S = _SLICE_MATRICES
+    p = np.empty((4, 1 << k))  # rows p11, p12, p21, p22; column j is one product
+    p[:, :2] = [[1.0, 1.0], [0.0, params.beta], [params.alpha, 0.0], [1.0, 1.0]]  # A, B
+    logacc = np.zeros(1 << k)
+    tmp, mu = np.empty((2, min(S, 1 << k))), np.empty(min(S, 1 << k))
+    for level in range(1, k):
+        n = 1 << level
+        for lo in range(0, n, S):  # B P into the upper half, then A P in place
+            hi = min(lo + S, n)
+            low, up, t = p[:, lo:hi], p[:, n + lo:n + hi], tmp[:, :hi - lo]
+            up[2:] = low[2:]
+            np.multiply(params.beta, low[2:], out=t)
+            np.add(low[:2], t, out=up[:2])
+            np.multiply(params.alpha, low[:2], out=t)
+            np.add(low[2:], t, out=low[2:])
+        logacc[n:2 * n] = logacc[:n]
+        for lo in range(0, 2 * n, S):  # divide each product by its largest entry
+            hi = min(lo + S, 2 * n)
+            q, t, m = p[:, lo:hi], tmp[:, :hi - lo], mu[:hi - lo]
+            np.abs(q[:2], out=t)
+            np.maximum(t[0], t[1], out=m)
+            np.abs(q[2:], out=t)
+            np.maximum(t[0], t[1], out=t[0])
+            np.maximum(m, t[0], out=m)
+            q /= m
+            logacc[lo:hi] += np.log(m, out=m)
+    return _mean_log_norm(p, logacc, k)
+
+
 def standard_bound(
     k: int,
     params: ShearParams,
@@ -451,16 +477,13 @@ def standard_bound(
     """Classical submultiplicative upper bound E_k = (1/k) E log |C|_2.
 
     "exhaustive" averages over all 2^k products of length k (k <= 22 cost
-    guard) and refuses with DomainError the shears at which E_k overflows;
+    guard) and raises DomainError where E_k overflows double precision;
     "sampled" draws n_samples uniform products from a non-negative
     seed; it refuses too costly or wide calls and shears as lyapunov_mc does.  E_k
-    decreases to the Lyapunov exponent as k grows.  k must be a positive
-    integer; anything else raises DomainError.
+    decreases to the Lyapunov exponent as k grows.  k, and in sampled mode
+    n_samples and seed, must be integers; anything else raises DomainError.
     """
-    try:
-        k = operator.index(k)
-    except TypeError:
-        raise DomainError(f"k must be an integer, got {k!r}") from None
+    k = _integer("k", k)
     if k < 1:
         raise DomainError(f"k must be positive, got {k}")
     if mode == "exhaustive":
@@ -469,46 +492,21 @@ def standard_bound(
                 f"exhaustive mode enumerates 2^k products; k = {k} exceeds the "
                 f"cost guard {_EXHAUSTIVE_MAX_K} (use mode='sampled')"
             )
-        if not _exhaustive_finite(k, params):
+        value = _exhaustive_bound(k, params)
+        if not math.isfinite(value):
             raise DomainError(f"exhaustive E_{k} overflows double precision at "
                               f"alpha={params.alpha}, beta={params.beta}")
-        S = _SLICE_MATRICES
-        p = np.empty((4, 1 << k))  # rows p11, p12, p21, p22; column j is one product
-        p[:, :2] = [[1.0, 1.0], [0.0, params.beta], [params.alpha, 0.0], [1.0, 1.0]]  # A, B
-        logacc = np.zeros(1 << k)
-        tmp, mu = np.empty((2, min(S, 1 << k))), np.empty(min(S, 1 << k))
-        for level in range(1, k):
-            n = 1 << level
-            for lo in range(0, n, S):  # B P into the upper half, then A P in place
-                hi = min(lo + S, n)
-                low, up, t = p[:, lo:hi], p[:, n + lo:n + hi], tmp[:, :hi - lo]
-                up[2:] = low[2:]
-                np.multiply(params.beta, low[2:], out=t)
-                np.add(low[:2], t, out=up[:2])
-                np.multiply(params.alpha, low[:2], out=t)
-                np.add(low[2:], t, out=low[2:])
-            logacc[n:2 * n] = logacc[:n]
-            for lo in range(0, 2 * n, S):  # divide each product by its largest entry
-                hi = min(lo + S, 2 * n)
-                q, t, m = p[:, lo:hi], tmp[:, :hi - lo], mu[:hi - lo]
-                np.abs(q[:2], out=t)
-                np.maximum(t[0], t[1], out=m)
-                np.abs(q[2:], out=t)
-                np.maximum(t[0], t[1], out=t[0])
-                np.maximum(m, t[0], out=m)
-                q /= m
-                logacc[lo:hi] += np.log(m, out=m)
-        return _mean_log_norm(p, logacc, k)
+        return value
 
     if mode != "sampled":
         raise DomainError(f"mode must be 'exhaustive' or 'sampled', got {mode!r}")
+    n_samples, seed = _integer("n_samples", n_samples), _integer("seed", seed)
     if n_samples < 1:
         raise DomainError(f"sampled mode needs n_samples >= 1, got {n_samples}")
     if seed < 0:
         raise DomainError(f"seed must be non-negative, got {seed}")
     _check_cost(k * n_samples, n_samples)
     bound = _shear_bound(params)
-    keys = _philox_keys(seed, [1 << 29])  # hashed once, drawn a tile at a time
     tile_steps = 64 * _COIN_TILE_WORDS // n_samples  # steps whose coins fill a tile's words
     tile, tile_lo, tile_hi = None, 0, 0  # the coins drawn last, of steps tile_lo..tile_hi-1
 
@@ -516,7 +514,7 @@ def standard_bound(
         nonlocal tile_lo, tile_hi, tile
         if hi > tile_hi:  # the coins of the next sub-chunks, or of one larger than a tile
             tile_lo, tile_hi = lo, min(k, lo + max(hi - lo, tile_steps))
-            tile = _coins(seed, [1 << 29], lo * n_samples, (tile_hi - lo) * n_samples, keys)
+            tile = _coins(seed, [1 << 29], lo * n_samples, (tile_hi - lo) * n_samples)
         coins = tile[(lo - tile_lo) * n_samples:(hi - tile_lo) * n_samples]
         g = min(8, hi - lo)  # steps per byte; fewer than 8 lie in one byte, from bit lo % 8
         bits = coins.view(np.uint8).reshape(-1, g, n_samples) << _BIT_SHIFTS[lo % 8:lo % 8 + g]

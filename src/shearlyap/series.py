@@ -93,9 +93,9 @@ DEFAULT_SERIES = SeriesConfig()
 
 
 @functools.lru_cache(maxsize=2)  # the doubling check sums at two sizes
-def _grid(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def grid(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, 2^-(a+b)) on the grid 1..limit x 1..limit; read-only, shared by
-    every sum of that size."""
+    every sum of that size and the engine's bound-function grids."""
     idx = np.arange(1, limit + 1, dtype=np.float64)
     aa, bb = np.meshgrid(idx, idx, indexing="ij")
     weights = np.exp2(-(aa + bb))
@@ -195,7 +195,7 @@ def truncated_sum(f: Callable, limit: int) -> float:
     the correctly rounded sum of the weighted terms, equal bit for bit to
     math.fsum over them (see _exact_sum), whatever their order.
     """
-    aa, bb, weights = _grid(limit)
+    aa, bb, weights = grid(limit)
     return _exact_sum(weights * f(aa, bb))
 
 

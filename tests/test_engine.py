@@ -412,7 +412,7 @@ class TestGridCache:
                     cached = engine._case_mean(family, norm, side, params, q)
                     pointwise = _pointwise_case_mean(family, norm, side, params, q)
                     for limit in (max_index, 2 * max_index):
-                        aa, bb, _ = series._grid(limit)
+                        aa, bb, _ = series.grid(limit)
                         assert np.array_equal(cached(aa, bb), pointwise(aa, bb))
 
     @pytest.mark.parametrize("params,misses", [(POS11, 12), (OPP33, 20)], ids=["pos", "opp"])

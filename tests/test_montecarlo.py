@@ -64,9 +64,9 @@ def reference_coins(seed, streams, start, n):
     return out
 
 
-def reference_coin_bytes(seed, streams, start, n, keys=None):
+def reference_coin_bytes(seed, streams, start, n):
     """montecarlo._coin_bytes by packing reference_coins: byte j holds coins
-    8j..8j+7, coin 8j + i in bit i.  keys, the hashed streams, are not used."""
+    8j..8j+7, coin 8j + i in bit i."""
     return np.packbits(reference_coins(seed, streams, 8 * start, 8 * n), axis=0,
                        bitorder="little")
 
@@ -368,8 +368,6 @@ class TestCoins:
         got = montecarlo._coin_bytes(17, streams, start, n)
         assert got.dtype == np.uint8 and got.shape == (n, len(streams))
         np.testing.assert_array_equal(got, reference_coin_bytes(17, streams, start, n))
-        keys = montecarlo._philox_keys(17, streams)
-        np.testing.assert_array_equal(montecarlo._coin_bytes(17, streams, start, n, keys), got)
 
     @pytest.mark.parametrize("seed", [0, 2**70])
     def test_bytes_across_a_default_tile(self, seed):
@@ -508,6 +506,18 @@ class TestLyapunovMc:
             McConfig(n_steps=3, n_ensembles=4)
         with pytest.raises(DomainError, match="seed must be non-negative"):
             McConfig(n_steps=10, n_ensembles=4, seed=-1)
+
+    @pytest.mark.parametrize("field,value", [("n_steps", 1e4), ("n_ensembles", 4.0),
+                                             ("seed", 1.5), ("renorm_every", 2.0),
+                                             ("n_steps", "100")])
+    def test_config_non_integer_fields_raise(self, field, value):
+        kwargs = {"n_steps": 100, "n_ensembles": 4, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            McConfig(**kwargs)
+
+    def test_config_numpy_integer_fields(self):
+        cfg = McConfig(np.int64(800), np.int32(4), seed=np.uint64(3), renorm_every=np.int8(2))
+        assert lyapunov_mc(POS11, cfg) == lyapunov_mc(POS11, McConfig(800, 4, seed=3))
 
 
 def sampled_bound(params, cfg):
@@ -802,26 +812,39 @@ class TestStandardBound:
     def test_exhaustive_keeps_large_finite_shears(self):
         assert standard_bound(8, ShearParams(1e154, 1e154)) == 199.69891799381418
 
+    @pytest.mark.filterwarnings("error")  # an overflow is refused, not warned about
     @pytest.mark.parametrize("k", [1, 2, 5])
-    def test_exhaustive_refuses_exactly_where_it_overflows(self, monkeypatch, k):
+    def test_exhaustive_refuses_exactly_where_it_overflows(self, k):
         points = [(a, b) for x in 10.0 ** np.array([150, 154, 154.1, 154.2, 155, 300, 307.9])
                   for a, b in [(x, x), (x, 1.0), (1.0, x), (-x, 3.0), (-3.0, x)]]
-        guarded = []
+        refused = 0
         for a, b in points:
-            try:
-                guarded.append(standard_bound(k, ShearParams(a, b)))
-            except DomainError as exc:
-                assert f"exhaustive E_{k} overflows double precision" in str(exc)
-                guarded.append(None)
-        assert None in guarded and any(v is not None for v in guarded)
-        monkeypatch.setattr(montecarlo, "_exhaustive_finite", lambda k, params: True)
-        with np.errstate(all="ignore"):
-            for (a, b), want in zip(points, guarded):
-                got = standard_bound(k, ShearParams(a, b))
-                assert (not math.isfinite(got)) if want is None else got == want
+            params = ShearParams(a, b)
+            with np.errstate(all="ignore"):
+                want = reference_exhaustive_bound(k, params)[0]
+            if math.isfinite(want):
+                assert standard_bound(k, params) == want
+            else:
+                refused += 1
+                with pytest.raises(DomainError,
+                                   match=f"exhaustive E_{k} overflows double precision"):
+                    standard_bound(k, params)
+        assert 0 < refused < len(points)
 
     def test_numpy_integer_k(self):
         assert standard_bound(np.int64(5), POS11) == standard_bound(5, POS11)
+
+    @pytest.mark.parametrize("field,value", [("n_samples", 100.0), ("seed", 1.5),
+                                             ("seed", "3")])
+    def test_sampled_non_integer_inputs_raise(self, field, value):
+        kwargs = {"n_samples": 100, "seed": 0, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be an integer"):
+            standard_bound(8, POS11, mode="sampled", **kwargs)
+
+    def test_sampled_numpy_integer_inputs(self):
+        want = standard_bound(16, POS11, mode="sampled", n_samples=50, seed=4)
+        assert standard_bound(16, POS11, mode="sampled", n_samples=np.int32(50),
+                              seed=np.uint64(4)) == want
 
     def test_sampled_draws_its_coins_in_tiles(self, monkeypatch):
         # the 4 096 000 coins of E_1024 over 4000 samples fit one tile of words

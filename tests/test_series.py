@@ -261,10 +261,10 @@ class TestExactSum:
 
 @st.composite
 def series_terms(draw):
-    """Integrand grids as the engine sums them: _grid weights times f^q or
+    """Integrand grids as the engine sums them: series.grid weights times f^q or
     log f for a growth-like f >= 1, with signs that are mixed in a drawn way."""
     limit = draw(st.sampled_from([8, 16, 40, 64, 128]))
-    aa, bb, weights = series._grid(limit)
+    aa, bb, weights = series.grid(limit)
     c = draw(st.floats(1.0, 50.0))
     f = (np.sqrt((1.0 + c * c * aa * bb) ** 2 + (c * bb) ** 2) if draw(st.booleans())
          else 1.0 + c * aa + c * c * aa * bb)
