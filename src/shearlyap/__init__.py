@@ -37,6 +37,7 @@ from .growth import (
 )
 from .series import (
     DEFAULT_SERIES,
+    LazyTable,
     NonConvergenceError,
     SeriesConfig,
     SeriesResult,

@@ -45,8 +45,10 @@ from .growth import BoundFamily, Side, cases_for, evaluator, function_case, norm
 from .linalg import DomainError, NormKind, Regime, ShearParams
 from .series import (
     DEFAULT_SERIES,
+    LazyTable,
     NonConvergenceError,
     SeriesConfig,
+    antidiagonal_starts,
     expect_block,
     expect_block_exact_poly,
     grid,
@@ -129,11 +131,45 @@ _GRID_CACHE_SIZE = max(
 )
 
 
+# slack of the per-antidiagonal bounds on a case mean's computed values: relative
+# for the rounding of powers, logs and the mean, absolute for values that
+# underflow and for logs near 0 (the opposed regime's functions go below 1)
+_BOUND_SLACK = 2.0**-20
+_POW_FLOOR = 2.0**-1000
+_LOG_FLOOR = 2.0**-40
+
+
+class _BoundGrid:
+    """A bound function's values on series.grid(limit), read-only, and the bounds
+    on them that the series layer's tail bounds read: their least and greatest
+    value over the grid (enough for the log, whose tail bound gains little from
+    more) and on each antidiagonal (for powers; see series.antidiagonal_starts),
+    each computed on first use.  Where any value is not positive (or is nan),
+    every least value is 0.0 and every greatest inf."""
+
+    def __init__(self, values: np.ndarray, limit: int):
+        self.values = values
+        self.limit = limit
+
+    @functools.cached_property
+    def extremes(self) -> tuple[float, float]:
+        lo, hi = float(self.values.min()), float(self.values.max())
+        return (lo, hi) if lo > 0.0 else (0.0, math.inf)
+
+    @functools.cached_property
+    def antidiagonal_extremes(self) -> tuple[np.ndarray, np.ndarray]:
+        starts = antidiagonal_starts(self.limit)[:-1]
+        if self.extremes[0] == 0.0:
+            return np.zeros(starts.size), np.full(starts.size, np.inf)
+        return np.minimum.reduceat(self.values, starts), np.maximum.reduceat(self.values, starts)
+
+
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _bound_grid(norm: NormKind, side: Side, case: tuple, params: ShearParams,
-                limit: int) -> np.ndarray:
+                limit: int) -> _BoundGrid:
     """The bound function of a growth.function_case on series.grid(limit), read-only.
-    It does not depend on q, so every moment order at the point reuses it."""
+    It does not depend on q, so every moment order at the point reuses it and
+    its bounds."""
     family = BoundFamily.IMPROVED if case else BoundFamily.GLOBAL
     aa, bb, _ = grid(limit)
     try:
@@ -147,21 +183,46 @@ def _bound_grid(norm: NormKind, side: Side, case: tuple, params: ShearParams,
             f"alpha={params.alpha}, beta={params.beta}"
         ) from None
     values.flags.writeable = False
-    return values
+    return _BoundGrid(values, limit)
+
+
+def _mean_bound(grids: list[_BoundGrid], q) -> np.ndarray:
+    """Per antidiagonal, a bound on |f| for the computed case mean f of the
+    grids (of their q-th powers, or its log when q is None).  Every value lies
+    between the least and the greatest of the grids, x^q is monotone, and
+    |log x| is largest at an end of a positive interval; the slack covers the
+    rounding of the powers, the logs and the mean."""
+    if q is None:
+        lo = min(g.extremes[0] for g in grids)
+        hi = max(g.extremes[1] for g in grids)
+        bound = max(-math.log(lo), math.log(hi)) if lo > 0.0 else math.inf
+        return np.full(2 * grids[0].limit - 1, bound * (1.0 + _BOUND_SLACK) + _LOG_FLOOR)
+    ends = (functools.reduce(np.maximum, [g.antidiagonal_extremes[1] for g in grids]) if q >= 0
+            else functools.reduce(np.minimum, [g.antidiagonal_extremes[0] for g in grids]))
+    with np.errstate(over="ignore", divide="ignore"):  # 0.0 ** q < 0 and inf are inf bounds
+        return ends ** q * (1.0 + _BOUND_SLACK) + _POW_FLOOR
 
 
 def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearParams, q=None):
     """Integrand over the series layer's grid (a, b): the case mean of the cached
     grids of the cases' functions (of their q-th powers, or the log of the mean when
-    q is None), one term per case in table order, as pointwise evaluation adds them."""
+    q is None), one term per case in table order, as pointwise evaluation adds them.
+    It returns a series.LazyTable, whose values on a leading run of the grid are
+    computed on request and bounded on each antidiagonal by _mean_bound."""
     def f(a, b):
+        limit = math.isqrt(a.size)
         cases = [function_case(params.regime, norm, side, c)
                  for c in cases_for(family, params.regime)]
-        grids = [_bound_grid(norm, side, c, params, len(a)) for c in cases]
-        # f^q overflows to inf at large |q|; the series layer reports that sum
-        with np.errstate(over="ignore"):
-            total = functools.reduce(np.add, grids if q is None else (g ** q for g in grids))
-        return np.log(total / len(grids)) if q is None else total / len(grids)
+        grids = [_bound_grid(norm, side, c, params, limit) for c in cases]
+
+        def head(m):
+            heads = [g.values[:m] for g in grids]
+            # f^q overflows to inf at large |q|; the series layer reports that sum
+            with np.errstate(over="ignore"):
+                total = functools.reduce(np.add, heads if q is None else (h ** q for h in heads))
+            return np.log(total / len(grids)) if q is None else total / len(grids)
+
+        return LazyTable(head, _mean_bound(grids, q))
     return f
 
 

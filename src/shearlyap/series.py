@@ -10,8 +10,21 @@ every remaining term to a power-of-two grid, sums the rounded parts exactly
 and keeps the exact remainders, whose sum is then bounded; the bound proves
 which double the exact sum rounds to.  Where it does not (a sum near a
 rounding midpoint, zero, huge or near-subnormal sums, non-finite terms, or
-more than 2^25 terms), math.fsum sums the terms itself.  The doubling check
-sums one evaluation of the integrand, on the doubled grid, and its corner.
+more than 2^25 terms), math.fsum sums the terms itself.
+
+The grid is flat and ordered by antidiagonal n = a + b, then by a, so the
+triangle a + b <= K is a leading run of it.  The weights fall off as 2^-n,
+so the terms past some antidiagonal cannot move the double.  An integrand
+may return a LazyTable in place of its values: a bound on its magnitude on
+each antidiagonal, and its values on a leading run on request.  Its sum is
+then extracted from the shortest leading run whose tail bound,
+sum_{n > K} (terms on n) 2^-n B_n, is at most 2^-_TAIL_BITS of the bound
+on the whole sum of magnitudes, and the certificate's slack is the
+extraction's remainder bound plus that tail bound.  Where it does not decide
+(the sum cancels, or lies near a rounding midpoint), the whole grid is
+summed as for a plain table, so the result is math.fsum of every term
+either way.  The doubling check sums one evaluation of the integrand, on the
+doubled grid, and the same leading run clipped to its corner.
 Moments of the form  sum 2^-a a^n  are integers and are computed exactly
 by recurrence, which gives exact values for integer-q moment expansions.
 
@@ -37,6 +50,7 @@ __all__ = [
     "NonConvergenceError",
     "SeriesConfig",
     "SeriesResult",
+    "LazyTable",
     "DEFAULT_SERIES",
     "truncated_sum",
     "expect_block",
@@ -52,6 +66,9 @@ _SUM_MAX_TERMS = 1 << 25  # terms extracted at most: 2^M stays far below 2^53
 _EXTRACT_EMAX = 1000  # largest extraction sigma: below it no partial sum of the terms overflows
 _EXTRACT_EMIN = -900  # smallest remainder bound: the taus and the bound stay normal doubles
 _REBUILD_BLOCK = 8192  # terms per block when the third pass rebuilds the remainder
+_TAIL_BITS = 64  # a leading run's tail bound is at most 2^-64 of the bound on the sum
+_TAIL_SLACK = 2.0**-20  # relative slack on the tail bound's rounded sum
+_TAIL_FLOOR = 2.0**-1000  # absolute slack for terms and tail bounds that underflow
 
 
 class NonConvergenceError(RuntimeError):
@@ -94,14 +111,57 @@ DEFAULT_SERIES = SeriesConfig()
 
 @functools.lru_cache(maxsize=2)  # the doubling check sums at two sizes
 def grid(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(a, b, 2^-(a+b)) on the grid 1..limit x 1..limit; read-only, shared by
+    """(a, b, 2^-(a+b)) on the grid 1..limit x 1..limit, flat and ordered by the
+    antidiagonal a + b, then by a (see antidiagonal_starts); read-only, shared by
     every sum of that size and the engine's bound-function grids."""
-    idx = np.arange(1, limit + 1, dtype=np.float64)
-    aa, bb = np.meshgrid(idx, idx, indexing="ij")
-    weights = np.exp2(-(aa + bb))
-    for x in (aa, bb, weights):
+    starts = antidiagonal_starts(limit)
+    n = np.arange(2, 2 * limit + 1, dtype=np.float64)
+    counts = np.diff(starts)
+    ab = np.repeat(n, counts)
+    # point i of the grid lies on antidiagonal n, which starts at a = max(1, n - limit)
+    a = np.arange(starts[-1], dtype=np.float64)
+    a -= np.repeat(starts[:-1] - np.maximum(1.0, n - limit), counts)
+    b = ab - a
+    weights = np.exp2(-ab)
+    for x in (a, b, weights):
         x.flags.writeable = False
-    return aa, bb, weights
+    return a, b, weights
+
+
+@functools.lru_cache(maxsize=2)
+def antidiagonal_starts(limit: int) -> np.ndarray:
+    """Offsets into grid(limit) of the antidiagonals a + b = 2..2 limit, then its
+    size: antidiagonal n holds points starts[n - 2] up to starts[n - 1]."""
+    n = np.arange(2, 2 * limit + 1)
+    starts = np.concatenate(([0], np.cumsum(np.minimum(n - 1, 2 * limit + 1 - n))))
+    starts.flags.writeable = False
+    return starts
+
+
+@functools.lru_cache(maxsize=2)
+def _antidiagonal_weights(limit: int) -> np.ndarray:
+    """Per antidiagonal n of grid(limit), its number of points times 2^-n, and
+    never below the least positive double: a weight that underflows to zero
+    still multiplies an infinite value to nan."""
+    starts = antidiagonal_starts(limit)
+    out = np.maximum(np.diff(starts) * grid(limit)[2][starts[:-1]], 5e-324)
+    out.flags.writeable = False
+    return out
+
+
+@dataclass(frozen=True)
+class LazyTable:
+    """An integrand's values on grid(limit), computed only where a sum needs them.
+
+    head(m) returns the values on the first m points of the grid, and
+    bound[n - 2] is at least the magnitude of every value head returns on
+    antidiagonal n (inf where nothing is known; an antidiagonal with a nan
+    bound is always read).
+    A sum whose leading run is certified never asks for the rest.
+    """
+
+    head: Callable[[int], np.ndarray]
+    bound: np.ndarray
 
 
 def _extract(r: np.ndarray, sigma: float, out: np.ndarray) -> float:
@@ -111,16 +171,17 @@ def _extract(r: np.ndarray, sigma: float, out: np.ndarray) -> float:
     return float(out.sum())
 
 
-def _certified(taus: list[float], b: float) -> float | None:
-    """The double every sum within b of sum(taus) rounds to, if one non-zero
-    double takes them all (rounding is monotone); otherwise None."""
-    total = math.fsum(taus + [-b])
-    return total if total == math.fsum(taus + [b]) != 0.0 else None
+def _certified(taus: list[float], b: float, tail: float) -> float | None:
+    """The double every sum within b + tail of sum(taus) rounds to, if one
+    non-zero double takes them all (rounding is monotone); otherwise None."""
+    total = math.fsum(taus + [-b, -tail])
+    return total if total == math.fsum(taus + [b, tail]) != 0.0 else None
 
 
-def _extracted_sum(flat: np.ndarray) -> float | None:
-    """math.fsum(flat.tolist()) certified in two or three whole-array passes,
-    or None where the certificate does not decide it.
+def _extracted_sum(flat: np.ndarray, tail: float = 0.0) -> float | None:
+    """math.fsum of flat and of terms outside it that sum to at most tail in
+    size, certified in two or three whole-array passes, or None where the
+    certificate does not decide it.
 
     Error-free vector extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
     31, 2008): take n terms r, 2^M >= n + 2, and a power of two sigma with
@@ -129,11 +190,11 @@ def _extracted_sum(flat: np.ndarray) -> float | None:
     size, so tau = q.sum() is exact in any order; and r - q is exact and at
     most 2^-53 sigma.  Each pass takes one tau out of the remainder and
     moves sigma to 2^(M-53) sigma, so after it the remainder sums to less
-    than b = 2^(M-53) sigma_last.  If the taus minus b and the taus plus b
-    round (math.fsum) to the same non-zero double, the exact sum rounds to
-    it too.  The remainder after one pass lives in the buffer of q, which
-    the second pass overwrites, so a third pass rebuilds the remainder
-    after two.
+    than b = 2^(M-53) sigma_last.  If the taus minus b + tail and the taus
+    plus b + tail round (math.fsum) to the same non-zero double, the exact
+    sum, of flat and of the terms outside it, rounds to it too.  The
+    remainder after one pass lives in the buffer of q, which the second pass
+    overwrites, so a third pass rebuilds the remainder after two.
 
     None for no terms or more than _SUM_MAX_TERMS, for a largest |term| that
     is zero or not finite (nan, inf and signed zeros stay fsum's), for sigma
@@ -156,7 +217,7 @@ def _extracted_sum(flat: np.ndarray) -> float | None:
     taus = [_extract(flat, sigma[0], q)]
     np.subtract(flat, q, out=q)
     taus.append(_extract(q, sigma[1], q))
-    total = _certified(taus, sigma[2])
+    total = _certified(taus, sigma[2], tail)
     if total is not None or exp + 3 * (m - 53) < _EXTRACT_EMIN:
         return total
     # the remainder after two passes, rebuilt into q block by block: a second
@@ -169,7 +230,7 @@ def _extracted_sum(flat: np.ndarray) -> float | None:
         np.subtract(block, r, out=r)
         np.subtract(r, q_block, out=q_block)
     taus.append(_extract(q, sigma[2], q))
-    return _certified(taus, sigma[3])
+    return _certified(taus, sigma[3], tail)
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -188,32 +249,114 @@ def _exact_sum(terms: np.ndarray) -> float:
     return math.fsum(flat.tolist()) if total is None else total
 
 
+def _prefix_sum(table: LazyTable, limit: int) -> float | None:
+    """The sum over grid(limit) of the weighted values of table, from the
+    shortest leading run whose tail bound is at most 2^-_TAIL_BITS of the
+    bound on the whole sum of magnitudes; None where that run is the whole
+    grid or its certificate (with the tail bound as extra slack) does not
+    decide the double."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        # per antidiagonal, a bound on the sum of its terms' magnitudes
+        bounds = _antidiagonal_weights(limit) * table.bound
+        # tails[j]: a bound on the last j + 1 antidiagonals; nan (from a nan
+        # bound) sorts last, so an antidiagonal with a nan bound is never left out
+        tails = np.cumsum(bounds[::-1])
+        total = float(tails[-1])
+        if not total < math.inf:  # the infinite bounds cannot be left out anyway
+            total = float(bounds[np.isfinite(bounds)].sum())
+    dropped = int(tails.searchsorted(math.ldexp(total, -_TAIL_BITS), "right"))
+    if dropped == 0:
+        return None
+    m = int(antidiagonal_starts(limit)[bounds.size - dropped])
+    terms = grid(limit)[2][:m] * table.head(m)
+    return _extracted_sum(terms, float(tails[dropped - 1]) * (1.0 + _TAIL_SLACK) + _TAIL_FLOOR)
+
+
 def truncated_sum(f: Callable, limit: int) -> float:
     """sum_{a,b=1}^{limit} 2^-(a+b) f(a, b), summed exactly.
 
-    f is called once, on the limit x limit arrays of a and b.  The result is
-    the correctly rounded sum of the weighted terms, equal bit for bit to
-    math.fsum over them (see _exact_sum), whatever their order.
+    f is called once, on the flat arrays a and b of grid(limit).  The result
+    is the correctly rounded sum of the weighted terms of the whole grid,
+    equal bit for bit to math.fsum over them (see _exact_sum), whatever their
+    order.  f may return a LazyTable: its values are then summed over the
+    shortest leading run of antidiagonals that the tail bound lets the
+    extraction's certificate decide (_prefix_sum), and over the whole grid
+    where it does not.
     """
-    aa, bb, weights = grid(limit)
-    return _exact_sum(weights * f(aa, bb))
+    a, b, weights = grid(limit)
+    table = f(a, b)
+    if isinstance(table, LazyTable):
+        total = _prefix_sum(table, limit)
+        if total is not None:
+            return total
+        table = table.head(a.size)
+    return _exact_sum(weights * table)
+
+
+def _memoized(table: LazyTable) -> LazyTable:
+    """table, whose head keeps the longest run computed so far and slices it."""
+    longest = np.empty(0)
+
+    def head(m):
+        nonlocal longest
+        if longest.size < m:
+            longest = table.head(m)
+        return longest[:m]
+
+    return LazyTable(head, table.bound)
+
+
+@functools.lru_cache(maxsize=1)
+def _corner_positions(n: int) -> np.ndarray:
+    """Where the points of grid(n) lie in grid(2 n), in grid(n)'s order (which
+    is theirs in grid(2 n) too): (a, b) is the a-th point of antidiagonal
+    a + b in both grids."""
+    a, b, _ = grid(n)
+    out = antidiagonal_starts(2 * n)[(a + b - 2.0).astype(np.intp)] + (a - 1.0).astype(np.intp)
+    out.flags.writeable = False
+    return out
+
+
+def _corner(table: LazyTable | np.ndarray, n: int) -> LazyTable | np.ndarray:
+    """The N x N corner (N = n) of a table on grid(2 n), in grid(n)'s order.
+    A leading run of the corner is read from the leading run of the big table
+    that ends at its last point."""
+    pos = _corner_positions(n)
+    if not isinstance(table, LazyTable):
+        return table[pos]
+
+    def head(m):
+        return table.head(int(pos[m - 1]) + 1 if m else 0)[pos[:m]]
+
+    return LazyTable(head, table.bound[:2 * n - 1])
 
 
 def expect_block_report(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:
     """Expectation of f(a, b) under the 2^-(a+b) weights, with tail estimate.
-    f is called once, on the 2N grid (N = cfg.max_index); the N sum reads its corner."""
+
+    f is called once, on the 2N grid (N = cfg.max_index); the N sum reads its
+    corner.  Where f returns a LazyTable, each sum computes only the leading
+    run of antidiagonals that decides it, and the N sum reads its run from
+    the values the 2N sum computed, clipped to the corner, with the corner's
+    own tail bound.  Both values are math.fsum of every term of their grid,
+    so the value and the tail estimate do not depend on how much was read.
+    """
+    n = cfg.max_index
     table = None
 
     def tabulated(a, b):
         nonlocal table
-        if table is None:
-            table = f(a, b)
-            if np.shape(table) != a.shape:  # a scalar; broadcasting every table slowed sweeps 3 %
-                table = np.broadcast_to(table, a.shape)
-        return table[:a.shape[0], :a.shape[1]]
+        if table is not None:
+            return _corner(table, n)
+        table = f(a, b)
+        if isinstance(table, LazyTable):
+            table = _memoized(table)
+        elif np.shape(table) != a.shape:  # a scalar; broadcasting every table slowed sweeps 3 %
+            table = np.broadcast_to(table, a.shape)
+        return table
 
-    s2 = truncated_sum(tabulated, 2 * cfg.max_index)
-    s1 = truncated_sum(tabulated, cfg.max_index)
+    s2 = truncated_sum(tabulated, 2 * n)
+    s1 = truncated_sum(tabulated, n)
     if not math.isfinite(s2):
         raise NonConvergenceError(
             f"series sum is not finite ({s2}): its terms overflow double precision, "
@@ -224,9 +367,9 @@ def expect_block_report(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> Seri
     if not tail <= allowance:
         raise NonConvergenceError(
             f"series tail estimate {tail:.3e} exceeds tolerance {allowance:.3e} "
-            f"at truncation {cfg.max_index} (sum ~ {s2:.6g}); increase max_index"
+            f"at truncation {n} (sum ~ {s2:.6g}); increase max_index"
         )
-    return SeriesResult(value=s2, tail_estimate=tail, truncation=2 * cfg.max_index)
+    return SeriesResult(value=s2, tail_estimate=tail, truncation=2 * n)
 
 
 def expect_block(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> float:

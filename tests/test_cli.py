@@ -557,6 +557,21 @@ class TestExtremeShears:
         [line] = result.output.splitlines()
         assert line.startswith("error: ") and message in line
 
+    @pytest.mark.parametrize("args,line", [
+        ("sweep --mode gle --alpha 1 --q 60 --family global",
+         "error: series tail estimate 6.350e+165 exceeds tolerance 6.352e+153 at truncation 64 "
+         "(sum ~ 6.35199e+165); increase max_index"),
+        ("sweep --mode gle --alpha 1 --q -670 --family global",
+         "error: series sum is 5.33e-321: the upper l1 moment sum at q = -670.0 underflows "
+         "double precision, as terms f^q do at large negative q; a larger max_index cannot help"),
+    ], ids=["q60", "q-670"])
+    def test_moment_sums_beyond_doubles_keep_their_refusal(self, runner, args, line):
+        # both sums and the tail estimate are the same doubles however much of
+        # the grid is read, so the message prints the same digits
+        result = runner.invoke(main, args.split())
+        assert result.exit_code == 3
+        assert result.output.splitlines() == [line]
+
 
 class TestConfigAndOutput:
     def test_config_file_defaults(self, runner, tmp_path):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import shearlyap
 from shearlyap import engine, series
@@ -413,7 +414,11 @@ class TestGridCache:
                     pointwise = _pointwise_case_mean(family, norm, side, params, q)
                     for limit in (max_index, 2 * max_index):
                         aa, bb, _ = series.grid(limit)
-                        assert np.array_equal(cached(aa, bb), pointwise(aa, bb))
+                        table, want = cached(aa, bb), pointwise(aa, bb)
+                        # every leading run the series layer may ask for
+                        for m in series.antidiagonal_starts(limit)[::7]:
+                            assert np.array_equal(table.head(m), want[:m])
+                        assert np.array_equal(table.head(aa.size), want)
 
     @pytest.mark.parametrize("params,misses", [(POS11, 12), (OPP33, 20)], ids=["pos", "opp"])
     def test_one_miss_per_grid_of_a_point(self, params, misses):
@@ -440,13 +445,13 @@ class TestGridCache:
     def test_grids_are_read_only_evaluator_output(self, params):
         engine._bound_grid.cache_clear()
         lyapunov_bounds(params, BoundFamily.IMPROVED, SeriesConfig(max_index=64))
-        aa, bb = np.meshgrid(np.arange(1.0, 129.0), np.arange(1.0, 129.0), indexing="ij")
+        aa, bb, _ = series.grid(128)
         ff = BoundFamily.IMPROVED
         for side in engine.Side:
             for norm in engine.norms_for(ff, params.regime, side):
                 for case in engine.cases_for(ff, params.regime):
                     fc = engine.function_case(params.regime, norm, side, case)
-                    grid = engine._bound_grid(norm, side, fc, params, 128)
+                    grid = engine._bound_grid(norm, side, fc, params, 128).values
                     assert not grid.flags.writeable
                     fresh = engine.evaluator(ff, norm, side, case, params)(aa, bb)
                     assert np.array_equal(grid, fresh)
@@ -459,3 +464,65 @@ class TestGridCache:
         for limit in (16, 17):
             assert series.truncated_sum(f, limit) == series.truncated_sum(
                 _pointwise_case_mean(*args), limit)
+
+
+@st.composite
+def bound_cases(draw):
+    """A parameter point in either regime, one bound function of it (or a
+    family's case mean), a truncation and a moment order (None: the log)."""
+    if draw(st.booleans()):
+        params = ShearParams.infer(draw(st.floats(1.0, 30.0)), draw(st.floats(1.0, 30.0)))
+    else:
+        params = ShearParams.infer(draw(st.floats(-30.0, -2.0, exclude_max=True)),
+                                   draw(st.floats(2.0, 30.0, exclude_min=True)))
+    family = draw(st.sampled_from(list(BoundFamily)))
+    side = draw(st.sampled_from(list(engine.Side)))
+    norm = draw(st.sampled_from(engine.norms_for(family, params.regime, side)))
+    q = draw(st.one_of(st.none(), st.floats(-8.0, 8.0), st.sampled_from([-8.0, 0.0, 8.0])))
+    return params, family, side, norm, q, draw(st.sampled_from([8, 16, 64]))
+
+
+def _antidiagonal_max(values, limit):
+    """max |value| on each antidiagonal of series.grid(limit)."""
+    return np.maximum.reduceat(np.abs(values), series.antidiagonal_starts(limit)[:-1])
+
+
+class TestAntidiagonalBounds:
+    """The series layer leaves out the antidiagonals whose bound says they cannot
+    move the double, so a bound below a computed value would change a result."""
+
+    @settings(deadline=None, max_examples=60)
+    @given(bound_cases())
+    def test_bound_holds_for_every_case_and_the_case_mean(self, drawn):
+        params, family, side, norm, q, n = drawn
+        limit = 2 * n
+        aa, bb, _ = series.grid(limit)
+        with np.errstate(over="ignore", divide="ignore"):
+            table = engine._case_mean(family, norm, side, params, q)(aa, bb)
+            assert np.all(_antidiagonal_max(table.head(aa.size), limit) <= table.bound)
+            for case in engine.cases_for(family, params.regime):
+                fc = engine.function_case(params.regime, norm, side, case)
+                grid = engine._bound_grid(norm, side, fc, params, limit)
+                values = np.log(grid.values) if q is None else grid.values ** q
+                assert np.all(_antidiagonal_max(values, limit) <= engine._mean_bound([grid], q))
+
+    @pytest.mark.parametrize("bad", [-0.5, 0.0, math.nan])
+    @pytest.mark.parametrize("q", [None, -3.0, 2.5])  # q = 0 gives ones, bounded by 1
+    def test_a_value_that_is_not_positive_leaves_no_bound(self, q, bad):
+        values = np.ones(series.grid(8)[0].size)
+        values[40] = bad
+        with np.errstate(invalid="ignore"):
+            bound = engine._mean_bound([engine._BoundGrid(values, 8)], q)
+        assert bound.shape == (15,) and np.all(bound == math.inf)
+
+    def test_log_bound_covers_the_rounding_of_a_three_case_mean(self, monkeypatch):
+        # (x + x + x) / 3 is one double below x = 1 - 2^-52, so the log of the
+        # mean is half as large again as log x: only the absolute slack covers it
+        x = 1.0 - 2.0**-52
+        assert (x + x + x) / 3 < x
+        aa, bb, _ = series.grid(8)
+        monkeypatch.setattr(engine, "_bound_grid",
+                            lambda *args: engine._BoundGrid(np.full(aa.size, x), 8))
+        table = engine._case_mean(BoundFamily.IMPROVED, NormKind.LINF, engine.Side.LOWER,
+                                  POS11)(aa, bb)
+        assert np.all(_antidiagonal_max(table.head(aa.size), 8) <= table.bound)

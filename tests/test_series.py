@@ -79,7 +79,7 @@ class TestExpectBlock:
             return value(a, b)
 
         rep = expect_block_report(f, SeriesConfig(max_index=8, tail_tol=1.0))
-        assert shapes == [(16, 16)]
+        assert shapes == [(256,)]
         assert rep.value == truncated_sum(value, 16)
         assert rep.tail_estimate == abs(truncated_sum(value, 16) - truncated_sum(value, 8))
 
@@ -353,16 +353,18 @@ class TestExtractedSum:
     def test_huge_or_non_finite_terms_are_declined(self, values):
         assert series._extracted_sum(np.array(values, dtype=np.float64)) is None
 
-    def test_figure_sweeps_never_fall_back(self, monkeypatch):
-        # a fast path that declined, or that took three passes where two
-        # decide, would still be correct, only slow
-        counts = {"sums": 0, "fallbacks": 0}
+    def test_figure_sweeps_decide_on_leading_runs(self, monkeypatch):
+        # a leading run that does not decide its sum, a whole-grid extraction
+        # that declines, or a third pass where two decide would still be
+        # correct, only slow
+        counts = {"runs": 0, "runs_undecided": 0, "grids": 0, "grids_undecided": 0}
         extracted_sum = series._extracted_sum
 
-        def counting_sum(flat):
-            total = extracted_sum(flat)
-            counts["sums"] += 1
-            counts["fallbacks"] += total is None
+        def counting_sum(flat, tail=0.0):
+            total = extracted_sum(flat, tail)
+            kind = "runs" if tail > 0.0 else "grids"  # a leading run's tail bound is positive
+            counts[kind] += 1
+            counts[kind + "_undecided"] += total is None
             return total
 
         monkeypatch.setattr(series, "_extracted_sum", counting_sum)
@@ -372,6 +374,153 @@ class TestExtractedSum:
                      ["--mode", "lyap-bounds", "--alpha", "1:10:0.25"]):
             result = runner.invoke(main, ["sweep", *argv, "--format", "csv"])
             assert result.exit_code == 0, result.output
-        assert counts["sums"] > 0 and counts["fallbacks"] == 0, counts
-        third_passes = len(certificates) - counts["sums"]
-        assert 0 <= third_passes <= counts["sums"] // 100, (counts, third_passes)
+        assert counts["runs"] > 0 and counts["runs_undecided"] <= counts["runs"] // 100, counts
+        assert counts["grids"] == counts["runs_undecided"] and counts["grids_undecided"] == 0
+        third_passes = len(certificates) - counts["runs"] - counts["grids"]
+        assert 0 <= third_passes <= counts["runs"] // 100, (counts, third_passes)
+
+
+def _lazy(values, bound, asked=None):
+    """A LazyTable of the flat values on a grid, with the given bound per
+    antidiagonal; asked, a list, records every run length requested."""
+    def head(m):
+        if asked is not None:
+            asked.append(m)
+        return values[:m]
+    return series.LazyTable(head, np.asarray(bound, dtype=np.float64))
+
+
+def _antidiagonal_max(values, limit):
+    return np.maximum.reduceat(np.abs(values), series.antidiagonal_starts(limit)[:-1])
+
+
+def _fsum_of_grid(values, limit):
+    """math.fsum of every weighted term of grid(limit), as a hex string."""
+    return math.fsum((series.grid(limit)[2] * values).tolist()).hex()
+
+
+@st.composite
+def lazy_integrands(draw):
+    """Integrand values on a flat grid as the engine forms them (f^q or log f
+    of a growth-like f), signs mixed in a drawn way, and their exact
+    per-antidiagonal maximum magnitude as the bound."""
+    limit = draw(st.sampled_from([8, 16, 40, 64, 128]))
+    a, b, _ = series.grid(limit)
+    c = draw(st.floats(1.0, 50.0))
+    f = (np.sqrt((1.0 + c * c * a * b) ** 2 + (c * b) ** 2) if draw(st.booleans())
+         else 1.0 + c * a + c * c * a * b)
+    g = f ** draw(st.floats(-4.0, 4.0)) if draw(st.booleans()) else np.log(f)
+    signs = draw(st.sampled_from(["none", "checker", "random", "shift"]))
+    if signs == "checker":
+        g = np.where((a + b) % 2 == 0, g, -g)
+    elif signs == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = np.where(rng.random(g.size) < 0.5, g, -g)
+    elif signs == "shift":  # a constant inside the range of g: the sum may nearly cancel
+        g = g - np.quantile(g, draw(st.floats(0.0, 1.0)))
+    return limit, g, signs
+
+
+class TestLeadingRuns:
+    """truncated_sum of a LazyTable sums a leading run of antidiagonals where the
+    tail bound lets the certificate decide, and the whole grid where not; either
+    way the result is math.fsum of every weighted term of the grid."""
+
+    @settings(deadline=None)
+    @given(lazy_integrands())
+    def test_equals_fsum_of_the_whole_grid(self, drawn):
+        limit, g, signs = drawn
+        asked = []
+        got = truncated_sum(lambda a, b: _lazy(g, _antidiagonal_max(g, limit), asked), limit)
+        assert got.hex() == _fsum_of_grid(g, limit)
+        if signs == "none" and limit == 128:  # no cancellation: a leading run decides
+            assert asked and asked[-1] < g.size
+
+    def test_a_sum_at_a_midpoint_is_summed_over_the_whole_grid(self):
+        # the run (1, 2^-53) sums to the midpoint 1 + 2^-53, and the positive
+        # tail rounds the whole sum up
+        limit = 16
+        g = np.full(series.grid(limit)[0].size, 2.0**-80)
+        g[:3] = [4.0, 2.0**-50, 0.0]  # weights 1/4, 1/8, 1/8
+        asked = []
+        got = truncated_sum(lambda a, b: _lazy(g, _antidiagonal_max(g, limit), asked), limit)
+        assert asked == [3, g.size]
+        assert got == 1.0 + 2.0**-52 and got.hex() == _fsum_of_grid(g, limit)
+
+    @pytest.mark.parametrize("tail", ["everywhere", "next-antidiagonal"])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_the_tail_bound_is_part_of_the_certificate(self, sign, tail):
+        # the run sums to 2^-90 below the midpoint 1 + 2^-53, within its tail
+        # bound but beyond the extraction's own remainder bound (2^-96): a
+        # positive tail rounds the whole sum up, a negative one down
+        limit = 16
+        g = np.full(series.grid(limit)[0].size, sign * 2.0**-80)
+        if tail == "next-antidiagonal":  # all of the tail on antidiagonal 4
+            g[series.antidiagonal_starts(limit)[3]:] = 0.0
+        g[:3] = [4.0, 2.0**-50, -(2.0**-87)]
+        asked = []
+        got = truncated_sum(lambda a, b: _lazy(g, _antidiagonal_max(g, limit), asked), limit)
+        assert asked == [3, g.size]
+        assert got == (1.0 + 2.0**-52 if sign > 0 else 1.0)
+        assert got.hex() == _fsum_of_grid(g, limit)
+
+    def test_a_run_away_from_a_midpoint_is_decided(self):
+        limit = 16
+        g = np.full(series.grid(limit)[0].size, 2.0**-80)
+        g[:3] = [4.0, 2.0**-49, 0.0]
+        asked = []
+        got = truncated_sum(lambda a, b: _lazy(g, _antidiagonal_max(g, limit), asked), limit)
+        assert asked == [3] and got == 1.0 + 2.0**-52 == float.fromhex(_fsum_of_grid(g, limit))
+
+    @pytest.mark.parametrize("values", [
+        lambda a, b: np.where((a + b) % 2 == 0, 1.0, -1.0) * np.exp2(-(a % 3)),
+        lambda a, b: np.where(a < b, 1.0, np.where(a > b, -1.0, 0.0)) * (a + b),
+        lambda a, b: np.where(a == 1, 1e-300, 0.0) - np.where(b == 1, 1e-300, 0.0),
+    ], ids=["mixed", "cancels-to-zero", "tiny"])
+    def test_mixed_signs_and_cancellation(self, values):
+        limit = 64
+        a, b, _ = series.grid(limit)
+        g = values(a, b)
+        got = truncated_sum(lambda a, b: _lazy(g, _antidiagonal_max(g, limit)), limit)
+        assert got.hex() == _fsum_of_grid(g, limit)
+
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    def test_a_non_finite_term_past_the_run_still_stops_the_sum(self, bad):
+        # terms 4^-(a+b): without the bad term a run of about 35 antidiagonals decides
+        limit = 32
+        a, b, _ = series.grid(limit)
+        g = np.exp2(-(a + b))
+        g[np.flatnonzero((a == 20) & (b == 25))] = bad  # antidiagonal 45
+        bound = _antidiagonal_max(g, limit)
+        assert np.isfinite(bound[:43]).all()
+        with pytest.raises(NonConvergenceError, match=r"series sum is not finite \((inf|-inf|nan)\)"):
+            expect_block_report(lambda a, b: _lazy(g, bound), SeriesConfig(max_index=16))
+
+    def test_a_nan_bound_is_never_left_out(self):
+        limit = 32
+        a, b, _ = series.grid(limit)
+        g = np.exp2(-a)
+        bound = _antidiagonal_max(g, limit)
+        bound[50] = math.nan  # antidiagonal 52: the run must reach it
+        asked = []
+        got = truncated_sum(lambda a, b: _lazy(g, bound, asked), limit)
+        assert asked[0] >= series.antidiagonal_starts(limit)[51]
+        assert got.hex() == _fsum_of_grid(g, limit)
+
+    @pytest.mark.parametrize("max_index", [8, 1024])
+    def test_doubling_check_at_the_truncation_limits(self, max_index):
+        # the 2N sum and the N corner both equal math.fsum of their whole grids
+        limit = 2 * max_index
+        a, b, weights = series.grid(limit)
+        g = np.sqrt((1.0 + a * b) ** 2 + b * b) ** 1.5
+        asked = []
+        rep = expect_block_report(lambda a, b: _lazy(g, _antidiagonal_max(g, limit), asked),
+                                  SeriesConfig(max_index=max_index, tail_tol=1.0))
+        corner = (a <= max_index) & (b <= max_index)
+        terms = weights * g
+        s2, s1 = math.fsum(iter(terms)), math.fsum(iter(terms[corner]))
+        assert rep.value == s2 and rep.tail_estimate == abs(s2 - s1)
+        assert rep.value == truncated_sum(lambda a, b: g, limit)
+        assert rep.tail_estimate == abs(rep.value - truncated_sum(lambda a, b: g[corner], max_index))
+        if max_index == 1024:  # only a short leading run is ever computed
+            assert max(asked) < weights.size // 100
