@@ -133,6 +133,18 @@ def _fmt(x, digits=8) -> str:
     return f"{x:.{digits}g}"
 
 
+def _strict_json(value):
+    """value with every float that is not finite as None: JSON (RFC 8259) has no
+    nan or inf, so strict parsers read null where CSV and text print nan."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def _emit(result: Result, fmt: str, output: str | None) -> None:
     rows = [result.payload] if result.rows is None else result.rows
     if fmt == "json":
@@ -143,7 +155,7 @@ def _emit(result: Result, fmt: str, output: str | None) -> None:
             "timestamp": datetime.now(timezone.utc).isoformat(),
         }
         record = {"kind": result.kind, "payload": result.payload, "metadata": metadata}
-        text = json.dumps(record, indent=2)
+        text = json.dumps(_strict_json(record), indent=2, allow_nan=False)
     elif fmt == "csv":
         buf = io.StringIO()
         # missing keys and None values both become empty fields

@@ -48,7 +48,6 @@ from .series import (
     LazyTable,
     NonConvergenceError,
     SeriesConfig,
-    antidiagonal_starts,
     expect_block,
     expect_block_exact_poly,
     grid,
@@ -140,67 +139,65 @@ _LOG_FLOOR = 2.0**-40
 
 
 class _BoundGrid:
-    """A bound function's values on series.grid(limit), read-only, and the bounds
-    on them that the series layer's tail bounds read: their least and greatest
-    value over the grid (enough for the log, whose tail bound gains little from
-    more) and on each antidiagonal (for powers; see series.antidiagonal_starts),
-    each computed on first use.  Where any value is not positive (or is nan),
-    every least value is 0.0 and every greatest inf."""
+    """A bound function f on series.grid(limit): its values on a leading run, each
+    point evaluated once, and per antidiagonal n a least and a greatest value,
+    lo[n - 2] = min(f(c, l), f(l, c)) and hi[n - 2] = f(m, m), as f is nondecreasing
+    in a and b and on n one run length is at least c = ceil(n / 2), both at least
+    l = max(1, n - limit) and at most m = min(n - 1, limit).  One of these values not
+    positive and finite makes lo 0.0 and hi inf; overflow is None unless one is inf or nan."""
 
-    def __init__(self, values: np.ndarray, limit: int):
-        self.values = values
-        self.limit = limit
+    @np.errstate(over="ignore", invalid="ignore")  # inf and nan values: their sums are reported
+    def __init__(self, fn, limit: int, overflow: str):
+        self._fn, self._values = fn, np.empty(0)
+        self._a, self._b, _ = grid(limit)
+        n = np.arange(2.0, 2 * limit + 1)
+        c, l, diagonal = np.ceil(n / 2), np.maximum(1.0, n - limit), np.arange(1.0, limit + 1)
+        v = fn(np.concatenate((c, l, diagonal)), np.concatenate((l, c, diagonal)))
+        self.overflow = None if np.isfinite(v).all() else overflow
+        if self.overflow is not None or v.min() <= 0.0:
+            v = np.concatenate((np.zeros(2 * n.size), np.full(limit, math.inf)))
+        self.lo = np.minimum(v[:n.size], v[n.size:2 * n.size])
+        self.hi = np.append(v[2 * n.size:], np.repeat(v[-1], limit - 1))  # f(m, m) on each n
 
-    @functools.cached_property
-    def extremes(self) -> tuple[float, float]:
-        lo, hi = float(self.values.min()), float(self.values.max())
-        return (lo, hi) if lo > 0.0 else (0.0, math.inf)
-
-    @functools.cached_property
-    def antidiagonal_extremes(self) -> tuple[np.ndarray, np.ndarray]:
-        starts = antidiagonal_starts(self.limit)[:-1]
-        if self.extremes[0] == 0.0:
-            return np.zeros(starts.size), np.full(starts.size, np.inf)
-        return np.minimum.reduceat(self.values, starts), np.maximum.reduceat(self.values, starts)
+    @np.errstate(over="ignore", invalid="ignore")
+    def head(self, m: int) -> np.ndarray:
+        """The values on the first m points of the grid, read-only."""
+        done = self._values.size
+        if done < m:  # extended, never evaluated again
+            self._values = np.append(self._values, self._fn(self._a[done:m], self._b[done:m]))
+            self._values.flags.writeable = False
+        return self._values[:m]
 
 
 @functools.lru_cache(maxsize=_GRID_CACHE_SIZE)
 def _bound_grid(norm: NormKind, side: Side, case: tuple, params: ShearParams,
                 limit: int) -> _BoundGrid:
-    """The bound function of a growth.function_case on series.grid(limit), read-only.
-    It does not depend on q, so every moment order at the point reuses it and
-    its bounds."""
+    """The bound function of a growth.function_case on series.grid(limit), for
+    every moment order at the point.  Its Python float powers depend on the
+    shears alone, so its first evaluation raises any OverflowError."""
     family = BoundFamily.IMPROVED if case else BoundFamily.GLOBAL
-    aa, bb, _ = grid(limit)
+    overflow = (f"series terms are not finite: the {family.value} {params.regime.value} "
+                f"{side.value} {norm.value} bound function overflows double precision at "
+                f"alpha={params.alpha}, beta={params.beta}")
     try:
-        # numpy overflow gives inf or nan terms, whose sum the series layer reports
-        with np.errstate(over="ignore", invalid="ignore"):
-            values = evaluator(family, norm, side, case, params)(aa, bb)
+        return _BoundGrid(evaluator(family, norm, side, case, params), limit, overflow)
     except OverflowError:  # from a power of Python floats
-        raise NonConvergenceError(
-            f"series terms are not finite: the {family.value} {params.regime.value} "
-            f"{side.value} {norm.value} bound function overflows double precision at "
-            f"alpha={params.alpha}, beta={params.beta}"
-        ) from None
-    values.flags.writeable = False
-    return _BoundGrid(values, limit)
+        raise NonConvergenceError(overflow) from None
 
 
 def _mean_bound(grids: list[_BoundGrid], q) -> np.ndarray:
     """Per antidiagonal, a bound on |f| for the computed case mean f of the
     grids (of their q-th powers, or its log when q is None).  Every value lies
-    between the least and the greatest of the grids, x^q is monotone, and
-    |log x| is largest at an end of a positive interval; the slack covers the
-    rounding of the powers, the logs and the mean."""
+    between the least lo and the greatest hi, x^q is monotone, and |log x| is
+    largest at an end of a positive interval, f(1, 1) or f(limit, limit) for the
+    whole grid; the slack covers the rounding of the powers, the logs and the mean."""
+    lo = functools.reduce(np.minimum, [g.lo for g in grids])
+    hi = functools.reduce(np.maximum, [g.hi for g in grids])
     if q is None:
-        lo = min(g.extremes[0] for g in grids)
-        hi = max(g.extremes[1] for g in grids)
-        bound = max(-math.log(lo), math.log(hi)) if lo > 0.0 else math.inf
-        return np.full(2 * grids[0].limit - 1, bound * (1.0 + _BOUND_SLACK) + _LOG_FLOOR)
-    ends = (functools.reduce(np.maximum, [g.antidiagonal_extremes[1] for g in grids]) if q >= 0
-            else functools.reduce(np.minimum, [g.antidiagonal_extremes[0] for g in grids]))
+        bound = max(-math.log(lo.min()), math.log(hi.max())) if lo.min() > 0.0 else math.inf
+        return np.full(lo.size, bound * (1.0 + _BOUND_SLACK) + _LOG_FLOOR)
     with np.errstate(over="ignore", divide="ignore"):  # 0.0 ** q < 0 and inf are inf bounds
-        return ends ** q * (1.0 + _BOUND_SLACK) + _POW_FLOOR
+        return (hi if q >= 0 else lo) ** q * (1.0 + _BOUND_SLACK) + _POW_FLOOR
 
 
 def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearParams, q=None):
@@ -208,15 +205,19 @@ def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearPar
     grids of the cases' functions (of their q-th powers, or the log of the mean when
     q is None), one term per case in table order, as pointwise evaluation adds them.
     It returns a series.LazyTable, whose values on a leading run of the grid are
-    computed on request and bounded on each antidiagonal by _mean_bound."""
+    computed on request and bounded on each antidiagonal by _mean_bound.  For q
+    None, a grid whose values overflow raises its error: their log is not finite."""
     def f(a, b):
         limit = math.isqrt(a.size)
         cases = [function_case(params.regime, norm, side, c)
                  for c in cases_for(family, params.regime)]
         grids = [_bound_grid(norm, side, c, params, limit) for c in cases]
+        for g in grids:
+            if q is None and g.overflow is not None:
+                raise NonConvergenceError(g.overflow)
 
         def head(m):
-            heads = [g.values[:m] for g in grids]
+            heads = [g.head(m) for g in grids]
             # f^q overflows to inf at large |q|; the series layer reports that sum
             with np.errstate(over="ignore"):
                 total = functools.reduce(np.add, heads if q is None else (h ** q for h in heads))

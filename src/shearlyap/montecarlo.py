@@ -62,9 +62,9 @@ _MAX_APPS = 10**10  # cost guard: matrix applications one estimator call may run
 # block_oracle holds a stream's coins and run lengths at once, about 19 bytes a coin: 1 GB
 _MAX_STREAM_COINS = 5 * 10**7
 _MAX_TOTAL_COINS = 10**8  # and all its run lengths, 6 (32 streams) to 11.5 (2) B a coin: 1 GB
-# ensembles or samples side by side; lyapunov_mc draws a whole 2^16-step chunk's coin
-# bytes at once, so its peak (tracemalloc) grows with the steps: 225 B an ensemble at 200,
-# 573 B at 2 500 and 8 197 B at 60 000 steps, near 2.3 GB at this width and _MAX_APPS
+# ensembles or samples side by side, about 225 B each (tracemalloc, lyapunov_mc at 200
+# steps); lyapunov_mc draws a whole 2^16-step chunk's coin bytes for every ensemble at
+# once, so it also refuses more than _MAX_TOTAL_COINS of them (0.9 GB at this width)
 _MAX_WIDTH = 4 * 10**6
 # step-matrix elements per sub-chunk of _pairwise_product; coin sub-chunks keep 8 rows
 _PAIRWISE_BUDGET = 1 << 16
@@ -350,8 +350,14 @@ def _check_cost(n_apps: int, width: int) -> int:
 def _iterate_log_growth(params: ShearParams, cfg: McConfig, traj_len: int) -> np.ndarray:
     """Per-ensemble log |X_N| / |X_0| (L2 norm) after traj_len coin steps from
     X_0 = (0, 1), which lies in the invariant cone of both regimes.  Raises
-    DomainError if it is not finite."""
+    DomainError if it is not finite, and before drawing any coin if a chunk's
+    coin bytes, drawn for every ensemble at once, exceed _MAX_TOTAL_COINS."""
     E = cfg.n_ensembles
+    chunk_bytes = E * -(-min(traj_len, _COIN_CHUNK) // 8)
+    if chunk_bytes > _MAX_TOTAL_COINS:
+        raise DomainError(f"{E} ensembles of {traj_len} steps draw {chunk_bytes:.3g} coin bytes "
+                          f"a chunk, above the memory guard {_MAX_TOTAL_COINS:.0e}; "
+                          "lower n_ensembles")
     bound = _shear_bound(params)
     u, v, acc = np.zeros(E), np.ones(E), np.zeros(E)
     for done in range(0, traj_len, _COIN_CHUNK):
@@ -359,6 +365,7 @@ def _iterate_log_growth(params: ShearParams, cfg: McConfig, traj_len: int) -> np
         by = _coin_bytes(cfg.seed, range(E), done // 8, -(-n // 8))
         (p11, p12, p21, p22), scale = _pairwise_product(
             lambda lo, hi: by[lo // 8:-(-hi // 8)], n, E, bound, params)
+        del by  # freed before the next chunk's bytes are drawn
         u, v = p11 * u + p12 * v, p21 * u + p22 * v
         r2 = np.hypot(u, v)
         acc += scale + np.log(r2)
@@ -375,7 +382,8 @@ def lyapunov_mc(params: ShearParams, cfg: McConfig) -> McEstimate:
     Returns the mean per-step log growth over all trajectories and the
     standard error across the independent ensemble members (nan for one
     member).  Raises DomainError, before drawing any coin, above _MAX_APPS (10^10)
-    applications, _MAX_WIDTH (4 * 10^6) ensembles or shears of _SHEAR_MAX (1e79),
+    applications, _MAX_WIDTH (4 * 10^6) ensembles, _MAX_TOTAL_COINS (10^8) coin
+    bytes in a chunk of 2^16 steps of every ensemble or shears of _SHEAR_MAX (1e79),
     and if the log growth is not finite.
     """
     E = cfg.n_ensembles

@@ -61,7 +61,7 @@ __all__ = [
     "expect_block_exact_poly",
 ]
 
-_MAX_INDEX = 1024  # engine's cache holds 20 grids of (2N)^2 doubles: 0.7 GB at N = 1024
+_MAX_INDEX = 1024  # grid(2N) holds three arrays of (2N)^2 doubles: 100 MB at N = 1024
 _POLYLOG_MAX = 12
 _SUM_MAX_TERMS = 1 << 25  # terms extracted at most: 2^M stays far below 2^53
 _EXTRACT_EMAX = 1000  # largest extraction sigma: below it no partial sum of the terms overflows
@@ -86,7 +86,7 @@ class SeriesConfig:
     in absolute terms for order-one sums or relative to the sum's magnitude
     for large moment sums (double precision cannot resolve an absolute
     1e-12 on a sum of size 1e6).  max_index is an integer up to 1024, which
-    bounds the memory of the bound-function grid cache; tail_tol is finite.
+    bounds the memory of the grids; tail_tol is finite.
     """
 
     max_index: int = 64

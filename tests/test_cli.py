@@ -394,6 +394,24 @@ class TestMcCommand:
         text = runner.invoke(main, args).output
         assert "applications run 6.4e+03 of 1e+06 requested" in text
 
+    @pytest.mark.filterwarnings("ignore:effective sample size")
+    @pytest.mark.parametrize("args", [
+        "mc --alpha 1 --beta 1 --steps 1000 --ensembles 1",
+        "mc --alpha 1 --beta 1 --q 1 --steps 1000 --ensembles 1",
+        "sweep --mode lyap-bounds --alpha 1 --mc --steps 1000 --ensembles 1",
+    ], ids=["mc", "mc-q", "sweep-mc"])
+    def test_json_is_strict_where_csv_prints_nan(self, runner, args):
+        # one ensemble has no standard error: RFC 8259 parsers reject NaN
+        def refuse(constant):
+            raise AssertionError(f"JSON holds {constant}")
+
+        rec = json.loads(runner.invoke(main, args.split() + ["--format", "json"]).output,
+                         parse_constant=refuse)
+        payload = rec["payload"]
+        assert (payload["rows"][-1] if "rows" in payload else payload)["std_error"] is None
+        assert parse_csv(runner.invoke(main, args.split() + ["--format", "csv"]).output
+                         )[-1]["std_error"] == "nan"
+
     def test_strong_shear_with_renorm_every_is_finite(self, runner):
         rec = run_json(runner, ["mc", "--alpha", "50", "--beta", "50", "--steps", "1e5",
                                 "--ensembles", "8", "--renorm-every", "1000"])
@@ -542,7 +560,13 @@ class TestExtremeShears:
          "the global positive lower l2 bound function overflows double precision"),
         ("sweep --mode lyap-bounds --alpha 1e200 --beta 1", 3,
          "the global positive lower l2 bound function overflows double precision"),
-        ("bounds --alpha 1 --beta 1e200", 3, "series sum is not finite"),
+        # a Lyapunov sum has no q: the bound function that overflows is named
+        ("bounds --alpha 1 --beta 1e200", 3,
+         "the global positive lower l2 bound function overflows double precision at "
+         "alpha=1.0, beta=1e+200"),
+        ("bounds --alpha 1e75 --beta 1e75 --family improved", 3,
+         "series terms are not finite: the improved positive lower l1 bound function "
+         "overflows double precision at alpha=1e+75, beta=1e+75"),
         ("sweep --mode neg-gle --alpha -3 --q -400 --family global", 3,
          "moment sum at q = -400.0 underflows double precision"),
         ("sweep --mode gle --alpha 1 --q -700 --family global", 3,
@@ -564,7 +588,10 @@ class TestExtremeShears:
         ("sweep --mode gle --alpha 1 --q -670 --family global",
          "error: series sum is 5.33e-321: the upper l1 moment sum at q = -670.0 underflows "
          "double precision, as terms f^q do at large negative q; a larger max_index cannot help"),
-    ], ids=["q60", "q-670"])
+        ("sweep --mode gle --alpha 1e100 --q 2",
+         "error: series sum is not finite (inf): its terms overflow double precision, as "
+         "moment terms f^q do at large |q|; a larger max_index cannot help"),
+    ], ids=["q60", "q-670", "q2-overflow"])
     def test_moment_sums_beyond_doubles_keep_their_refusal(self, runner, args, line):
         # both sums and the tail estimate are the same doubles however much of
         # the grid is read, so the message prints the same digits

@@ -1,11 +1,12 @@
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import shearlyap
-from shearlyap import engine, series
+from shearlyap import engine, growth, series
 from shearlyap import (
     BoundFamily,
     DomainError,
@@ -394,13 +395,27 @@ def _outcomes(params, family, cfg):
 
 class TestGridCache:
     @pytest.mark.parametrize("max_index", [8, 40, 64, 96])
-    @pytest.mark.parametrize("params", [ShearParams.infer(2.0, 3.0), OPP33], ids=["pos", "opp"])
+    @pytest.mark.parametrize("params", [
+        ShearParams.infer(2.0, 3.0), OPP33, ShearParams(1e30, 1e30), ShearParams(1e75, 1e75),
+        ShearParams(1e150, 1.0), ShearParams(-1e15, 3.0),
+    ], ids=["pos", "opp", "pos-1e30", "pos-1e75", "pos-1e150", "opp-1e15"])
     @pytest.mark.parametrize("family", list(BoundFamily))
+    @pytest.mark.filterwarnings("error")
     def test_bit_identical_to_pointwise_integrand(self, monkeypatch, max_index, params, family):
+        # at huge shears bound functions overflow past the corner the bounds read
         cfg = SeriesConfig(max_index=max_index)
         cached = _outcomes(params, family, cfg)
         monkeypatch.setattr(engine, "_case_mean", _pointwise_case_mean)
-        assert cached == _outcomes(params, family, cfg)
+        with np.errstate(over="ignore", invalid="ignore"):
+            pointwise = _outcomes(params, family, cfg)
+        if cached[0] != pointwise[0]:
+            # both refuse a Lyapunov sum whose bound function overflows; only the
+            # grid knows which function that is
+            assert re.fullmatch(r"NonConvergenceError: series terms are not finite: the "
+                                r"\w+ \w+ \w+ \w+ bound function overflows double precision "
+                                r"at alpha=\S+, beta=\S+", cached[0])
+            assert pointwise[0].startswith("NonConvergenceError: series sum is not finite")
+        assert cached[1:] == pointwise[1:]
 
     @pytest.mark.parametrize("max_index", [8, 64])
     @pytest.mark.parametrize("params", [ShearParams.infer(2.0, 3.0), OPP33], ids=["pos", "opp"])
@@ -447,16 +462,41 @@ class TestGridCache:
         lyapunov_bounds(params, BoundFamily.IMPROVED, SeriesConfig(max_index=64))
         aa, bb, _ = series.grid(128)
         ff = BoundFamily.IMPROVED
+        runs = {}
         for side in engine.Side:
             for norm in engine.norms_for(ff, params.regime, side):
                 for case in engine.cases_for(ff, params.regime):
                     fc = engine.function_case(params.regime, norm, side, case)
-                    grid = engine._bound_grid(norm, side, fc, params, 128).values
-                    assert not grid.flags.writeable
-                    fresh = engine.evaluator(ff, norm, side, case, params)(aa, bb)
-                    assert np.array_equal(grid, fresh)
+                    grid = engine._bound_grid(norm, side, fc, params, 128)
+                    # the leading run the sums read, before any grid is extended
+                    runs.setdefault(grid, (grid._values.size, norm, side, case))
+        for grid, (run, norm, side, case) in runs.items():
+            assert 0 < run < aa.size
+            fresh = engine.evaluator(ff, norm, side, case, params)(aa, bb)
+            for m in (run, aa.size):  # the filled run, then the grid extended past it
+                values = grid.head(m)
+                assert not values.flags.writeable
+                assert np.array_equal(values, fresh[:m])
         # every grid was already cached by the bound computation
         assert engine._bound_grid.cache_info().misses == engine._bound_grid.cache_info().currsize
+
+    def test_each_point_is_evaluated_once(self):
+        sizes = []
+
+        def f(a, b):
+            sizes.append(a.size)
+            return a + 2.0 * b
+
+        grid = engine._BoundGrid(f, 8, "overflow")
+        aa, bb, _ = series.grid(8)
+        for m in (10, 4, 30, 30, 64):
+            assert np.array_equal(grid.head(m), (aa + 2.0 * bb)[:m])
+        # the bounds' 2 * 15 + 8 points, then each run past the longest so far
+        assert sizes == [38, 10, 20, 34]
+        # lo = f(c, l) with c = ceil(n / 2) >= l = max(1, n - 8), hi = f(m, m)
+        n = np.arange(2, 17)
+        assert np.array_equal(grid.lo, -(-n // 2) + 2 * np.maximum(1, n - 8))
+        assert np.array_equal(grid.hi, 3 * np.minimum(n - 1, 8))
 
     def test_integrand_is_a_function_of_its_grid(self):
         args = (BoundFamily.GLOBAL, NormKind.L1, engine.Side.LOWER, POS11)
@@ -503,17 +543,52 @@ class TestAntidiagonalBounds:
             for case in engine.cases_for(family, params.regime):
                 fc = engine.function_case(params.regime, norm, side, case)
                 grid = engine._bound_grid(norm, side, fc, params, limit)
-                values = np.log(grid.values) if q is None else grid.values ** q
+                values = grid.head(aa.size)
+                values = np.log(values) if q is None else values ** q
                 assert np.all(_antidiagonal_max(values, limit) <= engine._mean_bound([grid], q))
 
-    @pytest.mark.parametrize("bad", [-0.5, 0.0, math.nan])
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(
+        st.tuples(st.floats(0.0, 3.0), st.floats(0.0, 3.0)).map(
+            lambda e: ShearParams(10.0 ** e[0], 10.0 ** e[1])),
+        st.tuples(st.floats(math.log10(2.01), 4.0), st.floats(math.log10(2.01), 4.0)).map(
+            lambda e: ShearParams(-(10.0 ** e[0]), 10.0 ** e[1]))))
+    def test_bound_functions_are_nondecreasing_and_bracketed(self, params):
+        # the premise of the three-point bounds, for every function of the table;
+        # 2^-40 lies far inside the bounds' 2^-20 slack
+        k = np.arange(1.0, 65.0)
+        a, b = np.meshgrid(k, k, indexing="ij")
+        aa, bb, _ = series.grid(64)
+        starts = series.antidiagonal_starts(64)[:-1]
+        for (regime, norm, side), (_, own) in growth._TABLE.items():
+            if regime is not params.regime:
+                continue
+            for case in [()] + list(own or ()):
+                family = BoundFamily.IMPROVED if case else BoundFamily.GLOBAL
+                fn = engine.evaluator(family, norm, side, case, params)
+                values = fn(a, b)
+                assert np.all(values > 0.0)
+                assert np.all(values[1:, :] >= values[:-1, :] * (1.0 - 2.0**-40))
+                assert np.all(values[:, 1:] >= values[:, :-1] * (1.0 - 2.0**-40))
+                # the whole-grid reductions the three points replace
+                grid, values = engine._BoundGrid(fn, 64, "overflow"), fn(aa, bb)
+                assert grid.overflow is None
+                assert np.all(grid.lo <= np.minimum.reduceat(values, starts) * (1.0 + 2.0**-40))
+                assert np.all(grid.hi * (1.0 + 2.0**-40) >= np.maximum.reduceat(values, starts))
+
+    @pytest.mark.parametrize("bad", [-0.5, 0.0, math.inf, math.nan])
+    # points the bounds read: (c, l) and (l, c) of antidiagonals 5 and 6, (m, m) of 7 and of 9..16
+    @pytest.mark.parametrize("point", [(3.0, 1.0), (1.0, 3.0), (6.0, 6.0), (8.0, 8.0)])
     @pytest.mark.parametrize("q", [None, -3.0, 2.5])  # q = 0 gives ones, bounded by 1
-    def test_a_value_that_is_not_positive_leaves_no_bound(self, q, bad):
-        values = np.ones(series.grid(8)[0].size)
-        values[40] = bad
+    def test_a_value_that_is_not_positive_leaves_no_bound(self, q, point, bad):
+        def f(a, b):
+            return np.where((a == point[0]) & (b == point[1]), bad, 1.0)
+
+        grid = engine._BoundGrid(f, 8, "overflow")
         with np.errstate(invalid="ignore"):
-            bound = engine._mean_bound([engine._BoundGrid(values, 8)], q)
+            bound = engine._mean_bound([grid], q)
         assert bound.shape == (15,) and np.all(bound == math.inf)
+        assert grid.overflow == (None if bad <= 0.0 else "overflow")
 
     def test_log_bound_covers_the_rounding_of_a_three_case_mean(self, monkeypatch):
         # (x + x + x) / 3 is one double below x = 1 - 2^-52, so the log of the
@@ -521,8 +596,8 @@ class TestAntidiagonalBounds:
         x = 1.0 - 2.0**-52
         assert (x + x + x) / 3 < x
         aa, bb, _ = series.grid(8)
-        monkeypatch.setattr(engine, "_bound_grid",
-                            lambda *args: engine._BoundGrid(np.full(aa.size, x), 8))
+        monkeypatch.setattr(engine, "_bound_grid", lambda *args: engine._BoundGrid(
+            lambda a, b: np.full(a.shape, x), 8, "overflow"))
         table = engine._case_mean(BoundFamily.IMPROVED, NormKind.LINF, engine.Side.LOWER,
                                   POS11)(aa, bb)
         assert np.all(_antidiagonal_max(table.head(aa.size), 8) <= table.bound)

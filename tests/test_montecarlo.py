@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -593,6 +594,48 @@ class TestCostGuard:
         estimator(POS11, McConfig(64, 4))
         with pytest.raises(DomainError, match="5 ensembles or samples exceed"):
             estimator(POS11, McConfig(64, 5))
+
+    def test_chunk_guard_refuses_before_drawing_coins(self, monkeypatch, deadline):
+        # 4 * 10^6 ensembles of 2 500 steps pass the cost and width guards; one chunk's
+        # coin bytes for all of them would take 1.25 GB
+        monkeypatch.setattr(montecarlo, "_coin_bytes", _no_coins)
+        with pytest.raises(DomainError, match=r"4000000 ensembles of 2500 steps draw "
+                           r"1.25e\+09 coin bytes a chunk, above the memory guard 1e\+08"):
+            lyapunov_mc(POS11, McConfig(10**10, 4 * 10**6))
+
+    @pytest.mark.parametrize("estimator,cfg", [
+        (lyapunov_mc, McConfig(10**7, 32)),  # the CLI's defaults
+        (lyapunov_mc, McConfig(10**6, 25)),  # mc-long: 40 000 steps an ensemble
+        (zeroth_moment_mc, McConfig(10**7, 20_000)),  # mc-wide: 200 steps an ensemble
+    ], ids=["cli", "mc-long", "mc-wide"])
+    def test_chunk_guard_admits_the_cli_and_benchmark_runs(self, monkeypatch, estimator, cfg):
+        monkeypatch.setattr(montecarlo, "_coin_bytes", _no_coins)
+        with pytest.raises(AssertionError, match="coins drawn"):
+            estimator(POS11, cfg)
+
+    def test_chunk_guard_bounds_traced_memory(self, monkeypatch):
+        # patched down: 2^12-step chunks of 512 coin bytes an ensemble, room for 256
+        budget = 256 * 512
+        monkeypatch.setattr(montecarlo, "_COIN_CHUNK", 1 << 12)
+        monkeypatch.setattr(montecarlo, "_MAX_TOTAL_COINS", budget)
+
+        def traced_peak(ensembles, steps):
+            tracemalloc.start()
+            try:
+                lyapunov_mc(POS11, McConfig(ensembles * steps, ensembles))
+            except DomainError:
+                pass
+            finally:
+                peak = tracemalloc.get_traced_memory()[1]
+                tracemalloc.stop()
+            return peak
+
+        one_chunk = traced_peak(256, 1 << 12)
+        assert budget < one_chunk < 8 * budget
+        # each chunk's bytes are freed before the next chunk's are drawn
+        assert traced_peak(256, 3 << 12) < one_chunk + budget / 4
+        # one ensemble more is refused before anything of that size is allocated
+        assert traced_peak(257, 1 << 12) < budget / 16
 
     def test_width_guard_admits_the_default_widths(self):
         # the CLI's default sample count; tests and the benchmark run at most 40 000

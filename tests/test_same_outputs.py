@@ -50,11 +50,16 @@ def test_timestamps_are_masked():
 
 def test_commands_cover_the_figures_tables_bounds_and_a_refusal():
     commands = same_outputs.COMMANDS
-    assert sum(c.startswith("sweep --mode") and "--format csv" in c for c in commands) == 5
+    assert sum(c.startswith("sweep --mode") and "--format csv" in c for c in commands) == 6
     assert "table1 --format json" in commands
     assert sum(c.startswith("gle-exact") for c in commands) == 5
-    assert sum(c.startswith("bounds") for c in commands) == 8
+    assert sum(c.startswith("bounds") for c in commands) == 9
     assert "sweep --mode gle --alpha 1 --q 60 --family global" in commands
+    # the paths that evaluate grids on leading runs
+    assert "bounds --alpha 1 --beta 1 --family improved --max-index 1024 --format csv" in commands
+    assert "sweep --mode gle --alpha 1e30 --q -2:2:1 --format csv" in commands
+    assert "sweep --mode gle --alpha 1e100 --q 2" in commands
+    assert len(commands) == 23
 
 
 def test_a_tree_without_the_program_exits_2(tmp_path):

@@ -6,9 +6,11 @@ Runs a fixed list of CLI commands with the program of this checkout and
 with the one under PARENT_TREE (each from its own src/), one fresh
 interpreter per command: the five README figure sweeps, table1, gle-exact
 for q = 1..5, bounds for both families at (1, 1) and (-3, 3) in text and
-JSON, and the q = 60 moment sweep that exits 3.  JSON timestamps are
-masked.  Exits 0 when every command's stdout, stderr and exit code agree,
-and 1 naming the first command that differs; 2 for a bad invocation.
+JSON, and the q = 60 moment sweep that exits 3; then the improved bounds at
+max_index 1024, a moment sweep at shears of 1e30 and one at 1e100 whose
+terms overflow (exit 3).  JSON timestamps are masked.  Exits 0 when every
+command's stdout, stderr and exit code agree, and 1 naming the first
+command that differs; 2 for a bad invocation.
 """
 
 from __future__ import annotations
@@ -34,6 +36,10 @@ COMMANDS = [
       for a, b in (("1", "1"), ("-3", "3")) for family in ("global", "improved")
       for fmt in ("text", "json")],
     "sweep --mode gle --alpha 1 --q 60 --family global",
+    # where grids are evaluated on leading runs: a wide grid, huge shears, overflow
+    "bounds --alpha 1 --beta 1 --family improved --max-index 1024 --format csv",
+    "sweep --mode gle --alpha 1e30 --q -2:2:1 --format csv",
+    "sweep --mode gle --alpha 1e100 --q 2",
 ]
 
 _TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')
