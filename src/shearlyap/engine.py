@@ -206,14 +206,15 @@ def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearPar
     q is None), one term per case in table order, as pointwise evaluation adds them.
     It returns a series.LazyTable, whose values on a leading run of the grid are
     computed on request and bounded on each antidiagonal by _mean_bound.  For q
-    None, a grid whose values overflow raises its error: their log is not finite."""
+    None or q > 0, a grid whose values overflow raises its error: their log, and
+    their powers, are not finite (for q <= 0, inf ** q is 1 or 0)."""
     def f(a, b):
         limit = math.isqrt(a.size)
         cases = [function_case(params.regime, norm, side, c)
                  for c in cases_for(family, params.regime)]
         grids = [_bound_grid(norm, side, c, params, limit) for c in cases]
         for g in grids:
-            if q is None and g.overflow is not None:
+            if g.overflow is not None and (q is None or q > 0):
                 raise NonConvergenceError(g.overflow)
 
         def head(m):

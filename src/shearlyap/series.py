@@ -23,9 +23,13 @@ on the whole sum of magnitudes, and the certificate's slack is the
 extraction's remainder bound plus that tail bound.  Where it does not decide
 (the sum cancels, or lies near a rounding midpoint), and where a bound is not
 finite, the whole grid is summed as for a plain table, so the result is
-math.fsum of every term either way.  The doubling check sums one evaluation
-of the integrand, on the doubled grid, and the same leading run clipped to
-its corner.
+math.fsum of every term either way.  The doubling check evaluates the
+integrand once, on the doubled grid, and takes the sum over its N x N corner
+from the certificate that decided the doubled grid's sum: the corner's sum
+is the run's less the run's terms outside the corner, plus the corner's
+terms past the run, so the same taus, less those outside terms, with the
+corner's own tail bound as slack decide it.  Only where they do not is the
+corner's leading run summed on its own.
 Moments of the form  sum 2^-a a^n  are integers and are computed exactly
 by recurrence, which gives exact values for integer-q moment expansions.
 
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable, Mapping
 
 import numpy as np
@@ -179,9 +183,10 @@ def _certified(taus: list[float], b: float, tail: float) -> float | None:
     return total if total == math.fsum(taus + [b, tail]) != 0.0 else None
 
 
-def _extracted_sum(flat: np.ndarray, tail: float = 0.0) -> float | None:
+def _extraction(flat: np.ndarray, tail: float = 0.0) -> tuple[float, list[float], float] | None:
     """math.fsum of flat and of terms outside it that sum to at most tail in
-    size, certified in two or three whole-array passes, or None where the
+    size, certified in two or three whole-array passes, with the certificate
+    (the taus and the remainder bound b of its last pass), or None where the
     certificate does not decide it.
 
     Error-free vector extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
@@ -219,12 +224,21 @@ def _extracted_sum(flat: np.ndarray, tail: float = 0.0) -> float | None:
     np.subtract(flat, q, out=q)
     taus.append(_extract(q, sigma[1], q))
     total = _certified(taus, sigma[2], tail)
-    if total is not None or exp + 3 * (m - 53) < _EXTRACT_EMIN:
-        return total
+    if total is not None:
+        return total, taus, sigma[2]
+    if exp + 3 * (m - 53) < _EXTRACT_EMIN:
+        return None
     # the remainder after two passes: (flat - first pass's q) - q
     np.subtract(flat - ((flat + sigma[0]) - sigma[0]), q, out=q)
     taus.append(_extract(q, sigma[2], q))
-    return _certified(taus, sigma[3], tail)
+    total = _certified(taus, sigma[3], tail)
+    return None if total is None else (total, taus, sigma[3])
+
+
+def _extracted_sum(flat: np.ndarray, tail: float = 0.0) -> float | None:
+    """The double of _extraction(flat, tail), or None."""
+    decided = _extraction(flat, tail)
+    return None if decided is None else decided[0]
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -243,13 +257,20 @@ def _exact_sum(terms: np.ndarray) -> float:
     return math.fsum(flat.tolist()) if total is None else total
 
 
+def _padded(bound: float) -> float:
+    """A tail bound summed in doubles, raised to cover that sum's rounding
+    and terms that underflow."""
+    return bound * (1.0 + _TAIL_SLACK) + _TAIL_FLOOR
+
+
 def _prefix_sum(table: LazyTable, limit: int) -> float | None:
     """The sum over grid(limit) of the weighted values of table, from the
     shortest leading run whose tail bound is at most 2^-_TAIL_BITS of the
     bound on the whole sum of magnitudes; None where that run is the whole
     grid (as it is for any bound that is not finite, whose total is inf or
     nan) or its certificate (with the tail bound as extra slack) does not
-    decide the double."""
+    decide the double.  A _Memoized table also receives the sum over its
+    corner where the same certificate decides it (_corner_sum)."""
     with np.errstate(over="ignore", invalid="ignore"):
         # per antidiagonal, a bound on the sum of its terms' magnitudes
         bounds = _antidiagonal_weights(limit) * table.bound
@@ -258,9 +279,44 @@ def _prefix_sum(table: LazyTable, limit: int) -> float | None:
     dropped = int(tails.searchsorted(math.ldexp(float(tails[-1]), -_TAIL_BITS), "right"))
     if not 0 < dropped < bounds.size:
         return None
-    m = int(antidiagonal_starts(limit)[bounds.size - dropped])
+    k = bounds.size - dropped
+    m = int(antidiagonal_starts(limit)[k])
     terms = grid(limit)[2][:m] * table.head(m)
-    return _extracted_sum(terms, float(tails[dropped - 1]) * (1.0 + _TAIL_SLACK) + _TAIL_FLOOR)
+    decided = _extraction(terms, _padded(float(tails[dropped - 1])))
+    if decided is None:
+        return None
+    corner = (_corner_sum(terms, k, tails, table.bound, decided)
+              if isinstance(table, _Memoized) else None)
+    if corner is not None:
+        table.corner.append(corner)
+    return decided[0]
+
+
+def _corner_sum(terms: np.ndarray, k: int, tails: np.ndarray, bound: np.ndarray,
+                certificate: tuple[float, list[float], float]) -> float | None:
+    """The sum over the N x N corner of grid(2 N), or None where the
+    certificate of the 2N sum does not decide it.  terms is that sum's
+    leading run, antidiagonals 2..K + 1 for K = k, tails and bound its tail
+    bounds and the table's bound per antidiagonal, and certificate the
+    extraction's (total, taus, remainder bound).
+
+    The corner's exact sum is the run's, minus the run's terms outside the
+    corner (a > N or b > N, on antidiagonals N + 2 on), plus the corner's
+    terms past the run.  Both lie on antidiagonals from min(K, N) + 2 on,
+    which one entry of tails bounds: if the certificate still decides total
+    with that slack, total is the corner's sum too (always so for K <= N).
+    Otherwise the outside terms are gathered from the run and subtracted
+    from the taus, and the corner's own tail bound is the slack."""
+    total, taus, rest = certificate
+    n = (tails.size + 1) // 4
+    if _certified(taus, rest, _padded(float(tails[4 * n - 2 - min(k, n)]))) == total:
+        return total
+    first = int(antidiagonal_starts(2 * n)[n])  # antidiagonal N + 2, the first outside
+    a, b, _ = grid(2 * n)
+    m = terms.size
+    outside = terms[first:][(a[first:m] > n) | (b[first:m] > n)]
+    past = float(_antidiagonal_weights(n)[k:] @ bound[k:2 * n - 1])
+    return _certified(taus + (-outside).tolist(), rest, _padded(past))
 
 
 def truncated_sum(f: Callable, limit: int) -> float:
@@ -284,7 +340,16 @@ def truncated_sum(f: Callable, limit: int) -> float:
     return _exact_sum(weights * table)
 
 
-def _memoized(table: LazyTable) -> LazyTable:
+@dataclass(frozen=True)
+class _Memoized(LazyTable):
+    """A table on grid(2 N) whose head keeps the longest run computed so far
+    and slices it; corner receives the sum over its N x N corner where the
+    certificate of the table's own sum decides that too."""
+
+    corner: list[float] = field(default_factory=list)
+
+
+def _memoized(table: LazyTable) -> _Memoized:
     """table, whose head keeps the longest run computed so far and slices it."""
     longest = np.empty(0)
 
@@ -294,7 +359,7 @@ def _memoized(table: LazyTable) -> LazyTable:
             longest = table.head(m)
         return longest[:m]
 
-    return LazyTable(head, table.bound)
+    return _Memoized(head, table.bound)
 
 
 @functools.lru_cache(maxsize=1)
@@ -326,11 +391,15 @@ def expect_block_report(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> Seri
 
     f is called once, on the 2N grid (N = cfg.max_index); the N sum reads its
     corner.  A plain table (a scalar too) is broadcast to the grid's shape.
-    Where f returns a LazyTable, each sum computes only the leading
-    run of antidiagonals that decides it, and the N sum reads its run from
-    the values the 2N sum computed, clipped to the corner, with the corner's
-    own tail bound.  Both values are math.fsum of every term of their grid,
-    so the value and the tail estimate do not depend on how much was read.
+    Where f returns a LazyTable, the 2N sum computes only the leading run of
+    antidiagonals that decides it, and the certificate that decided it
+    decides the N sum too, from the run's terms outside the corner and the
+    corner's own tail bound (_corner_sum), as it does for almost every bound
+    integrand of the engine.  Where it does not, the N sum reads
+    its own run from the values the 2N sum computed, clipped to the corner,
+    with the corner's own tail bound.  Both values are math.fsum of every
+    term of their grid, so the value and the tail estimate do not depend on
+    how much was read.
     """
     n = cfg.max_index
     table = None
@@ -345,7 +414,9 @@ def expect_block_report(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> Seri
         return table
 
     s2 = truncated_sum(tabulated, 2 * n)
-    s1 = truncated_sum(tabulated, n)
+    # the corner's sum, where the certificate of the 2N sum decided it too
+    derived = table.corner if isinstance(table, _Memoized) else []
+    s1 = derived[0] if derived else truncated_sum(tabulated, n)
     if not math.isfinite(s2):
         raise NonConvergenceError(
             f"series sum is not finite ({s2}): its terms overflow double precision, "

@@ -1,6 +1,11 @@
 import signal
 
 import pytest
+from hypothesis import settings
+
+# CI runs --hypothesis-profile=ci: the same examples on every run, and a failing
+# one printed as a blob that @reproduce_failure replays locally
+settings.register_profile("ci", derandomize=True, print_blob=True)
 
 
 @pytest.fixture()

@@ -588,10 +588,15 @@ class TestExtremeShears:
         ("sweep --mode gle --alpha 1 --q -670 --family global",
          "error: series sum is 5.33e-321: the upper l1 moment sum at q = -670.0 underflows "
          "double precision, as terms f^q do at large negative q; a larger max_index cannot help"),
+        # the lower l1 bound function stays finite (up to 1.6e204), its square does not
         ("sweep --mode gle --alpha 1e100 --q 2",
          "error: series sum is not finite (inf): its terms overflow double precision, as "
          "moment terms f^q do at large |q|; a larger max_index cannot help"),
-    ], ids=["q60", "q-670", "q2-overflow"])
+        # the lower l1 bound function itself overflows, and so does any power q > 0 of it
+        ("sweep --mode gle --alpha 1e160 --q 2",
+         "error: series terms are not finite: the global positive lower l1 bound function "
+         "overflows double precision at alpha=1e+160, beta=1e+160"),
+    ], ids=["q60", "q-670", "q2-overflow", "q2-bound-overflow"])
     def test_moment_sums_beyond_doubles_keep_their_refusal(self, runner, args, line):
         # both sums and the tail estimate are the same doubles however much of
         # the grid is read, so the message prints the same digits

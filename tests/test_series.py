@@ -377,19 +377,35 @@ class TestExtractedSum:
 
     def test_figure_sweeps_decide_on_leading_runs(self, monkeypatch):
         # a leading run that does not decide its sum, a whole-grid extraction
-        # that declines, or a third pass where two decide would still be
-        # correct, only slow
-        counts = {"runs": 0, "runs_undecided": 0, "grids": 0, "grids_undecided": 0}
-        extracted_sum = series._extracted_sum
+        # that declines, a third pass where two decide, or a corner sum that
+        # the 2N certificate leaves undecided would still be correct, only slow
+        counts = {"runs": 0, "runs_undecided": 0, "grids": 0, "grids_undecided": 0,
+                  "reports": 0, "corners": 0, "corners_derived": 0, "corner_certificates": 0}
+        extraction, corner_sum, report = (series._extraction, series._corner_sum,
+                                          series.expect_block_report)
 
-        def counting_sum(flat, tail=0.0):
-            total = extracted_sum(flat, tail)
+        def counting_extraction(flat, tail=0.0):
+            decided = extraction(flat, tail)
             kind = "runs" if tail > 0.0 else "grids"  # a leading run's tail bound is positive
             counts[kind] += 1
-            counts[kind + "_undecided"] += total is None
+            counts[kind + "_undecided"] += decided is None
+            return decided
+
+        def counting_corner_sum(*args):
+            before = len(certificates)
+            total = corner_sum(*args)
+            counts["corners"] += 1
+            counts["corners_derived"] += total is not None
+            counts["corner_certificates"] += len(certificates) - before
             return total
 
-        monkeypatch.setattr(series, "_extracted_sum", counting_sum)
+        def counting_report(*args):
+            counts["reports"] += 1
+            return report(*args)
+
+        monkeypatch.setattr(series, "_extraction", counting_extraction)
+        monkeypatch.setattr(series, "_corner_sum", counting_corner_sum)
+        monkeypatch.setattr(series, "expect_block_report", counting_report)
         certificates = _count_certificates(monkeypatch)
         runner = CliRunner()
         for argv in (["--mode", "gle", "--alpha", "1", "--beta", "1", "--q", "-3:3:0.1"],
@@ -398,7 +414,12 @@ class TestExtractedSum:
             assert result.exit_code == 0, result.output
         assert counts["runs"] > 0 and counts["runs_undecided"] <= counts["runs"] // 100, counts
         assert counts["grids"] == counts["runs_undecided"] and counts["grids_undecided"] == 0
-        third_passes = len(certificates) - counts["runs"] - counts["grids"]
+        # each decided 2N run is asked for its corner, with one or two certificates
+        assert counts["corners"] >= counts["reports"] - counts["runs_undecided"]
+        assert counts["corners"] <= counts["corner_certificates"] <= 2 * counts["corners"]
+        assert 100 * counts["corners_derived"] >= 99 * counts["reports"], counts
+        third_passes = (len(certificates) - counts["corner_certificates"]
+                        - counts["runs"] - counts["grids"])
         assert 0 <= third_passes <= counts["runs"] // 100, (counts, third_passes)
 
 
@@ -548,3 +569,133 @@ class TestLeadingRuns:
         assert rep.tail_estimate == abs(rep.value - truncated_sum(lambda a, b: g[corner], max_index))
         if max_index == 1024:  # only a short leading run is ever computed
             assert max(asked) < weights.size // 100
+
+
+def _count_truncated_sums(monkeypatch):
+    """A list that gets the limit of every series.truncated_sum call from now on."""
+    limits = []
+    summed = series.truncated_sum
+
+    def counting_sum(f, limit):
+        limits.append(limit)
+        return summed(f, limit)
+
+    monkeypatch.setattr(series, "truncated_sum", counting_sum)
+    return limits
+
+
+@st.composite
+def doubled_integrands(draw):
+    """(1 + a b)^k on grid(2 N), k in 0..6, with a sign pattern: none, by
+    antidiagonal parity, random, by a <=> b (the sum cancels to zero), or a
+    shift by a value of the table (it may nearly cancel)."""
+    n = draw(st.sampled_from([8, 16, 64]))
+    a, b, _ = series.grid(2 * n)
+    g = (1.0 + a * b) ** draw(st.integers(0, 6))
+    signs = draw(st.sampled_from(["none", "checker", "random", "antisymmetric", "shift"]))
+    if signs == "checker":
+        g = np.where((a + b) % 2 == 0, g, -g)
+    elif signs == "random":
+        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+        g = np.where(rng.random(g.size) < 0.5, g, -g)
+    elif signs == "antisymmetric":
+        g = np.sign(a - b) * g
+    elif signs == "shift":
+        g = g - g[draw(st.integers(0, g.size - 1))]
+    return n, g
+
+
+def _corner_case(outside, corner, past, last):
+    """Values on grid(16) whose 2N run is antidiagonals 2..10 and sums to
+    1 + 2^-52 away from every midpoint: terms 1 and 2^-53 at (1, 1) and (1, 2),
+    corner at (2, 1), outside at (9, 1), which lies outside the 8 x 8 corner,
+    and past on every corner point of antidiagonals 11..last."""
+    a, b, weights = series.grid(16)
+    g = np.zeros(a.size)
+    for (i, j), term in {(1, 1): 1.0, (1, 2): 2.0**-53, (2, 1): corner, (9, 1): outside}.items():
+        at = (a == i) & (b == j)
+        g[at] = term / weights[at]
+    g[(a + b >= 11) & (a + b <= last) & (a <= 8) & (b <= 8)] = past
+    return g
+
+
+class TestCornerCertificate:
+    """expect_block_report takes the N x N corner's sum from the certificate of
+    the 2N sum where it decides it, and runs the N sum where it does not;
+    either way both values are math.fsum of every term of their grid."""
+
+    @settings(deadline=None)
+    @given(doubled_integrands())
+    def test_equals_fsum_of_the_grid_and_of_its_corner(self, drawn):
+        n, g = drawn
+        limit = 2 * n
+        a, b, weights = series.grid(limit)
+        terms = weights * g
+        s2 = math.fsum(terms.tolist())
+        s1 = math.fsum(terms[(a <= n) & (b <= n)].tolist())
+        with pytest.MonkeyPatch.context() as mp:
+            limits = _count_truncated_sums(mp)
+            rep = expect_block_report(lambda a, b: _lazy(g, _antidiagonal_max(g, limit)),
+                                      SeriesConfig(max_index=n, tail_tol=1e300))
+        assert rep.value.hex() == s2.hex()
+        assert rep.tail_estimate.hex() == abs(s2 - s1).hex()
+        assert limits in ([limit], [limit, n])
+        if s2 == 0.0:  # a zero sum is never certified: both sums run
+            assert limits == [limit, n]
+
+    @pytest.mark.parametrize("k", [0, 1, 3])
+    def test_one_sum_where_the_certificate_decides(self, monkeypatch, k):
+        # (1 + a b)^k 2^-(a+b) is decided on a leading run of grid(128), not of grid(16)
+        a, b, weights = series.grid(128)
+        g = (1.0 + a * b) ** k
+        limits = _count_truncated_sums(monkeypatch)
+        rep = expect_block_report(lambda a, b: _lazy(g, _antidiagonal_max(g, 128)),
+                                  SeriesConfig(max_index=64, tail_tol=1.0))
+        assert limits == [128]
+        terms = weights * g
+        s2, s1 = math.fsum(terms.tolist()), math.fsum(terms[(a <= 64) & (b <= 64)].tolist())
+        assert rep.value.hex() == s2.hex() and rep.tail_estimate.hex() == abs(s2 - s1).hex()
+
+    @pytest.mark.parametrize("case", ["inf-bound", "cancels"])
+    def test_two_sums_where_a_bound_is_inf_or_the_sum_cancels(self, monkeypatch, case):
+        limit = 32
+        a, b, weights = series.grid(limit)
+        g = (1.0 + a * b) ** 2
+        bound = _antidiagonal_max(g, limit)
+        if case == "inf-bound":
+            bound[5] = math.inf
+        else:
+            g = np.sign(a - b) * g
+        limits = _count_truncated_sums(monkeypatch)
+        rep = expect_block_report(lambda a, b: _lazy(g, bound),
+                                  SeriesConfig(max_index=16, tail_tol=1.0))
+        assert limits == [limit, 16]
+        terms = weights * g
+        s2, s1 = math.fsum(terms.tolist()), math.fsum(terms[(a <= 16) & (b <= 16)].tolist())
+        assert rep.value.hex() == s2.hex() and rep.tail_estimate.hex() == abs(s2 - s1).hex()
+
+    @pytest.mark.parametrize("corner,past,summed,s1", [
+        # the corner's run is 2^-67 below the midpoint 1 + 2^-53: decided, and
+        # unlike the 2N sum it rounds down
+        (-(2.0**-67), 2.0**-70, False, 1.0),
+        # 2^-84 below the midpoint, within the corner's tail bound: a positive
+        # tail rounds the corner up, a negative one down, and only the N sum knows
+        (-(2.0**-84), 2.0**-70, True, 1.0 + 2.0**-52),
+        (-(2.0**-84), -(2.0**-70), True, 1.0),
+    ], ids=["derived", "tail-up", "tail-down"])
+    @pytest.mark.parametrize("last", [11, 16], ids=["next-antidiagonal", "to-the-corner"])
+    def test_outside_terms_and_the_corners_tail_are_in_its_certificate(
+            self, monkeypatch, corner, past, summed, s1, last):
+        # the run's term 2^-54 at (9, 1) lies outside the corner
+        g = _corner_case(2.0**-54, corner, past, last)
+        asked = []
+        limits = _count_truncated_sums(monkeypatch)
+        rep = expect_block_report(lambda a, b: _lazy(g, _antidiagonal_max(g, 16), asked),
+                                  SeriesConfig(max_index=8, tail_tol=1.0))
+        assert asked[0] == series.antidiagonal_starts(16)[9]  # antidiagonals 2..10
+        assert limits == ([16, 8] if summed else [16])
+        a, b, weights = series.grid(16)
+        terms = weights * g
+        assert rep.value == math.fsum(terms.tolist()) == 1.0 + 2.0**-52
+        assert math.fsum(terms[(a <= 8) & (b <= 8)].tolist()) == s1
+        assert rep.tail_estimate == abs(rep.value - s1)

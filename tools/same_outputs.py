@@ -8,7 +8,9 @@ interpreter per command: the five README figure sweeps, table1, gle-exact
 for q = 1..5, bounds for both families at (1, 1) and (-3, 3) in text and
 JSON, and the q = 60 moment sweep that exits 3; then the improved bounds at
 max_index 1024, a moment sweep at shears of 1e30 and one at 1e100 whose
-terms overflow (exit 3).  JSON timestamps are masked.  Exits 0 when every
+terms overflow (exit 3); last the bounds at max_index 8, whose tail
+estimate exceeds the tolerance (exit 3), and a moment sweep over q = 3..6.
+JSON timestamps are masked.  Exits 0 when every
 command's stdout, stderr and exit code agree, and 1 naming the first
 command that differs; 2 for a bad invocation.
 """
@@ -40,6 +42,11 @@ COMMANDS = [
     "bounds --alpha 1 --beta 1 --family improved --max-index 1024 --format csv",
     "sweep --mode gle --alpha 1e30 --q -2:2:1 --format csv",
     "sweep --mode gle --alpha 1e100 --q 2",
+    # where the 2N certificate decides the corner's sum, or leaves it to the N sum:
+    # a tail estimate that fails the tolerance (exit 3), and moment sums whose
+    # corner rounds to another double than the 2N sum
+    "bounds --alpha 1 --beta 1 --max-index 8",
+    "sweep --mode gle --alpha 1 --q 3:6:0.5 --format csv",
 ]
 
 _TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')
