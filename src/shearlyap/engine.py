@@ -207,7 +207,9 @@ def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearPar
     It returns a series.LazyTable, whose values on a leading run of the grid are
     computed on request and bounded on each antidiagonal by _mean_bound.  For q
     None or q > 0, a grid whose values overflow raises its error: their log, and
-    their powers, are not finite (for q <= 0, inf ** q is 1 or 0)."""
+    their powers, are not finite (for q <= 0, inf ** q is 1 or 0).  Where the
+    values are finite and their powers, or the sum of those, overflow, the
+    moment sum is refused by its name."""
     def f(a, b):
         limit = math.isqrt(a.size)
         cases = [function_case(params.regime, norm, side, c)
@@ -219,10 +221,18 @@ def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearPar
 
         def head(m):
             heads = [g.head(m) for g in grids]
-            # f^q overflows to inf at large |q|; the series layer reports that sum
-            with np.errstate(over="ignore"):
-                total = functools.reduce(np.add, heads if q is None else (h ** q for h in heads))
-            return np.log(total / len(grids)) if q is None else total / len(grids)
+            if q is None:
+                with np.errstate(over="ignore"):
+                    return np.log(functools.reduce(np.add, heads) / len(grids))
+            try:  # f^q may overflow where f does not: the sum is refused by name
+                with np.errstate(over="raise"):
+                    total = functools.reduce(np.add, (h ** q for h in heads))
+            except FloatingPointError:
+                raise NonConvergenceError(
+                    f"series terms are not finite: the {side.value} {norm.value} moment sum at "
+                    f"q = {q} overflows double precision; a larger max_index cannot help"
+                ) from None
+            return total / len(grids)
 
         return LazyTable(head, _mean_bound(grids, q))
     return f

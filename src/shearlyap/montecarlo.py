@@ -18,14 +18,17 @@ Every random product goes through one kernel, ``_pairwise_product``: the
 textbook one-vector Lyapunov estimator (a fair coin picks the shear of each
 step), the block oracle and sampled E_k all multiply their step matrices
 pairwise in about log2(length) vectorized levels.  Products are held as
-four entry arrays, p11, p12, p21 and p22, one element per product.  For coin
-steps the first three levels are a lookup: each byte of coins indexes a
-table of the 256 products of eight steps, built per call by the same levels
-from the coins of the bytes 0..255, so the products are the same doubles.
-A coin sub-chunk holds at least one byte of every stream, however wide the
-ensemble, so only the last length % 8 steps skip the table.  Sampled E_k
-draws its one stream in tiles of _COIN_TILE_WORDS words that span several
-sub-chunks.
+four entry arrays, p11, p12, p21 and p22, one element per product, and the
+rows of a sub-chunk are laid out in bit-reversed step order, so that each
+level multiplies two contiguous halves and pairs the same steps as the
+natural order would.  For coin steps the first three levels are a lookup:
+each byte of coins indexes a table of the 256 products of eight steps, built
+per call by the same levels from the coins of the bytes 0..255, so the
+products are the same doubles.  A coin sub-chunk holds at least one byte of
+every stream, however wide the ensemble, so only the last length % 8 steps
+skip the table.  Sampled E_k draws its one stream in tiles of
+_COIN_TILE_WORDS words that span several sub-chunks; the block oracle draws
+all its streams at once and finds their runs in one pass.
 Exhaustive E_k uses the same layout: one (4, 2^k) array is doubled in place
 at each level, B P into the upper half and then A P over the lower half,
 which reproduces a 2x2 matrix product bit for bit.  The moment estimator
@@ -38,6 +41,7 @@ treat the reported effective sample size warning seriously.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import warnings
@@ -59,9 +63,11 @@ _COIN_TILE_WORDS = 1 << 16  # raw Philox words per tile of _coin_bytes
 _EXHAUSTIVE_MAX_K = 22
 _GLE_TRAJ_CAP = 200  # applications per gle_mc trajectory
 _MAX_APPS = 10**10  # cost guard: matrix applications one estimator call may run
-# block_oracle holds a stream's coins and run lengths at once, about 19 bytes a coin: 1 GB
+# coins in one block_oracle stream (0.3 GB at the 6.1 B a coin below)
 _MAX_STREAM_COINS = 5 * 10**7
-_MAX_TOTAL_COINS = 10**8  # and all its run lengths, 6 (32 streams) to 11.5 (2) B a coin: 1 GB
+# and in all: it holds the coins and run lengths of every stream at once, a peak of 6.1 B
+# a coin over 1, 2 or 32 streams (tracemalloc, 4 * 10^6 coins): 0.6 GB
+_MAX_TOTAL_COINS = 10**8
 # ensembles or samples side by side, about 225 B each (tracemalloc, lyapunov_mc at 200
 # steps); lyapunov_mc draws a whole 2^16-step chunk's coin bytes for every ensemble at
 # once, so it also refuses more than _MAX_TOTAL_COINS of them (0.9 GB at this width)
@@ -241,22 +247,38 @@ def _coins(seed: int, streams, start: int, n: int) -> np.ndarray:
     return bits[start - 8 * b0:start - 8 * b0 + n].view(np.int8)
 
 
+@functools.lru_cache(maxsize=None)  # n is a power of two: at most 64 entries
+def _bit_reversed(n: int) -> np.ndarray:
+    """The n = 2^j row indices in bit-reversed order: entry p is p with its j bits reversed."""
+    order = np.zeros(1, dtype=np.intp)
+    while order.size < n:
+        order = np.concatenate([2 * order, 2 * order + 1])
+    order.flags.writeable = False  # shared by every caller
+    return order
+
+
 def _pairwise_product(steps, n: int, width: int, bound: float, params=None):
     """((p11, p12, p21, p22), log_scale) with M_{n-1} ... M_0 = exp(log_scale) p, max |p| = 1.
 
-    steps(lo, hi) gives the entries (m11, m12, m21, m22) of steps lo..hi-1 as four
-    (hi - lo, width) arrays; each step has determinant 1 and entries at most
-    bound.  Given params, step t is instead the shear that coin t picks
-    (_shear_steps), and steps(lo, hi) gives those coins packed as _coin_bytes
-    packs them: bytes lo // 8 .. (hi - 1) // 8 of each column, coin t in bit
-    t % 8 of byte t // 8.  Sub-chunks of 2^j rows, at most _PAIRWISE_BUDGET
-    elements but at least 8 coin steps (a byte of every stream) or 2 other
-    steps, are reduced in j levels that multiply neighbouring rows, later times
-    earlier.  A sub-chunk of 8 or more coin steps starts at level 3, from a
-    table of the 256 products of eight steps, one per byte, made by the same
-    three levels from the coins of the bytes 0..255: every product is the same
-    double as without the table.  Only the tail of a trajectory, the last n % 8
-    coin steps, is multiplied from its steps.  A
+    steps(rows) gives the entries (m11, m12, m21, m22) of the steps numbered by
+    the integer array rows as four (len(rows), width) arrays, row r holding step
+    rows[r]; each step has determinant 1 and entries at most bound.  Given
+    params, step t is instead the shear that coin t picks (_shear_steps), and
+    steps(lo, hi) gives the coins of steps lo..hi-1 packed as _coin_bytes packs
+    them: bytes lo // 8 .. (hi - 1) // 8 of each column, coin t in bit t % 8 of
+    byte t // 8.  Sub-chunks of 2^j rows, at most _PAIRWISE_BUDGET elements but
+    at least 8 coin steps (a byte of every stream) or 2 other steps, are reduced
+    in j levels that multiply neighbouring steps, later times earlier.  A
+    sub-chunk's rows are laid out in bit-reversed step order (_bit_reversed), so
+    each level multiplies its second half by its first, row i + h times row i,
+    two contiguous halves in place of two strided views; the pairs, and so the
+    products, are those of the natural order.  A sub-chunk of 8 or more coin
+    steps starts at level 3, from a table of the 256 products of eight steps,
+    one per byte, made by the same three levels from the coins of the bytes
+    0..255, and gathers its bytes in bit-reversed order (two bytes or fewer are
+    their own reversal): every product is the same double as without the table.
+    Only the tail of a trajectory, the last n % 8 coin steps, is multiplied from
+    its steps.  A
     unit-determinant product has a largest entry of at least 1/sqrt(2) and,
     from entries at most b, at most 2 b^2: levels run unscaled until that
     bound passes _UNSCALED_MAX, then each divides its rows by their largest
@@ -277,19 +299,22 @@ def _pairwise_product(steps, n: int, width: int, bound: float, params=None):
         return [x / mx for x in m], np.log(mx)
 
     def levels(m, s, big):
-        """Reduce m to one row; s is the log scale of each row, big bounds its entries."""
+        """Reduce m, rows in bit-reversed step order, to one row; s is the log scale
+        of each row, big bounds its entries."""
         while len(m[0]) > 1:
             if big > _UNSCALED_MAX:
                 m, ds = rescale(m)
                 s, big = s + ds, math.inf  # rescale every level from here on
-            m = mul([x[1::2] for x in m], [x[0::2] for x in m])
+            h = len(m[0]) // 2
+            m = mul([x[h:] for x in m], [x[:h] for x in m])
             if isinstance(s, np.ndarray):
-                s = s[1::2] + s[0::2]
+                s = s[h:] + s[:h]
             big = 2.0 * big * big
         return m, s, big
 
     if params is not None:  # the products of the eight steps of each byte
-        table, table_s, table_big = levels(_shear_steps(params, _BYTE_COINS), 0.0, bound)
+        coins = _BYTE_COINS[_bit_reversed(8)]
+        table, table_s, table_big = levels(_shear_steps(params, coins), 0.0, bound)
     one, zero = np.ones(width), np.zeros(width)
     total, log_scale = (one, zero, zero, one), zero
     rows = 1 << max(1 if params is None else 3, (_PAIRWISE_BUDGET // width).bit_length() - 1)
@@ -297,12 +322,14 @@ def _pairwise_product(steps, n: int, width: int, bound: float, params=None):
     while lo < n:
         hi = lo + min(rows, 1 << ((n - lo).bit_length() - 1))
         if params is None:
-            m, s, big = steps(lo, hi), 0.0, bound  # s: log scale of each row of m
-        elif hi - lo < 8:
-            coins = steps(lo, hi) >> _BIT_SHIFTS[lo % 8:hi - lo + lo % 8] & 1  # in one byte
+            m, s, big = steps(lo + _bit_reversed(hi - lo)), 0.0, bound  # s: each row's log scale
+        elif hi - lo < 8:  # in one byte
+            coins = steps(lo, hi) >> _BIT_SHIFTS[lo % 8 + _bit_reversed(hi - lo)] & 1
             m, s, big = _shear_steps(params, coins), 0.0, bound
         else:
             codes = steps(lo, hi)
+            if len(codes) > 2:
+                codes = codes[_bit_reversed(len(codes))]
             m, big = [np.take(x[0], codes) for x in table], table_big
             s = np.take(table_s[0], codes) if isinstance(table_s, np.ndarray) else 0.0
         m, s, _ = levels(m, s, big)
@@ -528,26 +555,22 @@ def standard_bound(
     return _mean_log_norm(np.stack(prod), logacc, k)
 
 
-def _run_lengths(coins: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Run-length encode a boolean coin stream: (lengths, first-run value)."""
-    change = np.flatnonzero(coins[1:] != coins[:-1])
-    starts = np.concatenate([[0], change + 1])
-    lengths = np.diff(np.concatenate([starts, [coins.size]]))
-    return lengths, coins[0]
-
-
 def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     """Group raw coin streams into A^a B^b blocks and report their statistics.
 
     Checks the geometric block law empirically: mean block length 4, the
     three order comparisons P(a=b), P(a>b), P(a<b) each 1/3, and a Lyapunov
-    estimate from the block products that must agree with lyapunov_mc.
+    estimate from the block products that must agree with lyapunov_mc.  The
+    coins of all streams are drawn in one _coin_bytes call (a stream's bytes do
+    not depend on the streams beside it) and their runs found in one pass over
+    every stream.  The statistics are exact counts and sums over the blocks,
+    divided once.
     Raises DomainError, before drawing any coin, above _MAX_APPS (10^10) coins,
     _MAX_WIDTH (4 * 10^6) streams, _MAX_STREAM_COINS (5 * 10^7) coins in one
     stream, _MAX_TOTAL_COINS (10^8) coins in all or shears of _SHEAR_MAX (1e79).
     """
-    per_stream = cfg.n_steps // cfg.n_ensembles
-    total = _check_cost(cfg.n_ensembles * per_stream, cfg.n_ensembles)
+    E, per_stream = cfg.n_ensembles, cfg.n_steps // cfg.n_ensembles
+    total = _check_cost(E * per_stream, E)
     if per_stream > _MAX_STREAM_COINS:
         raise DomainError(f"{per_stream:.3g} coins per stream exceed the memory guard "
                           f"{_MAX_STREAM_COINS:.0e}; add ensembles or lower n_steps")
@@ -555,32 +578,47 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
         raise DomainError(f"{total:.3g} coins in all exceed the memory guard "
                           f"{_MAX_TOTAL_COINS:.0e}; lower n_steps")
     _shear_bound(params)  # refuses shears above _SHEAR_MAX
-    a_streams, b_streams = [], []
-    for e in range(cfg.n_ensembles):
-        coins = _coins(cfg.seed, [e], 0, per_stream)[:, 0].astype(bool)  # True -> A
-        lengths, first_is_a = _run_lengths(coins)
-        if not first_is_a:
-            lengths = lengths[1:]  # leading B-run belongs to an unseen block
-        pairs = max(lengths.size // 2 - 1, 0)  # final block may be truncated by the stream end
-        a_streams.append(lengths[0 : 2 * pairs : 2].astype(np.int32))
-        b_streams.append(lengths[1 : 2 * pairs : 2].astype(np.int32))
-    a, b = np.concatenate(a_streams), np.concatenate(b_streams)
-    if a.size == 0:
+    by = _coin_bytes(cfg.seed, range(E), 0, -(-per_stream // 8)).T.copy()  # a stream a row
+    coins = np.unpackbits(by, axis=1, count=per_stream, bitorder="little").reshape(-1)  # 1 -> A
+    new_run = np.empty(total, dtype=bool)  # the coins that start a run
+    np.not_equal(coins[1:], coins[:-1], out=new_run[1:])
+    new_run[::per_stream] = True  # and the first coin of each stream
+    leading_b = coins[::per_stream] == 0  # a leading B-run belongs to an unseen block
+    del coins
+    starts = np.flatnonzero(new_run)
+    del new_run
+    lengths = np.empty(starts.size, dtype=np.int32)
+    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
+    lengths[-1] = total - starts[-1]
+    runs = np.searchsorted(starts, np.arange(0, total + 1, per_stream))  # e: runs[e]..runs[e+1]-1
+    del starts
+    first = runs[:-1] + leading_b
+    # whole blocks only: the final one may be truncated by the stream end
+    pairs = np.maximum((runs[1:] - first) // 2 - 1, 0)
+    first, pairs = first.tolist(), pairs.tolist()
+    # a_0, b_0, a_1, b_1, ... of each stream in turn
+    ab = np.concatenate([lengths[f:f + 2 * p] for f, p in zip(first, pairs)])
+    n_blocks = ab.size // 2
+    if n_blocks == 0:
         raise DomainError("coin streams too short to form a single complete block")
-    stats = dict(mean_block_len=float(np.mean(a + b)), p_eq=float(np.mean(a == b)),
-                 p_gt=float(np.mean(a > b)), p_lt=float(np.mean(a < b)), n_blocks=a.size)
+    d = ab[0::2] - ab[1::2]
+    stats = dict(mean_block_len=int(ab.sum(dtype=np.int64)) / n_blocks,
+                 p_eq=int(np.count_nonzero(d == 0)) / n_blocks,
+                 p_gt=int(np.count_nonzero(d > 0)) / n_blocks,
+                 p_lt=int(np.count_nonzero(d < 0)) / n_blocks, n_blocks=n_blocks)
+    del ab, d
 
     # Lyapunov estimate from the block products K(a, b) = A^a B^b applied to (0, 1)
-    J = min(s.size for s in a_streams)
-    a_mat = np.stack([s[:J] for s in a_streams])
-    b_mat = np.stack([s[:J] for s in b_streams])
+    J = min(pairs)  # the first J blocks of each stream, one stream per row
+    a_mat = np.stack([lengths[f:f + 2 * J:2] for f in first])
+    b_mat = np.stack([lengths[f + 1:f + 2 * J:2] for f in first])
     steps = int(a_mat.sum() + b_mat.sum())
 
-    def blocks(lo, hi):  # one stream per row of a_mat; the kernel runs time on axis 0
-        x, y = params.alpha * a_mat[:, lo:hi].T, params.beta * b_mat[:, lo:hi].T
+    def blocks(rows):  # gathers int32 run lengths; the kernel runs time on axis 0
+        x, y = params.alpha * a_mat[:, rows].T, params.beta * b_mat[:, rows].T
         return np.broadcast_to(1.0, x.shape), y, x, 1.0 + x * y
 
     bound = 1.0 + abs(params.alpha * params.beta) * a_mat.max(initial=0) * b_mat.max(initial=0)
-    (_, p12, _, p22), scale = _pairwise_product(blocks, J, cfg.n_ensembles, bound)
+    (_, p12, _, p22), scale = _pairwise_product(blocks, J, E, bound)
     acc = scale + np.log(np.hypot(p12, p22))
     return BlockStats(lambda_est=float(acc.sum() / steps) if steps else math.nan, **stats)

@@ -419,8 +419,8 @@ def expect_block_report(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> Seri
     s1 = derived[0] if derived else truncated_sum(tabulated, n)
     if not math.isfinite(s2):
         raise NonConvergenceError(
-            f"series sum is not finite ({s2}): its terms overflow double precision, "
-            "as moment terms f^q do at large |q|; a larger max_index cannot help"
+            f"series sum is not finite ({s2}): its terms overflow double precision; "
+            "a larger max_index cannot help"
         )
     tail = abs(s2 - s1)
     allowance = max(cfg.tail_tol, cfg.tail_tol * abs(s2))

@@ -297,12 +297,13 @@ class TestSweepCommand:
 
     @pytest.mark.filterwarnings("error")
     def test_non_finite_moment_sum_exit_3(self, runner):
-        # at q = 200 the moment terms overflow and both truncations sum to inf;
+        # at q = 200 the moment terms overflow, and the sum is refused by name;
         # numpy's overflow warning must not leak from the integrand
         result = runner.invoke(main, ["sweep", "--mode", "gle", "--alpha", "1", "--q", "200",
                                       "--family", "global", "--format", "csv"])
         assert result.exit_code == 3
-        assert "error: series sum is not finite (inf): its terms overflow" in result.output
+        assert ("error: series terms are not finite: the lower l1 moment sum at q = 200.0 "
+                "overflows double precision") in result.output
         assert "a larger max_index cannot help" in result.output
         assert "increase max_index" not in result.output
 
@@ -590,8 +591,8 @@ class TestExtremeShears:
          "double precision, as terms f^q do at large negative q; a larger max_index cannot help"),
         # the lower l1 bound function stays finite (up to 1.6e204), its square does not
         ("sweep --mode gle --alpha 1e100 --q 2",
-         "error: series sum is not finite (inf): its terms overflow double precision, as "
-         "moment terms f^q do at large |q|; a larger max_index cannot help"),
+         "error: series terms are not finite: the lower l1 moment sum at q = 2.0 overflows "
+         "double precision; a larger max_index cannot help"),
         # the lower l1 bound function itself overflows, and so does any power q > 0 of it
         ("sweep --mode gle --alpha 1e160 --q 2",
          "error: series terms are not finite: the global positive lower l1 bound function "

@@ -1,3 +1,5 @@
+import dataclasses
+import itertools
 import math
 import tracemalloc
 
@@ -6,6 +8,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from shearlyap import (
+    BlockStats,
     BoundFamily,
     DomainError,
     McConfig,
@@ -99,13 +102,17 @@ def reference_log_growth(params, cfg, traj_len):
     return acc + np.log(np.sqrt(u * u + v * v))
 
 
+def run_lengths(coins):
+    """(the lengths of the runs of equal coins, the first coin)."""
+    return np.array([len(list(run)) for _, run in itertools.groupby(coins.tolist())]), coins[0]
+
+
 def reference_block_lambda(params, cfg):
     """block_oracle's lambda by one block matrix K(a, b) at a time."""
     per_stream = cfg.n_steps // cfg.n_ensembles
     a_streams, b_streams = [], []
     for r in (ReferenceStream(cfg.seed, e) for e in range(cfg.n_ensembles)):
-        lengths, first_is_a = montecarlo._run_lengths(
-            r.draw(per_stream).astype(bool))
+        lengths, first_is_a = run_lengths(r.draw(per_stream))
         if not first_is_a:
             lengths = lengths[1:]
         pairs = max(lengths.size // 2 - 1, 0)
@@ -165,6 +172,90 @@ def reference_exhaustive_bound(k, params):
     return float(((np.log(norms) + logacc) / k).mean()), P, logacc
 
 
+def natural_order_product(steps, n, width, bound, params=None):
+    """montecarlo._pairwise_product with its rows in natural step order: each
+    level multiplies the strided views x[1::2] (later) and x[0::2] (earlier),
+    and steps(lo, hi) gives steps lo..hi-1 (coins packed as there, given params)."""
+    def mul(later, earlier):
+        l11, l12, l21, l22 = later
+        e11, e12, e21, e22 = earlier
+        return (l11 * e11 + l12 * e21, l11 * e12 + l12 * e22,
+                l21 * e11 + l22 * e21, l21 * e12 + l22 * e22)
+
+    def rescale(m):
+        mx = np.maximum(np.maximum(np.abs(m[0]), np.abs(m[1])),
+                        np.maximum(np.abs(m[2]), np.abs(m[3])))
+        return [x / mx for x in m], np.log(mx)
+
+    def levels(m, s, big):
+        while len(m[0]) > 1:
+            if big > montecarlo._UNSCALED_MAX:
+                m, ds = rescale(m)
+                s, big = s + ds, math.inf
+            m = mul([x[1::2] for x in m], [x[0::2] for x in m])
+            if isinstance(s, np.ndarray):
+                s = s[1::2] + s[0::2]
+            big = 2.0 * big * big
+        return m, s, big
+
+    shifts = montecarlo._BIT_SHIFTS
+    if params is not None:
+        table, table_s, table_big = levels(
+            montecarlo._shear_steps(params, montecarlo._BYTE_COINS), 0.0, bound)
+    one, zero = np.ones(width), np.zeros(width)
+    total, log_scale = (one, zero, zero, one), zero
+    rows = 1 << max(1 if params is None else 3,
+                    (montecarlo._PAIRWISE_BUDGET // width).bit_length() - 1)
+    lo = 0
+    while lo < n:
+        hi = lo + min(rows, 1 << ((n - lo).bit_length() - 1))
+        if params is None:
+            m, s, big = steps(lo, hi), 0.0, bound
+        elif hi - lo < 8:
+            coins = steps(lo, hi) >> shifts[lo % 8:hi - lo + lo % 8] & 1
+            m, s, big = montecarlo._shear_steps(params, coins), 0.0, bound
+        else:
+            codes = steps(lo, hi)
+            m, big = [np.take(x[0], codes) for x in table], table_big
+            s = np.take(table_s[0], codes) if isinstance(table_s, np.ndarray) else 0.0
+        m, s, _ = levels(m, s, big)
+        total, ds = rescale(mul([x[0] for x in m], total))
+        log_scale = log_scale + ds + np.reshape(s, -1)
+        lo = hi
+    return total, log_scale
+
+
+def reference_block_oracle(params, cfg):
+    """block_oracle one stream at a time: each stream's coins from its own _coins
+    call, the statistics by np.mean over the concatenated blocks, and lambda by
+    natural_order_product over the first J blocks of every stream."""
+    per_stream = cfg.n_steps // cfg.n_ensembles
+    a_streams, b_streams = [], []
+    for e in range(cfg.n_ensembles):
+        lengths, first_is_a = run_lengths(montecarlo._coins(cfg.seed, [e], 0, per_stream)[:, 0])
+        if not first_is_a:
+            lengths = lengths[1:]
+        pairs = max(lengths.size // 2 - 1, 0)
+        a_streams.append(lengths[0 : 2 * pairs : 2])
+        b_streams.append(lengths[1 : 2 * pairs : 2])
+    a, b = np.concatenate(a_streams), np.concatenate(b_streams)
+    J = min(s.size for s in a_streams)
+    a_mat = np.stack([s[:J] for s in a_streams])
+    b_mat = np.stack([s[:J] for s in b_streams])
+
+    def blocks(lo, hi):
+        x, y = params.alpha * a_mat[:, lo:hi].T, params.beta * b_mat[:, lo:hi].T
+        return np.broadcast_to(1.0, x.shape), y, x, 1.0 + x * y
+
+    bound = 1.0 + abs(params.alpha * params.beta) * a_mat.max(initial=0) * b_mat.max(initial=0)
+    (_, p12, _, p22), scale = natural_order_product(blocks, J, cfg.n_ensembles, bound)
+    acc = scale + np.log(np.hypot(p12, p22))
+    return BlockStats(mean_block_len=float(np.mean(a + b)), p_eq=float(np.mean(a == b)),
+                      p_gt=float(np.mean(a > b)), p_lt=float(np.mean(a < b)),
+                      lambda_est=float(acc.sum() / int(a_mat.sum() + b_mat.sum())),
+                      n_blocks=a.size)
+
+
 def tightest_envelope(params):
     g = lyapunov_bounds(params).envelope
     i = lyapunov_bounds(params, BoundFamily.IMPROVED).envelope
@@ -202,9 +293,9 @@ class TestPairwiseKernel:
             spans.append(hi - lo)
             return np.zeros((-(-hi // 8) - lo // 8, width), dtype=np.uint8)
 
-        def steps(lo, hi):
-            spans.append(hi - lo)
-            return montecarlo._shear_steps(POS11, np.zeros((hi - lo, width), dtype=np.int8))
+        def steps(rows):
+            spans.append(len(rows))
+            return montecarlo._shear_steps(POS11, np.zeros((len(rows), width), dtype=np.int8))
 
         montecarlo._pairwise_product(coin_bytes, 8 * 5 + 7, width, 1.0, POS11)
         assert spans == [8] * 5 + [4, 2, 1]
@@ -258,7 +349,7 @@ class TestPairwiseKernel:
         got = montecarlo._pairwise_product(lambda lo, hi: by[lo // 8:-(-hi // 8)], n, width,
                                            bound, params)
         want = montecarlo._pairwise_product(
-            lambda lo, hi: montecarlo._shear_steps(params, coins[lo:hi]), n, width, bound)
+            lambda rows: montecarlo._shear_steps(params, coins[rows]), n, width, bound)
         for g, w in zip([*got[0], got[1]], [*want[0], want[1]]):
             np.testing.assert_array_equal(g, w)
 
@@ -286,6 +377,77 @@ class TestPairwiseKernel:
         params = ShearParams.infer(alpha, alpha)
         got = standard_bound(k, params, mode="sampled", n_samples=n_samples, seed=44)
         assert got == pytest.approx(reference_sampled_bound(k, params, n_samples, 44), rel=1e-12)
+
+
+class TestBitReversedRows:
+    """_pairwise_product lays out each sub-chunk's rows in bit-reversed order
+    and returns the doubles of natural_order_product, bit for bit."""
+
+    @staticmethod
+    def assert_same(got, want):
+        for g, w in zip([*got[0], got[1]], [*want[0], want[1]]):
+            np.testing.assert_array_equal(g, w)
+
+    @pytest.mark.parametrize("n", [1, 2, 8, 16, 64, 1024])
+    def test_bit_reversed_order(self, n):
+        order = montecarlo._bit_reversed(n)
+        j = n.bit_length() - 1
+        assert order.tolist() == [int(format(p, f"0{j}b")[::-1] or "0", 2) for p in range(n)]
+        assert montecarlo._bit_reversed(n) is order and not order.flags.writeable
+
+    @pytest.mark.parametrize("alpha,beta", KERNEL_PARAMS)
+    @pytest.mark.parametrize("width,n,budget", [
+        (1, 3005, None), (3, 1007, None), (25, 5003, None), (300, 1006, None),
+        (9000, 45, None), (20_000, 25, None),
+        # three streams and a budget of 3 * rows make sub-chunks of `rows` steps
+        *[(3, 3 * rows + tail, 3 * rows) for rows in (8, 16, 32) for tail in range(1, 8)]])
+    def test_coin_steps(self, monkeypatch, alpha, beta, width, n, budget):
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", budget)
+        params = ShearParams.infer(alpha, beta)
+        bound = montecarlo._shear_bound(params)
+        by = montecarlo._coin_bytes(47, range(width), 0, -(-n // 8))
+
+        def steps(lo, hi):
+            return by[lo // 8:-(-hi // 8)]
+
+        self.assert_same(montecarlo._pairwise_product(steps, n, width, bound, params),
+                         natural_order_product(steps, n, width, bound, params))
+
+    @pytest.mark.parametrize("alpha,beta", KERNEL_PARAMS)
+    @pytest.mark.parametrize("width,n,budget", [(1, 3000, None), (7, 1001, None),
+                                                (32, 4097, None), (5, 77, 40), (3, 100, 12)])
+    def test_plain_steps(self, monkeypatch, alpha, beta, width, n, budget):
+        # block matrices K(a, b) = A^a B^b of random run lengths, as block_oracle has
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", budget)
+        rng = np.random.default_rng(width * n)
+        a, b = rng.geometric(0.5, (n, width)), rng.geometric(0.5, (n, width))
+        x, y = alpha * a, beta * b
+        bound = 1.0 + abs(alpha * beta) * a.max() * b.max()
+        got = montecarlo._pairwise_product(
+            lambda rows: (np.ones((len(rows), width)), y[rows], x[rows], 1.0 + x[rows] * y[rows]),
+            n, width, bound)
+        want = natural_order_product(
+            lambda lo, hi: (np.ones((hi - lo, width)), y[lo:hi], x[lo:hi],
+                            1.0 + x[lo:hi] * y[lo:hi]), n, width, bound)
+        self.assert_same(got, want)
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (50.0, 50.0), (-3.0, 3.0),
+                                            (1e70, 1e70)])
+    @pytest.mark.parametrize("n_steps,n_ensembles,seed,budget", [
+        (100_000, 7, 43, None), (100_001, 3, 9, None), (100_000, 1, 3, None),
+        (60_000, 300, 5, None), (1_000_000, 32, 6, None), (100_000, 7, 43, 40),
+        (100_000, 7, 43, 14)])
+    def test_block_oracle_matches_per_stream_loop(self, monkeypatch, alpha, beta, n_steps,
+                                                  n_ensembles, seed, budget):
+        if budget is not None:
+            monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", budget)
+        params = ShearParams.infer(alpha, beta)
+        cfg = McConfig(n_steps, n_ensembles, seed=seed)
+        got, want = block_oracle(params, cfg), reference_block_oracle(params, cfg)
+        for field in dataclasses.fields(BlockStats):
+            assert getattr(got, field.name) == getattr(want, field.name), field.name
 
 
 SEEDS = [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 2**200]
@@ -439,7 +601,7 @@ class TestSameResultsAsPerEnsembleGenerators:
         monkeypatch.setattr(montecarlo, "_coin_bytes", counted_reference)
         assert got == run()
         # every estimator drew through the substitute: the ensembles' streams
-        # (block_oracle one at a time) and sampled E_k's stream 1 << 29
+        # (block_oracle all at once) and sampled E_k's stream 1 << 29
         streams = {e for s in drawn for e in s}
         assert streams == set(range(n_ensembles)) | {1 << 29}
 

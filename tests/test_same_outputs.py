@@ -48,6 +48,14 @@ def test_timestamps_are_masked():
     assert same_outputs.mask(a.replace('"seed": 1', '"seed": 2')) != same_outputs.mask(b)
 
 
+def test_warnings_print_no_tree_path():
+    # gle_mc warns of a small effective sample size, with the path of its caller
+    out = same_outputs.run(same_outputs.HERE,
+                           "mc --alpha 1 --beta 1 --q 2 --steps 4000 --ensembles 20")
+    assert out.code == 0
+    assert "<tree>/src/shearlyap/cli.py" in out.stderr and str(same_outputs.HERE) not in out.stderr
+
+
 def test_commands_cover_the_figures_tables_bounds_and_a_refusal():
     commands = same_outputs.COMMANDS
     assert sum(c.startswith("sweep --mode") and "--format csv" in c for c in commands) == 7
@@ -62,7 +70,14 @@ def test_commands_cover_the_figures_tables_bounds_and_a_refusal():
     # the corner's sum from the 2N certificate, and from the N sum
     assert "bounds --alpha 1 --beta 1 --max-index 8" in commands
     assert "sweep --mode gle --alpha 1 --q 3:6:0.5 --format csv" in commands
-    assert len(commands) == 25
+    # the Monte Carlo kernel, one trajectory past a coin chunk, and E_k both ways
+    assert "mc --alpha 1 --beta 1 --steps 1e6 --ensembles 25 --format json" in commands
+    assert "mc --alpha -3 --beta 3 --steps 2e5 --ensembles 3 --format json" in commands
+    assert "mc --alpha 1 --beta 1 --q 2 --ensembles 5000 --format json" in commands
+    assert ("standard-bound --k 1024 --alpha 5 --beta 5 --mode sampled --samples 4000 "
+            "--format json") in commands
+    assert "standard-bound --k 16 --alpha 1 --beta 1 --format json" in commands
+    assert len(commands) == 30
 
 
 def test_a_tree_without_the_program_exits_2(tmp_path):

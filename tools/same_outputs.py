@@ -9,10 +9,13 @@ for q = 1..5, bounds for both families at (1, 1) and (-3, 3) in text and
 JSON, and the q = 60 moment sweep that exits 3; then the improved bounds at
 max_index 1024, a moment sweep at shears of 1e30 and one at 1e100 whose
 terms overflow (exit 3); last the bounds at max_index 8, whose tail
-estimate exceeds the tolerance (exit 3), and a moment sweep over q = 3..6.
-JSON timestamps are masked.  Exits 0 when every
-command's stdout, stderr and exit code agree, and 1 naming the first
-command that differs; 2 for a bad invocation.
+estimate exceeds the tolerance (exit 3), and a moment sweep over q = 3..6;
+then the Monte Carlo estimates in JSON: lyapunov_mc at (1, 1) and at (-3, 3),
+whose trajectories of 66 666 steps cross a 2^16-step coin chunk, gle_mc at
+q = 2 over 5000 ensembles, sampled E_1024 at (5, 5) and exhaustive E_16.
+JSON timestamps, and the tree's own path in warnings, are masked.  Exits 0
+when every command's stdout, stderr and exit code agree, and 1 naming the
+first command that differs; 2 for a bad invocation.
 """
 
 from __future__ import annotations
@@ -47,6 +50,12 @@ COMMANDS = [
     # corner rounds to another double than the 2N sum
     "bounds --alpha 1 --beta 1 --max-index 8",
     "sweep --mode gle --alpha 1 --q 3:6:0.5 --format csv",
+    # the Monte Carlo kernel: long and short trajectories, many ensembles, E_k
+    "mc --alpha 1 --beta 1 --steps 1e6 --ensembles 25 --format json",
+    "mc --alpha -3 --beta 3 --steps 2e5 --ensembles 3 --format json",
+    "mc --alpha 1 --beta 1 --q 2 --ensembles 5000 --format json",
+    "standard-bound --k 1024 --alpha 5 --beta 5 --mode sampled --samples 4000 --format json",
+    "standard-bound --k 16 --alpha 1 --beta 1 --format json",
 ]
 
 _TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')
@@ -64,13 +73,15 @@ def mask(text: str) -> str:
 
 
 def run(tree: Path, command: str) -> Outcome:
-    """One CLI command run with the program under tree/src, outputs masked."""
+    """One CLI command run with the program under tree/src, outputs masked and
+    the tree's path (which a warning prints with its source line) replaced."""
     env = {k: v for k, v in os.environ.items()
            if k not in ("SHEARLYAP_CONFIG", "SHEARLYAP_OUTPUT_DIR")}
     env["PYTHONPATH"] = str(tree / "src")
     proc = subprocess.run([sys.executable, "-m", "shearlyap.cli", *command.split()],
                           cwd=tree, env=env, capture_output=True, text=True, check=False)
-    return Outcome(mask(proc.stdout), mask(proc.stderr), proc.returncode)
+    out, err = (mask(text.replace(str(tree), "<tree>")) for text in (proc.stdout, proc.stderr))
+    return Outcome(out, err, proc.returncode)
 
 
 def first_difference(left: Path, right: Path,
