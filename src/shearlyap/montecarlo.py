@@ -29,12 +29,15 @@ every stream, however wide the ensemble, so only the last length % 8 steps
 skip the table.  Sampled E_k draws its one stream in tiles of
 _COIN_TILE_WORDS words that span several sub-chunks; the block oracle draws
 all its streams at once and finds their runs in one pass.
-Exhaustive E_k uses the same layout: one (4, 2^k) array is doubled in place
-at each level, B P into the upper half and then A P over the lower half,
-which reproduces a 2x2 matrix product bit for bit.  The moment estimator
-for l(q) is honest about its known weakness; the q-th moment is dominated
-by exponentially rare trajectories, so the estimate is biased low once
-q * (spread of log growth) becomes large compared to log(ensemble size).
+Exhaustive E_k uses the same layout, depth first: the products of the first
+few factors are doubled in place at each level, B P into the upper half and
+then A P over the lower half, which reproduces a 2x2 matrix product bit for
+bit; then each of them doubles a tile of at most _SLICE_MATRICES columns of
+its own through the remaining levels, so no array holds all 2^k products.
+The moment estimator for l(q) is honest about its known weakness; the q-th
+moment is dominated by exponentially rare trajectories, so the estimate is
+biased low once q * (spread of log growth) becomes large compared to
+log(ensemble size).
 Keep trajectories short (gle_mc caps them at 200 applications) and
 treat the reported effective sample size warning seriously.
 """
@@ -63,10 +66,8 @@ _COIN_TILE_WORDS = 1 << 16  # raw Philox words per tile of _coin_bytes
 _EXHAUSTIVE_MAX_K = 22
 _GLE_TRAJ_CAP = 200  # applications per gle_mc trajectory
 _MAX_APPS = 10**10  # cost guard: matrix applications one estimator call may run
-# coins in one block_oracle stream (0.3 GB at the 6.1 B a coin below)
-_MAX_STREAM_COINS = 5 * 10**7
-# and in all: it holds the coins and run lengths of every stream at once, a peak of 6.1 B
-# a coin over 1, 2 or 32 streams (tracemalloc, 4 * 10^6 coins): 0.6 GB
+# coins in one block_oracle call: it holds the coins and run lengths of every stream at
+# once, a peak of 6.1 B a coin over 1, 2 or 32 streams (tracemalloc, 4 * 10^6 coins): 0.6 GB
 _MAX_TOTAL_COINS = 10**8
 # ensembles or samples side by side, about 225 B each (tracemalloc, lyapunov_mc at 200
 # steps); lyapunov_mc draws a whole 2^16-step chunk's coin bytes for every ensemble at
@@ -75,7 +76,7 @@ _MAX_WIDTH = 4 * 10**6
 # step-matrix elements per sub-chunk of _pairwise_product; coin sub-chunks keep 8 rows
 _PAIRWISE_BUDGET = 1 << 16
 _SHEAR_MAX = 1e79  # largest |alpha|, |beta| at which _pairwise_product keeps its accuracy
-_SLICE_MATRICES = 1 << 16  # products per slice of exhaustive standard_bound's in-place levels
+_SLICE_MATRICES = 1 << 16  # most products in one tile of exhaustive standard_bound
 _UNSCALED_MAX = 1e150  # 2 * _UNSCALED_MAX**2 does not overflow
 
 
@@ -339,14 +340,14 @@ def _pairwise_product(steps, n: int, width: int, bound: float, params=None):
     return total, log_scale
 
 
-def _mean_log_norm(p: np.ndarray, logacc: np.ndarray, k: int) -> float:
-    """Mean over the columns j of (log |P_j|_2 + logacc_j) / k, where the rows of the
-    (4, n) array p are the entries p11, p12, p21, p22 of the products P_j."""
+def _log_norms(p: np.ndarray, logacc: np.ndarray, k: int) -> np.ndarray:
+    """(log |P_j|_2 + logacc_j) / k for each column j, where the rows of the (4, n)
+    array p are the entries p11, p12, p21, p22 of the products P_j."""
     vals = spectral_norm_batch(p.T.reshape(-1, 2, 2))  # a view: row j of p.T is P_j
     np.log(vals, out=vals)
     vals += logacc
     vals /= k
-    return float(vals.mean())
+    return vals
 
 
 def _shear_steps(params: ShearParams, coins: np.ndarray):
@@ -466,36 +467,50 @@ def gle_mc(q: float, params: ShearParams, cfg: McConfig) -> McEstimate:
     return McEstimate(mean=est, std_error=se, n_samples=E, n_apps=n_apps)
 
 
+def _double(p: np.ndarray, logacc: np.ndarray, n: int, params: ShearParams) -> None:
+    """One level of exhaustive E_k, in place: from the products P_j in columns
+    0..n-1 of p, column n + j becomes B P_j and column j A P_j, and each of the
+    2n columns is divided by its largest entry, whose log joins logacc.  Every
+    column's doubles depend on that column's own operations alone."""
+    low, up = p[:, :n], p[:, n:2 * n]
+    up[2:] = low[2:]
+    np.multiply(params.beta, low[2:], out=up[:2])
+    up[:2] += low[:2]
+    np.multiply(params.alpha, low[:2], out=low[2:])
+    low[2:] += up[2:]
+    q = p[:, :2 * n]
+    mu = np.abs(q).max(axis=0)
+    q /= mu
+    logm = np.log(mu, out=mu)
+    np.add(logacc[:n], logm[n:], out=logacc[n:2 * n])
+    logacc[:n] += logm[:n]
+
+
 @np.errstate(over="ignore", invalid="ignore")  # at huge shears; standard_bound refuses them
 def _exhaustive_bound(k: int, params: ShearParams) -> float:
-    """E_k over all 2^k products, which each level doubles in place."""
-    S = _SLICE_MATRICES
-    p = np.empty((4, 1 << k))  # rows p11, p12, p21, p22; column j is one product
+    """E_k over all 2^k products, depth first: the 2^m products of the first m
+    factors, then for each of them a tile of its 2^(k - m) extensions, doubled
+    level by level (_double) in a (4, 2^(k - m)) buffer of its own.  Bit i of
+    product j = c + 2^m t is set where level i applied B; it is column t of prefix
+    c's tile, and its value lands in row t, column c of a (2^(k - m), 2^m) view of
+    vals.  So vals is in the order one (4, 2^k) array doubled level by level
+    would hold, and its mean adds the same doubles in the same order."""
+    levels = min(k - 1, _SLICE_MATRICES.bit_length() - 1)  # levels doubled in a tile
+    m = k - levels
+    p = np.empty((4, 1 << m))  # rows p11, p12, p21, p22; column j is one product
     p[:, :2] = [[1.0, 1.0], [0.0, params.beta], [params.alpha, 0.0], [1.0, 1.0]]  # A, B
-    logacc = np.zeros(1 << k)
-    tmp, mu = np.empty((2, min(S, 1 << k))), np.empty(min(S, 1 << k))
-    for level in range(1, k):
-        n = 1 << level
-        for lo in range(0, n, S):  # B P into the upper half, then A P in place
-            hi = min(lo + S, n)
-            low, up, t = p[:, lo:hi], p[:, n + lo:n + hi], tmp[:, :hi - lo]
-            up[2:] = low[2:]
-            np.multiply(params.beta, low[2:], out=t)
-            np.add(low[:2], t, out=up[:2])
-            np.multiply(params.alpha, low[:2], out=t)
-            np.add(low[2:], t, out=low[2:])
-        logacc[n:2 * n] = logacc[:n]
-        for lo in range(0, 2 * n, S):  # divide each product by its largest entry
-            hi = min(lo + S, 2 * n)
-            q, t, m = p[:, lo:hi], tmp[:, :hi - lo], mu[:hi - lo]
-            np.abs(q[:2], out=t)
-            np.maximum(t[0], t[1], out=m)
-            np.abs(q[2:], out=t)
-            np.maximum(t[0], t[1], out=t[0])
-            np.maximum(m, t[0], out=m)
-            q /= m
-            logacc[lo:hi] += np.log(m, out=m)
-    return _mean_log_norm(p, logacc, k)
+    logacc = np.zeros(1 << m)
+    for level in range(1, m):
+        _double(p, logacc, 1 << level, params)
+    vals = np.empty(1 << k)
+    by_tile = vals.reshape(1 << levels, 1 << m)
+    tile, tile_acc = np.empty((4, 1 << levels)), np.empty(1 << levels)
+    for c in range(1 << m):
+        tile[:, 0], tile_acc[0] = p[:, c], logacc[c]
+        for level in range(levels):
+            _double(tile, tile_acc, 1 << level, params)
+        by_tile[:, c] = _log_norms(tile, tile_acc, k)
+    return float(vals.mean())
 
 
 def standard_bound(
@@ -552,7 +567,7 @@ def standard_bound(
         return bits.sum(axis=1, dtype=np.uint8)  # np.packbits(axis=0) took 10 times longer
 
     prod, logacc = _pairwise_product(steps, k, n_samples, bound, params)
-    return _mean_log_norm(np.stack(prod), logacc, k)
+    return float(_log_norms(np.stack(prod), logacc, k).mean())
 
 
 def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
@@ -566,14 +581,11 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     every stream.  The statistics are exact counts and sums over the blocks,
     divided once.
     Raises DomainError, before drawing any coin, above _MAX_APPS (10^10) coins,
-    _MAX_WIDTH (4 * 10^6) streams, _MAX_STREAM_COINS (5 * 10^7) coins in one
-    stream, _MAX_TOTAL_COINS (10^8) coins in all or shears of _SHEAR_MAX (1e79).
+    _MAX_WIDTH (4 * 10^6) streams, _MAX_TOTAL_COINS (10^8) coins in all, however
+    many streams hold them, or shears of _SHEAR_MAX (1e79).
     """
     E, per_stream = cfg.n_ensembles, cfg.n_steps // cfg.n_ensembles
     total = _check_cost(E * per_stream, E)
-    if per_stream > _MAX_STREAM_COINS:
-        raise DomainError(f"{per_stream:.3g} coins per stream exceed the memory guard "
-                          f"{_MAX_STREAM_COINS:.0e}; add ensembles or lower n_steps")
     if total > _MAX_TOTAL_COINS:
         raise DomainError(f"{total:.3g} coins in all exceed the memory guard "
                           f"{_MAX_TOTAL_COINS:.0e}; lower n_steps")

@@ -715,12 +715,11 @@ class TestCostGuard:
     def test_moment_estimate_counts_capped_applications(self, deadline):
         assert gle_mc(2.0, POS11, McConfig(10**30, 2)).n_apps == 400
 
-    def test_block_oracle_bounds_coins_per_stream(self, monkeypatch):
-        monkeypatch.setattr(montecarlo, "_MAX_STREAM_COINS", 1000)
-        block_oracle(POS11, McConfig(2001, 2))  # 1000 coins a stream, the remainder dropped
+    def test_block_oracle_bounds_one_long_stream(self, monkeypatch):
+        # one stream holds all its coins and run lengths at once, as many streams do
         monkeypatch.setattr(montecarlo, "_coin_bytes", _no_coins)
-        with pytest.raises(DomainError, match="coins per stream exceed the memory guard"):
-            block_oracle(POS11, McConfig(2002, 2))
+        with pytest.raises(DomainError, match="coins in all exceed the memory guard 1e[+]08"):
+            block_oracle(POS11, McConfig(montecarlo._MAX_TOTAL_COINS + 1, 1))
 
     def test_block_oracle_bounds_coins_in_all(self, monkeypatch, deadline):
         # 5 * 10^7 coins in each of 200 streams pass the other guards; their run
@@ -983,30 +982,47 @@ class TestStandardBound:
         (k, slice_, alpha, beta)
         for k, slice_ in [(1, None), (2, None), (12, 1000), (12, 7), (17, None), (3, 3), (13, 3)]
         for alpha, beta in [(1.0, 1.0), (5.0, 5.0), (-3.0, 3.0)]
-    ] + [(20, None, 1.0, 1.0)])
+    ] + [(20, None, 1.0, 1.0), (18, None, -3.0, 3.0), (19, None, -3.0, 3.0)])
     def test_exhaustive_matches_unsliced_formulation(self, monkeypatch, alpha, beta, k,
                                                      slice_):
-        # 2^17 products span two default slices; small slices leave partial ones, and
-        # slices of 3 straddle the boundary between a level's two halves; k = 20 is the
-        # largest k the benchmark runs
+        # tiles hold at most _SLICE_MATRICES products: 2^17 products make two default
+        # tiles and 2^18 to 2^20 four to sixteen; slices of 1000, 7 and 3 make tiles of
+        # 512, 4 and 2 products, so most of these k build many
         if slice_ is not None:
             monkeypatch.setattr(montecarlo, "_SLICE_MATRICES", slice_)
             monkeypatch.setattr(linalg, "_NORM_SLICE", slice_)
-        seen, original = [], montecarlo._mean_log_norm
+        seen, original = [], montecarlo._log_norms
 
-        def mean_log_norm(p, logacc, k):
+        def log_norms(p, logacc, k):
             seen.append((p.T.reshape(-1, 2, 2).copy(), logacc.copy()))
             return original(p, logacc, k)
 
-        monkeypatch.setattr(montecarlo, "_mean_log_norm", mean_log_norm)
+        monkeypatch.setattr(montecarlo, "_log_norms", log_norms)
         params = ShearParams.infer(alpha, beta)
         value = standard_bound(k, params)
         want, products, logacc = reference_exhaustive_bound(k, params)
         assert value == want
-        # every product and log scale, not only their mean
-        [(got_products, got_logacc)] = seen
+        # every product and log scale, not only their mean: tile c holds the
+        # products c, c + T, c + 2T, ... of T tiles
+        tiles = len(seen)
+        assert all(len(p) * tiles == 1 << k for p, _ in seen)
+        assert all(len(p) <= montecarlo._SLICE_MATRICES for p, _ in seen)
+        got_products, got_logacc = np.empty_like(products), np.empty_like(logacc)
+        for c, (tile_products, tile_logacc) in enumerate(seen):
+            got_products[c::tiles], got_logacc[c::tiles] = tile_products, tile_logacc
         assert np.array_equal(got_products, products)
         assert np.array_equal(got_logacc, logacc)
+
+    def test_exhaustive_peak_memory(self):
+        # E_20 at (1, 1); holding all 2^20 products at once peaked at 53 MiB
+        standard_bound(12, POS11)  # imports and caches outside the trace
+        tracemalloc.start()
+        try:
+            standard_bound(20, POS11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24 * 2**20
 
     @pytest.mark.parametrize("mode", ["exhaustive", "sampled"])
     @pytest.mark.parametrize("k", [2.5, 3.0, "3"])

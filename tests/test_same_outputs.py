@@ -11,13 +11,15 @@ same_outputs = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(same_outputs)
 
 
-def canned(edit=None):
-    """A runner that answers every command with a fixed outcome; edit = (command,
-    field, value) changes one field of one command's outcome in this checkout."""
+def canned(*edits):
+    """A runner that answers every command with a fixed outcome; each edit =
+    (command, field, value) changes one field of one command's outcome in this
+    checkout."""
     def runner(tree, command):
         out = same_outputs.Outcome(f"{command}\n0.1234567890123\n", "", 0)
-        if edit is not None and tree == same_outputs.HERE and command == edit[0]:
-            out = out._replace(**{edit[1]: edit[2]})
+        for edited, field, value in edits:
+            if tree == same_outputs.HERE and command == edited:
+                out = out._replace(**{field: value})
         return out
     return runner
 
@@ -33,12 +35,22 @@ def test_same_outputs_exit_0(capsys, tmp_path):
 def test_one_edited_output_exits_1_naming_its_command(capsys, tmp_path, field, value):
     (tmp_path / "src" / "shearlyap").mkdir(parents=True)
     command = same_outputs.COMMANDS[7]
-    assert same_outputs.first_difference(tmp_path, same_outputs.HERE,
-                                         canned((command, field, value))) \
-        == f"{command}: {field} differ"
+    assert same_outputs.differences(tmp_path, same_outputs.HERE,
+                                    canned((command, field, value))) \
+        == [f"{command}: {field} differ"]
     assert same_outputs.main(["same_outputs.py", str(tmp_path)],
                              canned((command, field, value))) == 1
     assert capsys.readouterr().out == f"{command}: {field} differ\n"
+
+
+def test_every_differing_command_is_named(capsys, tmp_path):
+    # the commands after the first that differs still run, and each is named
+    (tmp_path / "src" / "shearlyap").mkdir(parents=True)
+    first, last = same_outputs.COMMANDS[3], same_outputs.COMMANDS[-1]
+    runner = canned((first, "stderr", "warning\n"), (last, "code", 1), (last, "stdout", ""))
+    assert same_outputs.main(["same_outputs.py", str(tmp_path)], runner) == 1
+    assert capsys.readouterr().out == (f"{first}: stderr differ\n"
+                                       f"{last}: stdout, code differ\n")
 
 
 def test_timestamps_are_masked():
@@ -77,7 +89,10 @@ def test_commands_cover_the_figures_tables_bounds_and_a_refusal():
     assert ("standard-bound --k 1024 --alpha 5 --beta 5 --mode sampled --samples 4000 "
             "--format json") in commands
     assert "standard-bound --k 16 --alpha 1 --beta 1 --format json" in commands
-    assert len(commands) == 30
+    # exhaustive E_k over several tiles of products, in both regimes
+    assert "standard-bound --k 20 --alpha 1 --beta 1 --format json" in commands
+    assert "standard-bound --k 19 --alpha -3 --beta 3 --format json" in commands
+    assert len(commands) == 32
 
 
 def test_a_tree_without_the_program_exits_2(tmp_path):

@@ -12,10 +12,11 @@ terms overflow (exit 3); last the bounds at max_index 8, whose tail
 estimate exceeds the tolerance (exit 3), and a moment sweep over q = 3..6;
 then the Monte Carlo estimates in JSON: lyapunov_mc at (1, 1) and at (-3, 3),
 whose trajectories of 66 666 steps cross a 2^16-step coin chunk, gle_mc at
-q = 2 over 5000 ensembles, sampled E_1024 at (5, 5) and exhaustive E_16.
-JSON timestamps, and the tree's own path in warnings, are masked.  Exits 0
-when every command's stdout, stderr and exit code agree, and 1 naming the
-first command that differs; 2 for a bad invocation.
+q = 2 over 5000 ensembles, sampled E_1024 at (5, 5), and exhaustive E_16,
+E_20 at (1, 1) and E_19 at (-3, 3), which span several tiles of products.
+JSON timestamps, and the tree's own path in warnings, are masked.  Every
+command runs; exits 0 when every command's stdout, stderr and exit code
+agree, and 1 naming each command that differs; 2 for a bad invocation.
 """
 
 from __future__ import annotations
@@ -56,6 +57,8 @@ COMMANDS = [
     "mc --alpha 1 --beta 1 --q 2 --ensembles 5000 --format json",
     "standard-bound --k 1024 --alpha 5 --beta 5 --mode sampled --samples 4000 --format json",
     "standard-bound --k 16 --alpha 1 --beta 1 --format json",
+    "standard-bound --k 20 --alpha 1 --beta 1 --format json",
+    "standard-bound --k 19 --alpha -3 --beta 3 --format json",
 ]
 
 _TIMESTAMP = re.compile(r'("timestamp": )"[^"]*"')
@@ -84,16 +87,17 @@ def run(tree: Path, command: str) -> Outcome:
     return Outcome(out, err, proc.returncode)
 
 
-def first_difference(left: Path, right: Path,
-                     runner: Callable[[Path, str], Outcome] = run) -> str | None:
-    """The first command whose outcome differs between the trees, with what
-    differs, or None when all agree."""
+def differences(left: Path, right: Path,
+                runner: Callable[[Path, str], Outcome] = run) -> list[str]:
+    """Every command whose outcome differs between the trees, with what
+    differs, in the order of COMMANDS; empty when all agree."""
+    found = []
     for command in COMMANDS:
         a, b = runner(left, command), runner(right, command)
         differs = [field for field in Outcome._fields if getattr(a, field) != getattr(b, field)]
         if differs:
-            return f"{command}: {', '.join(differs)} differ"
-    return None
+            found.append(f"{command}: {', '.join(differs)} differ")
+    return found
 
 
 def main(argv: list[str], runner: Callable[[Path, str], Outcome] = run) -> int:
@@ -101,9 +105,9 @@ def main(argv: list[str], runner: Callable[[Path, str], Outcome] = run) -> int:
         print("usage: python tools/same_outputs.py PARENT_TREE (a checkout with src/shearlyap)",
               file=sys.stderr)
         return 2
-    difference = first_difference(Path(argv[1]).resolve(), HERE, runner)
-    if difference is not None:
-        print(difference)
+    found = differences(Path(argv[1]).resolve(), HERE, runner)
+    if found:
+        print("\n".join(found))
         return 1
     print(f"{len(COMMANDS)} commands, same stdout, stderr and exit code")
     return 0
