@@ -242,7 +242,11 @@ def _report(params: ShearParams, family: BoundFamily, cfg: SeriesConfig,
             q: float | None = None) -> BoundReport:
     """Per-norm values and envelope: the Lyapunov bounds when q is None, else
     (1/4) log of the q-moment sums, whose lower values come from the
-    upper-bound functions when q < 0."""
+    upper-bound functions when q < 0.  A q that is not finite raises
+    DomainError before any grid is built."""
+    if q is not None and not math.isfinite(q):
+        raise DomainError(f"q must be finite, got {q}")
+
     def values(side: Side) -> dict[NormKind, float]:
         out = {}
         for norm in norms_for(family, params.regime, side):
@@ -366,8 +370,8 @@ def gle_curve(
     cfg: SeriesConfig = DEFAULT_SERIES,
 ) -> GLECurve:
     """Envelope bounds sampled on a uniform q grid."""
-    if not q_min < q_max:
-        raise DomainError(f"need q_min < q_max, got [{q_min}, {q_max}]")
+    if not -math.inf < q_min < q_max < math.inf:
+        raise DomainError(f"need finite q_min < q_max, got [{q_min}, {q_max}]")
     if n_points < 2:
         raise DomainError(f"need n_points >= 2, got {n_points}")
     grid = np.linspace(q_min, q_max, n_points)

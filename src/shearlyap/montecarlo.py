@@ -434,10 +434,13 @@ def gle_mc(q: float, params: ShearParams, cfg: McConfig) -> McEstimate:
     (nan for one trajectory).  Warns when the importance weights concentrate
     on too few trajectories (small effective sample size), the telltale of
     the moment estimator's exponential variance problem.  Raises DomainError
-    if the log growth is not finite (or, like lyapunov_mc, beyond the cost
-    and width guards or above shears of 1e79), and NonConvergenceError for an
-    estimate below -log 2, which no moment rate of these products reaches.
+    for a q that is not finite (before drawing any coin) or a log growth that
+    is not finite (or, like lyapunov_mc, beyond the cost and width guards or
+    above shears of 1e79), and NonConvergenceError for an estimate below
+    -log 2, which no moment rate of these products reaches.
     """
+    if not math.isfinite(q):
+        raise DomainError(f"q must be finite, got {q}")
     traj_len = min(cfg.n_steps // cfg.n_ensembles, _GLE_TRAJ_CAP)
     n_apps = _check_cost(cfg.n_ensembles * traj_len, cfg.n_ensembles)
     acc = _iterate_log_growth(params, cfg, traj_len)
@@ -582,7 +585,9 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     divided once.
     Raises DomainError, before drawing any coin, above _MAX_APPS (10^10) coins,
     _MAX_WIDTH (4 * 10^6) streams, _MAX_TOTAL_COINS (10^8) coins in all, however
-    many streams hold them, or shears of _SHEAR_MAX (1e79).
+    many streams hold them, or shears of _SHEAR_MAX (1e79); and, once the runs
+    are known, where a stream holds no complete block, since the Lyapunov
+    estimate takes the same number of blocks from every stream.
     """
     E, per_stream = cfg.n_ensembles, cfg.n_steps // cfg.n_ensembles
     total = _check_cost(E * per_stream, E)
@@ -606,13 +611,15 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     del starts
     first = runs[:-1] + leading_b
     # whole blocks only: the final one may be truncated by the stream end
-    pairs = np.maximum((runs[1:] - first) // 2 - 1, 0)
+    pairs = (runs[1:] - first) // 2 - 1
+    empty = int(np.count_nonzero(pairs <= 0))
+    if empty:
+        raise DomainError(f"{empty} of {E} coin streams hold no complete block; "
+                          "raise n_steps or lower n_ensembles")
     first, pairs = first.tolist(), pairs.tolist()
     # a_0, b_0, a_1, b_1, ... of each stream in turn
     ab = np.concatenate([lengths[f:f + 2 * p] for f, p in zip(first, pairs)])
     n_blocks = ab.size // 2
-    if n_blocks == 0:
-        raise DomainError("coin streams too short to form a single complete block")
     d = ab[0::2] - ab[1::2]
     stats = dict(mean_block_len=int(ab.sum(dtype=np.int64)) / n_blocks,
                  p_eq=int(np.count_nonzero(d == 0)) / n_blocks,
@@ -630,7 +637,7 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
         x, y = params.alpha * a_mat[:, rows].T, params.beta * b_mat[:, rows].T
         return np.broadcast_to(1.0, x.shape), y, x, 1.0 + x * y
 
-    bound = 1.0 + abs(params.alpha * params.beta) * a_mat.max(initial=0) * b_mat.max(initial=0)
+    bound = 1.0 + abs(params.alpha * params.beta) * a_mat.max() * b_mat.max()
     (_, p12, _, p22), scale = _pairwise_product(blocks, J, E, bound)
     acc = scale + np.log(np.hypot(p12, p22))
-    return BlockStats(lambda_est=float(acc.sum() / steps) if steps else math.nan, **stats)
+    return BlockStats(lambda_est=float(acc.sum() / steps), **stats)

@@ -23,13 +23,12 @@ on the whole sum of magnitudes, and the certificate's slack is the
 extraction's remainder bound plus that tail bound.  Where it does not decide
 (the sum cancels, or lies near a rounding midpoint), and where a bound is not
 finite, the whole grid is summed as for a plain table, so the result is
-math.fsum of every term either way.  The doubling check evaluates the
-integrand once, on the doubled grid, and takes the sum over its N x N corner
-from the certificate that decided the doubled grid's sum: the corner's sum
-is the run's less the run's terms outside the corner, plus the corner's
-terms past the run, so the same taus, less those outside terms, with the
-corner's own tail bound as slack decide it.  Only where they do not is the
-corner's leading run summed on its own.
+math.fsum of every term either way.  The doubling check sums the integrand
+on the doubled grid alone.  The sum over its N x N corner is the run's less
+the run's terms outside the corner, plus the corner's terms past the run, so
+the taus that decided the doubled sum, less those outside terms, with the
+corner's own tail bound as slack decide it too; only where they do not, or no
+run decided the doubled sum, are the corner's points read whole.
 Moments of the form  sum 2^-a a^n  are integers and are computed exactly
 by recurrence, which gives exact values for integer-q moment expansions.
 
@@ -115,7 +114,7 @@ class SeriesResult:
 DEFAULT_SERIES = SeriesConfig()
 
 
-@functools.lru_cache(maxsize=2)  # the doubling check sums at two sizes
+@functools.lru_cache(maxsize=1)
 def grid(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(a, b, 2^-(a+b)) on the grid 1..limit x 1..limit, flat and ordered by the
     antidiagonal a + b, then by a (see antidiagonal_starts); read-only, shared by
@@ -134,7 +133,7 @@ def grid(limit: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return a, b, weights
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def antidiagonal_starts(limit: int) -> np.ndarray:
     """Offsets into grid(limit) of the antidiagonals a + b = 2..2 limit, then its
     size: antidiagonal n holds points starts[n - 2] up to starts[n - 1]."""
@@ -144,7 +143,7 @@ def antidiagonal_starts(limit: int) -> np.ndarray:
     return starts
 
 
-@functools.lru_cache(maxsize=2)
+@functools.lru_cache(maxsize=1)
 def _antidiagonal_weights(limit: int) -> np.ndarray:
     """Per antidiagonal n of grid(limit), its number of points times 2^-n.
     Where 2^-n underflows to zero the grid's terms are exactly zero too."""
@@ -269,8 +268,7 @@ def _prefix_sum(table: LazyTable, limit: int) -> float | None:
     bound on the whole sum of magnitudes; None where that run is the whole
     grid (as it is for any bound that is not finite, whose total is inf or
     nan) or its certificate (with the tail bound as extra slack) does not
-    decide the double.  A _Memoized table also receives the sum over its
-    corner where the same certificate decides it (_corner_sum)."""
+    decide the double.  A _Memoized table receives the run (_corner_sum)."""
     with np.errstate(over="ignore", invalid="ignore"):
         # per antidiagonal, a bound on the sum of its terms' magnitudes
         bounds = _antidiagonal_weights(limit) * table.bound
@@ -285,38 +283,9 @@ def _prefix_sum(table: LazyTable, limit: int) -> float | None:
     decided = _extraction(terms, _padded(float(tails[dropped - 1])))
     if decided is None:
         return None
-    corner = (_corner_sum(terms, k, tails, table.bound, decided)
-              if isinstance(table, _Memoized) else None)
-    if corner is not None:
-        table.corner.append(corner)
+    if isinstance(table, _Memoized):
+        table.run.append((terms, k, tails, decided))
     return decided[0]
-
-
-def _corner_sum(terms: np.ndarray, k: int, tails: np.ndarray, bound: np.ndarray,
-                certificate: tuple[float, list[float], float]) -> float | None:
-    """The sum over the N x N corner of grid(2 N), or None where the
-    certificate of the 2N sum does not decide it.  terms is that sum's
-    leading run, antidiagonals 2..K + 1 for K = k, tails and bound its tail
-    bounds and the table's bound per antidiagonal, and certificate the
-    extraction's (total, taus, remainder bound).
-
-    The corner's exact sum is the run's, minus the run's terms outside the
-    corner (a > N or b > N, on antidiagonals N + 2 on), plus the corner's
-    terms past the run.  Both lie on antidiagonals from min(K, N) + 2 on,
-    which one entry of tails bounds: if the certificate still decides total
-    with that slack, total is the corner's sum too (always so for K <= N).
-    Otherwise the outside terms are gathered from the run and subtracted
-    from the taus, and the corner's own tail bound is the slack."""
-    total, taus, rest = certificate
-    n = (tails.size + 1) // 4
-    if _certified(taus, rest, _padded(float(tails[4 * n - 2 - min(k, n)]))) == total:
-        return total
-    first = int(antidiagonal_starts(2 * n)[n])  # antidiagonal N + 2, the first outside
-    a, b, _ = grid(2 * n)
-    m = terms.size
-    outside = terms[first:][(a[first:m] > n) | (b[first:m] > n)]
-    past = float(_antidiagonal_weights(n)[k:] @ bound[k:2 * n - 1])
-    return _certified(taus + (-outside).tolist(), rest, _padded(past))
 
 
 def truncated_sum(f: Callable, limit: int) -> float:
@@ -343,10 +312,10 @@ def truncated_sum(f: Callable, limit: int) -> float:
 @dataclass(frozen=True)
 class _Memoized(LazyTable):
     """A table on grid(2 N) whose head keeps the longest run computed so far
-    and slices it; corner receives the sum over its N x N corner where the
-    certificate of the table's own sum decides that too."""
+    and slices it; run receives the leading run that decided its sum, if one
+    did (_prefix_sum)."""
 
-    corner: list[float] = field(default_factory=list)
+    run: list[tuple] = field(default_factory=list)
 
 
 def _memoized(table: LazyTable) -> _Memoized:
@@ -364,59 +333,75 @@ def _memoized(table: LazyTable) -> _Memoized:
 
 @functools.lru_cache(maxsize=1)
 def _corner_positions(n: int) -> np.ndarray:
-    """Where the points of grid(n) lie in grid(2 n), in grid(n)'s order (which
-    is theirs in grid(2 n) too: both order by a + b, then by a)."""
+    """Where the points of the N x N corner (N = n) lie in grid(2 n), in their
+    order there (by a + b, then by a)."""
     a, b, _ = grid(2 * n)
     out = np.flatnonzero((a <= n) & (b <= n))
     out.flags.writeable = False
     return out
 
 
-def _corner(table: LazyTable | np.ndarray, n: int) -> LazyTable | np.ndarray:
-    """The N x N corner (N = n) of a table on grid(2 n), in grid(n)'s order.
-    A leading run of the corner is read from the leading run of the big table
-    that ends at its last point."""
+def _corner_sum(table: _Memoized | np.ndarray, n: int) -> float:
+    """The sum over the N x N corner (N = n) of a table on grid(2 N) whose own
+    sum truncated_sum has taken: math.fsum of the corner's weighted terms,
+    from the first of three answers that decides it.
+
+    Where the table's sum was decided on a leading run, antidiagonals 2..K + 1,
+    the corner's exact sum is the run's, minus the run's terms outside the
+    corner (a > N or b > N, on antidiagonals N + 2 on), plus the corner's terms
+    past the run.  Both lie on antidiagonals from min(K, N) + 2 on, which one
+    entry of the run's tail bounds covers: if the run's certificate still
+    decides its double with that slack, that double is the corner's sum too
+    (always so for K <= N).  Otherwise the outside terms are gathered from the
+    run and subtracted from the taus, with the corner's own tail bound as the
+    slack; the corner holds min(j - 1, 2 N + 1 - j) points of antidiagonal j.
+    Where neither decides, or no run decided the table's sum, the corner's
+    points are read whole from the table."""
+    if isinstance(table, _Memoized) and table.run:
+        [(terms, k, tails, (total, taus, rest))] = table.run
+        if _certified(taus, rest, _padded(float(tails[4 * n - 2 - min(k, n)]))) == total:
+            return total
+        first = int(antidiagonal_starts(2 * n)[n])  # antidiagonal N + 2, the first outside
+        a, b, _ = grid(2 * n)
+        m = terms.size
+        outside = terms[first:][(a[first:m] > n) | (b[first:m] > n)]
+        j = np.arange(k + 2, 2 * n + 1)
+        weights = np.minimum(j - 1, 2 * n + 1 - j) * np.exp2(-j.astype(np.float64))
+        past = float(weights @ table.bound[k:2 * n - 1])
+        corner = _certified(taus + (-outside).tolist(), rest, _padded(past))
+        if corner is not None:
+            return corner
     pos = _corner_positions(n)
-    if not isinstance(table, LazyTable):
-        return table[pos]
-
-    def head(m):
-        return table.head(int(pos[m - 1]) + 1 if m else 0)[pos[:m]]
-
-    return LazyTable(head, table.bound[:2 * n - 1])
+    values = table[pos] if isinstance(table, np.ndarray) else table.head(int(pos[-1]) + 1)[pos]
+    return _exact_sum(grid(2 * n)[2][pos] * values)
 
 
 def expect_block_report(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:
     """Expectation of f(a, b) under the 2^-(a+b) weights, with tail estimate.
 
-    f is called once, on the 2N grid (N = cfg.max_index); the N sum reads its
-    corner.  A plain table (a scalar too) is broadcast to the grid's shape.
-    Where f returns a LazyTable, the 2N sum computes only the leading run of
-    antidiagonals that decides it, and the certificate that decided it
-    decides the N sum too, from the run's terms outside the corner and the
-    corner's own tail bound (_corner_sum), as it does for almost every bound
-    integrand of the engine.  Where it does not, the N sum reads
-    its own run from the values the 2N sum computed, clipped to the corner,
-    with the corner's own tail bound.  Both values are math.fsum of every
-    term of their grid, so the value and the tail estimate do not depend on
-    how much was read.
+    f is called once, on the 2N grid (N = cfg.max_index), and the N sum is the
+    sum over that grid's N x N corner (_corner_sum).  A plain table (a scalar
+    too) is broadcast to the grid's shape.  Where f returns a LazyTable, the
+    2N sum computes only the leading run of antidiagonals that decides it, and
+    the certificate that decided it decides the N sum too, from the run's
+    terms outside the corner and the corner's own tail bound, as it does for
+    almost every bound integrand of the engine.  Only where it does not is the
+    corner read whole, from the values the 2N sum computed.  Both values are
+    math.fsum of every term of their grid, so the value and the tail estimate
+    do not depend on how much was read.
     """
     n = cfg.max_index
     table = None
 
     def tabulated(a, b):
         nonlocal table
-        if table is not None:
-            return _corner(table, n)
         table = f(a, b)
         table = (_memoized(table) if isinstance(table, LazyTable)
                  else np.broadcast_to(table, a.shape))
         return table
 
     s2 = truncated_sum(tabulated, 2 * n)
-    # the corner's sum, where the certificate of the 2N sum decided it too
-    derived = table.corner if isinstance(table, _Memoized) else []
-    s1 = derived[0] if derived else truncated_sum(tabulated, n)
+    s1 = _corner_sum(table, n)
     if not math.isfinite(s2):
         raise NonConvergenceError(
             f"series sum is not finite ({s2}): its terms overflow double precision; "

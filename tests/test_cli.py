@@ -468,6 +468,18 @@ class TestMcCommand:
         assert result.exit_code == 2
         assert "finite" in result.output
 
+    @pytest.mark.parametrize("q", ["nan", "inf", "-inf"])
+    def test_non_finite_moment_order_exit_2(self, runner, monkeypatch, q):
+        # refused, with one error line, before any coin is drawn
+        def refused(*args):
+            raise AssertionError("coins drawn")
+
+        monkeypatch.setattr(montecarlo, "_coin_bytes", refused)
+        result = runner.invoke(main, ["mc", "--alpha", "1", "--beta", "1", "--q", q,
+                                      "--steps", "1e4", "--format", "json"])
+        assert result.exit_code == 2, result.output
+        assert result.output.splitlines() == [f"error: q must be finite, got {q}"]
+
     @pytest.mark.parametrize("args", [
         ["mc", "--alpha", "1", "--beta", "1", "--steps", "1e3"],
         ["mc", "--alpha", "1", "--beta", "1", "--steps", "1e3", "--q", "1"],

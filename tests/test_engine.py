@@ -325,6 +325,17 @@ class TestGleBounds:
         with pytest.raises(NonConvergenceError, match="underflows double precision"):
             gle_bounds_report(q, params)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_a_moment_order_that_is_not_finite_is_refused(self, monkeypatch, q):
+        # refused by name before any grid is built, not blamed on the arithmetic
+        def no_grids(*args):
+            raise AssertionError("grid built")
+
+        monkeypatch.setattr(engine, "_case_mean", no_grids)
+        for call in (gle_bounds_report, gle_bounds):
+            with pytest.raises(DomainError, match=rf"^q must be finite, got {q}$"):
+                call(q, POS11)
+
 
 class TestGleCurve:
     def test_through_origin_and_monotone(self):
@@ -352,6 +363,11 @@ class TestGleCurve:
             gle_curve(1.0, -1.0, 5, POS11)
         with pytest.raises(DomainError):
             gle_curve(-1.0, 1.0, 1, POS11)
+
+    @pytest.mark.filterwarnings("error")  # refused before np.linspace warns of -inf
+    def test_an_infinite_end_is_refused(self):
+        with pytest.raises(DomainError, match=r"^need finite q_min < q_max, got \[-inf, 1.0\]$"):
+            gle_curve(-math.inf, 1.0, 3, POS11)
 
 
 class TestSeriesConfigPlumbing:

@@ -928,6 +928,13 @@ class TestGleMc:
         with pytest.warns(RuntimeWarning, match="effective sample size"):
             gle_mc(8.0, POS11, cfg)
 
+    @pytest.mark.parametrize("q", [math.nan, math.inf, -math.inf])
+    def test_refuses_a_moment_order_that_is_not_finite(self, monkeypatch, q):
+        for name in ("_coin_bytes", "_iterate_log_growth"):
+            monkeypatch.setattr(montecarlo, name, _no_coins)
+        with pytest.raises(DomainError, match=rf"^q must be finite, got {q}$"):
+            gle_mc(q, POS11, McConfig(10_000, 32))
+
 
 class TestStandardBound:
     def test_k1_closed_form(self):
@@ -1127,3 +1134,29 @@ class TestBlockOracle:
         s1 = block_oracle(POS11, cfg)
         s2 = block_oracle(POS11, cfg)
         assert s1 == s2
+
+    @pytest.mark.parametrize("cfg,empty", [
+        (McConfig(1000, 200, seed=1), "165 of 200"),  # 5 coins a stream
+        (McConfig(20, 10), "10 of 10"),  # 2 coins a stream: no block is ever complete
+    ])
+    def test_refuses_streams_without_a_complete_block(self, cfg, empty):
+        # the Lyapunov estimate takes as many blocks from every stream as the
+        # shortest holds: none here
+        with pytest.raises(DomainError, match=rf"^{empty} coin streams hold no complete block; "
+                                              "raise n_steps or lower n_ensembles$"):
+            block_oracle(POS11, cfg)
+
+    def test_refuses_one_stream_without_a_complete_block(self, monkeypatch):
+        # stream 2's coins are all A, a single run; the other three hold 1000 coins each
+        coin_bytes = montecarlo._coin_bytes
+
+        def one_run(seed, streams, start, n):
+            by = coin_bytes(seed, streams, start, n)
+            by[:, 2] = 0xFF
+            return by
+
+        cfg = McConfig(4000, 4, seed=5)
+        assert block_oracle(POS11, cfg).n_blocks > 3 * 200
+        monkeypatch.setattr(montecarlo, "_coin_bytes", one_run)
+        with pytest.raises(DomainError, match="^1 of 4 coin streams hold no complete block"):
+            block_oracle(POS11, cfg)

@@ -70,7 +70,7 @@ def test_warnings_print_no_tree_path():
 
 def test_commands_cover_the_figures_tables_bounds_and_a_refusal():
     commands = same_outputs.COMMANDS
-    assert sum(c.startswith("sweep --mode") and "--format csv" in c for c in commands) == 7
+    assert sum(c.startswith("sweep --mode") and "--format csv" in c for c in commands) == 9
     assert "table1 --format json" in commands
     assert sum(c.startswith("gle-exact") for c in commands) == 5
     assert sum(c.startswith("bounds") for c in commands) == 10
@@ -79,9 +79,12 @@ def test_commands_cover_the_figures_tables_bounds_and_a_refusal():
     assert "bounds --alpha 1 --beta 1 --family improved --max-index 1024 --format csv" in commands
     assert "sweep --mode gle --alpha 1e30 --q -2:2:1 --format csv" in commands
     assert "sweep --mode gle --alpha 1e100 --q 2" in commands
-    # the corner's sum from the 2N certificate, and from the N sum
+    # the corner's sum from the 2N certificate, and read whole
     assert "bounds --alpha 1 --beta 1 --max-index 8" in commands
     assert "sweep --mode gle --alpha 1 --q 3:6:0.5 --format csv" in commands
+    assert "sweep --mode gle --alpha 1 --q -6:6:0.5 --format csv" in commands
+    assert ("sweep --mode neg-gle --alpha -3 --q -8:8:0.5 --max-index 128 "
+            "--format csv") in commands
     # the Monte Carlo kernel, one trajectory past a coin chunk, and E_k both ways
     assert "mc --alpha 1 --beta 1 --steps 1e6 --ensembles 25 --format json" in commands
     assert "mc --alpha -3 --beta 3 --steps 2e5 --ensembles 3 --format json" in commands
@@ -92,7 +95,7 @@ def test_commands_cover_the_figures_tables_bounds_and_a_refusal():
     # exhaustive E_k over several tiles of products, in both regimes
     assert "standard-bound --k 20 --alpha 1 --beta 1 --format json" in commands
     assert "standard-bound --k 19 --alpha -3 --beta 3 --format json" in commands
-    assert len(commands) == 32
+    assert len(commands) == 34
 
 
 def test_a_tree_without_the_program_exits_2(tmp_path):

@@ -377,27 +377,32 @@ class TestExtractedSum:
 
     def test_figure_sweeps_decide_on_leading_runs(self, monkeypatch):
         # a leading run that does not decide its sum, a whole-grid extraction
-        # that declines, a third pass where two decide, or a corner sum that
-        # the 2N certificate leaves undecided would still be correct, only slow
-        counts = {"runs": 0, "runs_undecided": 0, "grids": 0, "grids_undecided": 0,
-                  "reports": 0, "corners": 0, "corners_derived": 0, "corner_certificates": 0}
-        extraction, corner_sum, report = (series._extraction, series._corner_sum,
-                                          series.expect_block_report)
+        # that declines, a third pass where two decide, or a corner read whole
+        # where a certificate could decide it would still be correct, only slow
+        counts = dict.fromkeys(["runs", "runs_undecided", "grids", "grids_undecided",
+                                "corner_reads", "corner_reads_undecided", "passes",
+                                "reports"], 0)
+        extraction, report = series._extraction, series.expect_block_report
+        certificates = _count_certificates(monkeypatch)
+        answers = _count_corner_answers(monkeypatch)
+        corner_sum, inside = series._corner_sum, []
 
         def counting_extraction(flat, tail=0.0):
+            before = len(certificates)
             decided = extraction(flat, tail)
-            kind = "runs" if tail > 0.0 else "grids"  # a leading run's tail bound is positive
+            # a leading run's tail bound is positive; a corner read whole is summed in _corner_sum
+            kind = "runs" if tail > 0.0 else "corner_reads" if inside else "grids"
             counts[kind] += 1
             counts[kind + "_undecided"] += decided is None
+            counts["passes"] += len(certificates) - before
             return decided
 
-        def counting_corner_sum(*args):
-            before = len(certificates)
-            total = corner_sum(*args)
-            counts["corners"] += 1
-            counts["corners_derived"] += total is not None
-            counts["corner_certificates"] += len(certificates) - before
-            return total
+        def counting_corner_sum(table, n):
+            inside.append(n)
+            try:
+                return corner_sum(table, n)
+            finally:
+                inside.pop()
 
         def counting_report(*args):
             counts["reports"] += 1
@@ -406,7 +411,6 @@ class TestExtractedSum:
         monkeypatch.setattr(series, "_extraction", counting_extraction)
         monkeypatch.setattr(series, "_corner_sum", counting_corner_sum)
         monkeypatch.setattr(series, "expect_block_report", counting_report)
-        certificates = _count_certificates(monkeypatch)
         runner = CliRunner()
         for argv in (["--mode", "gle", "--alpha", "1", "--beta", "1", "--q", "-3:3:0.1"],
                      ["--mode", "lyap-bounds", "--alpha", "1:10:0.25"]):
@@ -414,12 +418,14 @@ class TestExtractedSum:
             assert result.exit_code == 0, result.output
         assert counts["runs"] > 0 and counts["runs_undecided"] <= counts["runs"] // 100, counts
         assert counts["grids"] == counts["runs_undecided"] and counts["grids_undecided"] == 0
-        # each decided 2N run is asked for its corner, with one or two certificates
-        assert counts["corners"] >= counts["reports"] - counts["runs_undecided"]
-        assert counts["corners"] <= counts["corner_certificates"] <= 2 * counts["corners"]
-        assert 100 * counts["corners_derived"] >= 99 * counts["reports"], counts
-        third_passes = (len(certificates) - counts["corner_certificates"]
-                        - counts["runs"] - counts["grids"])
+        # each report asks once for its corner, which is read whole only where
+        # no certificate decides it
+        assert len(answers) == counts["reports"]
+        assert answers.count("whole") == counts["corner_reads"]
+        assert counts["corner_reads_undecided"] == 0
+        derived = answers.count("certificate") + answers.count("gather")
+        assert 100 * derived >= 99 * counts["reports"], (counts, derived)
+        third_passes = counts["passes"] - counts["runs"] - counts["grids"] - counts["corner_reads"]
         assert 0 <= third_passes <= counts["runs"] // 100, (counts, third_passes)
 
 
@@ -571,17 +577,33 @@ class TestLeadingRuns:
             assert max(asked) < weights.size // 100
 
 
-def _count_truncated_sums(monkeypatch):
-    """A list that gets the limit of every series.truncated_sum call from now on."""
-    limits = []
-    summed = series.truncated_sum
+def _count_corner_answers(monkeypatch):
+    """A list that gets, for every series._corner_sum call from now on, the
+    answer that gave the corner's sum: "certificate" (the 2N sum's certificate
+    with one tail entry as slack), "gather" (that certificate less the run's
+    terms outside the corner) or "whole" (the corner's points read whole)."""
+    answers, calls = [], []
+    corner_sum, certified, exact_sum = series._corner_sum, series._certified, series._exact_sum
 
-    def counting_sum(f, limit):
-        limits.append(limit)
-        return summed(f, limit)
+    def counting_certified(*args):
+        calls.append("certified")
+        return certified(*args)
 
-    monkeypatch.setattr(series, "truncated_sum", counting_sum)
-    return limits
+    def counting_exact_sum(terms):
+        calls.append("whole")
+        return exact_sum(terms)
+
+    def counting_corner_sum(table, n):
+        calls.clear()
+        total = corner_sum(table, n)
+        answers.append("whole" if "whole" in calls
+                       else "certificate" if calls == ["certified"] else "gather")
+        return total
+
+    monkeypatch.setattr(series, "_certified", counting_certified)
+    monkeypatch.setattr(series, "_exact_sum", counting_exact_sum)
+    monkeypatch.setattr(series, "_corner_sum", counting_corner_sum)
+    return answers
 
 
 @st.composite
@@ -620,9 +642,11 @@ def _corner_case(outside, corner, past, last):
 
 
 class TestCornerCertificate:
-    """expect_block_report takes the N x N corner's sum from the certificate of
-    the 2N sum where it decides it, and runs the N sum where it does not;
-    either way both values are math.fsum of every term of their grid."""
+    """expect_block_report sums f on the 2N grid alone and takes the sum over
+    its N x N corner from the first of three answers that decides it (the 2N
+    certificate, that certificate less the run's terms outside the corner, or
+    the corner's points read whole); either way both values are math.fsum of
+    every term of their grid."""
 
     @settings(deadline=None)
     @given(doubled_integrands())
@@ -634,30 +658,31 @@ class TestCornerCertificate:
         s2 = math.fsum(terms.tolist())
         s1 = math.fsum(terms[(a <= n) & (b <= n)].tolist())
         with pytest.MonkeyPatch.context() as mp:
-            limits = _count_truncated_sums(mp)
+            answers = _count_corner_answers(mp)
             rep = expect_block_report(lambda a, b: _lazy(g, _antidiagonal_max(g, limit)),
                                       SeriesConfig(max_index=n, tail_tol=1e300))
         assert rep.value.hex() == s2.hex()
         assert rep.tail_estimate.hex() == abs(s2 - s1).hex()
-        assert limits in ([limit], [limit, n])
-        if s2 == 0.0:  # a zero sum is never certified: both sums run
-            assert limits == [limit, n]
+        assert answers in (["certificate"], ["gather"], ["whole"])
+        if s2 == 0.0:  # a zero sum is never certified: the corner is read whole
+            assert answers == ["whole"]
 
-    @pytest.mark.parametrize("k", [0, 1, 3])
-    def test_one_sum_where_the_certificate_decides(self, monkeypatch, k):
+    @pytest.mark.parametrize("k,answer", [(0, "certificate"), (1, "gather"), (3, "gather")])
+    def test_the_corner_is_derived_where_the_certificate_decides(self, monkeypatch, k, answer):
         # (1 + a b)^k 2^-(a+b) is decided on a leading run of grid(128), not of grid(16)
         a, b, weights = series.grid(128)
         g = (1.0 + a * b) ** k
-        limits = _count_truncated_sums(monkeypatch)
+        answers = _count_corner_answers(monkeypatch)
         rep = expect_block_report(lambda a, b: _lazy(g, _antidiagonal_max(g, 128)),
                                   SeriesConfig(max_index=64, tail_tol=1.0))
-        assert limits == [128]
+        assert answers == [answer]
         terms = weights * g
         s2, s1 = math.fsum(terms.tolist()), math.fsum(terms[(a <= 64) & (b <= 64)].tolist())
         assert rep.value.hex() == s2.hex() and rep.tail_estimate.hex() == abs(s2 - s1).hex()
 
     @pytest.mark.parametrize("case", ["inf-bound", "cancels"])
-    def test_two_sums_where_a_bound_is_inf_or_the_sum_cancels(self, monkeypatch, case):
+    def test_the_corner_is_read_whole_where_a_bound_is_inf_or_the_sum_cancels(
+            self, monkeypatch, case):
         limit = 32
         a, b, weights = series.grid(limit)
         g = (1.0 + a * b) ** 2
@@ -666,10 +691,10 @@ class TestCornerCertificate:
             bound[5] = math.inf
         else:
             g = np.sign(a - b) * g
-        limits = _count_truncated_sums(monkeypatch)
+        answers = _count_corner_answers(monkeypatch)
         rep = expect_block_report(lambda a, b: _lazy(g, bound),
                                   SeriesConfig(max_index=16, tail_tol=1.0))
-        assert limits == [limit, 16]
+        assert answers == ["whole"]
         terms = weights * g
         s2, s1 = math.fsum(terms.tolist()), math.fsum(terms[(a <= 16) & (b <= 16)].tolist())
         assert rep.value.hex() == s2.hex() and rep.tail_estimate.hex() == abs(s2 - s1).hex()
@@ -679,7 +704,7 @@ class TestCornerCertificate:
         # unlike the 2N sum it rounds down
         (-(2.0**-67), 2.0**-70, False, 1.0),
         # 2^-84 below the midpoint, within the corner's tail bound: a positive
-        # tail rounds the corner up, a negative one down, and only the N sum knows
+        # tail rounds the corner up, a negative one down, and only its whole sum knows
         (-(2.0**-84), 2.0**-70, True, 1.0 + 2.0**-52),
         (-(2.0**-84), -(2.0**-70), True, 1.0),
     ], ids=["derived", "tail-up", "tail-down"])
@@ -689,13 +714,53 @@ class TestCornerCertificate:
         # the run's term 2^-54 at (9, 1) lies outside the corner
         g = _corner_case(2.0**-54, corner, past, last)
         asked = []
-        limits = _count_truncated_sums(monkeypatch)
+        answers = _count_corner_answers(monkeypatch)
         rep = expect_block_report(lambda a, b: _lazy(g, _antidiagonal_max(g, 16), asked),
                                   SeriesConfig(max_index=8, tail_tol=1.0))
         assert asked[0] == series.antidiagonal_starts(16)[9]  # antidiagonals 2..10
-        assert limits == ([16, 8] if summed else [16])
+        assert answers == (["whole"] if summed else ["gather"])
         a, b, weights = series.grid(16)
         terms = weights * g
         assert rep.value == math.fsum(terms.tolist()) == 1.0 + 2.0**-52
         assert math.fsum(terms[(a <= 8) & (b <= 8)].tolist()) == s1
         assert rep.tail_estimate == abs(rep.value - s1)
+
+    @pytest.mark.parametrize("integrand", [
+        "certificate", "gather", "whole-after-run", "whole-after-grid", "plain", "scalar"])
+    def test_a_doubling_check_builds_the_doubled_grid_alone(self, monkeypatch, integrand):
+        n = 64 if integrand == "certificate" else 8  # ones are decided on a run of grid(128)
+        a, b, _ = series.grid(2 * n)
+        values = {"certificate": np.ones(a.size),
+                  "gather": _corner_case(2.0**-54, -(2.0**-67), 2.0**-70, 11),
+                  "whole-after-run": _corner_case(2.0**-54, -(2.0**-84), 2.0**-70, 11),
+                  "whole-after-grid": np.sign(a - b) * (1.0 + a * b)}.get(integrand)
+        f = {"plain": lambda a, b: a * b, "scalar": lambda a, b: 1.0}.get(
+            integrand, lambda a, b: _lazy(values, _antidiagonal_max(values, 2 * n)))
+        built = []
+        for name in ("grid", "antidiagonal_starts", "_antidiagonal_weights"):
+            monkeypatch.setattr(series, name, lambda limit, cached=getattr(series, name), name=name:
+                                built.append((name, limit)) or cached(limit))
+        answers = _count_corner_answers(monkeypatch)
+        expect_block_report(f, SeriesConfig(max_index=n, tail_tol=1e300))
+        assert built and {limit for _, limit in built} == {2 * n}, built
+        assert answers == [integrand.partition("-")[0] if values is not None else "whole"]
+
+    @pytest.mark.parametrize("case", ["tail-up", "tail-down", "inf-bound", "cancels", "plain"])
+    def test_a_corner_read_whole_equals_fsum_of_the_corner(self, monkeypatch, case):
+        # after a decided 2N run (tail-up, tail-down) and after a whole 2N grid
+        n = 8
+        a, b, weights = series.grid(2 * n)
+        if case.startswith("tail"):
+            g = _corner_case(2.0**-54, -(2.0**-84), 2.0**-70 if case == "tail-up" else -(2.0**-70), 16)
+        else:
+            g = (1.0 + a * b) ** 2 * (np.sign(a - b) if case == "cancels" else 1.0)
+        bound = _antidiagonal_max(g, 2 * n)
+        if case == "inf-bound":
+            bound[5] = math.inf
+        table = g if case == "plain" else series._memoized(_lazy(g, bound))
+        truncated_sum(lambda a, b: table, 2 * n)
+        assert case == "plain" or bool(table.run) == case.startswith("tail")
+        answers = _count_corner_answers(monkeypatch)
+        got = series._corner_sum(table, n)
+        assert answers == ["whole"]
+        assert got.hex() == math.fsum((weights * g)[(a <= n) & (b <= n)].tolist()).hex()
