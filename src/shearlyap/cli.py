@@ -515,7 +515,7 @@ def mc(cfg, alpha, beta, q, steps, ensembles, seed, renorm_every):
 @click.option("--alpha", type=float, default=1.0, show_default=True)
 @click.option("--beta", type=float, default=1.0, show_default=True)
 def gle_exact(cfg, q, alpha, beta):
-    """Exact integer-q moment bounds (log arguments are exact at alpha=beta=1)."""
+    """Exact (1/4) log of the integer-q block-scale moment sums (not bounds on l(q))."""
     res = gle_exact_integer(q, ShearParams.infer(alpha, beta))
     payload = {
         "alpha": alpha, "beta": beta, "q": q,
@@ -523,9 +523,10 @@ def gle_exact(cfg, q, alpha, beta):
         "lower": res.lower, "upper": res.upper,
     }
     text = (
-        f"moment exponent l(q={q})  alpha={alpha:g} beta={beta:g}\n"
-        f"  (1/4) log {res.lower_arg} <= l <= (1/4) log {res.upper_arg}\n"
-        f"  [{res.lower:.8f}, {res.upper:.8f}]"
+        f"(1/4) log of the block-scale q-moment sum, q={q}  alpha={alpha:g} beta={beta:g}\n"
+        f"  from the L-infinity lower and upper functions: (1/4) log {res.lower_arg}, "
+        f"(1/4) log {res.upper_arg}\n"
+        f"  [{res.lower:.8f}, {res.upper:.8f}], not bounds on the moment exponent l(q)"
     )
     return Result("exact_gle", payload, list(payload), cfg, text=text)
 

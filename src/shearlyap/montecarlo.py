@@ -28,7 +28,8 @@ products are the same doubles.  A coin sub-chunk holds at least one byte of
 every stream, however wide the ensemble, so only the last length % 8 steps
 skip the table.  Sampled E_k draws its one stream in tiles of
 _COIN_TILE_WORDS words that span several sub-chunks; the block oracle draws
-all its streams at once and finds their runs in one pass.
+the packed coins of all its streams at once, finds their runs in pieces of
+_RUN_PIECE coins and keeps only their int32 lengths.
 Exhaustive E_k uses the same layout, depth first: the products of the first
 few factors are doubled in place at each level, B P into the upper half and
 then A P over the lower half, which reproduces a 2x2 matrix product bit for
@@ -66,8 +67,9 @@ _COIN_TILE_WORDS = 1 << 16  # raw Philox words per tile of _coin_bytes
 _EXHAUSTIVE_MAX_K = 22
 _GLE_TRAJ_CAP = 200  # applications per gle_mc trajectory
 _MAX_APPS = 10**10  # cost guard: matrix applications one estimator call may run
-# coins in one block_oracle call: it holds the coins and run lengths of every stream at
-# once, a peak of 6.1 B a coin over 1, 2 or 32 streams (tracemalloc, 4 * 10^6 coins): 0.6 GB
+# coins in one block_oracle call: it holds the packed coins and the int32 run lengths of
+# every stream at once, a peak of 2.9-3.1 B a coin over 1, 2 or 32 streams (tracemalloc,
+# 4 * 10^6 coins) and 2.5 B at 10^7 and 10^8 coins, 0.25 GB at the guard
 _MAX_TOTAL_COINS = 10**8
 # ensembles or samples side by side, about 225 B each (tracemalloc, lyapunov_mc at 200
 # steps); lyapunov_mc draws a whole 2^16-step chunk's coin bytes for every ensemble at
@@ -75,6 +77,7 @@ _MAX_TOTAL_COINS = 10**8
 _MAX_WIDTH = 4 * 10**6
 # step-matrix elements per sub-chunk of _pairwise_product; coin sub-chunks keep 8 rows
 _PAIRWISE_BUDGET = 1 << 16
+_RUN_PIECE = 1 << 17  # coins block_oracle unpacks at once to find runs; a multiple of 8
 _SHEAR_MAX = 1e79  # largest |alpha|, |beta| at which _pairwise_product keeps its accuracy
 _SLICE_MATRICES = 1 << 16  # most products in one tile of exhaustive standard_bound
 _UNSCALED_MAX = 1e150  # 2 * _UNSCALED_MAX**2 does not overflow
@@ -573,71 +576,122 @@ def standard_bound(
     return float(_log_norms(np.stack(prod), logacc, k).mean())
 
 
+def _run_ends(by: np.ndarray, n: int):
+    """Yields (e0, t0, ends) over pieces of the n coins of each stream packed in
+    by, a stream a column as _coin_bytes returns them.  ends[r, i] is True where
+    coin t0 + i of stream e0 + r ends a run: coin n - 1, or one the next coin
+    differs from.  A piece holds at most _RUN_PIECE coins (a multiple of 8),
+    whole streams side by side (t0 = 0) or part of one; it unpacks one coin past
+    its end, so no piece depends on another."""
+    w = min(n, _RUN_PIECE)  # coins of a stream in a piece
+    g = max(1, _RUN_PIECE // w)  # streams in a piece
+    for e0 in range(0, by.shape[1], g):
+        for t0 in range(0, n, w):
+            count = min(w + 1, n - t0)
+            coins = np.unpackbits(by[t0 // 8:-(-(t0 + count) // 8), e0:e0 + g].T, axis=1,
+                                  count=count, bitorder="little")
+            ends = np.ones((len(coins), min(w, count)), dtype=bool)
+            np.not_equal(coins[:, :count - 1], coins[:, 1:], out=ends[:, :count - 1])
+            yield e0, t0, ends
+
+
+def _range_totals(ufunc, x: np.ndarray, lo: np.ndarray, count) -> np.ndarray:
+    """ufunc.reduce of x[lo[e]:lo[e] + count[e]] for each e, in x's dtype; the
+    ranges are not empty, do not overlap and come in order."""
+    hi = lo + count
+    edges = np.stack([lo, hi], axis=1).ravel()[:-1]  # the last range ends x[:hi[-1]]
+    return ufunc.reduceat(x[:hi[-1]], edges, dtype=x.dtype)[::2]
+
+
 def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     """Group raw coin streams into A^a B^b blocks and report their statistics.
 
     Checks the geometric block law empirically: mean block length 4, the
     three order comparisons P(a=b), P(a>b), P(a<b) each 1/3, and a Lyapunov
     estimate from the block products that must agree with lyapunov_mc.  The
-    coins of all streams are drawn in one _coin_bytes call (a stream's bytes do
-    not depend on the streams beside it) and their runs found in one pass over
-    every stream.  The statistics are exact counts and sums over the blocks,
-    divided once.
+    coins of all streams are drawn packed in one _coin_bytes call (a stream's
+    bytes do not depend on the streams beside it), and their runs found in
+    pieces of _RUN_PIECE coins (_run_ends) in two passes: the first counts each
+    stream's runs, the second writes every run length once into one int32
+    array.  Besides the packed coins and that array, the statistics hold a few
+    bytes a block at most.  They are exact counts and sums over each stream's
+    blocks, divided once.
     Raises DomainError, before drawing any coin, above _MAX_APPS (10^10) coins,
     _MAX_WIDTH (4 * 10^6) streams, _MAX_TOTAL_COINS (10^8) coins in all, however
     many streams hold them, or shears of _SHEAR_MAX (1e79); and, once the runs
-    are known, where a stream holds no complete block, since the Lyapunov
+    are counted, where a stream holds no complete block, since the Lyapunov
     estimate takes the same number of blocks from every stream.
     """
-    E, per_stream = cfg.n_ensembles, cfg.n_steps // cfg.n_ensembles
-    total = _check_cost(E * per_stream, E)
+    E, n = cfg.n_ensembles, cfg.n_steps // cfg.n_ensembles
+    total = _check_cost(E * n, E)
     if total > _MAX_TOTAL_COINS:
         raise DomainError(f"{total:.3g} coins in all exceed the memory guard "
                           f"{_MAX_TOTAL_COINS:.0e}; lower n_steps")
     _shear_bound(params)  # refuses shears above _SHEAR_MAX
-    by = _coin_bytes(cfg.seed, range(E), 0, -(-per_stream // 8)).T.copy()  # a stream a row
-    coins = np.unpackbits(by, axis=1, count=per_stream, bitorder="little").reshape(-1)  # 1 -> A
-    new_run = np.empty(total, dtype=bool)  # the coins that start a run
-    np.not_equal(coins[1:], coins[:-1], out=new_run[1:])
-    new_run[::per_stream] = True  # and the first coin of each stream
-    leading_b = coins[::per_stream] == 0  # a leading B-run belongs to an unseen block
-    del coins
-    starts = np.flatnonzero(new_run)
-    del new_run
-    lengths = np.empty(starts.size, dtype=np.int32)
-    np.subtract(starts[1:], starts[:-1], out=lengths[:-1])
-    lengths[-1] = total - starts[-1]
-    runs = np.searchsorted(starts, np.arange(0, total + 1, per_stream))  # e: runs[e]..runs[e+1]-1
-    del starts
-    first = runs[:-1] + leading_b
-    # whole blocks only: the final one may be truncated by the stream end
-    pairs = (runs[1:] - first) // 2 - 1
+    by = _coin_bytes(cfg.seed, range(E), 0, -(-n // 8))  # coin 1 picks A
+    runs = np.zeros(E, dtype=np.int64)
+    for e0, _, ends in _run_ends(by, n):
+        runs[e0:e0 + len(ends)] += np.count_nonzero(ends, axis=1)
+    # a leading B-run belongs to an unseen block; whole blocks only, as the
+    # final one may be truncated by the stream end
+    leading_b = (by[0] & 1) == 0
+    pairs = (runs - leading_b) // 2 - 1
     empty = int(np.count_nonzero(pairs <= 0))
     if empty:
         raise DomainError(f"{empty} of {E} coin streams hold no complete block; "
                           "raise n_steps or lower n_ensembles")
-    first, pairs = first.tolist(), pairs.tolist()
-    # a_0, b_0, a_1, b_1, ... of each stream in turn
-    ab = np.concatenate([lengths[f:f + 2 * p] for f, p in zip(first, pairs)])
-    n_blocks = ab.size // 2
-    d = ab[0::2] - ab[1::2]
-    stats = dict(mean_block_len=int(ab.sum(dtype=np.int64)) / n_blocks,
-                 p_eq=int(np.count_nonzero(d == 0)) / n_blocks,
-                 p_gt=int(np.count_nonzero(d > 0)) / n_blocks,
-                 p_lt=int(np.count_nonzero(d < 0)) / n_blocks, n_blocks=n_blocks)
-    del ab, d
+    # every run, stream after stream, with a zero before a stream where that puts
+    # its first A-run at an even index: a_j of stream e is lengths[2 (h[e] + j)]
+    # and b_j the entry after it, for j < pairs[e].  Stream e's runs start at
+    # start[e] = start[e - 1] + runs[e - 1] + pad[e], which must have the parity
+    # of leading_b[e], as start[e - 1] has that of leading_b[e - 1]
+    pad = (np.concatenate(([0], (runs + leading_b)[:-1])) + leading_b) % 2
+    start = np.cumsum(runs + pad) - runs
+    h = (start + leading_b) // 2
+    lengths = np.empty(int(start[-1] + runs[-1]), dtype=np.int32)
+    k, last = 0, -1  # entries written, and where the last run ends in the streams end to end
+    for e0, t0, ends in _run_ends(by, n):
+        base = e0 * n + t0
+        prev, pos = last - base, np.flatnonzero(ends)  # run ends, from the piece's first coin
+        if t0 == 0:  # its streams start here: a pad is a run that ends where the last did
+            r = runs[e0:e0 + len(ends)]
+            at = (np.cumsum(r) - r)[pad[e0:e0 + len(ends)] == 1]
+            pos = np.insert(pos, at, np.concatenate(([prev], pos))[at])
+        if pos.size:
+            lengths[k] = pos[0] - prev
+            np.subtract(pos[1:], pos[:-1], out=lengths[k + 1:k + pos.size])
+            k, last = k + pos.size, base + pos[-1]
+    del by
+
+    # A stream's sums are at most its n <= _MAX_TOTAL_COINS coins: int32 holds them
+    a, b = lengths[0::2], lengths[1::2]
+    J, n_blocks = int(pairs.min()), int(pairs.sum())  # the Lyapunov estimate takes J a stream
+    block_sum = int(_range_totals(np.add, lengths, 2 * h, 2 * pairs).sum())
+    steps = int(_range_totals(np.add, lengths, 2 * h, 2 * J).sum())
+    a_max = int(_range_totals(np.maximum, a, h, J).max())
+    b_max = int(_range_totals(np.maximum, b, h, J).max())
+    # True on the blocks, False on the pads and the runs no block holds
+    gaps = h - np.concatenate(([0], (h + pairs)[:-1]))
+    kept = np.repeat(np.resize([False, True], 2 * E), np.stack([gaps, pairs], axis=1).ravel())
+    m = kept.size
+
+    def count(compare):  # the blocks whose a and b compare so
+        found = compare(a[:m], b[:m])
+        found &= kept
+        return int(np.count_nonzero(found))
+
+    eq, gt = count(np.equal), count(np.greater)
+    del kept
+    stats = dict(mean_block_len=block_sum / n_blocks, p_eq=eq / n_blocks, p_gt=gt / n_blocks,
+                 p_lt=(n_blocks - eq - gt) / n_blocks, n_blocks=n_blocks)
 
     # Lyapunov estimate from the block products K(a, b) = A^a B^b applied to (0, 1)
-    J = min(pairs)  # the first J blocks of each stream, one stream per row
-    a_mat = np.stack([lengths[f:f + 2 * J:2] for f in first])
-    b_mat = np.stack([lengths[f + 1:f + 2 * J:2] for f in first])
-    steps = int(a_mat.sum() + b_mat.sum())
-
     def blocks(rows):  # gathers int32 run lengths; the kernel runs time on axis 0
-        x, y = params.alpha * a_mat[:, rows].T, params.beta * b_mat[:, rows].T
+        at = h + rows[:, None]
+        x, y = params.alpha * a[at], params.beta * b[at]
         return np.broadcast_to(1.0, x.shape), y, x, 1.0 + x * y
 
-    bound = 1.0 + abs(params.alpha * params.beta) * a_mat.max() * b_mat.max()
+    bound = 1.0 + abs(params.alpha * params.beta) * a_max * b_max
     (_, p12, _, p22), scale = _pairwise_product(blocks, J, E, bound)
     acc = scale + np.log(np.hypot(p12, p22))
     return BlockStats(lambda_est=float(acc.sum() / steps), **stats)

@@ -20,8 +20,11 @@ each antidiagonal, and its values on a leading run on request.  Its sum is
 then extracted from the shortest leading run whose tail bound,
 sum_{n > K} (terms on n) 2^-n B_n, is at most 2^-_TAIL_BITS of the bound
 on the whole sum of magnitudes, and the certificate's slack is the
-extraction's remainder bound plus that tail bound.  Where it does not decide
-(the sum cancels, or lies near a rounding midpoint), and where a bound is not
+extraction's remainder bound plus that tail bound.  That bound can exceed
+the sum by far (f^q at large |q|), so where the certificate does not decide,
+the run whose tail bound is 2^-_TAIL_BITS of the first run's sum is tried
+once more, with its own tail bound as slack.  Where neither decides (the
+sum cancels, or lies near a rounding midpoint), and where a bound is not
 finite, the whole grid is summed as for a plain table, so the result is
 math.fsum of every term either way.  The doubling check sums the integrand
 on the doubled grid alone.  The sum over its N x N corner is the run's less
@@ -265,27 +268,34 @@ def _padded(bound: float) -> float:
 def _prefix_sum(table: LazyTable, limit: int) -> float | None:
     """The sum over grid(limit) of the weighted values of table, from the
     shortest leading run whose tail bound is at most 2^-_TAIL_BITS of the
-    bound on the whole sum of magnitudes; None where that run is the whole
-    grid (as it is for any bound that is not finite, whose total is inf or
-    nan) or its certificate (with the tail bound as extra slack) does not
-    decide the double.  A _Memoized table receives the run (_corner_sum)."""
+    bound on the whole sum of magnitudes.  That bound can overshoot the sum
+    by orders of magnitude (f^q at large |q|), so where the run's certificate
+    (with the tail bound as extra slack) does not decide the double, the run
+    whose tail bound is at most 2^-_TAIL_BITS of |the first run's sum| is
+    extracted once more, with its own tail bound as slack.  None where the
+    run is the whole grid (as it is for any bound that is not finite, whose
+    total is inf or nan) or no certificate decides the double.  A _Memoized
+    table receives the run that decided (_corner_sum)."""
     with np.errstate(over="ignore", invalid="ignore"):
         # per antidiagonal, a bound on the sum of its terms' magnitudes
         bounds = _antidiagonal_weights(limit) * table.bound
         # tails[j]: a bound on the last j + 1 antidiagonals
         tails = np.cumsum(bounds[::-1])
-    dropped = int(tails.searchsorted(math.ldexp(float(tails[-1]), -_TAIL_BITS), "right"))
-    if not 0 < dropped < bounds.size:
-        return None
-    k = bounds.size - dropped
-    m = int(antidiagonal_starts(limit)[k])
-    terms = grid(limit)[2][:m] * table.head(m)
-    decided = _extraction(terms, _padded(float(tails[dropped - 1])))
-    if decided is None:
-        return None
-    if isinstance(table, _Memoized):
-        table.run.append((terms, k, tails, decided))
-    return decided[0]
+    size, target = bounds.size, float(tails[-1])
+    for _ in range(2):
+        dropped = int(tails.searchsorted(math.ldexp(target, -_TAIL_BITS), "right"))
+        if not 0 < dropped < size:  # the whole grid, or no longer than the run tried
+            return None
+        k = bounds.size - dropped
+        m = int(antidiagonal_starts(limit)[k])
+        terms = grid(limit)[2][:m] * table.head(m)
+        decided = _extraction(terms, _padded(float(tails[dropped - 1])))
+        if decided is not None:
+            if isinstance(table, _Memoized):
+                table.run.append((terms, k, tails, decided))
+            return decided[0]
+        size, target = dropped, abs(float(terms.sum()))
+    return None
 
 
 def truncated_sum(f: Callable, limit: int) -> float:

@@ -513,6 +513,16 @@ class TestSmallCommands:
         assert rec["payload"]["lower_arg"] == 45
         assert rec["payload"]["upper_arg"] == 79
 
+    def test_gle_exact_text_names_the_moment_sums(self, runner):
+        # (1/4) log 45 and (1/4) log 79 bound no exponent: the exact l(2) at
+        # (1, 1) is 0.82452, below both
+        result = runner.invoke(main, ["gle-exact", "--q", "2"])
+        assert result.exit_code == 0
+        assert result.output == (
+            "(1/4) log of the block-scale q-moment sum, q=2  alpha=1 beta=1\n"
+            "  from the L-infinity lower and upper functions: (1/4) log 45, (1/4) log 79\n"
+            "  [0.95166562, 1.09236196], not bounds on the moment exponent l(q)\n")
+
     def test_gle_exact_out_of_range(self, runner):
         result = runner.invoke(main, ["gle-exact", "--q", "7"])
         assert result.exit_code == 2

@@ -1160,3 +1160,92 @@ class TestBlockOracle:
         monkeypatch.setattr(montecarlo, "_coin_bytes", one_run)
         with pytest.raises(DomainError, match="^1 of 4 coin streams hold no complete block"):
             block_oracle(POS11, cfg)
+
+
+class TestRunPieces:
+    """block_oracle finds runs in pieces of _RUN_PIECE coins; patched down to a
+    few bytes, runs cross many piece boundaries and the values stay those of
+    the per-stream reference, bit for bit."""
+
+    # stream -> {byte index: value}: stream 0 holds an A-run over coins 56..71,
+    # across the boundary at coin 64, and one from coin 324 over 164 coins or
+    # more, across 384 and 448; stream 1 starts with a B-run of 80 coins, across 64
+    DESIGNED = {0: {7: 0xFF, 8: 0xFF, 40: 0xF0, **{j: 0xFF for j in range(41, 61)}},
+                1: {**{j: 0x00 for j in range(10)}, 10: 0x01}}
+
+    @classmethod
+    def designed_bytes(cls, coin_bytes):
+        def patched(seed, streams, start, n):
+            by = coin_bytes(seed, streams, start, n)
+            for col, e in enumerate(streams):
+                for j, value in cls.DESIGNED.get(e, {}).items():
+                    if start <= j < start + n:
+                        by[j - start, col] = value
+            return by
+
+        return patched
+
+    def test_designed_runs(self):
+        by = self.designed_bytes(montecarlo._coin_bytes)(48, [0, 1], 0, 125)
+        coins = np.unpackbits(by, axis=0, bitorder="little")
+        assert coins[56:72, 0].all() and coins[324:488, 0].all() and not coins[320:324, 0].any()
+        assert not coins[:80, 1].any() and coins[80, 1] == 1
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (-3.0, 3.0), (1e70, 1e70)])
+    @pytest.mark.parametrize("n_steps,n_ensembles,piece,designed", [
+        (1_000, 1, 64, True),  # 15 pieces and 40 coins of a stream
+        (4_099, 2, 64, True),  # 2049 coins a stream: neither a multiple of 8 nor of 64
+        (33 * 1_003 + 5, 33, 64, True),
+        (100_003, 3, 1 << 12, True),
+        (33 * 100 + 7, 33, 256, False),  # two whole streams of 100 coins a piece
+        (33 * 40, 33, 128, False)])  # three streams of 40 coins a piece
+    def test_matches_per_stream_reference(self, monkeypatch, alpha, beta, n_steps, n_ensembles,
+                                          piece, designed):
+        if designed:
+            monkeypatch.setattr(montecarlo, "_coin_bytes",
+                                self.designed_bytes(montecarlo._coin_bytes))
+        params, cfg = ShearParams.infer(alpha, beta), McConfig(n_steps, n_ensembles, seed=48)
+        want = reference_block_oracle(params, cfg)
+        monkeypatch.setattr(montecarlo, "_RUN_PIECE", piece)
+        got = block_oracle(params, cfg)
+        for field in dataclasses.fields(BlockStats):
+            g, w = getattr(got, field.name), getattr(want, field.name)
+            assert (g.hex(), type(g)) == (w.hex(), type(w)) if isinstance(w, float) else g == w
+
+    @pytest.mark.parametrize("cfg,empty", [(McConfig(1000, 200, seed=1), "165 of 200"),
+                                           (McConfig(20, 10), "10 of 10")])
+    def test_refusal_counts_streams_without_a_block(self, monkeypatch, cfg, empty):
+        monkeypatch.setattr(montecarlo, "_RUN_PIECE", 64)
+        with pytest.raises(DomainError, match=rf"^{empty} coin streams hold no complete block"):
+            block_oracle(POS11, cfg)
+
+    def test_refusal_counts_a_one_run_stream_across_pieces(self, monkeypatch):
+        # stream 2's 1000 coins are all A: one run over 16 pieces of 64 coins
+        coin_bytes = montecarlo._coin_bytes
+
+        def one_run(seed, streams, start, n):
+            by = coin_bytes(seed, streams, start, n)
+            by[:, 2] = 0xFF
+            return by
+
+        monkeypatch.setattr(montecarlo, "_RUN_PIECE", 64)
+        monkeypatch.setattr(montecarlo, "_coin_bytes", one_run)
+        with pytest.raises(DomainError, match="^1 of 4 coin streams hold no complete block"):
+            block_oracle(POS11, McConfig(4000, 4, seed=5))
+
+    @pytest.mark.parametrize("streams", [1, 2, 32])
+    def test_traced_peak_per_coin(self, monkeypatch, streams):
+        # the kernel's sub-chunks and the pieces are patched down to 2^12 elements
+        # and coins, so the peak is what grows with the coins: the packed coins
+        # and the int32 run lengths of every stream, about 2.9 B a coin however
+        # many streams hold them
+        monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", 1 << 12)
+        monkeypatch.setattr(montecarlo, "_RUN_PIECE", 1 << 12)
+        coins = 4 * 10**5
+        tracemalloc.start()
+        try:
+            block_oracle(POS11, McConfig(coins, streams, seed=49))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak / coins <= 3.5

@@ -379,19 +379,25 @@ class TestExtractedSum:
         # a leading run that does not decide its sum, a whole-grid extraction
         # that declines, a third pass where two decide, or a corner read whole
         # where a certificate could decide it would still be correct, only slow
-        counts = dict.fromkeys(["runs", "runs_undecided", "grids", "grids_undecided",
-                                "corner_reads", "corner_reads_undecided", "passes",
-                                "reports"], 0)
+        counts = dict.fromkeys(["runs", "runs_undecided", "retries", "retries_undecided",
+                                "grids", "grids_undecided", "corner_reads",
+                                "corner_reads_undecided", "passes", "reports"], 0)
         extraction, report = series._extraction, series.expect_block_report
         certificates = _count_certificates(monkeypatch)
         answers = _count_corner_answers(monkeypatch)
         corner_sum, inside = series._corner_sum, []
+        prefix_sum, runs_tried = series._prefix_sum, []
 
         def counting_extraction(flat, tail=0.0):
             before = len(certificates)
             decided = extraction(flat, tail)
-            # a leading run's tail bound is positive; a corner read whole is summed in _corner_sum
-            kind = "runs" if tail > 0.0 else "corner_reads" if inside else "grids"
+            # a leading run's tail bound is positive, and a second run in one
+            # _prefix_sum is a retry; a corner read whole is summed in _corner_sum
+            if tail > 0.0:
+                kind = "retries" if runs_tried else "runs"
+                runs_tried.append(flat.size)
+            else:
+                kind = "corner_reads" if inside else "grids"
             counts[kind] += 1
             counts[kind + "_undecided"] += decided is None
             counts["passes"] += len(certificates) - before
@@ -404,12 +410,17 @@ class TestExtractedSum:
             finally:
                 inside.pop()
 
+        def counting_prefix_sum(table, limit):
+            runs_tried.clear()
+            return prefix_sum(table, limit)
+
         def counting_report(*args):
             counts["reports"] += 1
             return report(*args)
 
         monkeypatch.setattr(series, "_extraction", counting_extraction)
         monkeypatch.setattr(series, "_corner_sum", counting_corner_sum)
+        monkeypatch.setattr(series, "_prefix_sum", counting_prefix_sum)
         monkeypatch.setattr(series, "expect_block_report", counting_report)
         runner = CliRunner()
         for argv in (["--mode", "gle", "--alpha", "1", "--beta", "1", "--q", "-3:3:0.1"],
@@ -417,7 +428,12 @@ class TestExtractedSum:
             result = runner.invoke(main, ["sweep", *argv, "--format", "csv"])
             assert result.exit_code == 0, result.output
         assert counts["runs"] > 0 and counts["runs_undecided"] <= counts["runs"] // 100, counts
-        assert counts["grids"] == counts["runs_undecided"] and counts["grids_undecided"] == 0
+        # an undecided run is retried at most once, on a longer run; every run
+        # still undecided after that falls to the whole grid
+        assert counts["retries"] <= counts["runs_undecided"], counts
+        retried = counts["retries"] - counts["retries_undecided"]  # decided on the retry
+        assert counts["grids"] == counts["runs_undecided"] - retried, counts
+        assert counts["grids_undecided"] == 0
         # each report asks once for its corner, which is read whole only where
         # no certificate decides it
         assert len(answers) == counts["reports"]
@@ -425,7 +441,8 @@ class TestExtractedSum:
         assert counts["corner_reads_undecided"] == 0
         derived = answers.count("certificate") + answers.count("gather")
         assert 100 * derived >= 99 * counts["reports"], (counts, derived)
-        third_passes = counts["passes"] - counts["runs"] - counts["grids"] - counts["corner_reads"]
+        third_passes = (counts["passes"] - counts["runs"] - counts["retries"] - counts["grids"]
+                        - counts["corner_reads"])
         assert 0 <= third_passes <= counts["runs"] // 100, (counts, third_passes)
 
 
@@ -511,6 +528,19 @@ class TestLeadingRuns:
         got = truncated_sum(lambda a, b: _lazy(g, _antidiagonal_max(g, limit), asked), limit)
         assert asked == [3, g.size]
         assert got == (1.0 + 2.0**-52 if sign > 0 else 1.0)
+        assert got.hex() == _fsum_of_grid(g, limit)
+
+    def test_a_bound_far_above_the_sum_is_retried_on_a_longer_run(self):
+        # the bound overshoots every term by 2^40, as f^q's does at large |q|: the
+        # first run's tail bound, 2^-64 of the bounded total, is about 2^-24 of
+        # the sum and cannot decide it; the run whose tail bound is 2^-64 of the
+        # first run's sum does, and the whole grid is never read
+        limit = 128
+        g = np.ones(series.grid(limit)[0].size)
+        asked = []
+        bound = np.full(2 * limit - 1, 2.0**40)
+        got = truncated_sum(lambda a, b: _lazy(g, bound, asked), limit)
+        assert len(asked) == 2 and asked[0] < asked[1] < g.size
         assert got.hex() == _fsum_of_grid(g, limit)
 
     def test_a_run_away_from_a_midpoint_is_decided(self):

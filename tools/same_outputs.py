@@ -11,7 +11,8 @@ max_index 1024, a moment sweep at shears of 1e30 and one at 1e100 whose
 terms overflow (exit 3); last the bounds at max_index 8, whose tail
 estimate exceeds the tolerance (exit 3), a moment sweep over q = 3..6, and
 two wide moment sweeps, q = -6..6 at (1, 1) and q = -8..8 at (-3, 3) with
-max_index 128, that read some corners whole;
+max_index 128, that read some corners whole, and one over q = 10..30 with
+max_index 256, whose sums are decided on a second, longer leading run;
 then the Monte Carlo estimates in JSON: lyapunov_mc at (1, 1) and at (-3, 3),
 whose trajectories of 66 666 steps cross a 2^16-step coin chunk, gle_mc at
 q = 2 over 5000 ensembles, sampled E_1024 at (5, 5), and exhaustive E_16,
@@ -56,6 +57,8 @@ COMMANDS = [
     "sweep --mode gle --alpha 1 --q 3:6:0.5 --format csv",
     "sweep --mode gle --alpha 1 --q -6:6:0.5 --format csv",
     "sweep --mode neg-gle --alpha -3 --q -8:8:0.5 --max-index 128 --format csv",
+    # large q, where the first leading run cannot decide and a longer one is tried
+    "sweep --mode gle --alpha 1 --q 10:30:2 --max-index 256 --format csv",
     # the Monte Carlo kernel: long and short trajectories, many ensembles, E_k
     "mc --alpha 1 --beta 1 --steps 1e6 --ensembles 25 --format json",
     "mc --alpha -3 --beta 3 --steps 2e5 --ensembles 3 --format json",
