@@ -48,6 +48,7 @@ from .series import (
     LazyTable,
     NonConvergenceError,
     SeriesConfig,
+    _padded,
     expect_block,
     expect_block_exact_poly,
     grid,
@@ -132,7 +133,8 @@ _GRID_CACHE_SIZE = max(
 
 # slack of the per-antidiagonal bounds on a case mean's computed values: relative
 # for the rounding of powers, logs and the mean, absolute for values that
-# underflow and for logs near 0 (the opposed regime's functions go below 1)
+# underflow and for logs near 0 (every function is at least 1, but close to 1
+# near the opposed regime's edge, and a case mean of such values can round below 1)
 _BOUND_SLACK = 2.0**-20
 _POW_FLOOR = 2.0**-1000
 _LOG_FLOOR = 2.0**-40
@@ -238,6 +240,43 @@ def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearPar
     return f
 
 
+def _log_sums(x: float, q, limit: int) -> tuple[float, float]:
+    """log S and log T, where S = sum_{a >= 1} 2^-a g(a), T is its part over
+    a > limit, and g(a) = (1 + a x)^q, or log(1 + a x) when q is None.  The
+    terms are summed in log space up to a = limit + 64.  Past it each term is
+    at most r times the one before, r the ratio of terms limit + 65 and
+    limit + 64 (the ratios fall with a), so the terms from limit + 65 on sum
+    to at most term limit + 64 times r / (1 - r), and to inf for r >= 1."""
+    a = np.arange(1.0, limit + 66)
+    log_g = np.log1p(a * x)
+    logs = (np.log(log_g) if q is None else q * log_g) - a * math.log(2.0)
+    r = np.exp(logs[-1] - logs[-2])
+    logs[-1] = logs[-2] + np.log(r / (1.0 - r)) if r < 1.0 else math.inf
+    return float(np.logaddexp.reduce(logs)), float(np.logaddexp.reduce(logs[limit:]))
+
+
+def _tail_bound(params: ShearParams, q, limit: int) -> float:
+    """A bound on sum 2^-(a+b) |f(a, b)| over the points outside grid(limit)
+    for every integrand _case_mean forms at the point.  Every bound function
+    lies between 1 and F = (1 + a |alpha|)(1 + b |beta|) (a test checks each
+    one), so for q > 0 |f| <= F^q = g(a) h(b), which outside the grid sums to
+    at most T_g S_h + S_g T_h (_log_sums; h is g for beta); the log is at most
+    log F = g(a) + h(b) with g(a) = log(1 + a |alpha|), which sums to at most
+    T_g + T_h + 2^-limit (S_g + S_h); and for q <= 0 f^q <= 1, whose weights
+    outside the grid sum to less than 2^(1 - limit).  Padded for rounding;
+    inf where a sum overflows."""
+    if q is not None and q <= 0:
+        return _padded(math.ldexp(1.0, 1 - limit))
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        (s_g, t_g), (s_h, t_h) = (_log_sums(abs(x), q, limit) for x in (params.alpha, params.beta))
+        if q is None:
+            shift = limit * math.log(2.0)
+            logs = [t_g, t_h, s_g - shift, s_h - shift]
+        else:
+            logs = [t_g + s_h, s_g + t_h]
+        return _padded(float(np.exp(logs).sum()))
+
+
 def _report(params: ShearParams, family: BoundFamily, cfg: SeriesConfig,
             q: float | None = None) -> BoundReport:
     """Per-norm values and envelope: the Lyapunov bounds when q is None, else
@@ -246,11 +285,12 @@ def _report(params: ShearParams, family: BoundFamily, cfg: SeriesConfig,
     DomainError before any grid is built."""
     if q is not None and not math.isfinite(q):
         raise DomainError(f"q must be finite, got {q}")
+    tail = _tail_bound(params, q, 2 * cfg.max_index)
 
     def values(side: Side) -> dict[NormKind, float]:
         out = {}
         for norm in norms_for(family, params.regime, side):
-            s = expect_block(_case_mean(family, norm, side, params, q), cfg)
+            s = expect_block(_case_mean(family, norm, side, params, q), cfg, tail)
             # a subnormal sum has already lost bits, and a zero one has no log
             if q is not None and s < sys.float_info.min:
                 raise NonConvergenceError(

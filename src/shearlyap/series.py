@@ -26,12 +26,11 @@ the run whose tail bound is 2^-_TAIL_BITS of the first run's sum is tried
 once more, with its own tail bound as slack.  Where neither decides (the
 sum cancels, or lies near a rounding midpoint), and where a bound is not
 finite, the whole grid is summed as for a plain table, so the result is
-math.fsum of every term either way.  The doubling check sums the integrand
-on the doubled grid alone.  The sum over its N x N corner is the run's less
-the run's terms outside the corner, plus the corner's terms past the run, so
-the taus that decided the doubled sum, less those outside terms, with the
-corner's own tail bound as slack decide it too; only where they do not, or no
-run decided the doubled sum, are the corner's points read whole.
+math.fsum of every term either way.
+An expectation sums its integrand on grid(2 N) (N = max_index) and takes the
+series tail, the sum of the magnitudes of the terms outside that grid, from
+its caller, who bounds it in closed form (the engine does, from the growth
+functions' range); it is refused where that bound exceeds the tolerance.
 Moments of the form  sum 2^-a a^n  are integers and are computed exactly
 by recurrence, which gives exact values for integer-q moment expansions.
 
@@ -46,7 +45,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Mapping
 
 import numpy as np
@@ -78,21 +77,21 @@ _TAIL_FLOOR = 2.0**-1000  # absolute slack for terms and tail bounds that underf
 
 
 class NonConvergenceError(RuntimeError):
-    """Doubling the truncation moved the sum by more than the tail tolerance,
-    or the sum is not finite, or a moment sum underflows below the normal
-    doubles (to zero its log is undefined; subnormal it has lost bits)."""
+    """The bound on the series tail exceeds the tail tolerance, or the sum is
+    not finite, or a moment sum underflows below the normal doubles (to zero
+    its log is undefined; subnormal it has lost bits)."""
 
 
 @dataclass(frozen=True)
 class SeriesConfig:
     """Truncation limit and tail tolerance for the weighted double sums.
 
-    The doubling check compares the sum truncated at max_index with the sum
-    truncated at 2*max_index; the difference must stay below tail_tol,
-    in absolute terms for order-one sums or relative to the sum's magnitude
-    for large moment sums (double precision cannot resolve an absolute
-    1e-12 on a sum of size 1e6).  max_index is an integer up to 1024, which
-    bounds the memory of the grids; tail_tol is finite.
+    A sum is truncated at 2*max_index in each run length, and the bound on
+    its tail, the terms outside that grid, must stay below tail_tol, in
+    absolute terms for order-one sums or relative to the sum's magnitude for
+    large moment sums (double precision cannot resolve an absolute 1e-12 on
+    a sum of size 1e6).  max_index is an integer up to 1024, which bounds the
+    memory of the grids; tail_tol is finite.
     """
 
     max_index: int = 64
@@ -109,8 +108,11 @@ class SeriesConfig:
 
 @dataclass(frozen=True)
 class SeriesResult:
+    """A sum over grid(truncation), and the bound on the magnitudes of the
+    terms outside it that the caller certified."""
+
     value: float
-    tail_estimate: float
+    tail_bound: float
     truncation: int
 
 
@@ -185,10 +187,9 @@ def _certified(taus: list[float], b: float, tail: float) -> float | None:
     return total if total == math.fsum(taus + [b, tail]) != 0.0 else None
 
 
-def _extraction(flat: np.ndarray, tail: float = 0.0) -> tuple[float, list[float], float] | None:
+def _extracted_sum(flat: np.ndarray, tail: float = 0.0) -> float | None:
     """math.fsum of flat and of terms outside it that sum to at most tail in
-    size, certified in two or three whole-array passes, with the certificate
-    (the taus and the remainder bound b of its last pass), or None where the
+    size, certified in two or three whole-array passes, or None where the
     certificate does not decide it.
 
     Error-free vector extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput.
@@ -226,21 +227,12 @@ def _extraction(flat: np.ndarray, tail: float = 0.0) -> tuple[float, list[float]
     np.subtract(flat, q, out=q)
     taus.append(_extract(q, sigma[1], q))
     total = _certified(taus, sigma[2], tail)
-    if total is not None:
-        return total, taus, sigma[2]
-    if exp + 3 * (m - 53) < _EXTRACT_EMIN:
-        return None
+    if total is not None or exp + 3 * (m - 53) < _EXTRACT_EMIN:
+        return total
     # the remainder after two passes: (flat - first pass's q) - q
     np.subtract(flat - ((flat + sigma[0]) - sigma[0]), q, out=q)
     taus.append(_extract(q, sigma[2], q))
-    total = _certified(taus, sigma[3], tail)
-    return None if total is None else (total, taus, sigma[3])
-
-
-def _extracted_sum(flat: np.ndarray, tail: float = 0.0) -> float | None:
-    """The double of _extraction(flat, tail), or None."""
-    decided = _extraction(flat, tail)
-    return None if decided is None else decided[0]
+    return _certified(taus, sigma[3], tail)
 
 
 def _exact_sum(terms: np.ndarray) -> float:
@@ -274,8 +266,7 @@ def _prefix_sum(table: LazyTable, limit: int) -> float | None:
     whose tail bound is at most 2^-_TAIL_BITS of |the first run's sum| is
     extracted once more, with its own tail bound as slack.  None where the
     run is the whole grid (as it is for any bound that is not finite, whose
-    total is inf or nan) or no certificate decides the double.  A _Memoized
-    table receives the run that decided (_corner_sum)."""
+    total is inf or nan) or no certificate decides the double."""
     with np.errstate(over="ignore", invalid="ignore"):
         # per antidiagonal, a bound on the sum of its terms' magnitudes
         bounds = _antidiagonal_weights(limit) * table.bound
@@ -286,14 +277,11 @@ def _prefix_sum(table: LazyTable, limit: int) -> float | None:
         dropped = int(tails.searchsorted(math.ldexp(target, -_TAIL_BITS), "right"))
         if not 0 < dropped < size:  # the whole grid, or no longer than the run tried
             return None
-        k = bounds.size - dropped
-        m = int(antidiagonal_starts(limit)[k])
+        m = int(antidiagonal_starts(limit)[bounds.size - dropped])
         terms = grid(limit)[2][:m] * table.head(m)
-        decided = _extraction(terms, _padded(float(tails[dropped - 1])))
-        if decided is not None:
-            if isinstance(table, _Memoized):
-                table.run.append((terms, k, tails, decided))
-            return decided[0]
+        total = _extracted_sum(terms, _padded(float(tails[dropped - 1])))
+        if total is not None:
+            return total
         size, target = dropped, abs(float(terms.sum()))
     return None
 
@@ -319,116 +307,30 @@ def truncated_sum(f: Callable, limit: int) -> float:
     return _exact_sum(weights * table)
 
 
-@dataclass(frozen=True)
-class _Memoized(LazyTable):
-    """A table on grid(2 N) whose head keeps the longest run computed so far
-    and slices it; run receives the leading run that decided its sum, if one
-    did (_prefix_sum)."""
-
-    run: list[tuple] = field(default_factory=list)
-
-
-def _memoized(table: LazyTable) -> _Memoized:
-    """table, whose head keeps the longest run computed so far and slices it."""
-    longest = np.empty(0)
-
-    def head(m):
-        nonlocal longest
-        if longest.size < m:
-            longest = table.head(m)
-        return longest[:m]
-
-    return _Memoized(head, table.bound)
-
-
-@functools.lru_cache(maxsize=1)
-def _corner_positions(n: int) -> np.ndarray:
-    """Where the points of the N x N corner (N = n) lie in grid(2 n), in their
-    order there (by a + b, then by a)."""
-    a, b, _ = grid(2 * n)
-    out = np.flatnonzero((a <= n) & (b <= n))
-    out.flags.writeable = False
-    return out
-
-
-def _corner_sum(table: _Memoized | np.ndarray, n: int) -> float:
-    """The sum over the N x N corner (N = n) of a table on grid(2 N) whose own
-    sum truncated_sum has taken: math.fsum of the corner's weighted terms,
-    from the first of three answers that decides it.
-
-    Where the table's sum was decided on a leading run, antidiagonals 2..K + 1,
-    the corner's exact sum is the run's, minus the run's terms outside the
-    corner (a > N or b > N, on antidiagonals N + 2 on), plus the corner's terms
-    past the run.  Both lie on antidiagonals from min(K, N) + 2 on, which one
-    entry of the run's tail bounds covers: if the run's certificate still
-    decides its double with that slack, that double is the corner's sum too
-    (always so for K <= N).  Otherwise the outside terms are gathered from the
-    run and subtracted from the taus, with the corner's own tail bound as the
-    slack; the corner holds min(j - 1, 2 N + 1 - j) points of antidiagonal j.
-    Where neither decides, or no run decided the table's sum, the corner's
-    points are read whole from the table."""
-    if isinstance(table, _Memoized) and table.run:
-        [(terms, k, tails, (total, taus, rest))] = table.run
-        if _certified(taus, rest, _padded(float(tails[4 * n - 2 - min(k, n)]))) == total:
-            return total
-        first = int(antidiagonal_starts(2 * n)[n])  # antidiagonal N + 2, the first outside
-        a, b, _ = grid(2 * n)
-        m = terms.size
-        outside = terms[first:][(a[first:m] > n) | (b[first:m] > n)]
-        j = np.arange(k + 2, 2 * n + 1)
-        weights = np.minimum(j - 1, 2 * n + 1 - j) * np.exp2(-j.astype(np.float64))
-        past = float(weights @ table.bound[k:2 * n - 1])
-        corner = _certified(taus + (-outside).tolist(), rest, _padded(past))
-        if corner is not None:
-            return corner
-    pos = _corner_positions(n)
-    values = table[pos] if isinstance(table, np.ndarray) else table.head(int(pos[-1]) + 1)[pos]
-    return _exact_sum(grid(2 * n)[2][pos] * values)
-
-
-def expect_block_report(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> SeriesResult:
-    """Expectation of f(a, b) under the 2^-(a+b) weights, with tail estimate.
-
-    f is called once, on the 2N grid (N = cfg.max_index), and the N sum is the
-    sum over that grid's N x N corner (_corner_sum).  A plain table (a scalar
-    too) is broadcast to the grid's shape.  Where f returns a LazyTable, the
-    2N sum computes only the leading run of antidiagonals that decides it, and
-    the certificate that decided it decides the N sum too, from the run's
-    terms outside the corner and the corner's own tail bound, as it does for
-    almost every bound integrand of the engine.  Only where it does not is the
-    corner read whole, from the values the 2N sum computed.  Both values are
-    math.fsum of every term of their grid, so the value and the tail estimate
-    do not depend on how much was read.
+def expect_block_report(f: Callable, cfg: SeriesConfig, tail: float) -> SeriesResult:
+    """Expectation of f(a, b) under the 2^-(a+b) weights, summed on grid(2 N)
+    (N = cfg.max_index) by truncated_sum, where tail bounds the sum of the
+    terms' magnitudes outside that grid.  It is refused where the sum is not
+    finite, or tail exceeds tail_tol, absolute or relative to the sum, and
+    reported as the result's tail_bound.
     """
-    n = cfg.max_index
-    table = None
-
-    def tabulated(a, b):
-        nonlocal table
-        table = f(a, b)
-        table = (_memoized(table) if isinstance(table, LazyTable)
-                 else np.broadcast_to(table, a.shape))
-        return table
-
-    s2 = truncated_sum(tabulated, 2 * n)
-    s1 = _corner_sum(table, n)
-    if not math.isfinite(s2):
+    s = truncated_sum(f, 2 * cfg.max_index)
+    if not math.isfinite(s):
         raise NonConvergenceError(
-            f"series sum is not finite ({s2}): its terms overflow double precision; "
+            f"series sum is not finite ({s}): its terms overflow double precision; "
             "a larger max_index cannot help"
         )
-    tail = abs(s2 - s1)
-    allowance = max(cfg.tail_tol, cfg.tail_tol * abs(s2))
+    allowance = max(cfg.tail_tol, cfg.tail_tol * abs(s))
     if not tail <= allowance:
         raise NonConvergenceError(
-            f"series tail estimate {tail:.3e} exceeds tolerance {allowance:.3e} "
-            f"at truncation {n} (sum ~ {s2:.6g}); increase max_index"
+            f"series tail bound {tail:.3e} exceeds tolerance {allowance:.3e} "
+            f"at truncation {cfg.max_index} (sum ~ {s:.6g}); increase max_index"
         )
-    return SeriesResult(value=s2, tail_estimate=tail, truncation=2 * n)
+    return SeriesResult(value=s, tail_bound=tail, truncation=2 * cfg.max_index)
 
 
-def expect_block(f: Callable, cfg: SeriesConfig = DEFAULT_SERIES) -> float:
-    return expect_block_report(f, cfg).value
+def expect_block(f: Callable, cfg: SeriesConfig, tail: float) -> float:
+    return expect_block_report(f, cfg, tail).value
 
 
 @functools.lru_cache(maxsize=1)

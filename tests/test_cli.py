@@ -115,7 +115,9 @@ class TestBoundsCommand:
             main, ["bounds", "--alpha", "1", "--beta", "1", "--max-index", "8"]
         )
         assert result.exit_code == 3
-        assert "increase max_index" in result.output
+        assert result.output.splitlines() == [
+            "error: series tail bound 1.208e-04 exceeds tolerance 1.475e-12 at truncation 8 "
+            "(sum ~ 1.47537); increase max_index"]
 
     def test_norm_filter(self, runner):
         rec = run_json(runner, ["bounds", "--alpha", "1", "--beta", "1", "--norms", "l2"])
@@ -606,7 +608,7 @@ class TestExtremeShears:
 
     @pytest.mark.parametrize("args,line", [
         ("sweep --mode gle --alpha 1 --q 60 --family global",
-         "error: series tail estimate 6.350e+165 exceeds tolerance 6.352e+153 at truncation 64 "
+         "error: series tail bound 7.923e+180 exceeds tolerance 6.352e+153 at truncation 64 "
          "(sum ~ 6.35199e+165); increase max_index"),
         ("sweep --mode gle --alpha 1 --q -670 --family global",
          "error: series sum is 5.33e-321: the upper l1 moment sum at q = -670.0 underflows "
@@ -621,8 +623,8 @@ class TestExtremeShears:
          "overflows double precision at alpha=1e+160, beta=1e+160"),
     ], ids=["q60", "q-670", "q2-overflow", "q2-bound-overflow"])
     def test_moment_sums_beyond_doubles_keep_their_refusal(self, runner, args, line):
-        # both sums and the tail estimate are the same doubles however much of
-        # the grid is read, so the message prints the same digits
+        # the sum is the same double however much of the grid is read, and the
+        # tail bound depends on the point alone, so the message prints the same digits
         result = runner.invoke(main, args.split())
         assert result.exit_code == 3
         assert result.output.splitlines() == [line]

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -159,9 +160,12 @@ class TestExactIntegerMoments:
 
     @pytest.mark.parametrize("q", sorted(EXACT_ARGS))
     def test_direct_series_oracle(self, q):
-        # independent check: raw truncated double sums of the two integrands
-        lower = expect_block(lambda a, b: (1.0 + a * b) ** q)
-        upper = expect_block(lambda a, b: (1.0 + a + a * b) ** q)
+        # independent check: raw truncated double sums of the two integrands, both
+        # at most ((1 + a)(1 + b))^q, whose tail the engine bounds at (1, 1)
+        cfg = SeriesConfig()
+        tail = engine._tail_bound(POS11, q, 128)
+        lower = expect_block(lambda a, b: (1.0 + a * b) ** q, cfg, tail)
+        upper = expect_block(lambda a, b: (1.0 + a + a * b) ** q, cfg, tail)
         assert lower == pytest.approx(EXACT_ARGS[q][0], rel=1e-11)
         assert upper == pytest.approx(EXACT_ARGS[q][1], rel=1e-11)
 
@@ -374,6 +378,57 @@ class TestSeriesConfigPlumbing:
     def test_coarse_truncation_still_accurate(self):
         rep = lyapunov_bounds(POS11, cfg=SeriesConfig(max_index=32, tail_tol=1e-8))
         assert abs(rep.per_norm[NormKind.L1].lower - 0.3688682) < 1e-6
+
+
+class TestCertifiedTail:
+    """engine._tail_bound bounds the terms outside grid(2 N) of every integrand
+    at a point: what a grid twice as wide adds to the sum stays below it."""
+
+    @pytest.mark.parametrize("params", [POS11, OPP33, ShearParams(7.5, 1.0),
+                                        ShearParams(-2.5, 40.0)], ids=str)
+    @pytest.mark.parametrize("q", [None, 2.5, -1.5], ids=["log", "q>0", "q<0"])
+    def test_the_4n_sum_less_the_2n_sum_is_within_the_bound(self, params, q):
+        n = 8
+        tail = engine._tail_bound(params, q, 2 * n)
+        assert 0.0 < tail < math.inf
+        for family in BoundFamily:
+            for side in engine.Side:
+                for norm in engine.norms_for(family, params.regime, side):
+                    f = engine._case_mean(family, norm, side, params, q)
+                    wide, narrow = (series.truncated_sum(f, limit) for limit in (4 * n, 2 * n))
+                    assert abs(wide - narrow) <= tail
+
+    def test_the_bound_at_the_default_truncation(self):
+        # at (1, 1) and 2 N = 128: the log, q = 60 (refused by the CLI) and q <= 0
+        assert engine._tail_bound(POS11, None, 128) == pytest.approx(3.46e-38, rel=1e-2)
+        assert engine._tail_bound(POS11, 60.0, 128) == pytest.approx(7.92e180, rel=1e-2)
+        assert engine._tail_bound(POS11, -3.0, 128) == engine._tail_bound(OPP33, 0.0, 128) \
+            == series._padded(2.0**-127)
+
+    @pytest.mark.parametrize("limit", [2, 16, 128])
+    def test_the_weights_outside_the_grid_sum_below_the_q_le_0_bound(self, limit):
+        # outside grid(L) the weights 2^-(a+b) sum to exactly 1 - (1 - 2^-L)^2
+        outside = 1 - (1 - Fraction(1, 2**limit)) ** 2
+        assert outside < Fraction(engine._tail_bound(OPP33, -0.5, limit))
+
+    @pytest.mark.parametrize("x", [0.5, 1.0, 3.0, 40.0])
+    @pytest.mark.parametrize("q", [None, 2.5, 8.0], ids=["log", "q=2.5", "q=8"])
+    def test_log_sums_bound_the_series_and_its_tail_closely(self, x, q):
+        # S and T against their terms summed directly out to a = 2000, where
+        # every further term is below 2^-1900 of the sum
+        limit = 16
+        a = np.arange(1.0, 2001.0)
+        g = np.log1p(a * x) if q is None else (1.0 + a * x) ** q
+        terms = np.exp2(-a) * g
+        exact = (math.fsum(terms.tolist()), math.fsum(terms[limit:].tolist()))
+        for log_sum, direct in zip(engine._log_sums(x, q, limit), exact):
+            assert direct <= math.exp(log_sum) * (1.0 + 1e-12)
+            assert math.exp(log_sum) <= direct * (1.0 + 1e-9)
+
+    def test_a_failed_ratio_test_bounds_nothing(self):
+        # at a = 81 the terms of 2^-a (1 + a)^200 still grow: the sums are inf
+        assert engine._log_sums(1.0, 200.0, 16) == (math.inf, math.inf)
+        assert engine._tail_bound(POS11, 200.0, 16) == math.inf
 
 
 def _pointwise_case_mean(ff, norm, side, params, q=None):

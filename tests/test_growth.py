@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from shearlyap import (
     BlockExponents,
@@ -321,6 +322,41 @@ class TestSandwich:
             at_top = growth_ratio(block, p, (1.0, p.alpha), NormKind.LINF)
             assert at_zero == pytest.approx(lo, rel=1e-9)
             assert at_top == pytest.approx(hi, rel=1e-9)
+
+
+@st.composite
+def points_and_blocks(draw):
+    """A parameter point in either regime, from next to the opposed regime's
+    edge (|alpha|, beta -> 2) to shears of 10^4, and real run lengths a, b >= 1,
+    (1, 1) among them, where the functions are least."""
+    if draw(st.booleans()):
+        params = ShearParams(10.0 ** draw(st.floats(0.0, 4.0)), 10.0 ** draw(st.floats(0.0, 4.0)))
+    else:
+        params = ShearParams(-2.0 - 10.0 ** draw(st.floats(-12.0, 4.0)),
+                             2.0 + 10.0 ** draw(st.floats(-12.0, 4.0)))
+    blocks = draw(st.lists(st.tuples(st.floats(1.0, 1e4), st.floats(1.0, 1e4)),
+                           min_size=1, max_size=40))
+    a, b = np.array([(1.0, 1.0)] + blocks).T
+    return params, a, b
+
+
+class TestRange:
+    """Every bound function lies between 1 and F = (1 + a |alpha|)(1 + b |beta|):
+    the engine's certified series tail (engine._tail_bound) rests on it."""
+
+    @settings(deadline=None, max_examples=200)
+    @given(points_and_blocks())
+    def test_every_function_lies_between_1_and_f(self, drawn):
+        params, a, b = drawn
+        bound = (1.0 + a * abs(params.alpha)) * (1.0 + b * abs(params.beta))
+        ulps = 4 * 2.0**-52
+        for family in BoundFamily:
+            for side in Side:
+                for norm in norms_for(family, params.regime, side):
+                    for case in cases_for(family, params.regime):
+                        f = evaluator(family, norm, side, case, params)(a, b)
+                        assert np.all(f >= 1.0 - ulps), (family, side, norm, case)
+                        assert np.all(f <= bound * (1.0 + ulps)), (family, side, norm, case)
 
 
 class TestFormulaOracle:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -54,41 +55,77 @@ class TestKappa:
         assert kappa() == pytest.approx(direct, abs=1e-12)
 
     def test_double_sum_consistency(self):
-        via_blocks = expect_block(lambda a, b: np.log(a * b), SeriesConfig(tail_tol=1e-10))
+        # log(a b) = log a + log b, each summed against the other's weights
+        tail = _outside(np.log, np.ones_like, 128) + _outside(np.ones_like, np.log, 128)
+        via_blocks = expect_block(lambda a, b: np.log(a * b), SeriesConfig(tail_tol=1e-10), tail)
         assert abs(kappa() - via_blocks) < 1e-9
+
+
+def _outside(g, h, limit):
+    """sum 2^-(a+b) g(a) h(b) over the points outside grid(limit), for g, h >= 0
+    of at most polynomial growth: T_g S_h + S_g T_h, with S the sum over a >= 1
+    and T its part over a > limit; terms past a = limit + 200 cannot move it."""
+    a = np.arange(1.0, limit + 200)
+    wg, wh = np.exp2(-a) * g(a), np.exp2(-a) * h(a)
+    return wg[limit:].sum() * wh.sum() + wg.sum() * wh[limit:].sum()
+
+
+DEFAULT = SeriesConfig()
+ONES_TAIL = _outside(np.ones_like, np.ones_like, 128)
 
 
 class TestExpectBlock:
     def test_constant(self):
-        assert expect_block(lambda a, b: np.ones_like(a)) == pytest.approx(1.0, abs=1e-15)
+        assert expect_block(lambda a, b: np.ones_like(a), DEFAULT, ONES_TAIL) == \
+            pytest.approx(1.0, abs=1e-15)
 
     def test_product(self):
-        assert expect_block(lambda a, b: a * b) == pytest.approx(4.0, abs=1e-12)
+        tail = _outside(lambda a: a, lambda b: b, 128)
+        assert expect_block(lambda a, b: a * b, DEFAULT, tail) == pytest.approx(4.0, abs=1e-12)
 
     def test_report_fields(self):
-        rep = expect_block_report(lambda a, b: a * b)
+        tail = _outside(lambda a: a, lambda b: b, 128)
+        rep = expect_block_report(lambda a, b: a * b, DEFAULT, tail)
         assert rep.truncation == 128
-        assert rep.tail_estimate < 1e-12
+        assert rep.tail_bound == tail < 1e-12
         assert rep.value == pytest.approx(4.0, abs=1e-12)
 
     @pytest.mark.parametrize("value", [lambda a, b: a * b, lambda a, b: 1.0],
                              ids=["grid", "scalar"])
-    def test_integrand_is_called_once_on_the_doubled_grid(self, value):
-        shapes = []
+    def test_integrand_is_called_once_on_the_doubled_grid(self, value, monkeypatch):
+        shapes, sums = [], []
 
         def f(a, b):
             shapes.append(a.shape)
             return value(a, b)
 
-        rep = expect_block_report(f, SeriesConfig(max_index=8, tail_tol=1.0))
-        assert shapes == [(256,)]
-        assert rep.value == truncated_sum(value, 16)
-        assert rep.tail_estimate == abs(truncated_sum(value, 16) - truncated_sum(value, 8))
+        summed = series.truncated_sum
+        monkeypatch.setattr(series, "truncated_sum", lambda f, limit: sums.append(limit)
+                            or summed(f, limit))
+        rep = expect_block_report(f, SeriesConfig(max_index=8, tail_tol=1.0), 0.5)
+        assert shapes == [(256,)] and sums == [16]
+        assert rep.value == summed(value, 16)
+        assert rep.tail_bound == 0.5
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-3])
+    def test_a_tail_bound_above_the_allowance_is_refused(self, tol):
+        # the allowance is tail_tol, or tail_tol times |sum| where that is larger
+        cfg = SeriesConfig(max_index=8, tail_tol=tol)
+        f = lambda a, b: -3.0 * a * b
+        s = truncated_sum(f, 16)
+        allowance = max(tol, tol * abs(s))
+        assert expect_block_report(f, cfg, allowance).tail_bound == allowance
+        for tail in (math.nextafter(allowance, math.inf), math.inf, math.nan):
+            message = (f"series tail bound {tail:.3e} exceeds tolerance {allowance:.3e} "
+                       f"at truncation 8 (sum ~ {s:.6g}); increase max_index")
+            with pytest.raises(NonConvergenceError, match=f"^{re.escape(message)}$"):
+                expect_block(f, cfg, tail)
 
     def test_matches_exact_poly(self):
         for i in range(5):
             for j in range(5):
-                series = expect_block(lambda a, b, i=i, j=j: a**i * b**j)
+                tail = _outside(lambda a, i=i: a**i, lambda b, j=j: b**j, 128)
+                series = expect_block(lambda a, b, i=i, j=j: a**i * b**j, DEFAULT, tail)
                 exact = expect_block_exact_poly({(i, j): 1})
                 assert abs(series - exact) <= 1e-10 * max(1.0, exact)
 
@@ -123,9 +160,11 @@ class TestExpectBlock:
         assert truncated_sum(f, limit) == math.fsum(terms.ravel()[order].tolist())
 
     def test_nonconvergence_flag(self):
+        # log(1 + a b) <= log(1 + a) + log(1 + b): outside grid(16) about 1.2e-4
         cfg = SeriesConfig(max_index=8, tail_tol=1e-12)
-        with pytest.raises(NonConvergenceError):
-            expect_block(lambda a, b: np.log1p(a * b), cfg)
+        tail = _outside(np.log1p, np.ones_like, 16) + _outside(np.ones_like, np.log1p, 16)
+        with pytest.raises(NonConvergenceError, match="increase max_index"):
+            expect_block(lambda a, b: np.log1p(a * b), cfg, tail)
 
     @pytest.mark.parametrize("f", [lambda a, b: np.full_like(a, np.inf),
                                    lambda a, b: np.exp(a * b),
@@ -135,7 +174,7 @@ class TestExpectBlock:
         with np.errstate(over="ignore"):
             with pytest.raises(NonConvergenceError, match=r"series sum is not finite \((inf|nan)\): "
                                r"its terms overflow .* a larger max_index cannot help$"):
-                expect_block(f)
+                expect_block(f, DEFAULT, ONES_TAIL)
 
     def test_config_validation(self):
         with pytest.raises(DomainError):
@@ -377,38 +416,29 @@ class TestExtractedSum:
 
     def test_figure_sweeps_decide_on_leading_runs(self, monkeypatch):
         # a leading run that does not decide its sum, a whole-grid extraction
-        # that declines, a third pass where two decide, or a corner read whole
-        # where a certificate could decide it would still be correct, only slow
+        # that declines, or a third pass where two decide would still be
+        # correct, only slow
         counts = dict.fromkeys(["runs", "runs_undecided", "retries", "retries_undecided",
-                                "grids", "grids_undecided", "corner_reads",
-                                "corner_reads_undecided", "passes", "reports"], 0)
-        extraction, report = series._extraction, series.expect_block_report
+                                "grids", "grids_undecided", "passes", "reports", "sums"], 0)
+        extracted_sum, report = series._extracted_sum, series.expect_block_report
+        summed = series.truncated_sum
         certificates = _count_certificates(monkeypatch)
-        answers = _count_corner_answers(monkeypatch)
-        corner_sum, inside = series._corner_sum, []
         prefix_sum, runs_tried = series._prefix_sum, []
 
-        def counting_extraction(flat, tail=0.0):
+        def counting_extracted_sum(flat, tail=0.0):
             before = len(certificates)
-            decided = extraction(flat, tail)
+            decided = extracted_sum(flat, tail)
             # a leading run's tail bound is positive, and a second run in one
-            # _prefix_sum is a retry; a corner read whole is summed in _corner_sum
+            # _prefix_sum is a retry
             if tail > 0.0:
                 kind = "retries" if runs_tried else "runs"
                 runs_tried.append(flat.size)
             else:
-                kind = "corner_reads" if inside else "grids"
+                kind = "grids"
             counts[kind] += 1
             counts[kind + "_undecided"] += decided is None
             counts["passes"] += len(certificates) - before
             return decided
-
-        def counting_corner_sum(table, n):
-            inside.append(n)
-            try:
-                return corner_sum(table, n)
-            finally:
-                inside.pop()
 
         def counting_prefix_sum(table, limit):
             runs_tried.clear()
@@ -418,10 +448,14 @@ class TestExtractedSum:
             counts["reports"] += 1
             return report(*args)
 
-        monkeypatch.setattr(series, "_extraction", counting_extraction)
-        monkeypatch.setattr(series, "_corner_sum", counting_corner_sum)
+        def counting_truncated_sum(f, limit):
+            counts["sums"] += 1
+            return summed(f, limit)
+
+        monkeypatch.setattr(series, "_extracted_sum", counting_extracted_sum)
         monkeypatch.setattr(series, "_prefix_sum", counting_prefix_sum)
         monkeypatch.setattr(series, "expect_block_report", counting_report)
+        monkeypatch.setattr(series, "truncated_sum", counting_truncated_sum)
         runner = CliRunner()
         for argv in (["--mode", "gle", "--alpha", "1", "--beta", "1", "--q", "-3:3:0.1"],
                      ["--mode", "lyap-bounds", "--alpha", "1:10:0.25"]):
@@ -434,15 +468,9 @@ class TestExtractedSum:
         retried = counts["retries"] - counts["retries_undecided"]  # decided on the retry
         assert counts["grids"] == counts["runs_undecided"] - retried, counts
         assert counts["grids_undecided"] == 0
-        # each report asks once for its corner, which is read whole only where
-        # no certificate decides it
-        assert len(answers) == counts["reports"]
-        assert answers.count("whole") == counts["corner_reads"]
-        assert counts["corner_reads_undecided"] == 0
-        derived = answers.count("certificate") + answers.count("gather")
-        assert 100 * derived >= 99 * counts["reports"], (counts, derived)
-        third_passes = (counts["passes"] - counts["runs"] - counts["retries"] - counts["grids"]
-                        - counts["corner_reads"])
+        # each report sums its integrand once, on grid(2 N)
+        assert counts["sums"] == counts["reports"] > 0
+        third_passes = counts["passes"] - counts["runs"] - counts["retries"] - counts["grids"]
         assert 0 <= third_passes <= counts["runs"] // 100, (counts, third_passes)
 
 
@@ -573,7 +601,7 @@ class TestLeadingRuns:
         bound = _antidiagonal_max(g, limit)
         assert np.isfinite(bound[:43]).all()
         with pytest.raises(NonConvergenceError, match=r"series sum is not finite \((inf|-inf|nan)\)"):
-            expect_block_report(lambda a, b: _lazy(g, bound), SeriesConfig(max_index=16))
+            expect_block_report(lambda a, b: _lazy(g, bound), SeriesConfig(max_index=16), 0.0)
 
     @pytest.mark.parametrize("where", [0, 30, -1], ids=["first", "middle", "last"])
     @pytest.mark.parametrize("bad", [math.inf, math.nan])
@@ -589,208 +617,19 @@ class TestLeadingRuns:
         assert got.hex() == _fsum_of_grid(g, limit)
 
     @pytest.mark.parametrize("max_index", [8, 1024])
-    def test_doubling_check_at_the_truncation_limits(self, max_index):
-        # the 2N sum and the N corner both equal math.fsum of their whole grids
+    def test_reports_at_the_truncation_limits(self, max_index, monkeypatch):
+        # the report's value is math.fsum of its whole grid(2 N), the only grid built
         limit = 2 * max_index
         a, b, weights = series.grid(limit)
         g = np.sqrt((1.0 + a * b) ** 2 + b * b) ** 1.5
-        asked = []
+        asked, built = [], []
+        for name in ("grid", "antidiagonal_starts", "_antidiagonal_weights"):
+            monkeypatch.setattr(series, name, lambda limit, cached=getattr(series, name):
+                                built.append(limit) or cached(limit))
         rep = expect_block_report(lambda a, b: _lazy(g, _antidiagonal_max(g, limit), asked),
-                                  SeriesConfig(max_index=max_index, tail_tol=1.0))
-        corner = (a <= max_index) & (b <= max_index)
-        terms = weights * g
-        s2, s1 = math.fsum(iter(terms)), math.fsum(iter(terms[corner]))
-        assert rep.value == s2 and rep.tail_estimate == abs(s2 - s1)
-        assert rep.value == truncated_sum(lambda a, b: g, limit)
-        assert rep.tail_estimate == abs(rep.value - truncated_sum(lambda a, b: g[corner], max_index))
+                                  SeriesConfig(max_index=max_index, tail_tol=1.0), 0.25)
+        assert set(built) == {limit}
+        assert rep.value == math.fsum(iter(weights * g)) == truncated_sum(lambda a, b: g, limit)
+        assert (rep.tail_bound, rep.truncation) == (0.25, limit)
         if max_index == 1024:  # only a short leading run is ever computed
             assert max(asked) < weights.size // 100
-
-
-def _count_corner_answers(monkeypatch):
-    """A list that gets, for every series._corner_sum call from now on, the
-    answer that gave the corner's sum: "certificate" (the 2N sum's certificate
-    with one tail entry as slack), "gather" (that certificate less the run's
-    terms outside the corner) or "whole" (the corner's points read whole)."""
-    answers, calls = [], []
-    corner_sum, certified, exact_sum = series._corner_sum, series._certified, series._exact_sum
-
-    def counting_certified(*args):
-        calls.append("certified")
-        return certified(*args)
-
-    def counting_exact_sum(terms):
-        calls.append("whole")
-        return exact_sum(terms)
-
-    def counting_corner_sum(table, n):
-        calls.clear()
-        total = corner_sum(table, n)
-        answers.append("whole" if "whole" in calls
-                       else "certificate" if calls == ["certified"] else "gather")
-        return total
-
-    monkeypatch.setattr(series, "_certified", counting_certified)
-    monkeypatch.setattr(series, "_exact_sum", counting_exact_sum)
-    monkeypatch.setattr(series, "_corner_sum", counting_corner_sum)
-    return answers
-
-
-@st.composite
-def doubled_integrands(draw):
-    """(1 + a b)^k on grid(2 N), k in 0..6, with a sign pattern: none, by
-    antidiagonal parity, random, by a <=> b (the sum cancels to zero), or a
-    shift by a value of the table (it may nearly cancel)."""
-    n = draw(st.sampled_from([8, 16, 64]))
-    a, b, _ = series.grid(2 * n)
-    g = (1.0 + a * b) ** draw(st.integers(0, 6))
-    signs = draw(st.sampled_from(["none", "checker", "random", "antisymmetric", "shift"]))
-    if signs == "checker":
-        g = np.where((a + b) % 2 == 0, g, -g)
-    elif signs == "random":
-        rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-        g = np.where(rng.random(g.size) < 0.5, g, -g)
-    elif signs == "antisymmetric":
-        g = np.sign(a - b) * g
-    elif signs == "shift":
-        g = g - g[draw(st.integers(0, g.size - 1))]
-    return n, g
-
-
-def _corner_case(outside, corner, past, last):
-    """Values on grid(16) whose 2N run is antidiagonals 2..10 and sums to
-    1 + 2^-52 away from every midpoint: terms 1 and 2^-53 at (1, 1) and (1, 2),
-    corner at (2, 1), outside at (9, 1), which lies outside the 8 x 8 corner,
-    and past on every corner point of antidiagonals 11..last."""
-    a, b, weights = series.grid(16)
-    g = np.zeros(a.size)
-    for (i, j), term in {(1, 1): 1.0, (1, 2): 2.0**-53, (2, 1): corner, (9, 1): outside}.items():
-        at = (a == i) & (b == j)
-        g[at] = term / weights[at]
-    g[(a + b >= 11) & (a + b <= last) & (a <= 8) & (b <= 8)] = past
-    return g
-
-
-class TestCornerCertificate:
-    """expect_block_report sums f on the 2N grid alone and takes the sum over
-    its N x N corner from the first of three answers that decides it (the 2N
-    certificate, that certificate less the run's terms outside the corner, or
-    the corner's points read whole); either way both values are math.fsum of
-    every term of their grid."""
-
-    @settings(deadline=None)
-    @given(doubled_integrands())
-    def test_equals_fsum_of_the_grid_and_of_its_corner(self, drawn):
-        n, g = drawn
-        limit = 2 * n
-        a, b, weights = series.grid(limit)
-        terms = weights * g
-        s2 = math.fsum(terms.tolist())
-        s1 = math.fsum(terms[(a <= n) & (b <= n)].tolist())
-        with pytest.MonkeyPatch.context() as mp:
-            answers = _count_corner_answers(mp)
-            rep = expect_block_report(lambda a, b: _lazy(g, _antidiagonal_max(g, limit)),
-                                      SeriesConfig(max_index=n, tail_tol=1e300))
-        assert rep.value.hex() == s2.hex()
-        assert rep.tail_estimate.hex() == abs(s2 - s1).hex()
-        assert answers in (["certificate"], ["gather"], ["whole"])
-        if s2 == 0.0:  # a zero sum is never certified: the corner is read whole
-            assert answers == ["whole"]
-
-    @pytest.mark.parametrize("k,answer", [(0, "certificate"), (1, "gather"), (3, "gather")])
-    def test_the_corner_is_derived_where_the_certificate_decides(self, monkeypatch, k, answer):
-        # (1 + a b)^k 2^-(a+b) is decided on a leading run of grid(128), not of grid(16)
-        a, b, weights = series.grid(128)
-        g = (1.0 + a * b) ** k
-        answers = _count_corner_answers(monkeypatch)
-        rep = expect_block_report(lambda a, b: _lazy(g, _antidiagonal_max(g, 128)),
-                                  SeriesConfig(max_index=64, tail_tol=1.0))
-        assert answers == [answer]
-        terms = weights * g
-        s2, s1 = math.fsum(terms.tolist()), math.fsum(terms[(a <= 64) & (b <= 64)].tolist())
-        assert rep.value.hex() == s2.hex() and rep.tail_estimate.hex() == abs(s2 - s1).hex()
-
-    @pytest.mark.parametrize("case", ["inf-bound", "cancels"])
-    def test_the_corner_is_read_whole_where_a_bound_is_inf_or_the_sum_cancels(
-            self, monkeypatch, case):
-        limit = 32
-        a, b, weights = series.grid(limit)
-        g = (1.0 + a * b) ** 2
-        bound = _antidiagonal_max(g, limit)
-        if case == "inf-bound":
-            bound[5] = math.inf
-        else:
-            g = np.sign(a - b) * g
-        answers = _count_corner_answers(monkeypatch)
-        rep = expect_block_report(lambda a, b: _lazy(g, bound),
-                                  SeriesConfig(max_index=16, tail_tol=1.0))
-        assert answers == ["whole"]
-        terms = weights * g
-        s2, s1 = math.fsum(terms.tolist()), math.fsum(terms[(a <= 16) & (b <= 16)].tolist())
-        assert rep.value.hex() == s2.hex() and rep.tail_estimate.hex() == abs(s2 - s1).hex()
-
-    @pytest.mark.parametrize("corner,past,summed,s1", [
-        # the corner's run is 2^-67 below the midpoint 1 + 2^-53: decided, and
-        # unlike the 2N sum it rounds down
-        (-(2.0**-67), 2.0**-70, False, 1.0),
-        # 2^-84 below the midpoint, within the corner's tail bound: a positive
-        # tail rounds the corner up, a negative one down, and only its whole sum knows
-        (-(2.0**-84), 2.0**-70, True, 1.0 + 2.0**-52),
-        (-(2.0**-84), -(2.0**-70), True, 1.0),
-    ], ids=["derived", "tail-up", "tail-down"])
-    @pytest.mark.parametrize("last", [11, 16], ids=["next-antidiagonal", "to-the-corner"])
-    def test_outside_terms_and_the_corners_tail_are_in_its_certificate(
-            self, monkeypatch, corner, past, summed, s1, last):
-        # the run's term 2^-54 at (9, 1) lies outside the corner
-        g = _corner_case(2.0**-54, corner, past, last)
-        asked = []
-        answers = _count_corner_answers(monkeypatch)
-        rep = expect_block_report(lambda a, b: _lazy(g, _antidiagonal_max(g, 16), asked),
-                                  SeriesConfig(max_index=8, tail_tol=1.0))
-        assert asked[0] == series.antidiagonal_starts(16)[9]  # antidiagonals 2..10
-        assert answers == (["whole"] if summed else ["gather"])
-        a, b, weights = series.grid(16)
-        terms = weights * g
-        assert rep.value == math.fsum(terms.tolist()) == 1.0 + 2.0**-52
-        assert math.fsum(terms[(a <= 8) & (b <= 8)].tolist()) == s1
-        assert rep.tail_estimate == abs(rep.value - s1)
-
-    @pytest.mark.parametrize("integrand", [
-        "certificate", "gather", "whole-after-run", "whole-after-grid", "plain", "scalar"])
-    def test_a_doubling_check_builds_the_doubled_grid_alone(self, monkeypatch, integrand):
-        n = 64 if integrand == "certificate" else 8  # ones are decided on a run of grid(128)
-        a, b, _ = series.grid(2 * n)
-        values = {"certificate": np.ones(a.size),
-                  "gather": _corner_case(2.0**-54, -(2.0**-67), 2.0**-70, 11),
-                  "whole-after-run": _corner_case(2.0**-54, -(2.0**-84), 2.0**-70, 11),
-                  "whole-after-grid": np.sign(a - b) * (1.0 + a * b)}.get(integrand)
-        f = {"plain": lambda a, b: a * b, "scalar": lambda a, b: 1.0}.get(
-            integrand, lambda a, b: _lazy(values, _antidiagonal_max(values, 2 * n)))
-        built = []
-        for name in ("grid", "antidiagonal_starts", "_antidiagonal_weights"):
-            monkeypatch.setattr(series, name, lambda limit, cached=getattr(series, name), name=name:
-                                built.append((name, limit)) or cached(limit))
-        answers = _count_corner_answers(monkeypatch)
-        expect_block_report(f, SeriesConfig(max_index=n, tail_tol=1e300))
-        assert built and {limit for _, limit in built} == {2 * n}, built
-        assert answers == [integrand.partition("-")[0] if values is not None else "whole"]
-
-    @pytest.mark.parametrize("case", ["tail-up", "tail-down", "inf-bound", "cancels", "plain"])
-    def test_a_corner_read_whole_equals_fsum_of_the_corner(self, monkeypatch, case):
-        # after a decided 2N run (tail-up, tail-down) and after a whole 2N grid
-        n = 8
-        a, b, weights = series.grid(2 * n)
-        if case.startswith("tail"):
-            g = _corner_case(2.0**-54, -(2.0**-84), 2.0**-70 if case == "tail-up" else -(2.0**-70), 16)
-        else:
-            g = (1.0 + a * b) ** 2 * (np.sign(a - b) if case == "cancels" else 1.0)
-        bound = _antidiagonal_max(g, 2 * n)
-        if case == "inf-bound":
-            bound[5] = math.inf
-        table = g if case == "plain" else series._memoized(_lazy(g, bound))
-        truncated_sum(lambda a, b: table, 2 * n)
-        assert case == "plain" or bool(table.run) == case.startswith("tail")
-        answers = _count_corner_answers(monkeypatch)
-        got = series._corner_sum(table, n)
-        assert answers == ["whole"]
-        assert got.hex() == math.fsum((weights * g)[(a <= n) & (b <= n)].tolist()).hex()

@@ -6,14 +6,15 @@ Runs a fixed list of CLI commands with the program of this checkout and
 with the one under PARENT_TREE (each from its own src/), one fresh
 interpreter per command: the five README figure sweeps, table1, gle-exact
 for q = 1..5, bounds for both families at (1, 1) and (-3, 3) in text and
-JSON, and the q = 60 moment sweep that exits 3; then the improved bounds at
-max_index 1024, a moment sweep at shears of 1e30 and one at 1e100 whose
-terms overflow (exit 3); last the bounds at max_index 8, whose tail
-estimate exceeds the tolerance (exit 3), a moment sweep over q = 3..6, and
-two wide moment sweeps, q = -6..6 at (1, 1) and q = -8..8 at (-3, 3) with
-max_index 128, that read some corners whole, and one over q = 10..30 with
-max_index 256, whose sums are decided on a second, longer leading run;
-then the Monte Carlo estimates in JSON: lyapunov_mc at (1, 1) and at (-3, 3),
+JSON, and the q = 60 moment sweep whose tail bound exceeds the tolerance
+(exit 3); then the improved bounds at max_index 1024, a moment sweep at
+shears of 1e30 and one at 1e100 whose terms overflow (exit 3); last the
+bounds at max_index 8, whose tail bound exceeds the tolerance (exit 3),
+moment sweeps over q = 3..6, q = -6..6 at (1, 1) and q = -8..8 at (-3, 3)
+with max_index 128, one over q = -3..-1 at (-1e6, 1e6), whose tail bound
+holds only because every bound function is at least 1, and one over
+q = 10..30 with max_index 256, whose sums are decided on a second, longer
+leading run; then the Monte Carlo estimates in JSON: lyapunov_mc at (1, 1) and at (-3, 3),
 whose trajectories of 66 666 steps cross a 2^16-step coin chunk, gle_mc at
 q = 2 over 5000 ensembles, sampled E_1024 at (5, 5), and exhaustive E_16,
 E_20 at (1, 1) and E_19 at (-3, 3), which span several tiles of products.
@@ -49,14 +50,14 @@ COMMANDS = [
     "bounds --alpha 1 --beta 1 --family improved --max-index 1024 --format csv",
     "sweep --mode gle --alpha 1e30 --q -2:2:1 --format csv",
     "sweep --mode gle --alpha 1e100 --q 2",
-    # where the 2N certificate decides the corner's sum, or leaves the corner to be
-    # read whole: a tail estimate that fails the tolerance (exit 3), moment sums
-    # whose corner rounds to another double than the 2N sum, and moment sums whose
-    # corner is read whole after a whole 2N grid or after a decided 2N run
+    # the certified tail: a bound that fails the tolerance (exit 3), wide moment
+    # sweeps, and at q < 0 the floor f >= 1 (with f >= 1/F instead, the tail at
+    # alpha = -1e6 would be about 1.5e5 and every sum refused)
     "bounds --alpha 1 --beta 1 --max-index 8",
     "sweep --mode gle --alpha 1 --q 3:6:0.5 --format csv",
     "sweep --mode gle --alpha 1 --q -6:6:0.5 --format csv",
     "sweep --mode neg-gle --alpha -3 --q -8:8:0.5 --max-index 128 --format csv",
+    "sweep --mode neg-gle --alpha -1e6 --q -3:-1:1 --format csv",
     # large q, where the first leading run cannot decide and a longer one is tried
     "sweep --mode gle --alpha 1 --q 10:30:2 --max-index 256 --format csv",
     # the Monte Carlo kernel: long and short trajectories, many ensembles, E_k
