@@ -29,7 +29,8 @@ every stream, however wide the ensemble, so only the last length % 8 steps
 skip the table.  Sampled E_k draws its one stream in tiles of
 _COIN_TILE_WORDS words that span several sub-chunks; the block oracle draws
 the packed coins of all its streams at once, finds their runs in pieces of
-_RUN_PIECE coins and keeps only their int32 lengths.
+_RUN_PIECE coins and keeps only their lengths, one byte each while no run
+exceeds 255 coins.
 Exhaustive E_k uses the same layout, depth first: the products of the first
 few factors are doubled in place at each level, B P into the upper half and
 then A P over the lower half, which reproduces a 2x2 matrix product bit for
@@ -67,9 +68,10 @@ _COIN_TILE_WORDS = 1 << 16  # raw Philox words per tile of _coin_bytes
 _EXHAUSTIVE_MAX_K = 22
 _GLE_TRAJ_CAP = 200  # applications per gle_mc trajectory
 _MAX_APPS = 10**10  # cost guard: matrix applications one estimator call may run
-# coins in one block_oracle call: it holds the packed coins and the int32 run lengths of
-# every stream at once, a peak of 2.9-3.1 B a coin over 1, 2 or 32 streams (tracemalloc,
-# 4 * 10^6 coins) and 2.5 B at 10^7 and 10^8 coins, 0.25 GB at the guard
+# coins in one block_oracle call: it holds the packed coins and the one-byte run lengths
+# of every stream at once, a peak of 1.5-1.7 B a coin over 1, 2 or 32 streams (tracemalloc,
+# 4 * 10^6 coins), 0.9 B at 10^7 coins and 0.65 B at 10^8, 65 MB at the guard; wide calls
+# add about 290 B a stream (5.9 B a coin at 2 * 10^5 streams of 50 coins)
 _MAX_TOTAL_COINS = 10**8
 # ensembles or samples side by side, about 225 B each (tracemalloc, lyapunov_mc at 200
 # steps); lyapunov_mc draws a whole 2^16-step chunk's coin bytes for every ensemble at
@@ -595,12 +597,12 @@ def _run_ends(by: np.ndarray, n: int):
             yield e0, t0, ends
 
 
-def _range_totals(ufunc, x: np.ndarray, lo: np.ndarray, count) -> np.ndarray:
-    """ufunc.reduce of x[lo[e]:lo[e] + count[e]] for each e, in x's dtype; the
+def _range_max(x: np.ndarray, lo: np.ndarray, count) -> np.ndarray:
+    """The largest of x[lo[e]:lo[e] + count[e]] for each e, in x's dtype; the
     ranges are not empty, do not overlap and come in order."""
     hi = lo + count
     edges = np.stack([lo, hi], axis=1).ravel()[:-1]  # the last range ends x[:hi[-1]]
-    return ufunc.reduceat(x[:hi[-1]], edges, dtype=x.dtype)[::2]
+    return np.maximum.reduceat(x[:hi[-1]], edges)[::2]
 
 
 def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
@@ -612,10 +614,13 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     coins of all streams are drawn packed in one _coin_bytes call (a stream's
     bytes do not depend on the streams beside it), and their runs found in
     pieces of _RUN_PIECE coins (_run_ends) in two passes: the first counts each
-    stream's runs, the second writes every run length once into one int32
-    array.  Besides the packed coins and that array, the statistics hold a few
-    bytes a block at most.  They are exact counts and sums over each stream's
-    blocks, divided once.
+    stream's runs, the second writes every run length once into one uint8
+    array, widened once to int32 in the piece that first holds a run longer
+    than 255 coins (a chance of 2^-255 at each coin).  The sums of the run
+    lengths are read off the run ends as the second pass finds them, and the
+    comparisons are counted in pieces, so besides the packed coins and that
+    array the statistics hold a few bytes a stream and a piece at most.  They
+    are exact counts and sums over each stream's blocks, divided once.
     Raises DomainError, before drawing any coin, above _MAX_APPS (10^10) coins,
     _MAX_WIDTH (4 * 10^6) streams, _MAX_TOTAL_COINS (10^8) coins in all, however
     many streams hold them, or shears of _SHEAR_MAX (1e79); and, once the runs
@@ -650,7 +655,13 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     pad = (np.concatenate(([0], (runs + leading_b)[:-1])) + leading_b) % 2
     start = np.cumsum(runs + pad) - runs
     h = (start + leading_b) // 2
-    lengths = np.empty(int(start[-1] + runs[-1]), dtype=np.int32)
+    J, n_blocks = int(pairs.min()), int(pairs.sum())  # the Lyapunov estimate takes J a stream
+    # where each stream's blocks start, where its first J end and where all end, in
+    # order; before[i] becomes the coins of the streams end to end ahead of entry
+    # marks[i], so a range's sum is a difference of two and no wider copy is summed
+    marks = np.stack([2 * h, 2 * (h + J), 2 * (h + pairs)], axis=1).ravel()
+    before = np.zeros(marks.size, dtype=np.int64)
+    lengths = np.empty(int(start[-1] + runs[-1]), dtype=np.uint8)
     k, last = 0, -1  # entries written, and where the last run ends in the streams end to end
     for e0, t0, ends in _run_ends(by, n):
         base = e0 * n + t0
@@ -660,37 +671,43 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
             at = (np.cumsum(r) - r)[pad[e0:e0 + len(ends)] == 1]
             pos = np.insert(pos, at, np.concatenate(([prev], pos))[at])
         if pos.size:
-            lengths[k] = pos[0] - prev
-            np.subtract(pos[1:], pos[:-1], out=lengths[k + 1:k + pos.size])
+            piece_runs = np.diff(pos, prepend=prev)
+            if lengths.itemsize == 1 and piece_runs.max() > 255:
+                lengths = lengths.astype(np.int32)
+            lengths[k:k + pos.size] = piece_runs  # cast to lengths' dtype, which holds them all
+            # entry q - 1, for k < q <= k + pos.size, is the run that ends at pos[q - k - 1]
+            i, j = np.searchsorted(marks, [k, k + pos.size], side="right")
+            before[i:j] = base + 1 + pos[marks[i:j] - k - 1]
             k, last = k + pos.size, base + pos[-1]
     del by
 
-    # A stream's sums are at most its n <= _MAX_TOTAL_COINS coins: int32 holds them
-    a, b = lengths[0::2], lengths[1::2]
-    J, n_blocks = int(pairs.min()), int(pairs.sum())  # the Lyapunov estimate takes J a stream
-    block_sum = int(_range_totals(np.add, lengths, 2 * h, 2 * pairs).sum())
-    steps = int(_range_totals(np.add, lengths, 2 * h, 2 * J).sum())
-    a_max = int(_range_totals(np.maximum, a, h, J).max())
-    b_max = int(_range_totals(np.maximum, b, h, J).max())
-    # True on the blocks, False on the pads and the runs no block holds
+    before = before.reshape(E, 3)
+    steps = int((before[:, 1] - before[:, 0]).sum())
+    block_sum = int((before[:, 2] - before[:, 0]).sum())
+    m = int(h[-1] + pairs[-1])  # the pairs up to the last block
+    a, b = lengths[0:2 * m:2], lengths[1:2 * m:2]
+    a_max, b_max = int(_range_max(a, h, J).max()), int(_range_max(b, h, J).max())
+    # the pairs no block holds, pads and the runs around each stream's blocks:
+    # gaps[e] of them just before stream e's first block
     gaps = h - np.concatenate(([0], (h + pairs)[:-1]))
-    kept = np.repeat(np.resize([False, True], 2 * E), np.stack([gaps, pairs], axis=1).ravel())
-    m = kept.size
 
-    def count(compare):  # the blocks whose a and b compare so
-        found = compare(a[:m], b[:m])
-        found &= kept
-        return int(np.count_nonzero(found))
+    def count(compare):  # the blocks whose a and b compare so: every pair, less the gaps
+        found = sum(int(np.count_nonzero(compare(a[i:i + _RUN_PIECE], b[i:i + _RUN_PIECE])))
+                    for i in range(0, m, _RUN_PIECE))
+        for d in range(1, int(gaps.max()) + 1):
+            g = h[gaps >= d] - d
+            found -= int(np.count_nonzero(compare(a[g], b[g])))
+        return found
 
     eq, gt = count(np.equal), count(np.greater)
-    del kept
     stats = dict(mean_block_len=block_sum / n_blocks, p_eq=eq / n_blocks, p_gt=gt / n_blocks,
                  p_lt=(n_blocks - eq - gt) / n_blocks, n_blocks=n_blocks)
 
     # Lyapunov estimate from the block products K(a, b) = A^a B^b applied to (0, 1)
-    def blocks(rows):  # gathers int32 run lengths; the kernel runs time on axis 0
+    def blocks(rows):  # gathers the run lengths as float64; the kernel runs time on axis 0
         at = h + rows[:, None]
-        x, y = params.alpha * a[at], params.beta * b[at]
+        x = np.multiply(params.alpha, a[at], dtype=np.float64)
+        y = np.multiply(params.beta, b[at], dtype=np.float64)
         return np.broadcast_to(1.0, x.shape), y, x, 1.0 + x * y
 
     bound = 1.0 + abs(params.alpha * params.beta) * a_max * b_max

@@ -826,7 +826,7 @@ class TestShearLimit:
 
 class TestIntegerShears:
     # ShearParams stores floats, so no integer shear meets the uint8 coins or
-    # int32 run lengths in numpy arithmetic, where it would overflow
+    # run lengths in numpy arithmetic, where it would overflow
     @pytest.mark.filterwarnings("ignore:effective sample size")
     @pytest.mark.parametrize("estimator", [
         lambda p: lyapunov_mc(p, McConfig(1000, 2, seed=5)).mean,
@@ -1135,6 +1135,23 @@ class TestBlockOracle:
         s2 = block_oracle(POS11, cfg)
         assert s1 == s2
 
+    @pytest.mark.parametrize("alpha,beta,cfg,pinned", [
+        # the call of the mc-long benchmark workload at its seed 1
+        (1.0, 1.0, McConfig(10**7, 32, seed=118), dict(
+            mean_block_len="0x1.ffc902d8d5cffp+1", p_eq="0x1.5527994accb53p-2",
+            p_gt="0x1.558060aa8aa0cp-2", p_lt="0x1.5558060aa8aa1p-2",
+            lambda_est="0x1.95d0aea8ac4d6p-2", n_blocks=2501002)),
+        (-3.0, 3.0, McConfig(2_000_003, 7, seed=61), dict(
+            mean_block_len="0x1.ff85d23d81bcbp+1", p_eq="0x1.55bdbf05e16e4p-2",
+            p_gt="0x1.558a69aba88a4p-2", p_lt="0x1.54b7d74e76078p-2",
+            lambda_est="0x1.8c04e5db82388p-1", n_blocks=500456))])
+    def test_pinned_bits(self, alpha, beta, cfg, pinned):
+        # every field as the int32 run lengths gave it, before they took one byte
+        stats = block_oracle(ShearParams.infer(alpha, beta), cfg)
+        got = {f.name: getattr(stats, f.name) for f in dataclasses.fields(BlockStats)}
+        assert {k: v.hex() if type(v) is float else v for k, v in got.items()} == pinned
+        assert type(stats.n_blocks) is int
+
     @pytest.mark.parametrize("cfg,empty", [
         (McConfig(1000, 200, seed=1), "165 of 200"),  # 5 coins a stream
         (McConfig(20, 10), "10 of 10"),  # 2 coins a stream: no block is ever complete
@@ -1233,19 +1250,70 @@ class TestRunPieces:
         with pytest.raises(DomainError, match="^1 of 4 coin streams hold no complete block"):
             block_oracle(POS11, McConfig(4000, 4, seed=5))
 
+    # stream 1 of 3 -> (first coin, length, coin) of each planted run, its
+    # neighbours set to the other coin: one of exactly 255 coins, two of more
+    # (256 and 1500) inside one piece of 2^12 coins, one across the boundary at
+    # coin 4096, and one from the start to the end of a piece of 64 coins
+    LONG = {1: [(100, 255, 1), (1000, 256, 0), (2000, 1500, 1), (3900, 400, 0),
+                (5120, 320, 1)]}
+
+    @classmethod
+    def planted_bytes(cls, coin_bytes):
+        def patched(seed, streams, start, n):
+            coins = np.unpackbits(coin_bytes(seed, streams, start, n), axis=0, bitorder="little")
+            for col, e in enumerate(streams):
+                for first, length, coin in cls.LONG.get(e, []):
+                    for lo, hi, value in [(first - 1, first + length + 1, 1 - coin),
+                                          (first, first + length, coin)]:
+                        lo, hi = max(lo - 8 * start, 0), max(hi - 8 * start, 0)
+                        coins[lo:hi, col] = value
+            return np.packbits(coins, axis=0, bitorder="little")
+
+        return patched
+
+    def test_planted_runs(self):
+        by = self.planted_bytes(montecarlo._coin_bytes)(50, [0, 1], 0, 1250)
+        lengths, _ = run_lengths(np.unpackbits(by[:, 1], bitorder="little"))
+        for _, length, _ in self.LONG[1]:
+            assert length in lengths
+        assert lengths.max() == 1500 and sorted(lengths)[-6] < 255
+
+    @pytest.mark.parametrize("alpha,beta", [(1.0, 1.0), (-3.0, 3.0), (1e70, 1e70)])
+    @pytest.mark.parametrize("piece", [64, 1 << 12])
+    def test_runs_longer_than_a_byte(self, monkeypatch, alpha, beta, piece):
+        # the run lengths widen from one byte to int32 in the piece that first
+        # holds a run over 255 coins, and every value stays the reference's
+        monkeypatch.setattr(montecarlo, "_coin_bytes", self.planted_bytes(montecarlo._coin_bytes))
+        params, cfg = ShearParams.infer(alpha, beta), McConfig(30_000, 3, seed=50)
+        want = reference_block_oracle(params, cfg)
+        monkeypatch.setattr(montecarlo, "_RUN_PIECE", piece)
+        got = block_oracle(params, cfg)
+        for field in dataclasses.fields(BlockStats):
+            g, w = getattr(got, field.name), getattr(want, field.name)
+            assert (g.hex(), type(g)) == (w.hex(), type(w)) if isinstance(w, float) else g == w
+
     @pytest.mark.parametrize("streams", [1, 2, 32])
     def test_traced_peak_per_coin(self, monkeypatch, streams):
         # the kernel's sub-chunks and the pieces are patched down to 2^12 elements
         # and coins, so the peak is what grows with the coins: the packed coins
-        # and the int32 run lengths of every stream, about 2.9 B a coin however
-        # many streams hold them
+        # and the one-byte run lengths of every stream, about 1.1-1.2 B a coin
+        # however many streams hold them (2.6-2.7 B with int32 lengths)
         monkeypatch.setattr(montecarlo, "_PAIRWISE_BUDGET", 1 << 12)
         monkeypatch.setattr(montecarlo, "_RUN_PIECE", 1 << 12)
         coins = 4 * 10**5
-        tracemalloc.start()
-        try:
-            block_oracle(POS11, McConfig(coins, streams, seed=49))
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak / coins <= 3.5
+        assert traced_peak(POS11, McConfig(coins, streams, seed=49)) / coins <= 1.5
+
+    def test_traced_peak_of_the_benchmark_call(self):
+        # mc-long's call at its own sizes, about 0.9 B a coin (2.5 B with int32 lengths)
+        coins = 10**7
+        assert traced_peak(POS11, McConfig(coins, 32, seed=118)) / coins <= 1.2
+
+
+def traced_peak(params, cfg):
+    """The traced peak of one block_oracle call, in bytes."""
+    tracemalloc.start()
+    try:
+        block_oracle(params, cfg)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
