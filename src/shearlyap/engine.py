@@ -42,7 +42,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .growth import BoundFamily, Side, cases_for, evaluator, function_case, norms_for
-from .linalg import DomainError, NormKind, Regime, ShearParams
+from .linalg import DomainError, NormKind, Regime, ShearParams, _integer
 from .series import (
     DEFAULT_SERIES,
     LazyTable,
@@ -131,35 +131,17 @@ _GRID_CACHE_SIZE = max(
 )
 
 
-# slack of the per-antidiagonal bounds on a case mean's computed values: relative
-# for the rounding of powers, logs and the mean, absolute for values that
-# underflow and for logs near 0 (every function is at least 1, but close to 1
-# near the opposed regime's edge, and a case mean of such values can round below 1)
-_BOUND_SLACK = 2.0**-20
-_POW_FLOOR = 2.0**-1000
-_LOG_FLOOR = 2.0**-40
-
-
 class _BoundGrid:
     """A bound function f on series.grid(limit): its values on a leading run, each
-    point evaluated once, and per antidiagonal n a least and a greatest value,
-    lo[n - 2] = min(f(c, l), f(l, c)) and hi[n - 2] = f(m, m), as f is nondecreasing
-    in a and b and on n one run length is at least c = ceil(n / 2), both at least
-    l = max(1, n - limit) and at most m = min(n - 1, limit).  One of these values not
-    positive and finite makes lo 0.0 and hi inf; overflow is None unless one is inf or nan."""
+    point evaluated once.  overflow is None unless f(limit, limit), its greatest
+    value on the grid (f is nondecreasing in a and b), is inf or nan."""
 
     @np.errstate(over="ignore", invalid="ignore")  # inf and nan values: their sums are reported
     def __init__(self, fn, limit: int, overflow: str):
         self._fn, self._values = fn, np.empty(0)
         self._a, self._b, _ = grid(limit)
-        n = np.arange(2.0, 2 * limit + 1)
-        c, l, diagonal = np.ceil(n / 2), np.maximum(1.0, n - limit), np.arange(1.0, limit + 1)
-        v = fn(np.concatenate((c, l, diagonal)), np.concatenate((l, c, diagonal)))
-        self.overflow = None if np.isfinite(v).all() else overflow
-        if self.overflow is not None or v.min() <= 0.0:
-            v = np.concatenate((np.zeros(2 * n.size), np.full(limit, math.inf)))
-        self.lo = np.minimum(v[:n.size], v[n.size:2 * n.size])
-        self.hi = np.append(v[2 * n.size:], np.repeat(v[-1], limit - 1))  # f(m, m) on each n
+        corner = fn(self._a[-1:], self._b[-1:])  # the last point of the grid is (limit, limit)
+        self.overflow = None if np.isfinite(corner).all() else overflow
 
     @np.errstate(over="ignore", invalid="ignore")
     def head(self, m: int) -> np.ndarray:
@@ -187,39 +169,25 @@ def _bound_grid(norm: NormKind, side: Side, case: tuple, params: ShearParams,
         raise NonConvergenceError(overflow) from None
 
 
-def _mean_bound(grids: list[_BoundGrid], q) -> np.ndarray:
-    """Per antidiagonal, a bound on |f| for the computed case mean f of the
-    grids (of their q-th powers, or its log when q is None).  Every value lies
-    between the least lo and the greatest hi, x^q is monotone, and |log x| is
-    largest at an end of a positive interval, f(1, 1) or f(limit, limit) for the
-    whole grid; the slack covers the rounding of the powers, the logs and the mean."""
-    lo = functools.reduce(np.minimum, [g.lo for g in grids])
-    hi = functools.reduce(np.maximum, [g.hi for g in grids])
-    if q is None:
-        bound = max(-math.log(lo.min()), math.log(hi.max())) if lo.min() > 0.0 else math.inf
-        return np.full(lo.size, bound * (1.0 + _BOUND_SLACK) + _LOG_FLOOR)
-    with np.errstate(over="ignore", divide="ignore"):  # 0.0 ** q < 0 and inf are inf bounds
-        return (hi if q >= 0 else lo) ** q * (1.0 + _BOUND_SLACK) + _POW_FLOOR
-
-
 def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearParams, q=None):
     """Integrand over the series layer's grid (a, b): the case mean of the cached
     grids of the cases' functions (of their q-th powers, or the log of the mean when
     q is None), one term per case in table order, as pointwise evaluation adds them.
     It returns a series.LazyTable, whose values on a leading run of the grid are
-    computed on request and bounded on each antidiagonal by _mean_bound.  For q
-    None or q > 0, a grid whose values overflow raises its error: their log, and
-    their powers, are not finite (for q <= 0, inf ** q is 1 or 0).  Where the
-    values are finite and their powers, or the sum of those, overflow, the
-    moment sum is refused by its name."""
+    computed on request and bounded on each antidiagonal by _antidiagonal_bound.
+    For q None or q > 0, a grid whose values overflow raises its error: their log,
+    and their powers, are not finite (for q <= 0, inf ** q is 1 or 0, and the
+    bound is inf, so the sum reads the whole grid).  Where the values are finite
+    and their powers, or the sum of those, overflow, the moment sum is refused
+    by its name."""
     def f(a, b):
         limit = math.isqrt(a.size)
         cases = [function_case(params.regime, norm, side, c)
                  for c in cases_for(family, params.regime)]
         grids = [_bound_grid(norm, side, c, params, limit) for c in cases]
-        for g in grids:
-            if g.overflow is not None and (q is None or q > 0):
-                raise NonConvergenceError(g.overflow)
+        overflows = [g.overflow for g in grids if g.overflow is not None]
+        if overflows and (q is None or q > 0):
+            raise NonConvergenceError(overflows[0])
 
         def head(m):
             heads = [g.head(m) for g in grids]
@@ -236,7 +204,8 @@ def _case_mean(family: BoundFamily, norm: NormKind, side: Side, params: ShearPar
                 ) from None
             return total / len(grids)
 
-        return LazyTable(head, _mean_bound(grids, q))
+        bound = _antidiagonal_bound(params, q, limit)
+        return LazyTable(head, np.full(bound.size, math.inf) if overflows else bound)
     return f
 
 
@@ -275,6 +244,24 @@ def _tail_bound(params: ShearParams, q, limit: int) -> float:
         else:
             logs = [t_g + s_h, s_g + t_h]
         return _padded(float(np.exp(logs).sum()))
+
+
+def _antidiagonal_bound(params: ShearParams, q, limit: int) -> np.ndarray:
+    """Per antidiagonal n of grid(limit), a bound on |f| for every integrand
+    _case_mean forms at the point.  Every point of n has a, b <= m = min(n - 1,
+    limit), and every bound function lies between 1 and F = (1 + a |alpha|)(1 +
+    b |beta|), as for _tail_bound, so |f| <= F(m, m)^q for q > 0, log F(m, m)
+    for the log, and 1 for q <= 0.  Padded for rounding: the computed values lie
+    in [1 - 4 ulp, F (1 + 4 ulp)], and the relative slack covers (1 +- 4 ulp)^q
+    for |q| < 2^28 and the case mean's rounding; log F(m, m) >= log 4, so the log
+    needs no absolute floor."""
+    n = np.arange(2.0, 2 * limit + 1)
+    if q is not None and q <= 0:
+        return np.full(n.size, _padded(1.0))
+    m = np.minimum(n - 1.0, limit)
+    with np.errstate(over="ignore"):  # an inf bound makes the sum read the whole grid
+        log_f = np.log1p(m * abs(params.alpha)) + np.log1p(m * abs(params.beta))
+        return _padded(log_f if q is None else np.exp(q * log_f))
 
 
 def _report(params: ShearParams, family: BoundFamily, cfg: SeriesConfig,
@@ -409,9 +396,10 @@ def gle_curve(
     family: BoundFamily = BoundFamily.GLOBAL,
     cfg: SeriesConfig = DEFAULT_SERIES,
 ) -> GLECurve:
-    """Envelope bounds sampled on a uniform q grid."""
+    """Envelope bounds sampled on a uniform q grid of n_points, an integer."""
     if not -math.inf < q_min < q_max < math.inf:
         raise DomainError(f"need finite q_min < q_max, got [{q_min}, {q_max}]")
+    n_points = _integer("n_points", n_points)
     if n_points < 2:
         raise DomainError(f"need n_points >= 2, got {n_points}")
     grid = np.linspace(q_min, q_max, n_points)

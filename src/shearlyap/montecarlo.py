@@ -71,7 +71,7 @@ _MAX_APPS = 10**10  # cost guard: matrix applications one estimator call may run
 # coins in one block_oracle call: it holds the packed coins and the one-byte run lengths
 # of every stream at once, a peak of 1.5-1.7 B a coin over 1, 2 or 32 streams (tracemalloc,
 # 4 * 10^6 coins), 0.9 B at 10^7 coins and 0.65 B at 10^8, 65 MB at the guard; wide calls
-# add about 290 B a stream (5.9 B a coin at 2 * 10^5 streams of 50 coins)
+# add about 220 B a stream (4.4 B a coin at 2 * 10^5 streams of 50 coins)
 _MAX_TOTAL_COINS = 10**8
 # ensembles or samples side by side, about 225 B each (tracemalloc, lyapunov_mc at 200
 # steps); lyapunov_mc draws a whole 2^16-step chunk's coin bytes for every ensemble at
@@ -702,6 +702,8 @@ def block_oracle(params: ShearParams, cfg: McConfig) -> BlockStats:
     eq, gt = count(np.equal), count(np.greater)
     stats = dict(mean_block_len=block_sum / n_blocks, p_eq=eq / n_blocks, p_gt=gt / n_blocks,
                  p_lt=(n_blocks - eq - gt) / n_blocks, n_blocks=n_blocks)
+    # the kernel reads only h, J and the a and b views
+    del runs, pairs, leading_b, pad, start, marks, before, gaps
 
     # Lyapunov estimate from the block products K(a, b) = A^a B^b applied to (0, 1)
     def blocks(rows):  # gathers the run lengths as float64; the kernel runs time on axis 0

@@ -368,6 +368,16 @@ class TestGleCurve:
         with pytest.raises(DomainError):
             gle_curve(-1.0, 1.0, 1, POS11)
 
+    @pytest.mark.parametrize("n_points", [2.5, 3.0, "3"])
+    def test_non_integer_n_points_raises(self, n_points):
+        with pytest.raises(DomainError, match="n_points must be an integer"):
+            gle_curve(0.0, 1.0, n_points, POS11)
+
+    def test_numpy_integer_n_points(self):
+        curve, want = gle_curve(0.0, 1.0, np.int64(3), POS11), gle_curve(0.0, 1.0, 3, POS11)
+        assert np.array_equal(curve.q_grid, [0.0, 0.5, 1.0])
+        assert np.array_equal(curve.lower, want.lower) and np.array_equal(curve.upper, want.upper)
+
     @pytest.mark.filterwarnings("error")  # refused before np.linspace warns of -inf
     def test_an_infinite_end_is_refused(self):
         with pytest.raises(DomainError, match=r"^need finite q_min < q_max, got \[-inf, 1.0\]$"):
@@ -568,12 +578,8 @@ class TestGridCache:
         aa, bb, _ = series.grid(8)
         for m in (10, 4, 30, 30, 64):
             assert np.array_equal(grid.head(m), (aa + 2.0 * bb)[:m])
-        # the bounds' 2 * 15 + 8 points, then each run past the longest so far
-        assert sizes == [38, 10, 20, 34]
-        # lo = f(c, l) with c = ceil(n / 2) >= l = max(1, n - 8), hi = f(m, m)
-        n = np.arange(2, 17)
-        assert np.array_equal(grid.lo, -(-n // 2) + 2 * np.maximum(1, n - 8))
-        assert np.array_equal(grid.hi, 3 * np.minimum(n - 1, 8))
+        # the corner (8, 8) that names an overflow, then each run past the longest so far
+        assert sizes == [1, 10, 20, 34]
 
     def test_integrand_is_a_function_of_its_grid(self):
         args = (BoundFamily.GLOBAL, NormKind.L1, engine.Side.LOWER, POS11)
@@ -617,12 +623,13 @@ class TestAntidiagonalBounds:
         with np.errstate(over="ignore", divide="ignore"):
             table = engine._case_mean(family, norm, side, params, q)(aa, bb)
             assert np.all(_antidiagonal_max(table.head(aa.size), limit) <= table.bound)
+            bound = engine._antidiagonal_bound(params, q, limit)
+            assert np.array_equal(table.bound, bound)
             for case in engine.cases_for(family, params.regime):
                 fc = engine.function_case(params.regime, norm, side, case)
-                grid = engine._bound_grid(norm, side, fc, params, limit)
-                values = grid.head(aa.size)
+                values = engine._bound_grid(norm, side, fc, params, limit).head(aa.size)
                 values = np.log(values) if q is None else values ** q
-                assert np.all(_antidiagonal_max(values, limit) <= engine._mean_bound([grid], q))
+                assert np.all(_antidiagonal_max(values, limit) <= bound)
 
     @settings(deadline=None, max_examples=40)
     @given(st.one_of(
@@ -631,12 +638,15 @@ class TestAntidiagonalBounds:
         st.tuples(st.floats(math.log10(2.01), 4.0), st.floats(math.log10(2.01), 4.0)).map(
             lambda e: ShearParams(-(10.0 ** e[0]), 10.0 ** e[1]))))
     def test_bound_functions_are_nondecreasing_and_bracketed(self, params):
-        # the premise of the three-point bounds, for every function of the table;
-        # 2^-40 lies far inside the bounds' 2^-20 slack
+        # for every function of the table: its greatest value on a grid is the
+        # corner (limit, limit), which alone names an overflow, and on each
+        # antidiagonal its values lie in [1, F(m, m)]; 2^-40 lies far inside the
+        # majorant's 2^-20 slack
         k = np.arange(1.0, 65.0)
         a, b = np.meshgrid(k, k, indexing="ij")
         aa, bb, _ = series.grid(64)
         starts = series.antidiagonal_starts(64)[:-1]
+        majorant = engine._antidiagonal_bound(params, 1.0, 64)
         for (regime, norm, side), (_, own) in growth._TABLE.items():
             if regime is not params.regime:
                 continue
@@ -647,29 +657,59 @@ class TestAntidiagonalBounds:
                 assert np.all(values > 0.0)
                 assert np.all(values[1:, :] >= values[:-1, :] * (1.0 - 2.0**-40))
                 assert np.all(values[:, 1:] >= values[:, :-1] * (1.0 - 2.0**-40))
-                # the whole-grid reductions the three points replace
-                grid, values = engine._BoundGrid(fn, 64, "overflow"), fn(aa, bb)
-                assert grid.overflow is None
-                assert np.all(grid.lo <= np.minimum.reduceat(values, starts) * (1.0 + 2.0**-40))
-                assert np.all(grid.hi * (1.0 + 2.0**-40) >= np.maximum.reduceat(values, starts))
+                assert engine._BoundGrid(fn, 64, "overflow").overflow is None
+                values = fn(aa, bb)
+                assert np.all(np.minimum.reduceat(values, starts) >= 1.0 - 2.0**-40)
+                assert np.all(np.maximum.reduceat(values, starts) <= majorant)
 
-    @pytest.mark.parametrize("bad", [-0.5, 0.0, math.inf, math.nan])
-    # points the bounds read: (c, l) and (l, c) of antidiagonals 5 and 6, (m, m) of 7 and of 9..16
-    @pytest.mark.parametrize("point", [(3.0, 1.0), (1.0, 3.0), (6.0, 6.0), (8.0, 8.0)])
-    @pytest.mark.parametrize("q", [None, -3.0, 2.5])  # q = 0 gives ones, bounded by 1
-    def test_a_value_that_is_not_positive_leaves_no_bound(self, q, point, bad):
-        def f(a, b):
-            return np.where((a == point[0]) & (b == point[1]), bad, 1.0)
+    @pytest.mark.parametrize("q", [None, -3.0, 0.0, 1.0, 2.5])
+    @pytest.mark.parametrize("params", [POS11, OPP33], ids=["pos", "opp"])
+    def test_bound_is_the_majorant_at_the_antidiagonals_corner(self, params, q):
+        # on antidiagonal n every point has a, b <= m = min(n - 1, L), and f <= F(m, m)
+        bound = engine._antidiagonal_bound(params, q, 8)
+        assert bound.shape == (15,)
+        for n, b in zip(range(2, 17), bound):
+            m = min(n - 1, 8)
+            f = (1.0 + m * abs(params.alpha)) * (1.0 + m * abs(params.beta))
+            want = math.log(f) if q is None else f**q if q > 0 else 1.0
+            assert want < b == pytest.approx(want * (1.0 + 2.0**-20), rel=1e-14)
 
-        grid = engine._BoundGrid(f, 8, "overflow")
-        with np.errstate(invalid="ignore"):
-            bound = engine._mean_bound([grid], q)
-        assert bound.shape == (15,) and np.all(bound == math.inf)
-        assert grid.overflow == (None if bad <= 0.0 else "overflow")
+    @pytest.mark.parametrize("which", [0, -1], ids=["first", "last"])
+    @pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+    @pytest.mark.parametrize("q", [None, -3.0, 0.0, 2.5])
+    @pytest.mark.parametrize("params", [POS11, OPP33], ids=["pos", "opp"])
+    def test_a_corner_that_is_not_finite_reads_the_whole_grid_or_is_refused(
+            self, monkeypatch, params, q, bad, which):
+        # one case's function (the first or the last in table order) is not
+        # finite at the corner (8, 8), the others are
+        broken = engine.cases_for(BoundFamily.IMPROVED, params.regime)[which]
+
+        def grid_of(norm, side, case, params, limit):
+            value = bad if case == broken else 2.0
+            return engine._BoundGrid(
+                lambda a, b: np.where((a == 8.0) & (b == 8.0), value, 2.0), limit, f"{case}")
+
+        monkeypatch.setattr(engine, "_bound_grid", grid_of)
+        # every case its own grid, named by its case key
+        monkeypatch.setattr(engine, "function_case", lambda regime, norm, side, case: case)
+        aa, bb, _ = series.grid(8)
+        mean = engine._case_mean(BoundFamily.IMPROVED, NormKind.LINF, engine.Side.UPPER,
+                                 params, q)
+        if q is None or q > 0:  # the log and the powers of the corner are not finite
+            with pytest.raises(NonConvergenceError, match=rf"^{re.escape(str(broken))}$"):
+                series.truncated_sum(mean, 8)
+        else:
+            table = mean(aa, bb)
+            assert table.bound.shape == (15,) and np.all(table.bound == math.inf)
+            # so the sum is math.fsum of every term (inf ** q is 1 or 0; nan stays nan)
+            with np.errstate(invalid="ignore"):
+                want = math.fsum((series.grid(8)[2] * table.head(aa.size)).tolist())
+            assert repr(series.truncated_sum(mean, 8)) == repr(want)
 
     def test_log_bound_covers_the_rounding_of_a_three_case_mean(self, monkeypatch):
         # (x + x + x) / 3 is one double below x = 1 - 2^-52, so the log of the
-        # mean is half as large again as log x: only the absolute slack covers it
+        # mean is half as large again as log x, and negative: log F(m, m) >= log 4
+        # bounds its size, with no absolute slack
         x = 1.0 - 2.0**-52
         assert (x + x + x) / 3 < x
         aa, bb, _ = series.grid(8)

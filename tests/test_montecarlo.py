@@ -1308,6 +1308,12 @@ class TestRunPieces:
         coins = 10**7
         assert traced_peak(POS11, McConfig(coins, 32, seed=118)) / coins <= 1.2
 
+    def test_traced_peak_per_stream_of_a_wide_call(self):
+        # 50 coins a stream: the per-stream arrays dominate, about 226 B a stream
+        # (307 B while the bookkeeping of the runs was held through the kernel)
+        streams = 4 * 10**4
+        assert traced_peak(POS11, McConfig(50 * streams, streams, seed=49)) / streams <= 260
+
 
 def traced_peak(params, cfg):
     """The traced peak of one block_oracle call, in bytes."""

@@ -73,7 +73,7 @@ def test_commands_cover_the_figures_tables_bounds_and_a_refusal():
     assert sum(c.startswith("sweep --mode") and "--format csv" in c for c in commands) == 11
     assert "table1 --format json" in commands
     assert sum(c.startswith("gle-exact") for c in commands) == 5
-    assert sum(c.startswith("bounds") for c in commands) == 10
+    assert sum(c.startswith("bounds") for c in commands) == 12
     assert "sweep --mode gle --alpha 1 --q 60 --family global" in commands
     # the paths that evaluate grids on leading runs
     assert "bounds --alpha 1 --beta 1 --family improved --max-index 1024 --format csv" in commands
@@ -98,7 +98,11 @@ def test_commands_cover_the_figures_tables_bounds_and_a_refusal():
     # exhaustive E_k over several tiles of products, in both regimes
     assert "standard-bound --k 20 --alpha 1 --beta 1 --format json" in commands
     assert "standard-bound --k 19 --alpha -3 --beta 3 --format json" in commands
-    assert len(commands) == 36
+    # the majorant F: overflow named at the corner, and the opposed regime on a wide grid
+    assert "bounds --alpha 1e160 --beta 1e160" in commands
+    assert ("bounds --alpha -3 --beta 3 --family improved --max-index 512 "
+            "--format csv") in commands
+    assert len(commands) == 38
 
 
 def test_a_tree_without_the_program_exits_2(tmp_path):

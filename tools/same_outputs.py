@@ -14,7 +14,10 @@ moment sweeps over q = 3..6, q = -6..6 at (1, 1) and q = -8..8 at (-3, 3)
 with max_index 128, one over q = -3..-1 at (-1e6, 1e6), whose tail bound
 holds only because every bound function is at least 1, and one over
 q = 10..30 with max_index 256, whose sums are decided on a second, longer
-leading run; then the Monte Carlo estimates in JSON: lyapunov_mc at (1, 1) and at (-3, 3),
+leading run; the bounds at shears of 1e160, whose bound functions overflow
+to inf and are refused by name, and the improved bounds at (-3, 3) with
+max_index 512, whose leading runs the opposed majorant F picks; then the
+Monte Carlo estimates in JSON: lyapunov_mc at (1, 1) and at (-3, 3),
 whose trajectories of 66 666 steps cross a 2^16-step coin chunk, gle_mc at
 q = 2 over 5000 ensembles, sampled E_1024 at (5, 5), and exhaustive E_16,
 E_20 at (1, 1) and E_19 at (-3, 3), which span several tiles of products.
@@ -60,6 +63,10 @@ COMMANDS = [
     "sweep --mode neg-gle --alpha -1e6 --q -3:-1:1 --format csv",
     # large q, where the first leading run cannot decide and a longer one is tried
     "sweep --mode gle --alpha 1 --q 10:30:2 --max-index 256 --format csv",
+    # the majorant F of every bound function: overflow to inf named at the grid's
+    # corner, and the leading runs F picks in the opposed regime on a wide grid
+    "bounds --alpha 1e160 --beta 1e160",
+    "bounds --alpha -3 --beta 3 --family improved --max-index 512 --format csv",
     # the Monte Carlo kernel: long and short trajectories, many ensembles, E_k
     "mc --alpha 1 --beta 1 --steps 1e6 --ensembles 25 --format json",
     "mc --alpha -3 --beta 3 --steps 2e5 --ensembles 3 --format json",
